@@ -10,6 +10,7 @@
 //	gsbench lag   [-quick] [-seed N] [-trials N] [-parallel N] [-json path]
 //	gsbench scale [-quick] [-shards K] [-json path]
 //	gsbench scaleb [-quick] [-json path]
+//	gsbench ingest [-quick] [-seed N]
 //
 // With no arguments it runs everything. Experiments: fig5, formula1,
 // beaconloss, detector, hbload, failover, move, merge, centralload,
@@ -22,6 +23,12 @@
 // at 10k/50k/100k adapters across shard counts 1/2/4/8, asserting that
 // every shard count fires identical events and converges to an identical
 // topology hash, and recording wall-clock speedup per shard count.
+//
+// The ingest subcommand runs E19: a standalone Central fed a farm-wide
+// resync storm, 1 % node churn as deltas and a round of no-op fulls at
+// 8k to 128k adapters. It prints the table of host-independent counts
+// (which must match what the corpus rules predict, or it exits nonzero)
+// and, separately, this host's wall-clock per point.
 //
 // The chaos subcommand sweeps seed-derived fault schedules with the
 // protocol-invariant engine attached, shrinks any failing schedule to a
@@ -298,6 +305,35 @@ func scalebMain(args []string) {
 	fmt.Printf("(scaleb wall time: %.1fs)\n", time.Since(start).Seconds())
 }
 
+// ingestMain is the `gsbench ingest` subcommand: the E19 Central ingest
+// sweep. The table is byte-identical on every host; the timing lines
+// after it are this host's.
+func ingestMain(args []string) {
+	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
+	o := exp.DefaultIngest()
+	quick := fs.Bool("quick", false, "run only the 8k and 16k adapter points")
+	fs.Int64Var(&o.Seed, "seed", o.Seed, "corpus seed (victims and arrival order; the counts do not depend on it)")
+	_ = fs.Parse(args)
+	if *quick {
+		o.Adapters = o.Adapters[:2]
+	}
+	tab, results, err := exp.Ingest(o)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gsbench: ingest: %v\n", err)
+		os.Exit(1)
+	}
+	tab.Fprint(os.Stdout)
+	base := results[0]
+	for _, r := range results {
+		scale := float64(r.Adapters) / float64(base.Adapters)
+		fmt.Printf("%7d adapters: cold %8.1f ms  deltas %6.1f ms  no-op %6.1f ms  total %8.1f ms  (%.2fx linear from %d)\n",
+			r.Adapters, ms(r.Cold), ms(r.Deltas), ms(r.Noop), ms(r.Total()),
+			r.Total().Seconds()/base.Total().Seconds()/scale, base.Adapters)
+	}
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // chaosMain is the `gsbench chaos` subcommand: the E15 seed sweep with
 // its own flag set (invoked before the experiment-runner flags parse).
 func chaosMain(args []string) {
@@ -349,6 +385,10 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "scaleb" {
 		scalebMain(os.Args[2:])
+		return
+	}
+	if len(os.Args) > 1 && os.Args[1] == "ingest" {
+		ingestMain(os.Args[2:])
 		return
 	}
 	quick := flag.Bool("quick", false, "run scaled-down variants")

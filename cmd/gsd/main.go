@@ -327,9 +327,11 @@ func run() int {
 	}
 	rt.AfterFunc(30*time.Second, status)
 
-	go rt.Run()
+	// Catch signals before the loop can announce readiness: whoever reads
+	// the readiness line may send SIGTERM at once.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go rt.Run()
 	got := <-sig
 	log.Printf("gsd: %v, shutting down", got)
 	// Close sockets first: the runtime's Close waits for every socket

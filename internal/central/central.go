@@ -12,6 +12,7 @@ package central
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -87,10 +88,10 @@ type Central struct {
 	snmp   *snmp.Client
 
 	groups   map[transport.IP]*group
-	adapters map[transport.IP]*adapterInfo
-	// nodesSeen accumulates every adapter ever reported per node, the
-	// basis of node-failure correlation.
-	nodesSeen  map[string]map[transport.IP]bool
+	adapters map[transport.IP]adapterInfo
+	// nodesSeen accumulates every adapter ever reported per node
+	// (ascending), the basis of node-failure correlation.
+	nodesSeen  map[string][]transport.IP
 	nodeDead   map[string]bool
 	switchDead map[string]bool
 
@@ -148,8 +149,8 @@ func New(cfg Config, clock transport.Clock, bus *event.Bus, db *configdb.DB) *Ce
 		bus:           bus,
 		db:            db,
 		groups:        make(map[transport.IP]*group),
-		adapters:      make(map[transport.IP]*adapterInfo),
-		nodesSeen:     make(map[string]map[transport.IP]bool),
+		adapters:      make(map[transport.IP]adapterInfo),
+		nodesSeen:     make(map[string][]transport.IP),
 		nodeDead:      make(map[string]bool),
 		switchDead:    make(map[string]bool),
 		lastSeq:       make(map[transport.IP]uint64),
@@ -185,8 +186,8 @@ func (c *Central) Activate(admin transport.Endpoint) {
 		// activation would otherwise survive in memory with no journal
 		// record backing it, and the resync rebuilds all of it anyway.
 		c.groups = make(map[transport.IP]*group)
-		c.adapters = make(map[transport.IP]*adapterInfo)
-		c.nodesSeen = make(map[string]map[transport.IP]bool)
+		c.adapters = make(map[transport.IP]adapterInfo)
+		c.nodesSeen = make(map[string][]transport.IP)
 		c.nodeDead = make(map[string]bool)
 		c.switchDead = make(map[string]bool)
 		c.expectedMoves = make(map[transport.IP]time.Duration)
@@ -294,12 +295,13 @@ func (c *Central) sweepLimbo() {
 			continue
 		}
 		delete(c.limbo, ip)
-		info := c.adapters[ip]
-		if info == nil || !info.alive {
+		info, known := c.adapters[ip]
+		if !known || !info.alive {
 			continue
 		}
 		info.alive = false
 		info.diedAt = now
+		c.adapters[ip] = info
 		c.jAdapter(info)
 		c.publish(event.Event{Kind: event.AdapterFailed, Adapter: ip,
 			Node: info.member.Node, Detail: "unaccounted after group dissolution"})
@@ -469,7 +471,7 @@ func (c *Central) applyFull(src transport.Addr, r *wire.Report) {
 	g := c.groups[r.Leader]
 	fresh := g == nil
 	if fresh {
-		g = &group{leader: r.Leader, members: make(map[transport.IP]wire.Member)}
+		g = &group{leader: r.Leader} // members are installed just below
 		c.groups[r.Leader] = g
 	}
 	if !fresh && r.Version < g.version {
@@ -555,43 +557,34 @@ func (c *Central) applyDelta(src transport.Addr, r *wire.Report) {
 // memberJoined integrates one adapter into the view.
 func (c *Central) memberJoined(leader transport.IP, m wire.Member, initial bool) {
 	delete(c.limbo, m.IP) // surfaced somewhere; no longer unaccounted
+	prev, known := c.adapters[m.IP]
 	// An adapter lives in exactly one group: a join here is an implicit
-	// departure from any other group (that is how merges appear). The old
-	// group's leader may not know it lost the member (an orphan reforms
-	// without its leader dropping it), in which case our record and the
-	// leader's reported state have silently diverged — ask that group for
-	// a full resync so later changes reconcile.
-	for l, og := range c.groups {
-		if l != leader {
-			if _, in := og.members[m.IP]; in {
-				delete(og.members, m.IP)
-				if len(og.members) == 0 {
-					delete(c.groups, l)
-					c.jGroupRemove(l)
-				} else {
-					c.jGroup(og)
-					c.requestGroupResync(og)
-				}
+	// departure from any other group (that is how merges appear). Only the
+	// group its record names can still list it: every entry into a member
+	// set comes through here and sets that name, and nothing re-points the
+	// record of a listed adapter (DESIGN.md §4, "What Central indexes").
+	// The old group's leader may not know it lost the member (an orphan
+	// reforms without its leader dropping it), in which case our record
+	// and the leader's reported state have silently diverged — ask that
+	// group for a full resync so later changes reconcile.
+	if og := c.groups[prev.group]; known && prev.group != leader && og != nil {
+		if _, in := og.members[m.IP]; in {
+			delete(og.members, m.IP)
+			if len(og.members) == 0 {
+				delete(c.groups, og.leader)
+				c.jGroupRemove(og.leader)
+			} else {
+				c.jGroup(og)
+				c.requestGroupResync(og)
 			}
 		}
 	}
-	if m.Node != "" {
-		set := c.nodesSeen[m.Node]
-		if set == nil {
-			set = make(map[transport.IP]bool)
-			c.nodesSeen[m.Node] = set
-		}
-		set[m.IP] = true
-	}
-	prev := c.adapters[m.IP]
-	wasDead := prev != nil && !prev.alive
-	movedGroup := prev != nil && prev.group != leader
-	diedAt := time.Duration(0)
-	if prev != nil {
-		diedAt = prev.diedAt
-	}
-	c.adapters[m.IP] = &adapterInfo{member: m, alive: true, group: leader}
-	c.jAdapter(c.adapters[m.IP])
+	c.noteSeen(m.Node, m.IP)
+	wasDead := known && !prev.alive
+	movedGroup := known && prev.group != leader
+	info := adapterInfo{member: m, alive: true, group: leader}
+	c.adapters[m.IP] = info
+	c.jAdapter(info)
 
 	deadline, expected := c.expectedMoves[m.IP]
 	switch {
@@ -604,7 +597,7 @@ func (c *Central) memberJoined(leader transport.IP, m wire.Member, initial bool)
 		c.jMoveDone(m.IP)
 		c.publish(event.Event{Kind: event.NodeMoved, Adapter: m.IP, Node: m.Node,
 			Group: leader, Detail: "expected (central-initiated)"})
-	case wasDead && movedGroup && c.clock.Now()-diedAt <= c.cfg.MoveWindow:
+	case wasDead && movedGroup && c.clock.Now()-prev.diedAt <= c.cfg.MoveWindow:
 		// Death in one group + join in another inside the window: the
 		// adapter moved domains; only Central can see this (paper §3.1) —
 		// and nobody planned it.
@@ -614,7 +607,7 @@ func (c *Central) memberJoined(leader transport.IP, m wire.Member, initial bool)
 			Detail: "unplanned domain change"})
 	case wasDead:
 		c.publish(event.Event{Kind: event.AdapterRecovered, Adapter: m.IP, Node: m.Node, Group: leader})
-	case !initial && prev == nil:
+	case !initial && !known:
 		c.publish(event.Event{Kind: event.AdapterJoined, Adapter: m.IP, Node: m.Node, Group: leader})
 	}
 	c.correlateNode(m.Node)
@@ -623,9 +616,9 @@ func (c *Central) memberJoined(leader transport.IP, m wire.Member, initial bool)
 
 // memberLeft marks one adapter dead (or moving).
 func (c *Central) memberLeft(leader transport.IP, m wire.Member) {
-	info := c.adapters[m.IP]
-	if info == nil {
-		info = &adapterInfo{member: m}
+	info, known := c.adapters[m.IP]
+	if !known {
+		info = adapterInfo{member: m}
 		c.adapters[m.IP] = info
 	}
 	if !info.alive {
@@ -639,6 +632,7 @@ func (c *Central) memberLeft(leader transport.IP, m wire.Member) {
 	info.alive = false
 	info.diedAt = c.clock.Now()
 	info.group = leader
+	c.adapters[m.IP] = info
 	c.jAdapter(info)
 
 	_, expected := c.expectedMoves[m.IP]
@@ -655,29 +649,26 @@ func (c *Central) correlateNode(node string) {
 	if node == "" {
 		return
 	}
-	known := c.knownNodeAdapters(node)
-	if len(known) == 0 {
-		return
-	}
-	allDead := true
-	for ip := range known {
+	known, allDead, suppressed := 0, true, true
+	c.eachNodeAdapter(node, func(ip transport.IP) bool {
+		known++
 		if a, ok := c.adapters[ip]; !ok || a.alive {
 			allDead = false
-			break
 		}
+		if _, exp := c.expectedMoves[ip]; !exp {
+			suppressed = false
+		}
+		return true
+	})
+	if known == 0 {
+		return
 	}
 	switch {
 	case allDead && !c.nodeDead[node]:
 		c.nodeDead[node] = true
 		c.jNode(node, true)
-		suppressed := true
-		for ip := range known {
-			if _, exp := c.expectedMoves[ip]; !exp {
-				suppressed = false
-			}
-		}
 		c.publish(event.Event{Kind: event.NodeFailed, Node: node, Suppressed: suppressed,
-			Detail: fmt.Sprintf("all %d adapters down", len(known))})
+			Detail: fmt.Sprintf("all %d adapters down", known)})
 	case !allDead && c.nodeDead[node]:
 		delete(c.nodeDead, node)
 		c.jNode(node, false)
@@ -685,21 +676,37 @@ func (c *Central) correlateNode(node string) {
 	}
 }
 
-// knownNodeAdapters merges report-derived and database-derived adapter
-// sets for a node.
-func (c *Central) knownNodeAdapters(node string) map[transport.IP]bool {
-	out := make(map[transport.IP]bool)
-	for ip := range c.nodesSeen[node] {
-		out[ip] = true
+// noteSeen records that ip was reported as an adapter of node.
+func (c *Central) noteSeen(node string, ip transport.IP) {
+	if node == "" {
+		return
 	}
-	if c.db != nil {
-		if spec, ok := c.db.Node(node); ok {
-			for _, ip := range spec.Adapters {
-				out[ip] = true
-			}
+	seen := c.nodesSeen[node]
+	if i, dup := slices.BinarySearch(seen, ip); !dup {
+		c.nodesSeen[node] = slices.Insert(seen, i, ip)
+	}
+}
+
+// eachNodeAdapter calls fn once for every adapter known to belong to node
+// — reported at any time, or listed in the database — until fn returns
+// false: the reported ones ascending, then the database-only ones
+// ascending.
+func (c *Central) eachNodeAdapter(node string, fn func(transport.IP) bool) {
+	seen := c.nodesSeen[node]
+	for _, ip := range seen {
+		if !fn(ip) {
+			return
 		}
 	}
-	return out
+	if c.db == nil {
+		return
+	}
+	spec, _ := c.db.Node(node)
+	for _, ip := range spec.Adapters {
+		if _, dup := slices.BinarySearch(seen, ip); !dup && !fn(ip) {
+			return
+		}
+	}
 }
 
 // wiringOf resolves which switch carries an adapter and what else is
@@ -765,7 +772,7 @@ func (c *Central) sweepExpectedMoves() {
 			delete(c.expectedMoves, ip)
 			c.jMoveDone(ip)
 			node := ""
-			if a := c.adapters[ip]; a != nil {
+			if a, ok := c.adapters[ip]; ok {
 				node = a.member.Node
 			} else if c.db != nil {
 				if spec, ok := c.db.Adapter(ip); ok {

@@ -81,7 +81,7 @@ func (c *Central) stampIncident(e *event.Event) {
 // the last adapter's NodeMoved, not the first.
 func (c *Central) nodeHasPendingMove(node string) bool {
 	for ip := range c.expectedMoves {
-		if a := c.adapters[ip]; a != nil && a.member.Node == node {
+		if a, ok := c.adapters[ip]; ok && a.member.Node == node {
 			return true
 		}
 		if c.db != nil {

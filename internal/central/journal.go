@@ -2,6 +2,7 @@ package central
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/journal"
@@ -66,7 +67,7 @@ func (c *Central) jGroupRemove(leader transport.IP) {
 	c.streamRecord(c.jr.GroupRemove(c.clock.Now(), leader))
 }
 
-func (c *Central) jAdapter(info *adapterInfo) {
+func (c *Central) jAdapter(info adapterInfo) {
 	if !c.journaling() {
 		return
 	}
@@ -123,26 +124,15 @@ func (c *Central) installRestored() bool {
 		}
 		c.groups[leader] = g
 	}
-	c.adapters = make(map[transport.IP]*adapterInfo, len(st.Adapters))
-	c.nodesSeen = make(map[string]map[transport.IP]bool)
-	seen := func(node string, ip transport.IP) {
-		if node == "" {
-			return
-		}
-		set := c.nodesSeen[node]
-		if set == nil {
-			set = make(map[transport.IP]bool)
-			c.nodesSeen[node] = set
-		}
-		set[ip] = true
-	}
+	c.adapters = make(map[transport.IP]adapterInfo, len(st.Adapters))
+	c.nodesSeen = make(map[string][]transport.IP)
 	for ip, a := range st.Adapters {
-		c.adapters[ip] = &adapterInfo{member: a.Member, alive: a.Alive, group: a.Group, diedAt: a.DiedAt}
-		seen(a.Member.Node, ip)
+		c.adapters[ip] = adapterInfo{member: a.Member, alive: a.Alive, group: a.Group, diedAt: a.DiedAt}
+		c.noteSeen(a.Member.Node, ip)
 	}
 	for _, g := range c.groups {
 		for ip, m := range g.members {
-			seen(m.Node, ip)
+			c.noteSeen(m.Node, ip)
 		}
 	}
 	c.nodeDead = make(map[string]bool, len(st.DeadNodes))
@@ -167,11 +157,19 @@ func (c *Central) installRestored() bool {
 // arbitrarily stale and gets re-confirmed by its reporting daemon.
 func (c *Central) verifyRestored() {
 	st := c.jr.State()
-	for leader, g := range c.groups {
+	// In leader order, not the map's: each request draws its delivery
+	// jitter from the simulation's one random stream, so the order they
+	// are sent in decides every later event's timing.
+	leaders := make([]transport.IP, 0, len(c.groups))
+	for leader := range c.groups {
+		leaders = append(leaders, leader)
+	}
+	slices.Sort(leaders)
+	for _, leader := range leaders {
 		if gs := st.Groups[leader]; gs != nil && gs.Streamed {
 			continue
 		}
-		c.requestGroupResync(g)
+		c.requestGroupResync(c.groups[leader])
 	}
 }
 

@@ -66,17 +66,18 @@ func (c *Central) adminAdapterFor(ip transport.IP) (transport.IP, bool) {
 	if node == "" {
 		return 0, false
 	}
-	for aip := range c.knownNodeAdapters(node) {
+	var admin transport.IP
+	c.eachNodeAdapter(node, func(aip transport.IP) bool {
 		if a, ok := c.adapters[aip]; ok && a.member.Admin {
-			return aip, true
-		}
-		if c.db != nil {
+			admin = aip
+		} else if c.db != nil {
 			if spec, ok := c.db.Adapter(aip); ok && spec.Index == 0 {
-				return aip, true
+				admin = aip
 			}
 		}
-	}
-	return 0, false
+		return admin == 0
+	})
+	return admin, admin != 0
 }
 
 // DiscoverWiring walks every registered switch's port tables over SNMP

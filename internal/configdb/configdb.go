@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/transport"
@@ -40,6 +41,10 @@ type NodeSpec struct {
 type DB struct {
 	adapters map[transport.IP]*AdapterSpec
 	nodes    map[string]*NodeSpec
+	// onSwitch is the wiring index: switch name -> adapters wired to it,
+	// ascending by IP. AddAdapter is the only writer (an adapter's switch
+	// never changes afterwards), so it always equals a scan of adapters.
+	onSwitch map[string][]transport.IP
 }
 
 // New returns an empty database.
@@ -47,7 +52,14 @@ func New() *DB {
 	return &DB{
 		adapters: make(map[transport.IP]*AdapterSpec),
 		nodes:    make(map[string]*NodeSpec),
+		onSwitch: make(map[string][]transport.IP),
 	}
+}
+
+// insertIP adds ip to an ascending list, keeping it ascending.
+func insertIP(ips []transport.IP, ip transport.IP) []transport.IP {
+	i, _ := slices.BinarySearch(ips, ip)
+	return slices.Insert(ips, i, ip)
 }
 
 // AddNode registers a node (idempotent on name).
@@ -69,8 +81,8 @@ func (db *DB) AddAdapter(spec AdapterSpec) error {
 	cp := spec
 	db.adapters[spec.IP] = &cp
 	n := db.AddNode(spec.Node, "", "")
-	n.Adapters = append(n.Adapters, spec.IP)
-	sort.Slice(n.Adapters, func(i, j int) bool { return n.Adapters[i] < n.Adapters[j] })
+	n.Adapters = insertIP(n.Adapters, spec.IP)
+	db.onSwitch[spec.Switch] = insertIP(db.onSwitch[spec.Switch], spec.IP)
 	return nil
 }
 
@@ -110,30 +122,21 @@ func (db *DB) Nodes() []NodeSpec {
 	return out
 }
 
-// AdaptersOnSwitch lists adapters wired to the named switch (the wiring
-// view used for switch-failure correlation).
+// AdaptersOnSwitch lists adapters wired to the named switch in ascending
+// IP order (the wiring view used for switch-failure correlation). The
+// slice is the database's own index: callers must not modify it (its
+// capacity is clipped, so appending to it copies).
 func (db *DB) AdaptersOnSwitch(name string) []transport.IP {
-	var out []transport.IP
-	for ip, a := range db.adapters {
-		if a.Switch == name {
-			out = append(out, ip)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clip(db.onSwitch[name])
 }
 
 // Switches lists all switch names appearing in the wiring.
 func (db *DB) Switches() []string {
-	set := map[string]bool{}
-	for _, a := range db.adapters {
-		if a.Switch != "" {
-			set[a.Switch] = true
+	out := make([]string, 0, len(db.onSwitch))
+	for s := range db.onSwitch {
+		if s != "" {
+			out = append(out, s)
 		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
 	}
 	sort.Strings(out)
 	return out
@@ -178,8 +181,7 @@ func (db *DB) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return err
 	}
-	db.adapters = make(map[transport.IP]*AdapterSpec)
-	db.nodes = make(map[string]*NodeSpec)
+	*db = *New()
 	for _, n := range f.Nodes {
 		db.AddNode(n.Name, n.Domain, n.Role)
 	}

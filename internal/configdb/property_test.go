@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,4 +127,121 @@ func TestPropertyVerifyExactGrouping(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// scanSwitch is the reference for the wiring index: what AdaptersOnSwitch
+// computed before it was indexed.
+func scanSwitch(db *DB, name string) []transport.IP {
+	var out []transport.IP
+	for _, a := range db.Adapters() { // ascending IP
+		if a.Switch == name {
+			out = append(out, a.IP)
+		}
+	}
+	return out
+}
+
+// checkWiringIndex compares the index with a scan for every switch the
+// database names, the unwired bucket and a switch it has never heard of.
+func checkWiringIndex(t *testing.T, db *DB, when string) {
+	t.Helper()
+	names := map[string]bool{"": true, "sw-absent": true}
+	for _, a := range db.Adapters() {
+		names[a.Switch] = true
+	}
+	wired := 0
+	for name := range names {
+		got, want := db.AdaptersOnSwitch(name), scanSwitch(db, name)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: AdaptersOnSwitch(%q) = %v, scan says %v", when, name, got, want)
+		}
+		if !slices.IsSorted(got) {
+			t.Fatalf("%s: AdaptersOnSwitch(%q) not ascending: %v", when, name, got)
+		}
+		if name != "" && len(want) > 0 {
+			wired++
+		}
+	}
+	if got := db.Switches(); len(got) != wired || !slices.IsSorted(got) || slices.Contains(got, "") {
+		t.Fatalf("%s: Switches() = %v, want %d sorted non-empty names", when, got, wired)
+	}
+	for _, n := range db.Nodes() {
+		if !slices.IsSorted(n.Adapters) {
+			t.Fatalf("%s: node %s adapters not ascending: %v", when, n.Name, n.Adapters)
+		}
+	}
+}
+
+// Property: through any mix of AddAdapter (in random IP order, with
+// duplicates and unwired adapters), JSON round trips and Save/Load, the
+// wiring index equals a brute-force scan, and a rejected duplicate leaves
+// it untouched.
+func TestPropertyWiringIndexMatchesScan(t *testing.T) {
+	dir := t.TempDir()
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := New()
+		for step := 0; step < 120; step++ {
+			when := fmt.Sprintf("seed %d step %d", seed, step)
+			switch op := rng.Intn(20); {
+			case op < 16:
+				spec := AdapterSpec{
+					IP:   transport.MakeIP(10, byte(rng.Intn(3)), byte(rng.Intn(2)), byte(rng.Intn(60)+1)),
+					Node: fmt.Sprintf("node-%02d", rng.Intn(25)), Index: rng.Intn(3), VLAN: 100 + rng.Intn(4),
+					Port: step,
+				}
+				if rng.Intn(8) != 0 { // one in eight stays unwired
+					spec.Switch = fmt.Sprintf("sw-%d", rng.Intn(5))
+				}
+				_, dup := db.Adapter(spec.IP)
+				before := len(db.AdaptersOnSwitch(spec.Switch))
+				err := db.AddAdapter(spec)
+				if dup != (err != nil) {
+					t.Fatalf("%s: duplicate=%v but AddAdapter returned %v", when, dup, err)
+				}
+				if after := len(db.AdaptersOnSwitch(spec.Switch)); dup && after != before {
+					t.Fatalf("%s: rejected duplicate changed the index (%d -> %d)", when, before, after)
+				}
+			case op < 18:
+				data, err := json.Marshal(db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Into a database that already holds something: the
+				// index must be rebuilt, not added to.
+				back := randomDB(rng, 3)
+				if err := json.Unmarshal(data, back); err != nil {
+					t.Fatal(err)
+				}
+				db = back
+			default:
+				path := filepath.Join(dir, "db.json")
+				if err := db.Save(path); err != nil {
+					t.Fatal(err)
+				}
+				back, err := Load(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db = back
+			}
+			checkWiringIndex(t, db, when)
+		}
+	}
+}
+
+// A caller that appends to a returned wiring list gets its own copy: a
+// later AddAdapter must not write through into it.
+func TestAdaptersOnSwitchAppendDoesNotAlias(t *testing.T) {
+	db := New()
+	for d := byte(1); d <= 3; d++ {
+		_ = db.AddAdapter(AdapterSpec{IP: transport.MakeIP(10, 0, 0, d), Node: "n", Switch: "sw"})
+	}
+	extra := transport.MakeIP(10, 0, 0, 200)
+	mine := append(db.AdaptersOnSwitch("sw"), extra)
+	_ = db.AddAdapter(AdapterSpec{IP: transport.MakeIP(10, 0, 0, 9), Node: "n", Switch: "sw"})
+	if mine[3] != extra {
+		t.Fatalf("AddAdapter wrote %v into a caller's appended copy", mine[3])
+	}
+	checkWiringIndex(t, db, "after append to a returned list")
 }

@@ -11,8 +11,9 @@
 package journal
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/transport"
@@ -71,7 +72,9 @@ func (k Kind) String() string {
 }
 
 // Record is one journaled state transition. Which payload fields are
-// meaningful depends on Kind; the codec writes only those.
+// meaningful depends on Kind; the codec writes only those. A record is
+// immutable once committed or decoded: the store's log, the standby
+// stream and the folded state all hold the same Members.
 type Record struct {
 	Epoch uint64 // activation epoch of the Central that committed this
 	Seq   uint64 // dense, monotonically increasing journal position
@@ -135,6 +138,10 @@ type State struct {
 	DeadNodes     map[string]bool
 	DeadSwitches  map[string]bool
 	ExpectedMoves map[transport.IP]time.Duration
+
+	// members is the summed length of every group's member list, kept by
+	// fold and clone so that size is O(1).
+	members int
 }
 
 // NewState returns an empty state.
@@ -155,6 +162,7 @@ func (s *State) clone() *State {
 		gg := *g
 		gg.Members = append([]wire.Member(nil), g.Members...)
 		c.Groups[l] = &gg
+		c.members += len(g.Members)
 	}
 	for ip, a := range s.Adapters {
 		c.Adapters[ip] = a
@@ -170,6 +178,16 @@ func (s *State) clone() *State {
 	}
 	return c
 }
+
+// size weighs the state in the unit weight counts a record in: one per
+// map entry plus one per group member.
+func (s *State) size() int {
+	return len(s.Groups) + s.members + len(s.Adapters) +
+		len(s.DeadNodes) + len(s.DeadSwitches) + len(s.ExpectedMoves)
+}
+
+// weight is what a record adds to the log: itself plus its member list.
+func (rec Record) weight() int { return 1 + len(rec.Members) }
 
 // Equal compares two states structurally (snapshot+replay equivalence
 // tests rely on it).
@@ -218,16 +236,23 @@ func (s *State) Equal(o *State) bool {
 func (s *State) fold(rec Record, streamed bool) {
 	switch rec.Kind {
 	case RecGroupUpdate:
+		if old := s.Groups[rec.Group]; old != nil {
+			s.members -= len(old.Members)
+		}
+		s.members += len(rec.Members)
 		s.Groups[rec.Group] = &GroupState{
 			Leader:   rec.Group,
 			Version:  rec.Version,
 			Src:      rec.Src,
-			Members:  append([]wire.Member(nil), rec.Members...),
+			Members:  rec.Members, // shared: records are immutable
 			Seq:      rec.Seq,
 			Epoch:    rec.Epoch,
 			Streamed: streamed,
 		}
 	case RecGroupRemove:
+		if old := s.Groups[rec.Group]; old != nil {
+			s.members -= len(old.Members)
+		}
 		delete(s.Groups, rec.Group)
 	case RecAdapterFlip:
 		s.Adapters[rec.Member.IP] = AdapterState{
@@ -276,7 +301,8 @@ type Store interface {
 	// Append persists one record after the current tail.
 	Append(rec Record) error
 	// SetSnapshot atomically replaces the store's basis with snap and
-	// discards all appended records (compaction).
+	// discards all appended records (compaction). The store owns
+	// snap.State from here on: the caller hands over a private copy.
 	SetSnapshot(snap Snapshot) error
 	// Load returns the persisted basis and every record after it. A fresh
 	// store returns a nil snapshot state and no records.
@@ -287,13 +313,14 @@ type Store interface {
 
 // Options tunes a Journal.
 type Options struct {
-	// SnapEvery folds the log into a snapshot after this many appended
-	// records (compaction). 0 means DefaultSnapEvery.
+	// SnapEvery is the fewest appended records between two snapshots
+	// (compaction); see Journal.logged for when one is taken. 0 means
+	// DefaultSnapEvery.
 	SnapEvery int
 }
 
-// DefaultSnapEvery bounds replay work to one snapshot load plus at most
-// this many record folds.
+// DefaultSnapEvery keeps a small state from being re-snapshotted every
+// few records.
 const DefaultSnapEvery = 256
 
 // Journal manages an append-only store plus its materialized state. It is
@@ -304,7 +331,10 @@ type Journal struct {
 	epoch     uint64
 	seq       uint64
 	snapEvery int
+	// sinceSnap and tail measure the store's log since its last snapshot:
+	// in records, and in weight.
 	sinceSnap int
+	tail      int
 	loaded    bool // store held state at open
 }
 
@@ -328,6 +358,8 @@ func New(store Store, opts Options) (*Journal, error) {
 		j.st.fold(rec, false)
 		j.epoch, j.seq = rec.Epoch, rec.Seq
 		j.loaded = true
+		j.sinceSnap++
+		j.tail += rec.weight()
 	}
 	return j, nil
 }
@@ -359,8 +391,7 @@ func (j *Journal) Loaded() bool { return j.loaded }
 // current state as the new regime's basis, compacting the log.
 func (j *Journal) BeginEpoch() uint64 {
 	j.epoch++
-	_ = j.store.SetSnapshot(Snapshot{Epoch: j.epoch, Seq: j.seq, State: j.st.clone()})
-	j.sinceSnap = 0
+	j.snapshot()
 	return j.epoch
 }
 
@@ -373,8 +404,31 @@ func (j *Journal) BeginEpoch() uint64 {
 func (j *Journal) Reset() {
 	j.st = NewState()
 	j.loaded = false
+	j.snapshot()
+}
+
+// snapshot re-bases the store on the current state and position, which
+// empties its log.
+func (j *Journal) snapshot() {
 	_ = j.store.SetSnapshot(Snapshot{Epoch: j.epoch, Seq: j.seq, State: j.st.clone()})
-	j.sinceSnap = 0
+	j.sinceSnap, j.tail = 0, 0
+}
+
+// logged accounts for one record appended to the store's log and folded,
+// and takes a snapshot once the log outweighs the state it would replace
+// (and holds at least SnapEvery records). A snapshot costs O(state), so
+// taking one per O(state) of log makes compaction O(1) amortised per unit
+// appended, whatever the state's size; and since a log past the floor
+// never outweighs the state by more than a record, replay — one snapshot
+// load plus the log — stays O(state). Counting members, not just records,
+// is what holds that bound when the log is full-membership updates of
+// large groups.
+func (j *Journal) logged(rec Record) {
+	j.sinceSnap++
+	j.tail += rec.weight()
+	if j.sinceSnap >= j.snapEvery && j.tail >= j.st.size() {
+		j.snapshot()
+	}
 }
 
 // commit stamps, persists and folds one locally-committed record,
@@ -384,18 +438,14 @@ func (j *Journal) commit(rec Record) Record {
 	rec.Epoch, rec.Seq = j.epoch, j.seq
 	_ = j.store.Append(rec)
 	j.st.fold(rec, false)
-	j.sinceSnap++
-	if j.sinceSnap >= j.snapEvery {
-		_ = j.store.SetSnapshot(Snapshot{Epoch: j.epoch, Seq: j.seq, State: j.st.clone()})
-		j.sinceSnap = 0
-	}
+	j.logged(rec)
 	return rec
 }
 
 // GroupUpdate journals one group's full committed state.
 func (j *Journal) GroupUpdate(now time.Duration, leader transport.IP, version uint64, src transport.Addr, members []wire.Member) Record {
-	ms := append([]wire.Member(nil), members...)
-	sort.Slice(ms, func(a, b int) bool { return ms[a].IP > ms[b].IP })
+	ms := slices.Clone(members)
+	slices.SortFunc(ms, func(a, b wire.Member) int { return cmp.Compare(b.IP, a.IP) })
 	return j.commit(Record{Time: now, Kind: RecGroupUpdate,
 		Group: leader, Version: version, Src: src, Members: ms})
 }
@@ -451,19 +501,14 @@ func (j *Journal) Ingest(rec Record) bool {
 		j.st.fold(rec, true)
 		j.epoch, j.seq = rec.Epoch, rec.Seq
 		j.loaded = true
-		_ = j.store.SetSnapshot(Snapshot{Epoch: rec.Epoch, Seq: rec.Seq, State: j.st.clone()})
-		j.sinceSnap = 0
+		j.snapshot()
 		return true
 	case rec.Seq == j.seq+1:
 		_ = j.store.Append(rec)
 		j.st.fold(rec, true)
 		j.epoch, j.seq = rec.Epoch, rec.Seq
 		j.loaded = true
-		j.sinceSnap++
-		if j.sinceSnap >= j.snapEvery {
-			_ = j.store.SetSnapshot(Snapshot{Epoch: j.epoch, Seq: j.seq, State: j.st.clone()})
-			j.sinceSnap = 0
-		}
+		j.logged(rec)
 		return true
 	default:
 		return false
@@ -491,7 +536,7 @@ func (m *MemStore) Append(rec Record) error {
 
 // SetSnapshot implements Store.
 func (m *MemStore) SetSnapshot(snap Snapshot) error {
-	m.snap = Snapshot{Epoch: snap.Epoch, Seq: snap.Seq, State: snap.State.clone()}
+	m.snap = snap
 	m.recs = nil
 	return nil
 }

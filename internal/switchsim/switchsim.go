@@ -92,10 +92,10 @@ func (s *Switch) SetUp(up bool) {
 	}
 	s.up = up
 	s.fabric.version++
-	for _, p := range s.ports {
-		if p.Adapter != 0 {
-			s.fabric.changed(p.Adapter)
-		}
+	// In port-number order, not the map's: the order the network learns
+	// of each adapter's change is the order it re-resolves them in.
+	for _, p := range s.Ports() {
+		s.fabric.changed(p.Adapter)
 	}
 }
 
@@ -331,20 +331,6 @@ func (f *Fabric) SegmentOf(ip transport.IP) (string, bool) {
 
 // Version implements netsim.SegmentResolver.
 func (f *Fabric) Version() uint64 { return f.version }
-
-// AdaptersOnSwitch lists every adapter wired to the named switch, in
-// ascending IP order — the wiring view GulfStream Central correlates
-// against when inferring switch failures.
-func (f *Fabric) AdaptersOnSwitch(name string) []transport.IP {
-	var out []transport.IP
-	for ip, loc := range f.where {
-		if loc.sw.name == name {
-			out = append(out, ip)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // VLANOf returns the VLAN an adapter's port is assigned to.
 func (f *Fabric) VLANOf(adapter transport.IP) (int, bool) {

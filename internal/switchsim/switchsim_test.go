@@ -142,10 +142,6 @@ func TestLocateAndWiring(t *testing.T) {
 	if !ok || sw.Name() != "sw0" || port != 2 {
 		t.Fatalf("Locate = %v %d %v", sw, port, ok)
 	}
-	got := f.AdaptersOnSwitch("sw0")
-	if len(got) != 2 || got[0] != ip(0, 1) || got[1] != ip(0, 2) {
-		t.Fatalf("AdaptersOnSwitch = %v", got)
-	}
 	if vlan, ok := f.VLANOf(ip(0, 3)); !ok || vlan != 100 {
 		t.Fatalf("VLANOf = %d %v", vlan, ok)
 	}

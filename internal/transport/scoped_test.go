@@ -150,21 +150,29 @@ func TestScopedMulticastSegments(t *testing.T) {
 	}
 
 	// Rescope p3 into segA — the emulated VLAN rewrite — and beacon again.
+	// That beacon goes to p2 as well (its second from p1; own multicast
+	// is suppressed): wait for both copies, so nothing sent before the
+	// leave below is still in flight.
 	p3.sc.Rescope(segA)
 	beacon(p1)
 	if got := p3.sink.waitCount(1, 2*time.Second); got < 1 {
 		t.Fatalf("rescoped peer saw %d beacons, want >= 1", got)
 	}
+	before := p2.sink.waitCount(2, 2*time.Second)
+	if before != 2 {
+		t.Fatalf("same-scope peer saw %d beacons from p1, want 2", before)
+	}
 
-	// Leave: dropping p2's membership stops delivery to it.
-	before := p2.sink.count()
+	// Leave: dropping p2's membership stops delivery to it. LeaveGroup
+	// closes the membership socket before it returns and every earlier
+	// beacon has been received, so p2's count can only move if the leave
+	// did not take; p3 receiving the beacon shows it was really sent.
 	p2.ep.LeaveGroup(segA, port)
 	beacon(p1)
-	if got := p3.sink.waitCount(before+1, 2*time.Second); got <= before {
-		t.Fatalf("still-joined peer stopped seeing beacons (%d)", got)
+	if got := p3.sink.waitCount(2, 2*time.Second); got != 2 {
+		t.Fatalf("still-joined peer saw %d beacons, want 2", got)
 	}
-	time.Sleep(100 * time.Millisecond)
-	if got := p2.sink.count(); got != before {
+	if got := p2.sink.waitCount(before+1, 50*time.Millisecond); got != before {
 		t.Fatalf("left peer saw %d beacons, want %d", got, before)
 	}
 }
