@@ -11,6 +11,7 @@
 package central
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -290,10 +291,7 @@ func (c *Central) sweepTick() {
 // that never resurfaced in a group.
 func (c *Central) sweepLimbo() {
 	now := c.clock.Now()
-	for ip, deadline := range c.limbo {
-		if now <= deadline {
-			continue
-		}
+	for _, ip := range expired(c.limbo, now) {
 		delete(c.limbo, ip)
 		info, known := c.adapters[ip]
 		if !known || !info.alive {
@@ -343,7 +341,7 @@ func (c *Central) Groups() map[transport.IP][]transport.IP {
 		}
 	}
 	for _, ips := range out {
-		sortIPs(ips)
+		slices.Sort(ips)
 	}
 	return out
 }
@@ -374,12 +372,32 @@ func (c *Central) DeadNodes() []string {
 	return out
 }
 
-func sortIPs(ips []transport.IP) {
-	for i := 1; i < len(ips); i++ {
-		for j := i; j > 0 && ips[j-1] > ips[j]; j-- {
-			ips[j-1], ips[j] = ips[j], ips[j-1]
+// departed lists, in address order, the members of old that keep does not
+// hold. Departures publish events and write journal records, so they are
+// walked in an order a second run of the same seed will repeat — never in
+// the map's.
+func departed[V any](old map[transport.IP]wire.Member, keep map[transport.IP]V) []wire.Member {
+	var out []wire.Member
+	for ip, m := range old {
+		if _, still := keep[ip]; !still {
+			out = append(out, m)
 		}
 	}
+	slices.SortFunc(out, func(a, b wire.Member) int { return cmp.Compare(a.IP, b.IP) })
+	return out
+}
+
+// expired lists, in address order, the addresses whose deadline has
+// passed (see departed).
+func expired(deadlines map[transport.IP]time.Duration, now time.Duration) []transport.IP {
+	var out []transport.IP
+	for ip, deadline := range deadlines {
+		if now > deadline {
+			out = append(out, ip)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // HandleReport implements core.CentralHook: apply one membership report
@@ -443,10 +461,8 @@ func (c *Central) applyFull(src transport.Addr, r *wire.Report) {
 			for _, m := range r.Members {
 				inNew[m.IP] = true
 			}
-			for ip, m := range og.members {
-				if !inNew[ip] {
-					c.memberLeft(r.PrevLeader, m)
-				}
+			for _, m := range departed(og.members, inNew) {
+				c.memberLeft(r.PrevLeader, m)
 			}
 			delete(c.groups, r.PrevLeader)
 			c.jGroupRemove(r.PrevLeader)
@@ -499,11 +515,9 @@ func (c *Central) applyFull(src transport.Addr, r *wire.Report) {
 		}
 	}
 	// Departures: present before, absent now.
-	for ip, m := range oldMembers {
-		if _, still := g.members[ip]; !still {
-			c.memberLeft(r.Leader, m)
-			changed = true
-		}
+	for _, m := range departed(oldMembers, g.members) {
+		c.memberLeft(r.Leader, m)
+		changed = true
 	}
 	if changed {
 		// Resync-triggered no-op fulls must not reset the stability clock.
@@ -766,24 +780,21 @@ func (c *Central) correlateSwitch(ip transport.IP) {
 
 // sweepExpectedMoves drops moves that never completed.
 func (c *Central) sweepExpectedMoves() {
-	now := c.clock.Now()
-	for ip, deadline := range c.expectedMoves {
-		if now > deadline {
-			delete(c.expectedMoves, ip)
-			c.jMoveDone(ip)
-			node := ""
-			if a, ok := c.adapters[ip]; ok {
-				node = a.member.Node
-			} else if c.db != nil {
-				if spec, ok := c.db.Adapter(ip); ok {
-					node = spec.Node
-				}
+	for _, ip := range expired(c.expectedMoves, c.clock.Now()) {
+		delete(c.expectedMoves, ip)
+		c.jMoveDone(ip)
+		node := ""
+		if a, ok := c.adapters[ip]; ok {
+			node = a.member.Node
+		} else if c.db != nil {
+			if spec, ok := c.db.Adapter(ip); ok {
+				node = spec.Node
 			}
-			c.publish(event.Event{Kind: event.VerifyMismatch, Adapter: ip,
-				Node: node, Detail: "planned move never completed"})
-			// The expectation was abandoned, not correlated, so no
-			// NodeMoved will ever arrive to resolve the incident.
-			c.closeIncidentIfMoveDone(node)
 		}
+		c.publish(event.Event{Kind: event.VerifyMismatch, Adapter: ip,
+			Node: node, Detail: "planned move never completed"})
+		// The expectation was abandoned, not correlated, so no
+		// NodeMoved will ever arrive to resolve the incident.
+		c.closeIncidentIfMoveDone(node)
 	}
 }

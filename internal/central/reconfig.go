@@ -2,6 +2,7 @@ package central
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/configdb"
@@ -136,7 +137,7 @@ func (c *Central) DiscoverWiring(done func(map[string][]transport.IP, error)) {
 						result[name] = append(result[name], ip)
 					}
 				}
-				sortIPs(result[name])
+				slices.Sort(result[name])
 				finish()
 			})
 	}

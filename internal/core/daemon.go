@@ -257,6 +257,7 @@ func (d *Daemon) handleReportPlane(src, _ transport.Addr, payload []byte) {
 	}
 	msg, err := wire.Decode(payload)
 	if err != nil {
+		d.rxDropped(d.admin().self, "report", err)
 		return
 	}
 	switch m := msg.(type) {
@@ -287,6 +288,7 @@ func (d *Daemon) handleJournalPlane(src, _ transport.Addr, payload []byte) {
 	}
 	msg, err := wire.Decode(payload)
 	if err != nil {
+		d.rxDropped(d.admin().self, "journal", err)
 		return
 	}
 	switch msg.(type) {

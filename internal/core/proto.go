@@ -39,18 +39,6 @@ type pendingView struct {
 	timer  transport.Timer
 }
 
-// Heard-peer table slot layout: the high 32 bits hold the peer's IP, the
-// low 32 its beacon fingerprint — grouped/admin flags plus the low 30
-// bits of its incarnation. The node name cannot change without an
-// incarnation bump, so an unchanged fingerprint proves the whole beacon
-// is a repeat without touching the string side table.
-const (
-	heardGrouped  = uint64(1) << 31 // peer already declared a leader
-	heardAdmin    = uint64(1) << 30 // peer is its node's administrative adapter
-	heardIncMask  = 1<<30 - 1
-	heardMinSlots = 64
-)
-
 // adapterProto runs the GulfStream protocol for one network adapter.
 type adapterProto struct {
 	d     *Daemon
@@ -61,18 +49,9 @@ type adapterProto struct {
 	state    state
 	disabled bool
 
-	// discovery. Peers heard this beacon phase live in a flat linear-probe
-	// hash table of packed (IP, fingerprint) slots: the beacon flood is
-	// O(segment²) per interval, and recognizing a repeat in one or two
-	// probes of a pointer-free array beats both a Go map and a binary
-	// search at that rate. heardNode is append-only, reached through the
-	// parallel heardIdx; it is only touched when a peer is new or changed.
-	heardTab    []uint64
-	heardIdx    []int32
-	heardNode   []string
-	heardCnt    int
+	// discovery
+	heard       heardSet       // peers heard this beacon phase
 	beaconMsg   wire.Beacon    // reused each sendBeacon, so beacons don't allocate
-	rxBeacon    wire.Beacon    // reused receive scratch (beacon plane)
 	rxHB        wire.Heartbeat // reused receive scratch (heartbeat plane)
 	beaconTick  transport.Timer
 	phaseTimer  transport.Timer
@@ -123,11 +102,7 @@ func (p *adapterProto) start() {
 	p.shutdown() // clear any leftovers from a previous life
 	p.disabled = false
 	p.state = stBeaconing
-	for i := range p.heardTab {
-		p.heardTab[i] = 0
-	}
-	p.heardNode = p.heardNode[:0]
-	p.heardCnt = 0
+	p.heard = heardSet{}
 	p.view = amg.Membership{}
 	p.pending = nil
 	p.probes = make(map[uint64]*probeState)
@@ -224,26 +199,13 @@ func (p *adapterProto) endBeaconPhase() {
 	if p.state != stBeaconing {
 		return
 	}
-	highest := p.self
-	for _, slot := range p.heardTab {
-		if ip := transport.IP(slot >> 32); ip > highest {
-			highest = ip
-		}
-	}
-	if highest == p.self {
+	heard := p.heard
+	p.heard = heardSet{} // only a beaconing adapter listens; start() opens the next phase
+	if heard.highest() <= p.self {
 		// We lead: two-phase commit over every ungrouped adapter we heard
 		// (paper §2.1). Adapters already in groups come over through the
 		// merge path instead, led by their own leaders.
-		members := []wire.Member{p.selfMember()}
-		for i, slot := range p.heardTab {
-			if slot != 0 && slot&heardGrouped == 0 {
-				members = append(members, wire.Member{
-					IP:    transport.IP(slot >> 32),
-					Node:  p.heardNode[p.heardIdx[i]],
-					Admin: slot&heardAdmin != 0,
-				})
-			}
-		}
+		members := heard.appendUngrouped([]wire.Member{p.selfMember()})
 		if p.d.hooks.Formed != nil {
 			p.d.hooks.Formed(p.self, len(members))
 		}
@@ -305,43 +267,40 @@ func (p *adapterProto) dropLeaderState() {
 
 // --- message entry points ---
 
-func (p *adapterProto) onBeaconPacket(src, _ transport.Addr, payload []byte) {
+func (p *adapterProto) onBeaconPacket(_, _ transport.Addr, payload []byte) {
 	// stIdle alone implies deafness: Crash is the only way to clear
 	// d.running and it shuts every proto down to stIdle first, so the
 	// extra Daemon dereference (a cold cache line per delivery) is
-	// redundant in the packet handlers.
-	if p.state == stIdle {
+	// redundant in the packet handlers. And once an adapter is a member
+	// only its leader acts on beacons (paper §2.1), so a member does not
+	// even decode them.
+	if p.state == stIdle || p.state == stMember {
 		return
 	}
-	// The beacon plane carries only Beacons: decode into a reused scratch
-	// message so the startup flood (every adapter hears every beacon on
-	// its segment) does not allocate per packet.
-	b := &p.rxBeacon
-	if wire.DecodeInto(payload, b) != nil || b.Sender == p.self {
+	// The beacon plane carries only Beacons, and the startup flood (every
+	// adapter hears every beacon on its segment) must not allocate per
+	// packet: the fixed fields decode onto the stack, and the node name
+	// stays in the packet until someone is about to keep it.
+	var b wire.Beacon
+	node, err := wire.DecodeBeaconFixed(payload, &b)
+	if err != nil {
+		p.d.rxDropped(p.self, "beacon", err)
 		return
 	}
-	_ = src
-	p.onBeacon(b)
-}
-
-func (p *adapterProto) onBeacon(b *wire.Beacon) {
+	if b.Sender == p.self {
+		return
+	}
 	switch p.state {
 	case stBeaconing:
-		if p.d.tracer != nil { // guard here: building the Record is not free at beacon rates
+		if p.d.tracer.Enabled() { // guard here: building the Record is not free at beacon rates
 			p.trace(&trace.Record{Kind: trace.KBeaconHeard, Peer: b.Sender, Group: b.Leader, Version: b.Version})
 		}
-		// Beacons repeat every interval; only write when the fingerprint
-		// changed (the repeats dominate at scale). This is the hottest
-		// lookup in the simulator: one or two linear probes, typically one
-		// cache line, no pointers.
-		fp := uint64(b.Incarnation) & heardIncMask
-		if b.Leader != 0 {
-			fp |= heardGrouped
+		// Beacons repeat every interval; only the first from a peer, or one
+		// that says something new, is written down — with its node name,
+		// which cannot change without an incarnation bump.
+		if name := p.heard.put(b.Sender, b.Incarnation, b.Leader != 0, b.Admin); name != nil {
+			*name = wire.InternString(node)
 		}
-		if b.Admin {
-			fp |= heardAdmin
-		}
-		p.heardPut(b.Sender, fp, b.Node)
 	case stDeferring:
 		// A formed leader on our segment: ask to join directly rather than
 		// waiting out the defer timeout.
@@ -352,69 +311,17 @@ func (p *adapterProto) onBeacon(b *wire.Beacon) {
 			})
 		}
 	case stLeader:
-		p.onBeaconAsLeader(b)
-	case stMember:
-		// Only leaders act on beacons after formation (paper §2.1).
+		p.onBeaconAsLeader(&b, node)
 	}
 }
 
-// heardPut records (or re-confirms) a peer's beacon in the heard table.
-// An existing slot with a matching fingerprint is the no-op fast path.
-func (p *adapterProto) heardPut(ip transport.IP, fp uint64, node string) {
-	if len(p.heardTab) == 0 {
-		p.heardTab = make([]uint64, heardMinSlots)
-		p.heardIdx = make([]int32, heardMinSlots)
-	}
-	want := uint64(ip)<<32 | fp
-	mask := uint32(len(p.heardTab) - 1)
-	i := uint32((uint64(ip)*0x9E3779B97F4A7C15)>>32) & mask
-	for {
-		slot := p.heardTab[i]
-		if slot == 0 {
-			p.heardTab[i] = want
-			p.heardIdx[i] = int32(len(p.heardNode))
-			p.heardNode = append(p.heardNode, node)
-			p.heardCnt++
-			if p.heardCnt*4 > len(p.heardTab)*3 {
-				p.heardGrow()
-			}
-			return
-		}
-		if uint32(slot>>32) == uint32(ip) {
-			if slot != want {
-				p.heardTab[i] = want
-				p.heardNode[p.heardIdx[i]] = node
-			}
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// heardGrow doubles the heard table, re-probing every live slot.
-func (p *adapterProto) heardGrow() {
-	oldTab, oldIdx := p.heardTab, p.heardIdx
-	p.heardTab = make([]uint64, 2*len(oldTab))
-	p.heardIdx = make([]int32, 2*len(oldIdx))
-	mask := uint32(len(p.heardTab) - 1)
-	for j, slot := range oldTab {
-		if slot == 0 {
-			continue
-		}
-		i := uint32(((slot>>32)*0x9E3779B97F4A7C15)>>32) & mask
-		for p.heardTab[i] != 0 {
-			i = (i + 1) & mask
-		}
-		p.heardTab[i] = slot
-		p.heardIdx[i] = oldIdx[j]
-	}
-}
-
-func (p *adapterProto) onBeaconAsLeader(b *wire.Beacon) {
+// onBeaconAsLeader acts on a beacon heard while leading; node is the
+// sender's name, still undecoded (see wire.DecodeBeaconFixed).
+func (p *adapterProto) onBeaconAsLeader(b *wire.Beacon, node []byte) {
 	switch {
 	case b.Leader == 0:
 		// Ungrouped adapter on our segment: absorb it.
-		p.lead.queueJoin(wire.Member{IP: b.Sender, Node: b.Node, Admin: b.Admin})
+		p.lead.queueJoin(wire.Member{IP: b.Sender, Node: wire.InternString(node), Admin: b.Admin})
 	case b.Leader == b.Sender && b.Sender < p.self:
 		// A lower-IP leader shares our segment. It may not have heard us
 		// yet (asymmetric loss): nudge it with a unicast beacon so it
@@ -442,6 +349,7 @@ func (p *adapterProto) onMemberPacket(src, _ transport.Addr, payload []byte) {
 	}
 	msg, err := wire.Decode(payload)
 	if err != nil {
+		p.d.rxDropped(p.self, "member", err)
 		return
 	}
 	switch m := msg.(type) {
@@ -502,7 +410,8 @@ func (p *adapterProto) onHeartbeatPacket(src, _ transport.Addr, payload []byte) 
 	// allocation-free path through a reused scratch message.
 	if t, ok := wire.Peek(payload); ok && t == wire.THeartbeat {
 		hb := &p.rxHB
-		if wire.DecodeInto(payload, hb) != nil {
+		if err := wire.DecodeInto(payload, hb); err != nil {
+			p.d.rxDropped(p.self, "heartbeat", err)
 			return
 		}
 		p.noteActivity(hb.From)
@@ -514,6 +423,7 @@ func (p *adapterProto) onHeartbeatPacket(src, _ transport.Addr, payload []byte) 
 	}
 	msg, err := wire.Decode(payload)
 	if err != nil {
+		p.d.rxDropped(p.self, "heartbeat", err)
 		return
 	}
 	switch m := msg.(type) {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -93,6 +94,9 @@ func ObserveTrace(r *Registry) func(trace.Record) {
 			r.Inc("incidents_closed_total")
 		case trace.KServeClean:
 			r.Inc("serve_clean_ticks_total")
+		case trace.KRxDropped:
+			plane, reason, _ := strings.Cut(rec.Detail, " ")
+			r.Inc(fmt.Sprintf("rx_dropped_total{plane=%q,reason=%q}", plane, reason))
 		}
 	}
 }

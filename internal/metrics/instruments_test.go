@@ -150,19 +150,24 @@ func TestObserveTraceBridge(t *testing.T) {
 		{Kind: trace.KFalseAccusation, Peer: leader},
 		{Kind: trace.KLeaderTakeover},
 		{Kind: trace.KCentralActivated},
+		{Kind: trace.KRxDropped, Self: leader, Detail: "beacon short"},
+		{Kind: trace.KRxDropped, Self: leader, Detail: "beacon short"},
+		{Kind: trace.KRxDropped, Self: leader, Detail: "report bad-type"},
 	}
 	for _, rec := range recs {
 		sink(rec)
 	}
 	for name, want := range map[string]uint64{
-		"beacons_sent_total":        1,
-		"twopc_rounds_total":        1,
-		"twopc_commits_total":       1,
-		"view_commits_total":        2,
-		"suspicions_total":          1,
-		"false_accusations_total":   1,
-		"leader_takeovers_total":    1,
-		"central_activations_total": 1,
+		"beacons_sent_total":                                 1,
+		"twopc_rounds_total":                                 1,
+		"twopc_commits_total":                                1,
+		"view_commits_total":                                 2,
+		"suspicions_total":                                   1,
+		"false_accusations_total":                            1,
+		"leader_takeovers_total":                             1,
+		"central_activations_total":                          1,
+		`rx_dropped_total{plane="beacon",reason="short"}`:    2,
+		`rx_dropped_total{plane="report",reason="bad-type"}`: 1,
 	} {
 		if got := r.CounterValue(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -174,5 +179,10 @@ func TestObserveTraceBridge(t *testing.T) {
 	}
 	if got := r.Gauges()[`group_size{leader="10.1.0.9"}`]; got != 5 {
 		t.Errorf("group_size gauge = %v, want 5", got)
+	}
+	var b strings.Builder
+	r.WriteProm(&b)
+	if want := `gulfstream_rx_dropped_total{plane="beacon",reason="short"} 2`; !strings.Contains(b.String(), want) {
+		t.Errorf("prom output missing %q", want)
 	}
 }

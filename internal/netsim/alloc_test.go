@@ -9,8 +9,8 @@ import (
 
 // Allocation regression guards for the single-copy delivery plane: in the
 // steady state a transmission pays exactly one payload copy into a pooled
-// buffer shared by all receivers, and the in-flight delivery records plus
-// the scheduler events carrying them are pooled too — so the whole
+// record shared by all receivers, and the record's arrival list plus the
+// one scheduler event carrying it are pooled too — so the whole
 // send-to-handler round trip allocates nothing.
 
 // fanoutFixture builds n adapters on one segment, all subscribed to the
@@ -39,7 +39,7 @@ func TestAllocUnicastSteadyState(t *testing.T) {
 	b.Bind(100, func(_, _ transport.Addr, _ []byte) {})
 	dst := transport.Addr{IP: b.LocalIP(), Port: 100}
 	payload := make([]byte, 48)
-	// Warm the buffer, delivery and scheduler-event pools.
+	// Warm the transmission and scheduler-event pools.
 	for i := 0; i < 4; i++ {
 		if err := a.Unicast(100, dst, payload); err != nil {
 			t.Fatal(err)
@@ -135,9 +135,10 @@ func BenchmarkMulticastFanout256(b *testing.B) {
 }
 
 // TestAllocShardedCrossDelivery extends the steady-state guarantee to the
-// cross-shard path: bundle posting, barrier expansion, PostAt injection
-// and the arrival itself must all recycle — zero allocs/op once the
-// bundle pools, merge scratch and per-lane free lists are warm.
+// cross-shard path: bundle posting, barrier expansion into per-bundle
+// arrival lists and the arrivals themselves must all recycle — zero
+// allocs/op once the bundle pools, merge scratch and per-lane free lists
+// are warm.
 func TestAllocShardedCrossDelivery(t *testing.T) {
 	p := LinkProfile{Latency: 2 * time.Millisecond, Spread: 300 * time.Microsecond, RecvFilter: true}
 	f := newShardFixture(1, 4, 8, time.Millisecond, p)
@@ -167,5 +168,40 @@ func TestAllocShardedCrossDelivery(t *testing.T) {
 	got := testing.AllocsPerRun(100, step)
 	if got != 0 {
 		t.Errorf("cross-shard send+exchange+deliver: %.1f allocs/op, want 0", got)
+	}
+}
+
+// TestAllocMulticastArrivalList: a 256-adapter segment's multicast is one
+// transmission with one arrival list — every receiver is a pending event
+// (Pending rises by 255; that the list takes a single heap entry is pinned
+// where the heap is visible, in internal/sim) and, once the transmission
+// pool, the list and the sort scratch are warm, neither the send nor the
+// 255 deliveries allocate.
+func TestAllocMulticastArrivalList(t *testing.T) {
+	f, first := fanoutFixture(256)
+	group := transport.Addr{IP: transport.BeaconGroup, Port: 200}
+	payload := make([]byte, 64)
+	round := func() {
+		before := f.sched.Pending()
+		if err := first.Multicast(200, group, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.sched.Pending() - before; got != 255 {
+			t.Fatalf("multicast to 255 receivers raised Pending by %d", got)
+		}
+		fired := f.sched.Fired()
+		f.sched.Run()
+		if got := f.sched.Fired() - fired; got != 255 {
+			t.Fatalf("255 deliveries fired %d events", got)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	if got := testing.AllocsPerRun(50, round); got != 0 {
+		t.Errorf("256-adapter multicast round trip: %.1f allocs/op, want 0", got)
+	}
+	if n := len(f.net.lanes[0].freeTx); n != 1 {
+		t.Errorf("%d pooled transmissions after serial sends, want the one being reused", n)
 	}
 }

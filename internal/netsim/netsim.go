@@ -13,15 +13,18 @@
 // its current segment bucket, so the steady-state send path resolves the
 // sender and its peers without touching a map.
 //
-// The delivery path is allocation-free in the steady state: payloads are
-// copied exactly once per transmission into a pooled buffer shared by all
-// receivers, and the in-flight delivery records are pooled too. Receivers
-// must not retain a delivered payload beyond the handler call (see
-// transport.Handler and DESIGN.md §9).
+// The delivery path is allocation-free in the steady state: a transmission
+// is one pooled record — the payload, copied exactly once and shared by
+// all receivers, and a sim.ArrivalList with one entry per receiver — that
+// the scheduler holds as a single event however wide the fan-out.
+// Receivers must not retain a delivered payload beyond the handler call
+// (see transport.Handler and DESIGN.md §9).
 package netsim
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -160,7 +163,7 @@ type Network struct {
 	sh      *sim.Shards
 	home    func(node string) int
 	sharded bool
-	xdel    xdelList // barrier merge scratch, reused
+	xdel    []xdelivery // barrier merge scratch, reused
 
 	adapters map[transport.IP]*Adapter
 	order    []transport.IP // sorted, for deterministic iteration
@@ -438,19 +441,22 @@ func (n *Network) lost(p LinkProfile, src, dst transport.IP, at time.Duration) b
 }
 
 // lane is the per-shard slice of the network's mutable delivery state: the
-// scheduler the shard's events run on, the packet/delivery free lists, and
-// the outgoing cross-shard bundle queues. Everything an adapter touches on
-// the send/receive hot path lives in its home lane, so shards never
-// contend. A legacy network is one lane.
+// scheduler the shard's events run on, the free list of in-flight
+// transmissions, and the outgoing cross-shard bundle queues. Everything an
+// adapter touches on the send/receive hot path lives in its home lane, so
+// shards never contend. A legacy network is one lane.
 type lane struct {
 	net   *Network
 	id    int
 	sched *sim.Scheduler
 
-	// Free lists for in-flight packet state. Only this lane's shard (or
-	// the quiesced barrier) touches them — no locking.
-	freeDel []*delivery
-	freeBuf []*packetBuf
+	// Free list for in-flight transmissions. Only this lane's shard (or the
+	// quiesced barrier) touches it — no locking.
+	freeTx []*transmission
+	// Scratch of transmission.post's sort: the list being scattered out of
+	// (it trades places with the transmission's own) and the slice counts.
+	scratch []sim.Arrival
+	count   []int32
 
 	// out[dst] queues bundles for other lanes (sharded only; see shard.go).
 	out []bundleQueue
@@ -459,94 +465,122 @@ type lane struct {
 	mcb []*bundle
 }
 
-// packetBuf is one pooled copy of a payload in flight. It is shared by
-// every receiver of a transmission on its lane; refs counts scheduled
-// deliveries and the buffer returns to the pool when the last one runs.
-type packetBuf struct {
-	b    []byte
-	refs int
-}
-
-// newBuf takes a buffer from the lane's pool and fills it with a private
-// copy of payload — the single copy a transmission pays per lane.
-func (ln *lane) newBuf(payload []byte) *packetBuf {
-	var pb *packetBuf
-	if k := len(ln.freeBuf); k > 0 {
-		pb = ln.freeBuf[k-1]
-		ln.freeBuf[k-1] = nil
-		ln.freeBuf = ln.freeBuf[:k-1]
-	} else {
-		pb = &packetBuf{}
-	}
-	pb.b = append(pb.b[:0], payload...)
-	pb.refs = 0
-	return pb
-}
-
-func (ln *lane) releaseBuf(pb *packetBuf) {
-	pb.refs--
-	if pb.refs <= 0 {
-		ln.freeBuf = append(ln.freeBuf, pb)
-	}
-}
-
-// delivery is one pooled in-flight arrival: the scheduled-event argument
-// carrying who receives which shared buffer. filter defers the multicast
-// subscription check to arrival time (RecvFilter segments).
-type delivery struct {
+// transmission is one pooled packet in flight on a lane: the single copy
+// of the payload every receiver shares, the addressing the handlers see,
+// and the arrival list — one entry per receiver, one heap entry in all —
+// that delivers it. filter defers the multicast subscription check to
+// arrival time (RecvFilter segments). A unicast is a transmission with one
+// arrival.
+type transmission struct {
 	ln     *lane
-	dst    *Adapter
 	src    transport.Addr
 	to     transport.Addr
-	buf    *packetBuf
+	b      []byte
 	filter bool
+	list   sim.ArrivalList
 }
 
-// runDelivery is the scheduler callback for every packet arrival. It is a
-// package-level function taking the pooled *delivery as its argument, so
-// scheduling it allocates nothing (no closure). It runs on the receiver's
-// lane, so reading the receiver's bindings and group subscriptions is
-// always shard-local.
-func runDelivery(arg any) {
-	d := arg.(*delivery)
-	ln, pb := d.ln, d.buf
-	if d.dst.canReceive() && !(d.filter && !d.dst.inGroup(d.to)) {
-		if h := d.dst.handler(d.to.Port); h != nil {
-			// The handler may use pb.b only for the duration of this call;
+// newTx takes a transmission from the lane's pool and fills it with a
+// private copy of payload — the single copy a transmission pays per lane —
+// and an empty arrival list.
+func (ln *lane) newTx(src, to transport.Addr, payload []byte, filter bool) *transmission {
+	var tx *transmission
+	if k := len(ln.freeTx); k > 0 {
+		tx = ln.freeTx[k-1]
+		ln.freeTx[k-1] = nil
+		ln.freeTx = ln.freeTx[:k-1]
+	} else {
+		tx = &transmission{ln: ln}
+		tx.list.Fire, tx.list.Arg = arrive, tx
+	}
+	tx.src, tx.to, tx.filter = src, to, filter
+	tx.b = append(tx.b[:0], payload...)
+	tx.list.Arrivals = tx.list.Arrivals[:0]
+	return tx
+}
+
+// arrive is the scheduler callback for every packet arrival. It is a
+// package-level function taking the pooled transmission and the receiver
+// as arguments, so scheduling it allocates nothing (no closure). It runs on
+// the receiver's lane at the arrival instant, so the receiver's failure
+// mode, bindings and group subscriptions are judged then, and always
+// shard-locally.
+func arrive(arg, dst any, last bool) {
+	tx, a := arg.(*transmission), dst.(*Adapter)
+	if a.canReceive() && !(tx.filter && !a.inGroup(tx.to)) {
+		if h := a.handler(tx.to.Port); h != nil {
+			// The handler may use tx.b only for the duration of this call;
 			// the buffer is recycled as soon as the last receiver ran.
-			h(d.src, d.to, pb.b)
+			h(tx.src, tx.to, tx.b)
 		}
 	}
-	d.ln, d.dst, d.buf = nil, nil, nil
-	ln.freeDel = append(ln.freeDel, d)
-	ln.releaseBuf(pb)
-}
-
-// alloc takes a delivery record from the lane's pool.
-func (ln *lane) alloc(dst *Adapter, src, to transport.Addr, pb *packetBuf, filter bool) *delivery {
-	var d *delivery
-	if k := len(ln.freeDel); k > 0 {
-		d = ln.freeDel[k-1]
-		ln.freeDel[k-1] = nil
-		ln.freeDel = ln.freeDel[:k-1]
-	} else {
-		d = &delivery{}
+	if last {
+		tx.ln.freeTx = append(tx.ln.freeTx, tx)
 	}
-	d.ln, d.dst, d.src, d.to, d.buf, d.filter = ln, dst, src, to, pb, filter
-	pb.refs++
-	return d
 }
 
-// deliver schedules the arrival of the shared buffer at dst's handler,
-// after the given latency. dst must live on this lane.
-func (ln *lane) deliver(dst *Adapter, src, to transport.Addr, pb *packetBuf, after time.Duration, filter bool) {
-	ln.sched.AfterCall(after, runDelivery, ln.alloc(dst, src, to, pb, filter))
+// add appends one receiver's arrival. Callers number arrivals in the order
+// they add them, so a tie on the arrival instant goes to the receiver
+// scheduled first — the order one scheduler event per receiver would have
+// fired in.
+func (tx *transmission) add(at time.Duration, seq uint64, dst *Adapter) {
+	tx.list.Arrivals = append(tx.list.Arrivals, sim.Arrival{At: at, Seq: seq, Dst: dst})
 }
 
-// deliverAt schedules an arrival at an absolute instant — the barrier
-// injection path for cross-shard deliveries.
-func (ln *lane) deliverAt(dst *Adapter, src, to transport.Addr, pb *packetBuf, at time.Duration, filter bool) {
-	ln.sched.PostAt(at, runDelivery, ln.alloc(dst, src, to, pb, filter))
+// post sorts the arrivals added since newTx — numbered 0, 1, 2, … in send
+// order — into firing order, moves their sequence numbers onto a block
+// reserved from the lane's scheduler, and queues the list.
+//
+// The sort is a distribution sort, not a comparison sort: a fan-out's
+// latencies are spread evenly over the link's jitter range, so scattering
+// n arrivals into about n equal time slices leaves them all but sorted —
+// in send order within a slice, because the scatter is stable — and one
+// insertion pass finishes the job. That is a few linear passes over a list
+// that fits in L1, where pdqsort through a comparison callback was a
+// quarter of a cold start. Latencies bunched into a few slices (an outlier
+// stretching the range, say) only make the insertion pass do more of the
+// work; the result is the same.
+func (tx *transmission) post() {
+	ln := tx.ln
+	as := tx.list.Arrivals
+	base := ln.sched.ReserveSeq(len(as))
+	lo, hi := as[0].At, as[0].At
+	for i := range as {
+		as[i].Seq += base
+		lo, hi = min(lo, as[i].At), max(hi, as[i].At)
+	}
+	if lo < hi {
+		// Slice width 2^shift: the power of two that cuts the range into
+		// between n/2 and n+1 slices.
+		shift := bits.Len64(uint64(hi-lo) / uint64(len(as)))
+		k := int((hi-lo)>>shift) + 2 // slices, plus one: count[s+1] tallies slice s
+		count := slices.Grow(ln.count[:0], k)[:k]
+		clear(count)
+		for i := range as {
+			count[(as[i].At-lo)>>shift+1]++
+		}
+		for i := 1; i < len(count); i++ {
+			count[i] += count[i-1]
+		}
+		out := slices.Grow(ln.scratch[:0], len(as))[:len(as)]
+		for i := range as {
+			c := &count[(as[i].At-lo)>>shift]
+			out[*c] = as[i]
+			*c++
+		}
+		for i := 1; i < len(out); i++ {
+			if out[i-1].At <= out[i].At {
+				continue
+			}
+			x, j := out[i], i
+			for ; j > 0 && out[j-1].At > x.At; j-- {
+				out[j] = out[j-1]
+			}
+			out[j] = x
+		}
+		tx.list.Arrivals, ln.scratch, ln.count = out, as, count
+	}
+	ln.sched.PostArrivals(&tx.list)
 }
 
 // wellKnownPlanes counts the ports with dedicated handler slots: the five
@@ -698,7 +732,9 @@ func (a *Adapter) Unicast(srcPort uint16, dst transport.Addr, payload []byte) er
 				dropped = 1
 			} else {
 				received = 1
-				a.ln.deliver(target, src, dst, a.ln.newBuf(payload), n.latency(p, a.ip, dst.IP, now), false)
+				tx := a.ln.newTx(src, dst, payload, false)
+				tx.add(now+n.latency(p, a.ip, dst.IP, now), 0, target)
+				tx.post()
 			}
 		} else {
 			// Cross-shard: queue a bundle; loss and latency are resolved at
@@ -732,7 +768,7 @@ func (a *Adapter) Multicast(srcPort uint16, group transport.Addr, payload []byte
 	p := n.effectiveProfile(seg)
 	now := a.ln.sched.Now()
 	received, dropped := 0, 0
-	var pb *packetBuf
+	var tx *transmission
 	for _, m := range seg.members {
 		if m == a {
 			continue
@@ -759,10 +795,13 @@ func (a *Adapter) Multicast(srcPort uint16, group transport.Addr, payload []byte
 			continue
 		}
 		received++
-		if pb == nil {
-			pb = a.ln.newBuf(payload)
+		if tx == nil {
+			tx = a.ln.newTx(src, group, payload, p.RecvFilter)
 		}
-		a.ln.deliver(m, src, group, pb, n.latency(p, a.ip, m.ip, now), p.RecvFilter)
+		tx.add(now+n.latency(p, a.ip, m.ip, now), uint64(len(tx.list.Arrivals)), m)
+	}
+	if tx != nil {
+		tx.post()
 	}
 	a.ln.sealMulticast()
 	if n.tap != nil {

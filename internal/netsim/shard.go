@@ -7,19 +7,23 @@
 // to another goroutine), so the sender queues a pooled bundle — payload
 // copy, receiver set, link profile, send instant — on a per-(src,dst) lane
 // queue. At the window barrier, with every shard parked, the bundles are
-// expanded into ordinary deliveries: per-receiver latency and loss come
-// from the same stateless hashes the send path would have used, arrivals
-// are sorted in (time, source lane, bundle order, receiver order) order,
-// and injected into the destination heaps. The fixed sort order makes the
-// destination's sequence numbering — and therefore the whole run —
-// independent of worker scheduling, and the lookahead guarantees every
-// arrival is still in the future. Bundles and expansion scratch recycle,
-// so steady-state cross-shard traffic allocates nothing.
+// expanded into ordinary transmissions on the destination lane:
+// per-receiver latency and loss come from the same stateless hashes the
+// send path would have used, all arrivals bound for a lane are sorted in
+// (time, source lane, bundle order, receiver order) order and numbered in
+// that order from one block of the destination scheduler's sequence
+// numbers, and each bundle's share of them is posted as its arrival list.
+// The fixed sort order makes the destination's sequence numbering — and
+// therefore the whole run — independent of worker scheduling, and the
+// lookahead guarantees every arrival is still in the future. Bundles and
+// expansion scratch recycle, so steady-state cross-shard traffic allocates
+// nothing.
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -71,7 +75,7 @@ type bundle struct {
 	recvs   []*Adapter
 	profile LinkProfile
 	filter  bool
-	xbuf    *packetBuf // destination-lane shared buffer, set during flush
+	xtx     *transmission // destination-lane transmission, set during flush
 }
 
 // bundleQueue is the single-producer queue for one (src, dst) lane pair.
@@ -142,28 +146,16 @@ type xdelivery struct {
 	b   *bundle
 }
 
-// xdelList sorts expanded arrivals by (time, source lane, bundle order,
+// compare orders expanded arrivals by (time, source lane, bundle order,
 // receiver order) — the cross-shard delivery order.
-type xdelList []xdelivery
-
-func (m *xdelList) Len() int      { return len(*m) }
-func (m *xdelList) Swap(i, j int) { (*m)[i], (*m)[j] = (*m)[j], (*m)[i] }
-func (m *xdelList) Less(i, j int) bool {
-	a, b := (*m)[i], (*m)[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.ri < b.ri
+func (a xdelivery) compare(b xdelivery) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src),
+		cmp.Compare(a.seq, b.seq), cmp.Compare(a.ri, b.ri))
 }
 
 // flushCross is the network's barrier hook: expand every pending bundle
-// into destination-lane deliveries, in deterministic order, then recycle.
+// into a destination-lane transmission whose arrival list is its share of
+// the deterministic merge order, post those, then recycle the bundles.
 // It runs on the control goroutine with all shards parked.
 func (n *Network) flushCross() {
 	for dsti := range n.lanes {
@@ -183,29 +175,32 @@ func (n *Network) flushCross() {
 				}
 			}
 		}
-		n.xdel = m
 		if len(m) > 0 {
-			sort.Sort(&n.xdel)
-			barrier := dl.sched.Now()
-			for i := range n.xdel {
-				e := &n.xdel[i]
-				if e.at < barrier {
-					panic(fmt.Sprintf("netsim: cross-shard arrival at %v precedes barrier %v — link latency shorter than the lookahead", e.at, barrier))
-				}
-				if e.b.xbuf == nil {
-					e.b.xbuf = dl.newBuf(e.b.payload)
-				}
-				dl.deliverAt(e.dst, e.b.src, e.b.to, e.b.xbuf, e.at, e.b.filter)
+			slices.SortFunc(m, xdelivery.compare)
+			if barrier := dl.sched.Now(); m[0].at < barrier {
+				panic(fmt.Sprintf("netsim: cross-shard arrival at %v precedes barrier %v — link latency shorter than the lookahead", m[0].at, barrier))
 			}
-			for i := range n.xdel {
-				n.xdel[i].dst, n.xdel[i].b = nil, nil
+			// One transmission per bundle on the destination lane. The sorted
+			// merge numbers the arrivals, so each bundle's share of it is
+			// already in firing order.
+			seq := dl.sched.ReserveSeq(len(m))
+			for i := range m {
+				e := &m[i]
+				if e.b.xtx == nil {
+					e.b.xtx = dl.newTx(e.b.src, e.b.to, e.b.payload, e.b.filter)
+				}
+				e.b.xtx.add(e.at, seq+uint64(i), e.dst)
+				e.dst, e.b = nil, nil
 			}
-			n.xdel = n.xdel[:0]
 		}
+		n.xdel = m[:0]
 		for srci := range n.lanes {
 			q := &n.lanes[srci].out[dsti]
 			for bi, b := range q.pending {
-				b.xbuf = nil
+				if b.xtx != nil {
+					dl.sched.PostArrivals(&b.xtx.list)
+					b.xtx = nil
+				}
 				for ri := range b.recvs {
 					b.recvs[ri] = nil
 				}

@@ -8,7 +8,9 @@
 // events return to a per-scheduler free list (the scheduler is
 // single-threaded, so the list needs no locking), and a generation counter
 // on each event keeps recycled events safe to reference from stale Timer
-// handles. See DESIGN.md §9.
+// handles. Events that differ only in when they fire and for whom — the
+// receivers of one packet — are queued as one ArrivalList behind a single
+// heap entry. See DESIGN.md §9.
 package sim
 
 import (
@@ -32,6 +34,7 @@ type event struct {
 	fn    func()
 	fnc   func(any) // arg-style callback; avoids a closure allocation
 	arg   any
+	list  *ArrivalList // non-nil: the event fires the list's arrivals in turn
 }
 
 // heapEntry is one queue slot: the event's ordering key (at, seq) copied
@@ -51,6 +54,7 @@ type Scheduler struct {
 	seq    uint64
 	queue  []heapEntry // 4-ary min-heap ordered by (at, seq)
 	free   []*event    // recycled events
+	inList int         // arrivals queued behind the head of their list
 	rng    *rand.Rand
 	fired  uint64
 	halted bool
@@ -72,22 +76,27 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // Fired reports how many events have executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending reports how many events are queued.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+// Pending reports how many events are queued. Every arrival of a posted
+// ArrivalList counts, though the whole list occupies one heap entry.
+func (s *Scheduler) Pending() int { return len(s.queue) + s.inList }
 
 // --- event pool ---
 
-// alloc takes an event from the free list (or the heap allocator) and
-// stamps it with the fire time and the next sequence number.
-func (s *Scheduler) alloc(d time.Duration) *event {
-	var ev *event
+// get takes an event from the free list (or the heap allocator).
+func (s *Scheduler) get() *event {
 	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
+		ev := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-	} else {
-		ev = &event{}
+		return ev
 	}
+	return &event{}
+}
+
+// alloc takes a pooled event and stamps it with the fire time and the next
+// sequence number.
+func (s *Scheduler) alloc(d time.Duration) *event {
+	ev := s.get()
 	if d < 0 {
 		d = 0
 	}
@@ -101,7 +110,7 @@ func (s *Scheduler) alloc(d time.Duration) *event {
 // generation so stale Timer handles can never touch it again.
 func (s *Scheduler) release(ev *event) {
 	ev.gen++
-	ev.fn, ev.fnc, ev.arg = nil, nil, nil
+	ev.fn, ev.fnc, ev.arg, ev.list = nil, nil, nil, nil
 	s.free = append(s.free, ev)
 }
 
@@ -309,11 +318,96 @@ func (s *Scheduler) At(at time.Duration, fn func()) *Timer {
 	return s.AfterFunc(at-s.now, fn)
 }
 
+// Arrival is one firing of an ArrivalList: the instant, the sequence
+// number that orders it among simultaneous events, and the receiver handed
+// to the list's callback.
+type Arrival struct {
+	At  time.Duration
+	Seq uint64
+	Dst any
+}
+
+// ArrivalList is a batch of events that share a callback and differ only
+// in when they fire and for whom — the receivers of one transmission. The
+// whole list occupies a single heap entry keyed by its next arrival: firing
+// one re-keys the entry in place instead of popping one event and having
+// pushed the rest, so a 500-receiver fan-out costs the heap one insertion
+// and 499 (usually trivial) sift-downs from the root. Each arrival is still
+// one event to Fired, Pending, Step and the run loops' bounds: a list is
+// how events are stored, not a coarser unit of execution.
+//
+// The owner fills Fire, Arg and Arrivals, posts the list with PostArrivals
+// and must leave it alone until Fire has been called with last set; it may
+// recycle the list from inside that call, once it is done with Arg.
+type ArrivalList struct {
+	// Fire runs once per arrival, at its instant.
+	Fire func(arg, dst any, last bool)
+	Arg  any
+	// Arrivals must be sorted by (At, Seq), with sequence numbers taken
+	// from ReserveSeq.
+	Arrivals []Arrival
+	next     int
+}
+
+// ReserveSeq reserves n consecutive sequence numbers and returns the first.
+// Numbering a list's arrivals from the block in the order the caller would
+// have scheduled them one by one gives every arrival the sequence number
+// that per-arrival AfterCall (or PostAt) calls would have given it — so
+// batching changes where events are stored and nothing about their order.
+func (s *Scheduler) ReserveSeq(n int) uint64 {
+	base := s.seq
+	s.seq += uint64(n)
+	return base
+}
+
+// PostArrivals queues l. Its first arrival must not lie in the past.
+func (s *Scheduler) PostArrivals(l *ArrivalList) {
+	if l.Fire == nil || len(l.Arrivals) == 0 {
+		panic("sim: PostArrivals needs a callback and at least one arrival")
+	}
+	first := &l.Arrivals[0]
+	if first.At < s.now {
+		panic(fmt.Sprintf("sim: PostArrivals at %v before current time %v", first.At, s.now))
+	}
+	l.next = 0
+	ev := s.get()
+	ev.at, ev.seq, ev.list = first.At, first.Seq, l
+	s.inList += len(l.Arrivals) - 1
+	s.push(ev)
+}
+
+// stepList fires the next arrival of the list at the root of the heap. The
+// entry is re-keyed (or, after the last arrival, removed) before the
+// callback runs, so the callback sees a consistent queue and may schedule,
+// cancel or halt like any other.
+func (s *Scheduler) stepList(ev *event, l *ArrivalList) {
+	a := &l.Arrivals[l.next]
+	l.next++
+	s.now = a.At
+	s.fired++
+	fire, arg, dst := l.Fire, l.Arg, a.Dst
+	last := l.next == len(l.Arrivals)
+	if last {
+		s.popMin()
+		s.release(ev)
+	} else {
+		nx := &l.Arrivals[l.next]
+		ev.at, ev.seq = nx.At, nx.Seq
+		s.inList--
+		s.siftDown(0, heapEntry{at: nx.At, seq: nx.Seq, ev: ev})
+	}
+	fire(arg, dst, last)
+}
+
 // Step executes the single earliest event. It reports false when the queue
 // is empty.
 func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
+	}
+	if ev := s.queue[0].ev; ev.list != nil {
+		s.stepList(ev, ev.list)
+		return true
 	}
 	ev := s.popMin()
 	s.now = ev.at
@@ -399,5 +493,5 @@ func (s *Scheduler) Halt() { s.halted = true }
 
 // String describes the scheduler state, for debugging.
 func (s *Scheduler) String() string {
-	return fmt.Sprintf("sim.Scheduler{now=%v pending=%d fired=%d}", s.now, len(s.queue), s.fired)
+	return fmt.Sprintf("sim.Scheduler{now=%v pending=%d fired=%d}", s.now, s.Pending(), s.fired)
 }

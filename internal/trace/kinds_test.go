@@ -9,9 +9,13 @@ import (
 // positional, so appending a kind without a kindNames entry would render
 // as "Kind(n)" in every dump and silently break name-based filters.
 func TestKindNamesExhaustiveAndUnique(t *testing.T) {
-	if int(kindMax) > len(kindNames) {
-		t.Fatalf("kindNames has %d entries, need %d (a kind was added without a name)",
+	if int(kindMax) != len(kindNames) {
+		t.Fatalf("kindNames has %d entries, need %d (a kind was added without a name, or a name without a kind)",
 			len(kindNames), int(kindMax))
+	}
+	// The metrics bridge and /trace filters find this one by name.
+	if k, ok := kindByName["rx-dropped"]; !ok || k != KRxDropped {
+		t.Errorf(`"rx-dropped" parses to kind %d (%v), want KRxDropped`, k, ok)
 	}
 	seen := make(map[string]Kind)
 	for k := Kind(1); k < kindMax; k++ {

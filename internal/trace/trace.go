@@ -131,6 +131,11 @@ const (
 	// tick with zero errors after a tick that had some. Detail is the
 	// domain, Count the tick's request count.
 	KServeClean
+	// KRxDropped: a packet arriving on Self failed to decode and was
+	// dropped. Detail is "<plane> <reason>": the protocol plane it arrived
+	// on (beacon, member, heartbeat, report, journal) and what was wrong
+	// with it (short, trailing, bad-version, bad-type).
+	KRxDropped
 
 	kindMax
 )
@@ -173,6 +178,7 @@ var kindNames = [...]string{
 	KNotifySent:         "notify-sent",
 	KIncidentClosed:     "incident-closed",
 	KServeClean:         "serve-clean",
+	KRxDropped:          "rx-dropped",
 }
 
 func (k Kind) String() string {

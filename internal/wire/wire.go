@@ -623,22 +623,35 @@ func Peek(pkt []byte) (Type, bool) {
 	return t, true
 }
 
-// DecodeInto parses pkt into the caller's message, which must match the
-// packet's wire type. Unlike Decode it allocates nothing for fixed-size
-// messages, so hot receive paths (beacons, heartbeats) can decode into a
-// long-lived scratch value. On error the message contents are undefined.
-func DecodeInto(pkt []byte, m Message) error {
+// checkHeader validates a packet's version byte and that it carries a
+// message of type t.
+func checkHeader(pkt []byte, t Type) error {
 	if len(pkt) < 2 {
 		return ErrShort
 	}
 	if pkt[0] != codecVersion {
 		return fmt.Errorf("%w: %d", ErrBadVersion, pkt[0])
 	}
-	if Type(pkt[1]) != m.Type() {
-		return fmt.Errorf("%w: got %d, want %v", ErrBadType, pkt[1], m.Type())
+	if Type(pkt[1]) != t {
+		return fmt.Errorf("%w: got %d, want %v", ErrBadType, pkt[1], t)
 	}
+	return nil
+}
+
+// DecodeInto parses pkt into the caller's message, which must match the
+// packet's wire type. Unlike Decode it allocates nothing for fixed-size
+// messages, so hot receive paths (beacons, heartbeats) can decode into a
+// long-lived scratch value. On error the message contents are undefined.
+func DecodeInto(pkt []byte, m Message) error {
 	if b, ok := m.(*Beacon); ok {
-		return decodeBeacon(pkt, b)
+		node, err := DecodeBeaconFixed(pkt, b)
+		if err == nil {
+			b.Node = InternString(node)
+		}
+		return err
+	}
+	if err := checkHeader(pkt, m.Type()); err != nil {
+		return err
 	}
 	return decodeBody(pkt, m)
 }
@@ -648,33 +661,48 @@ func DecodeInto(pkt []byte, m Message) error {
 // leader (4) + version (8) + members (4) + admin (1).
 const beaconFixed = 29
 
-// decodeBeacon is the unrolled decoder for the highest-rate message on
-// the wire: during discovery every adapter hears every segment-mate's
-// beacon each interval, so this path does one length check and straight
-// loads instead of seven sticky-error field reads through the generic
-// decoder. The pooled decoder is still borrowed for its intern table.
-func decodeBeacon(pkt []byte, b *Beacon) error {
+// DecodeBeaconFixed is the decoder for the highest-rate message on the
+// wire: during discovery every adapter hears every segment-mate's beacon
+// each interval, and all but the first from each say what the receiver
+// already knows. It validates the whole packet exactly as DecodeInto does
+// — one length check and straight loads instead of seven sticky-error
+// field reads through the generic decoder — and fills every field of b but
+// Node, which is left empty; the name's bytes are returned instead, still
+// inside pkt, for the receiver to turn into a string (InternString) only if
+// it is going to keep it.
+func DecodeBeaconFixed(pkt []byte, b *Beacon) (node []byte, err error) {
+	if err := checkHeader(pkt, TBeacon); err != nil {
+		return nil, err
+	}
 	if len(pkt) < beaconFixed {
-		return ErrShort
+		return nil, ErrShort
 	}
 	n := int(pkt[6])<<8 | int(pkt[7])
 	if len(pkt) != beaconFixed+n {
 		if len(pkt) < beaconFixed+n {
-			return ErrShort
+			return nil, ErrShort
 		}
-		return ErrTrailing
+		return nil, ErrTrailing
 	}
-	b.Sender = transport.IP(be32(pkt[2:]))
-	d := decPool.Get().(*dec)
-	b.Node = d.internBytes(pkt[8 : 8+n])
-	decPool.Put(d)
 	p := 8 + n
-	b.Incarnation = be32(pkt[p:])
-	b.Leader = transport.IP(be32(pkt[p+4:]))
-	b.Version = be64(pkt[p+8:])
-	b.Members = be32(pkt[p+16:])
-	b.Admin = pkt[p+20] != 0
-	return nil
+	*b = Beacon{
+		Sender:      transport.IP(be32(pkt[2:])),
+		Incarnation: be32(pkt[p:]),
+		Leader:      transport.IP(be32(pkt[p+4:])),
+		Version:     be64(pkt[p+8:]),
+		Members:     be32(pkt[p+16:]),
+		Admin:       pkt[p+20] != 0,
+	}
+	return pkt[8:p], nil
+}
+
+// InternString converts b to a string through the pooled decoders' intern
+// tables — the shared copy, when the name has been decoded before.
+func InternString(b []byte) string {
+	d := decPool.Get().(*dec)
+	s := d.internBytes(b)
+	decPool.Put(d)
+	return s
 }
 
 func be32(b []byte) uint32 {
