@@ -1,16 +1,22 @@
 // Command gsctl is an interactive console for driving a simulated farm:
 // build a farm, advance virtual time, inspect the discovered topology,
-// inject faults, and trigger reconfigurations — a REPL version of the
-// gsfarm scenario runner, useful for exploring protocol behaviour.
+// inject faults, and trigger reconfigurations — for exploring protocol
+// behaviour by hand, or for playing a scripted fault timeline.
 //
 // Usage:
 //
 //	gsctl [-admin 2] [-domains acme:2:3,globex:2:3] [-uniform N[:adapters]] [-journal] [-trace=false]
 //
-// Commands: help, run <seconds>, status, groups, events [n], kill <node>,
-// restart <node>, killsw <switch>, restoresw <switch>, move <node> <domain>,
-// fail <adapter> <recv|send|stop|ok>, verify, journal, metrics, trace,
-// timeline, health, quit.
+// Commands: help, run <seconds>, play <file>, status, groups, events [n],
+// verify, journal, metrics, trace, timeline, health, quit. Any other line
+// is an operation of the chaos schedule language (internal/check),
+// injected at the current instant: kill <node>, restart <node>,
+// fail <adapter> <fail-recv|fail-send|fail-stop|healthy> [for <d>],
+// switch-off <switch> [for <d>], move <node> to <domain>,
+// partition <segment> [for <d>], drop <segment> <loss> [for <d>],
+// failover [for <d>]. "play <file>" reads a whole schedule in the same
+// language ("@60s kill acme-be-01" ... "settle 80s"), injects each op at
+// its time from now and runs through the settle period.
 // With -journal every node keeps a state journal; the journal command
 // shows each node's replay position and who the warm standby is.
 // The flight recorder is on by default: "trace [n]" shows the last n
@@ -34,6 +40,7 @@ import (
 	"time"
 
 	gulfstream "repro"
+	"repro/internal/check"
 )
 
 func main() {
@@ -104,10 +111,13 @@ func repl(f *gulfstream.Farm, in io.Reader, out io.Writer) {
 		case "quit", "exit":
 			return
 		case "help":
-			fmt.Fprintln(out, "run <s> | status | groups | events [n] | kill <node> | restart <node> |")
-			fmt.Fprintln(out, "killsw <sw> | restoresw <sw> | move <node> <domain> | fail <adapter> <mode> |")
+			fmt.Fprintln(out, "run <s> | play <schedule file> | status | groups | events [n] |")
 			fmt.Fprintln(out, "verify | journal | metrics | trace [n|txns|json|<filter>] |")
 			fmt.Fprintln(out, "timeline [ref|incident] | health | quit")
+			fmt.Fprintln(out, "faults, injected now: kill <node> | restart <node> | move <node> to <domain> |")
+			fmt.Fprintln(out, "fail <adapter> <fail-recv|fail-send|fail-stop|healthy> [for <d>] |")
+			fmt.Fprintln(out, "switch-off <sw> [for <d>] | partition <segment> [for <d>] |")
+			fmt.Fprintln(out, "drop <segment> <loss> [for <d>] | failover [for <d>]")
 		case "run":
 			secs := 10.0
 			if len(args) > 1 {
@@ -115,6 +125,23 @@ func repl(f *gulfstream.Farm, in io.Reader, out io.Writer) {
 			}
 			f.RunFor(time.Duration(secs * float64(time.Second)))
 			fmt.Fprintf(out, "advanced to t=%v\n", f.Sched.Now())
+		case "play":
+			if len(args) != 2 {
+				fmt.Fprintln(out, "wrong arguments (try help)")
+				continue
+			}
+			text, err := os.ReadFile(args[1])
+			if err != nil {
+				fmt.Fprintf(out, "error: %v\n", err)
+				continue
+			}
+			sched, err := check.Parse(string(text))
+			if err != nil {
+				fmt.Fprintf(out, "error: %s: %v\n", args[1], err)
+				continue
+			}
+			sched.Run(f)
+			fmt.Fprintf(out, "played %d ops; advanced to t=%v\n", len(sched.Ops), f.Sched.Now())
 		case "status":
 			c := f.ActiveCentral()
 			if c == nil {
@@ -152,40 +179,6 @@ func repl(f *gulfstream.Farm, in io.Reader, out io.Writer) {
 				fmt.Fprintf(out, "  %v\n", e)
 			}
 			eventCursor = len(log)
-		case "kill":
-			do(out, len(args) == 2, func() error { return f.KillNode(args[1]) })
-		case "restart":
-			do(out, len(args) == 2, func() error { return f.RestartNode(args[1]) })
-		case "killsw":
-			do(out, len(args) == 2, func() error { return f.KillSwitch(args[1]) })
-		case "restoresw":
-			do(out, len(args) == 2, func() error { return f.RestoreSwitch(args[1]) })
-		case "move":
-			do(out, len(args) == 3, func() error {
-				return f.MoveNodeToDomain(args[1], args[2], func(err error) {
-					if err != nil {
-						fmt.Fprintf(out, "move failed: %v\n", err)
-					} else {
-						fmt.Fprintln(out, "SNMP reconfiguration complete")
-					}
-				})
-			})
-		case "fail":
-			do(out, len(args) == 3, func() error {
-				ip, ok := gulfstream.ParseIP(args[1])
-				if !ok {
-					return fmt.Errorf("bad adapter %q", args[1])
-				}
-				modes := map[string]gulfstream.FailureMode{
-					"recv": gulfstream.FailRecv, "send": gulfstream.FailSend,
-					"stop": gulfstream.FailStop, "ok": gulfstream.Healthy,
-				}
-				m, ok := modes[args[2]]
-				if !ok {
-					return fmt.Errorf("bad mode %q", args[2])
-				}
-				return f.FailAdapter(ip, m)
-			})
 		case "verify":
 			c := f.ActiveCentral()
 			if c == nil {
@@ -229,7 +222,14 @@ func repl(f *gulfstream.Farm, in io.Reader, out io.Writer) {
 		case "health":
 			cmdHealth(f, out)
 		default:
-			fmt.Fprintf(out, "unknown command %q (try help)\n", args[0])
+			// Everything else is one op of the schedule language.
+			op, err := check.ParseOp(sc.Text())
+			if err == nil {
+				err = check.Apply(f, op)
+			}
+			if err != nil {
+				fmt.Fprintf(out, "error: %v (try help)\n", err)
+			}
 		}
 	}
 }
@@ -417,16 +417,6 @@ func cmdHealth(f *gulfstream.Farm, out io.Writer) {
 		fmt.Fprintf(out, "  central: %d groups, stable=%v\n", c.GroupCount(), c.Stable())
 	} else {
 		fmt.Fprintln(out, "  central: none active")
-	}
-}
-
-func do(out io.Writer, ok bool, fn func() error) {
-	if !ok {
-		fmt.Fprintln(out, "wrong arguments (try help)")
-		return
-	}
-	if err := fn(); err != nil {
-		fmt.Fprintf(out, "error: %v\n", err)
 	}
 }
 

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzScheduleParse throws arbitrary text at the schedule DSL parser.
-// Whatever parses must survive a String→Parse round trip unchanged —
-// the property the shrinker's artifact files rely on — and the parser
-// must never panic on garbage.
+// FuzzScheduleParse throws arbitrary text at the schedule DSL parser,
+// as a whole schedule (Parse) and as the single op line an interactive
+// console hands to ParseOp. Whatever parses must survive a String→Parse
+// round trip unchanged — the property the shrinker's artifact files rely
+// on — and the parser must never panic on garbage.
 func FuzzScheduleParse(f *testing.F) {
 	f.Add("seed 101\n@2s kill acme-be-003\nsettle 3m\n")
 	f.Add("@6s fail 10.3.0.5 fail-recv for 10s\n")
@@ -19,7 +20,21 @@ func FuzzScheduleParse(f *testing.F) {
 	f.Add("@0s kill x\n@0s restart x\n")
 	f.Add("seed 9223372036854775807\n")
 	f.Add("@2562047h47m16.854775807s failover\n")
+	f.Add("kill acme-be-00")
+	f.Add("fail 10.3.0.5 healthy")
+	f.Add("@0s fail 10.3.0.5 fail-send for 3s")
+	f.Add("switch-off sw-00 for 5s")
+	f.Add("move acme-be-01 to globex")
+	f.Add("drop vlan-101 0.5")
+	f.Add("@1s")
 	f.Fuzz(func(t *testing.T, text string) {
+		if op, err := ParseOp(text); err == nil {
+			one := Schedule{Ops: []Op{op}}
+			back, err := Parse(one.String())
+			if err != nil || len(back.Ops) != 1 || !reflect.DeepEqual(back.Ops[0], op) {
+				t.Fatalf("op %+v did not survive rendering (%v):\n%s", op, err, one)
+			}
+		}
 		s, err := Parse(text)
 		if err != nil {
 			return

@@ -114,7 +114,7 @@ func (s Schedule) Run(tg Target) {
 	var horizon time.Duration
 	for _, op := range s.Ops {
 		op := op
-		tg.After(op.At, func() { applyOp(tg, op) })
+		tg.After(op.At, func() { _ = Apply(tg, op) })
 		end := op.At + op.For
 		if end > horizon {
 			horizon = end
@@ -127,15 +127,19 @@ func (s Schedule) Run(tg Target) {
 	tg.RunFor(horizon + settle)
 }
 
-func applyOp(tg Target, op Op) {
+// Apply injects op into tg now, ignoring op.At, and schedules the
+// reversal when op.For says the fault is held. The error is the fault
+// injector's own: the target does not exist, or is in no state to take
+// the fault. An interactive caller reports it; Run does not.
+func Apply(tg Target, op Op) error {
 	switch op.Kind {
 	case OpKillNode:
-		_ = tg.KillNode(op.Node)
+		return tg.KillNode(op.Node)
 	case OpRestartNode:
-		_ = tg.RestartNode(op.Node)
+		return tg.RestartNode(op.Node)
 	case OpFailAdapter:
 		if err := tg.FailAdapter(op.Adapter, op.Mode); err != nil {
-			return
+			return err
 		}
 		if op.For > 0 {
 			tg.After(op.For, func() { _ = tg.FailAdapter(op.Adapter, netsim.Healthy) })
@@ -152,20 +156,20 @@ func applyOp(tg Target, op Op) {
 		}
 	case OpKillSwitch:
 		if err := tg.KillSwitch(op.Target); err != nil {
-			return
+			return err
 		}
 		if op.For > 0 {
 			tg.After(op.For, func() { _ = tg.RestoreSwitch(op.Target) })
 		}
 	case OpMoveDomain:
-		_ = tg.MoveNodeToDomain(op.Node, op.Target, nil)
+		return tg.MoveNodeToDomain(op.Node, op.Target, nil)
 	case OpFailover:
 		node := tg.ActiveCentralNode()
 		if node == "" {
-			return
+			return fmt.Errorf("check: no active central to fail over")
 		}
 		if err := tg.KillNode(node); err != nil {
-			return
+			return err
 		}
 		d := op.For
 		if d == 0 {
@@ -173,6 +177,7 @@ func applyOp(tg Target, op Op) {
 		}
 		tg.After(d, func() { _ = tg.RestartNode(node) })
 	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -411,6 +416,7 @@ var opByName = func() map[string]OpKind {
 }()
 
 var modeByName = map[string]netsim.FailureMode{
+	netsim.Healthy.String():  netsim.Healthy,
 	netsim.FailStop.String(): netsim.FailStop,
 	netsim.FailRecv.String(): netsim.FailRecv,
 	netsim.FailSend.String(): netsim.FailSend,
@@ -446,7 +452,7 @@ func Parse(text string) (Schedule, error) {
 			}
 			s.Settle = d
 		case strings.HasPrefix(f[0], "@"):
-			op, err := parseOp(f)
+			op, err := ParseOp(line)
 			if err != nil {
 				return s, fmt.Errorf("line %d: %v", ln+1, err)
 			}
@@ -458,22 +464,29 @@ func Parse(text string) (Schedule, error) {
 	return s, nil
 }
 
-func parseOp(f []string) (Op, error) {
+// ParseOp reads one op line of the DSL, "[@<time>] <operation> <args>
+// [for <hold>]". A line without the time prefix is an op for Apply: its
+// At is zero.
+func ParseOp(line string) (Op, error) {
 	var op Op
-	at, err := time.ParseDuration(f[0][1:])
-	if err != nil || at < 0 {
-		return op, fmt.Errorf("bad time %q", f[0])
+	f := strings.Fields(line)
+	if len(f) > 0 && strings.HasPrefix(f[0], "@") {
+		at, err := time.ParseDuration(f[0][1:])
+		if err != nil || at < 0 {
+			return op, fmt.Errorf("bad time %q", f[0])
+		}
+		op.At = at
+		f = f[1:]
 	}
-	op.At = at
-	if len(f) < 2 {
+	if len(f) == 0 {
 		return op, fmt.Errorf("missing operation")
 	}
-	kind, ok := opByName[f[1]]
+	kind, ok := opByName[f[0]]
 	if !ok {
-		return op, fmt.Errorf("unknown operation %q", f[1])
+		return op, fmt.Errorf("unknown operation %q", f[0])
 	}
 	op.Kind = kind
-	args := f[2:]
+	args := f[1:]
 	// Trailing "for <duration>".
 	if len(args) >= 2 && args[len(args)-2] == "for" {
 		d, err := time.ParseDuration(args[len(args)-1])

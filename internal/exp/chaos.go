@@ -54,10 +54,9 @@ func DefaultChaos() ChaosOptions {
 	return ChaosOptions{From: 1000, Seeds: 32, Rounds: 25, Shrink: true}
 }
 
-// chaosSpec mirrors the farm shape of the in-tree chaos regression
-// tests: two domains over seven-node switches, three management nodes,
-// aggressive timers, flight recorder and journal on.
-func chaosSpec(seed int64, seedBug bool) farm.Spec {
+// chaosTimers is the aggressive timer set of the in-tree chaos
+// regression tests: failure detection takes seconds, not minutes.
+func chaosTimers() (core.Config, central.Config) {
 	cfg := core.DefaultConfig()
 	cfg.BeaconPhase = 2 * time.Second
 	cfg.BeaconInterval = 500 * time.Millisecond
@@ -68,9 +67,17 @@ func chaosSpec(seed int64, seedBug bool) farm.Spec {
 	cfg.OrphanTimeout = 6 * time.Second
 	cfg.ConsensusWindow = 1 * time.Second
 	cfg.EscalationPatience = 3 * time.Second
-	cfg.UnsafeSkipVerify = seedBug
 	cc := central.DefaultConfig()
 	cc.StabilizeWait = 3 * time.Second
+	return cfg, cc
+}
+
+// chaosSpec mirrors the farm shape of the in-tree chaos regression
+// tests: two domains over seven-node switches, three management nodes,
+// aggressive timers, flight recorder and journal on.
+func chaosSpec(seed int64, seedBug bool) farm.Spec {
+	cfg, cc := chaosTimers()
+	cfg.UnsafeSkipVerify = seedBug
 	return farm.Spec{
 		Seed:       seed,
 		AdminNodes: 3,

@@ -3,6 +3,8 @@ package exp
 import (
 	"testing"
 	"time"
+
+	"repro/internal/farm"
 )
 
 // The two cold starts the repository's benchmark times (`coldstart_flat`,
@@ -74,6 +76,40 @@ func TestColdStartZonedPinned(t *testing.T) {
 	}
 	if at != wantStable {
 		t.Errorf("stable at %v, want %v", at, wantStable)
+	}
+}
+
+// TestColdStartDomainPinned: the third farm shape — the chaos-regression
+// farm, two domains of 2 FE + 3 BE behind three management nodes on the
+// single kernel. Recorded before the uniform/domain and zoned builders
+// were merged; the merged builder must leave every number where it was.
+func TestColdStartDomainPinned(t *testing.T) {
+	const (
+		wantFired  = 2_609
+		wantHash   = 0xb78d60af6be9af07
+		wantStable = 8_667_600_566 * time.Nanosecond
+		wantMsgs   = 971
+	)
+	f, err := farm.Build(chaosSpec(99, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	at, ok := f.RunUntilStable(2 * time.Minute)
+	if !ok {
+		t.Fatal("never stabilized")
+	}
+	if got := f.Fired(); got != wantFired {
+		t.Errorf("fired = %d, want %d", got, wantFired)
+	}
+	if got := TopologyHash(f); got != wantHash {
+		t.Errorf("topology hash = %016x, want %016x", got, uint64(wantHash))
+	}
+	if at != wantStable {
+		t.Errorf("stable at %v, want %v", at, wantStable)
+	}
+	if got := f.Metrics.Total().Messages; got != wantMsgs {
+		t.Errorf("messages = %d, want %d", got, wantMsgs)
 	}
 }
 

@@ -8,9 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/central"
 	"repro/internal/check"
-	"repro/internal/core"
 	"repro/internal/farm"
 	"repro/internal/serve"
 )
@@ -81,18 +79,7 @@ type ServePoint struct {
 // serveSpec is the E17 farm: two equal domains with the chaos harness's
 // aggressive timers so failure detection takes seconds, not minutes.
 func serveSpec(seed int64, frontEnds int) farm.Spec {
-	cfg := core.DefaultConfig()
-	cfg.BeaconPhase = 2 * time.Second
-	cfg.BeaconInterval = 500 * time.Millisecond
-	cfg.LeaderBeaconInterval = 1 * time.Second
-	cfg.StableWait = 1 * time.Second
-	cfg.DeferTimeout = 3 * time.Second
-	cfg.DetectorParams.Interval = 500 * time.Millisecond
-	cfg.OrphanTimeout = 6 * time.Second
-	cfg.ConsensusWindow = 1 * time.Second
-	cfg.EscalationPatience = 3 * time.Second
-	cc := central.DefaultConfig()
-	cc.StabilizeWait = 3 * time.Second
+	cfg, cc := chaosTimers()
 	return farm.Spec{
 		Seed:       seed,
 		AdminNodes: 2,

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/amg"
 	"repro/internal/check"
-	"repro/internal/netsim"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
 )
@@ -28,14 +27,15 @@ func (f *Farm) Now() time.Duration {
 	return f.Sched.Now()
 }
 
-// After schedules fn on the virtual clock.
-func (f *Farm) After(d time.Duration, fn func()) { f.Sched.AfterFunc(d, fn) }
+// After schedules fn on the virtual clock (shard 0's in a sharded farm,
+// like Clock).
+func (f *Farm) After(d time.Duration, fn func()) { f.schedFor("").AfterFunc(d, fn) }
 
-// SetSegmentLoss overrides one segment's link quality: loss in [0, 1]
+// SetSegmentLoss overrides one segment's loss rate: loss in [0, 1]
 // degrades it (1 is a full partition); a negative loss heals the
-// segment back to the farm's default profile.
+// segment back to the profile Build gave it.
 func (f *Farm) SetSegmentLoss(segment string, loss float64) {
-	p := netsim.LinkProfile{Loss: f.Spec.Loss, Latency: f.Spec.Latency, Jitter: f.Spec.Jitter}
+	p := f.linkProfile(segment)
 	if loss >= 0 {
 		if loss > 1 {
 			loss = 1
@@ -43,21 +43,6 @@ func (f *Farm) SetSegmentLoss(segment string, loss float64) {
 		p.Loss = loss
 	}
 	f.Net.SetSegmentProfile(segment, p)
-}
-
-// ActiveCentralNode names the node hosting the authoritative Central
-// ("" when none is active).
-func (f *Farm) ActiveCentralNode() string {
-	c := f.ActiveCentral()
-	if c == nil {
-		return ""
-	}
-	for _, name := range f.order {
-		if f.Centrals[name] == c {
-			return name
-		}
-	}
-	return ""
 }
 
 // ViewOf returns the committed membership of the adapter at ip, false
@@ -113,9 +98,7 @@ func (f *Farm) CheckTopology() check.Topology {
 			}
 		}
 	}
-	for _, d := range f.Spec.Domains {
-		topo.Domains = append(topo.Domains, d.Name)
-	}
+	topo.Domains = f.Domains()
 	return topo
 }
 
@@ -168,11 +151,7 @@ func (f *Farm) ConvergenceFailures() []string {
 	for _, members := range c.Groups() {
 		total += len(members)
 	}
-	want := 0
-	for _, name := range f.order {
-		want += len(f.Nodes[name].Adapters)
-	}
-	if total != want {
+	if want := len(f.adapters); total != want {
 		out = append(out, fmt.Sprintf("central tracks %d adapters, want %d", total, want))
 	}
 	if ms := c.Verify(); len(ms) != 0 {

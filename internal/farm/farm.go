@@ -35,12 +35,10 @@ const AdminVLAN = 1
 const BackboneVLAN = 2
 
 // zoneAdminVLAN returns zone z's administrative VLAN. Zones get disjoint
-// 64-wide VLAN blocks well above the domain/uniform ranges.
+// 64-wide VLAN blocks well above the domain/uniform ranges; the VLAN of a
+// zone's data segment a (1-based adapter index, a < 64) is its admin
+// VLAN + a.
 func zoneAdminVLAN(z int) int { return 4096 + z*64 }
-
-// zoneDataVLAN returns the VLAN of zone z's data segment a (1-based
-// adapter index; a < 64).
-func zoneDataVLAN(z, a int) int { return 4096 + z*64 + a }
 
 // DomainSpec describes one hosted customer domain.
 type DomainSpec struct {
@@ -85,26 +83,14 @@ type Spec struct {
 
 	// Shards > 1 runs a zoned farm on the sharded kernel, zone i (all its
 	// nodes, switches and segments) on shard i%Shards. Only the backbone
-	// crosses shards, so the lookahead window is BackboneLatency.
+	// crosses shards, so the lookahead window is the backbone's latency.
 	Shards int
-	// BackboneLatency is the backbone link latency (default 1ms). In a
-	// sharded run it is the conservative lookahead, so it must be at least
-	// as large as every cross-shard link's base latency.
-	BackboneLatency time.Duration
-	// Spread adds a deterministic per-(src,dst) latency spread in
-	// [0, Spread) on every segment — jitter's decorrelation without RNG
-	// draws, so results stay identical under any shard count. Zoned farms
-	// default it to 300µs (and default Jitter to zero, since RNG jitter
-	// would diverge between shard counts).
-	Spread time.Duration
 
 	// NodesPerSwitch packs nodes onto switches (default 16).
 	NodesPerSwitch int
 
-	// Network quality.
-	Loss    float64
-	Latency time.Duration
-	Jitter  time.Duration
+	// Loss is the per-delivery loss rate on every segment.
+	Loss float64
 
 	// StartSkew staggers daemon boots uniformly over [0, StartSkew) —
 	// the dominant component of the paper's δ.
@@ -175,6 +161,47 @@ type Farm struct {
 	started  bool
 }
 
+// Link timing. No command, experiment or benchmark ever chose other
+// values, and every recorded hash depends on these.
+const (
+	// linkLatency is every segment's base one-way latency but the
+	// backbone's.
+	linkLatency = 200 * time.Microsecond
+	// linkSpread is the width of the per-delivery variation on top of it:
+	// drawn from the scheduler's RNG (LinkProfile.Jitter) on uniform and
+	// domain farms, a deterministic per-(src,dst) hash (LinkProfile.Spread)
+	// on zoned farms, where RNG draws would make single- and multi-shard
+	// runs diverge.
+	linkSpread = 300 * time.Microsecond
+	// backboneLatency is the backbone's base latency and, in a sharded
+	// run, the conservative lookahead window.
+	backboneLatency = time.Millisecond
+)
+
+// The lookahead bound: the only cross-shard link may not be faster than
+// the links inside a shard. A negative difference does not compile.
+const _ = uint64(backboneLatency - linkLatency)
+
+// linkProfile is the link quality Build installs on a segment ("" for
+// the default every segment but the backbone shares) — and therefore
+// what healing that segment must put back.
+func (f *Farm) linkProfile(segment string) netsim.LinkProfile {
+	p := netsim.LinkProfile{Loss: f.Spec.Loss, Latency: linkLatency}
+	if f.Spec.Zones == 0 {
+		p.Jitter = linkSpread
+		return p
+	}
+	p.Spread = linkSpread
+	if segment == switchsim.SegmentName(BackboneVLAN) {
+		// The backbone floods all zones: receiver-side multicast filtering
+		// (mandatory across shards, and kept in single-shard runs so the
+		// semantics don't depend on the shard layout).
+		p.Latency = backboneLatency
+		p.RecvFilter = true
+	}
+	return p
+}
+
 // Build constructs the farm described by spec.
 func Build(spec Spec) (*Farm, error) {
 	if spec.NodesPerSwitch <= 0 {
@@ -186,27 +213,12 @@ func Build(spec Spec) (*Farm, error) {
 	if spec.Central.StabilizeWait == 0 {
 		spec.Central = central.DefaultConfig()
 	}
-	if spec.Latency == 0 {
-		spec.Latency = 200 * time.Microsecond
-	}
-	if spec.Jitter == 0 && spec.Zones == 0 {
-		// Zoned farms default to zero jitter: RNG-drawn jitter would make
-		// single- and multi-shard runs diverge. Spread fills jitter's
-		// decorrelation role deterministically.
-		spec.Jitter = 300 * time.Microsecond
-	}
 	if spec.Zones > 0 {
 		if spec.ZoneNodes <= 0 || spec.ZoneAdapters <= 0 {
 			return nil, fmt.Errorf("farm: zoned spec needs ZoneNodes and ZoneAdapters")
 		}
 		if spec.ZoneAdapters > 63 {
 			return nil, fmt.Errorf("farm: ZoneAdapters %d exceeds the zone VLAN block", spec.ZoneAdapters)
-		}
-		if spec.Spread == 0 {
-			spec.Spread = 300 * time.Microsecond
-		}
-		if spec.BackboneLatency == 0 {
-			spec.BackboneLatency = time.Millisecond
 		}
 	}
 	if spec.Shards > 1 {
@@ -216,14 +228,10 @@ func Build(spec Spec) (*Farm, error) {
 		if spec.Trace {
 			return nil, fmt.Errorf("farm: the flight recorder is not shard-safe; disable Trace for sharded runs")
 		}
-		if spec.BackboneLatency < spec.Latency {
-			return nil, fmt.Errorf("farm: backbone latency %v below zone latency %v would break the lookahead bound", spec.BackboneLatency, spec.Latency)
-		}
 	}
 	f := &Farm{
 		Spec:     spec,
 		Fabric:   switchsim.NewFabric(),
-		Bus:      event.NewBus(spec.RecordEvents),
 		Metrics:  metrics.NewRegistry(),
 		Nodes:    make(map[string]*NodeInfo),
 		Daemons:  make(map[string]*core.Daemon),
@@ -234,22 +242,16 @@ func Build(spec Spec) (*Farm, error) {
 		shardOf:  make(map[string]int),
 	}
 	if spec.Shards > 1 {
-		f.Shards = sim.NewShards(spec.Seed, spec.Shards, spec.BackboneLatency)
+		f.Shards = sim.NewShards(spec.Seed, spec.Shards, backboneLatency)
 		f.Net = netsim.NewSharded(f.Shards, f.Fabric, func(node string) int { return f.shardOf[node] })
 	} else {
 		f.Sched = sim.NewScheduler(spec.Seed)
 		f.Net = netsim.New(f.Sched, f.Fabric)
 	}
-	f.Net.SetDefaultProfile(netsim.LinkProfile{
-		Loss: spec.Loss, Latency: spec.Latency, Jitter: spec.Jitter, Spread: spec.Spread,
-	})
+	f.Net.SetDefaultProfile(f.linkProfile(""))
 	if spec.Zones > 0 {
-		// The backbone floods all zones: receiver-side multicast filtering
-		// (mandatory across shards, and kept in single-shard runs so the
-		// semantics don't depend on the shard layout).
-		f.Net.SetSegmentProfile(switchsim.SegmentName(BackboneVLAN), netsim.LinkProfile{
-			Loss: spec.Loss, Latency: spec.BackboneLatency, Spread: spec.Spread, RecvFilter: true,
-		})
+		backbone := switchsim.SegmentName(BackboneVLAN)
+		f.Net.SetSegmentProfile(backbone, f.linkProfile(backbone))
 	}
 	if f.Shards == nil {
 		// The metrics tap serializes every transmission through one mutex —
@@ -261,14 +263,7 @@ func Build(spec Spec) (*Farm, error) {
 	f.Trace.Enable(spec.Trace)
 	f.Trace.AddSink(metrics.ObserveTrace(f.Metrics))
 
-	var err error
-	if spec.Zones > 0 {
-		err = f.buildZoned()
-	} else {
-		f.DB = configdb.New()
-		err = f.build()
-	}
-	if err != nil {
+	if err := f.populate(); err != nil {
 		return nil, err
 	}
 	f.Net.Ensure() // resolve the segment cache before any (possibly parallel) window
@@ -307,26 +302,19 @@ func (f *Farm) Fired() uint64 {
 	return f.Sched.Fired()
 }
 
-// ipFor allocates 10.<class>.<hi>.<lo> for the ordinal-th adapter of a
-// VLAN class.
-func ipFor(class, ordinal int) transport.IP {
-	return transport.MakeIP(10, byte(class), byte(ordinal/200), byte(ordinal%200+1))
-}
-
+// builder is the allocation state one Build shares across its zones.
 type builder struct {
-	f *Farm
-	// per-class ordinals for IP allocation
-	ordinals map[int]int
-	// per-switch port counters
-	ports map[string]int
-	// switch assignment
-	switchOf  func(nodeIdx int) string
-	nodeCount int
+	f        *Farm
+	ordinals map[int]int    // per-class ordinals for IP allocation
+	ports    map[string]int // per-switch port counters
 }
 
+// nextIP allocates 10.<class>.<hi>.<lo> for the next adapter of a VLAN
+// class.
 func (b *builder) nextIP(class int) transport.IP {
+	ordinal := b.ordinals[class]
 	b.ordinals[class]++
-	return ipFor(class, b.ordinals[class]-1)
+	return transport.MakeIP(10, byte(class), byte(ordinal/200), byte(ordinal%200+1))
 }
 
 func (b *builder) wire(sw string, ip transport.IP, vlan int) int {
@@ -336,96 +324,173 @@ func (b *builder) wire(sw string, ip transport.IP, vlan int) int {
 	return port
 }
 
-func (f *Farm) build() error {
-	b := &builder{f: f, ordinals: make(map[int]int), ports: make(map[string]int)}
+// zone is one management domain of a farm: the nodes behind one admin
+// VLAN, which form their own AMGs, elect their own leader and host their
+// own Central against their own configdb and bus, reconfiguring their own
+// switches. A uniform or domain farm is a single zone that owns the
+// farm-wide database and bus, every switch and the scheduler's RNG
+// stream; a zoned farm is Spec.Zones of them joined by the backbone, zone
+// z living wholly on shard z mod K — nodes, switches and segments — so the
+// backbone is the only cross-shard traffic.
+type zone struct {
+	db        *configdb.DB
+	bus       *event.Bus
+	adminVLAN int
+	switches  []string // nodes are dealt over these round-robin
+	nodes     int      // dealt so far
+	shard     int
+	// rng is the stream every daemon of the zone shares. Nil gives each
+	// daemon a stream derived from the seed and its place in the build
+	// order, which keeps runtime draws identical under every shard count.
+	rng *rand.Rand
+}
 
-	// Provision switches: enough for all nodes plus one management port
-	// per switch, all trunked (VLANs are fabric-wide).
-	totalNodes := f.Spec.AdminNodes + f.Spec.UniformNodes
-	for _, d := range f.Spec.Domains {
+// addZone provisions a zone's database, bus and switches: enough switches
+// for its nodes, each trunked (VLANs are fabric-wide) and carrying a
+// management adapter with its SNMP agent on the zone's admin VLAN.
+func (b *builder) addZone(prefix string, adminVLAN, nodes, shard int, rng *rand.Rand) *zone {
+	f := b.f
+	z := &zone{
+		db:        configdb.New(),
+		bus:       event.NewBus(f.Spec.RecordEvents),
+		adminVLAN: adminVLAN,
+		shard:     shard,
+		rng:       rng,
+	}
+	nSwitches := (nodes + f.Spec.NodesPerSwitch - 1) / f.Spec.NodesPerSwitch
+	for i := 0; i < nSwitches; i++ {
+		name := fmt.Sprintf("%ssw-%02d", prefix, i)
+		// shardOf must be set before AddAdapter: the sharded network homes
+		// the adapter by its node's shard. Shard 0 is the absent entry.
+		if shard != 0 {
+			f.shardOf[name] = shard
+		}
+		f.Fabric.AddSwitch(name)
+		mgmt := b.nextIP(9)
+		a := f.Net.AddAdapter(mgmt, name)
+		b.wire(name, mgmt, adminVLAN)
+		f.Fabric.Switch(name).AttachAgent(a, f.Spec.Central.Community)
+		z.switches = append(z.switches, name)
+	}
+	return z
+}
+
+// addNode builds one node in z: an adapter per VLAN (the first is the
+// admin adapter), their database records, and the node's daemon and
+// Central.
+func (b *builder) addNode(z *zone, name, role, domain string, vlans []int) error {
+	f := b.f
+	if z.shard != 0 {
+		f.shardOf[name] = z.shard
+	}
+	sw := z.switches[z.nodes%len(z.switches)]
+	z.nodes++
+	info := &NodeInfo{Name: name, Role: role, Domain: domain, Switch: sw}
+	var eps []transport.Endpoint
+	for idx, vlan := range vlans {
+		class := 1
+		if idx > 0 {
+			class = vlan % 97 // spreads VLANs over IP classes deterministically
+			if class <= 1 {
+				class += 2
+			}
+		}
+		ip := b.nextIP(class)
+		a := f.Net.AddAdapter(ip, name)
+		port := b.wire(sw, ip, vlan)
+		info.Adapters = append(info.Adapters, ip)
+		eps = append(eps, a)
+		f.adapters[ip] = a
+		f.owner[ip] = name
+		if err := z.db.AddAdapter(configdb.AdapterSpec{
+			IP: ip, Node: name, Index: idx, VLAN: vlan, Switch: sw, Port: port,
+		}); err != nil {
+			return err
+		}
+	}
+	// AddAdapter already created the node record with empty metadata;
+	// fill in its domain and role.
+	node := z.db.AddNode(name, domain, role)
+	node.Domain = domain
+	node.Role = role
+
+	rng := z.rng
+	if rng == nil {
+		seed := int64(sim.Splitmix64(uint64(f.Spec.Seed) ^ sim.Splitmix64(uint64(0x10000+len(f.order)))))
+		rng = rand.New(rand.NewSource(seed))
+	}
+	d, err := core.NewDaemon(f.Spec.Core, name, f.clockFor(name), rng, eps)
+	if err != nil {
+		return err
+	}
+	c := central.New(f.Spec.Central, f.clockFor(name), z.bus, z.db)
+	for _, swName := range z.switches {
+		swt := f.Fabric.Switch(swName)
+		c.RegisterSwitchAgent(swName, transport.Addr{IP: swt.ManagementIP(), Port: transport.PortSNMP})
+	}
+	if f.Spec.Journal {
+		j := journal.NewMem()
+		c.SetJournal(j)
+		f.Journals[name] = j
+	}
+	d.SetCentral(c)
+	d.SetTracer(f.Trace)
+	c.SetTracer(f.Trace, name)
+	f.Nodes[name] = info
+	f.Daemons[name] = d
+	f.Centrals[name] = c
+	f.order = append(f.order, name)
+	return nil
+}
+
+// populate lays the spec's shape out as zones and nodes.
+func (f *Farm) populate() error {
+	b := &builder{f: f, ordinals: make(map[int]int), ports: make(map[string]int)}
+	spec := f.Spec
+	if spec.Zones > 0 {
+		for zi := 0; zi < spec.Zones; zi++ {
+			prefix := fmt.Sprintf("z%03d-", zi)
+			z := b.addZone(prefix, zoneAdminVLAN(zi), spec.ZoneNodes, zi%max(1, spec.Shards), nil)
+			f.DBs = append(f.DBs, z.db)
+			f.Buses = append(f.Buses, z.bus)
+			domain := fmt.Sprintf("zone-%03d", zi)
+			for i := 0; i < spec.ZoneNodes; i++ {
+				vlans := []int{z.adminVLAN}
+				for a := 1; a < spec.ZoneAdapters; a++ {
+					vlans = append(vlans, z.adminVLAN+a)
+				}
+				if i == 0 {
+					// Gateway: the extra backbone adapter rides at a non-admin
+					// index, so backbone leadership never hosts a zone Central.
+					vlans = append(vlans, BackboneVLAN)
+				}
+				if err := b.addNode(z, fmt.Sprintf("%sn%03d", prefix, i), "zone", domain, vlans); err != nil {
+					return err
+				}
+			}
+		}
+		f.DB, f.Bus = f.DBs[0], f.Buses[0]
+		return nil
+	}
+
+	totalNodes := spec.AdminNodes + spec.UniformNodes
+	for _, d := range spec.Domains {
 		totalNodes += d.FrontEnds + d.BackEnds
 	}
 	if totalNodes == 0 {
 		return fmt.Errorf("farm: spec builds zero nodes")
 	}
-	nSwitches := (totalNodes + f.Spec.NodesPerSwitch - 1) / f.Spec.NodesPerSwitch
-	for i := 0; i < nSwitches; i++ {
-		name := fmt.Sprintf("sw-%02d", i)
-		f.Fabric.AddSwitch(name)
-		// Management adapter on the admin VLAN, with its SNMP agent.
-		mgmt := b.nextIP(9)
-		a := f.Net.AddAdapter(mgmt, name)
-		b.wire(name, mgmt, AdminVLAN)
-		f.Fabric.Switch(name).AttachAgent(a, f.Spec.Central.Community)
-	}
-	b.switchOf = func(nodeIdx int) string {
-		return fmt.Sprintf("sw-%02d", nodeIdx%nSwitches)
-	}
-
-	addNode := func(name, role, domain string, vlans []int) error {
-		sw := b.switchOf(b.nodeCount)
-		b.nodeCount++
-		info := &NodeInfo{Name: name, Role: role, Domain: domain, Switch: sw}
-		var eps []transport.Endpoint
-		for idx, vlan := range vlans {
-			class := 1
-			if idx > 0 {
-				class = vlan % 97 // spreads VLANs over IP classes deterministically
-				if class <= 1 {
-					class += 2
-				}
-			}
-			ip := b.nextIP(class)
-			a := f.Net.AddAdapter(ip, name)
-			port := b.wire(sw, ip, vlan)
-			info.Adapters = append(info.Adapters, ip)
-			eps = append(eps, a)
-			f.adapters[ip] = a
-			f.owner[ip] = name
-			if err := f.DB.AddAdapter(configdb.AdapterSpec{
-				IP: ip, Node: name, Index: idx, VLAN: vlan, Switch: sw, Port: port,
-			}); err != nil {
-				return err
-			}
-		}
-		// AddAdapter already created the node record with empty metadata;
-		// fill in its domain and role.
-		node := f.DB.AddNode(name, domain, role)
-		node.Domain = domain
-		node.Role = role
-
-		d, err := core.NewDaemon(f.Spec.Core, name, f.Clock(), f.Sched.Rand(), eps)
-		if err != nil {
-			return err
-		}
-		c := central.New(f.Spec.Central, f.Clock(), f.Bus, f.DB)
-		for _, swt := range f.Fabric.Switches() {
-			c.RegisterSwitchAgent(swt.Name(), transport.Addr{IP: swt.ManagementIP(), Port: transport.PortSNMP})
-		}
-		if f.Spec.Journal {
-			j := journal.NewMem()
-			c.SetJournal(j)
-			f.Journals[name] = j
-		}
-		d.SetCentral(c)
-		d.SetTracer(f.Trace)
-		c.SetTracer(f.Trace, name)
-		f.Nodes[name] = info
-		f.Daemons[name] = d
-		f.Centrals[name] = c
-		f.order = append(f.order, name)
-		return nil
-	}
-
+	z := b.addZone("", AdminVLAN, totalNodes, 0, f.Sched.Rand())
+	f.DB, f.Bus = z.db, z.bus
 	// Administrative nodes: single admin adapter.
-	for i := 0; i < f.Spec.AdminNodes; i++ {
-		if err := addNode(fmt.Sprintf("mgmt-%02d", i), "admin", "", []int{AdminVLAN}); err != nil {
+	for i := 0; i < spec.AdminNodes; i++ {
+		if err := b.addNode(z, fmt.Sprintf("mgmt-%02d", i), "admin", "", []int{AdminVLAN}); err != nil {
 			return err
 		}
 	}
 	// Uniform testbed nodes.
-	for i := 0; i < f.Spec.UniformNodes; i++ {
-		k := f.Spec.UniformAdapters
+	for i := 0; i < spec.UniformNodes; i++ {
+		k := spec.UniformAdapters
 		if k <= 0 {
 			k = 3
 		}
@@ -433,138 +498,26 @@ func (f *Farm) build() error {
 		for a := 1; a < k; a++ {
 			vlans = append(vlans, 10+a)
 		}
-		if err := addNode(fmt.Sprintf("node-%03d", i), "uniform", "", vlans); err != nil {
+		if err := b.addNode(z, fmt.Sprintf("node-%03d", i), "uniform", "", vlans); err != nil {
 			return err
 		}
 	}
 	// Domain nodes.
-	for di, dom := range f.Spec.Domains {
+	for di, dom := range spec.Domains {
 		for i := 0; i < dom.FrontEnds; i++ {
-			name := fmt.Sprintf("%s-fe-%02d", dom.Name, i)
 			// Admin (circle), dispatcher-facing (triangle), internal (square).
-			if err := addNode(name, "frontend", dom.Name,
+			if err := b.addNode(z, fmt.Sprintf("%s-fe-%02d", dom.Name, i), "frontend", dom.Name,
 				[]int{AdminVLAN, FrontVLAN(di), BackVLAN(di)}); err != nil {
 				return err
 			}
 		}
 		for i := 0; i < dom.BackEnds; i++ {
-			name := fmt.Sprintf("%s-be-%02d", dom.Name, i)
-			if err := addNode(name, "backend", dom.Name,
+			if err := b.addNode(z, fmt.Sprintf("%s-be-%02d", dom.Name, i), "backend", dom.Name,
 				[]int{AdminVLAN, BackVLAN(di)}); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
-}
-
-// buildZoned constructs the zoned shape: Zones independent zones, each
-// with its own admin VLAN (own AMGs, own leader, own Central against a
-// zone-local configdb and bus), its own data VLANs, and a gateway adapter
-// on each zone's node 0 joining the shared backbone segment. When the farm
-// is sharded, zone z lives wholly on shard z mod K — nodes, switches and
-// segments — so the backbone is the only cross-shard traffic. Every daemon
-// gets a node-derived RNG (not the shared scheduler stream), keeping any
-// runtime draws identical under every shard count.
-func (f *Farm) buildZoned() error {
-	b := &builder{f: f, ordinals: make(map[int]int), ports: make(map[string]int)}
-	spec := f.Spec
-	shards := 1
-	if f.Shards != nil {
-		shards = f.Shards.N()
-	}
-	nodeIdx := 0
-	for z := 0; z < spec.Zones; z++ {
-		shard := z % shards
-		zdb := configdb.New()
-		zbus := event.NewBus(spec.RecordEvents)
-		f.DBs = append(f.DBs, zdb)
-		f.Buses = append(f.Buses, zbus)
-
-		// Zone switches, each with a management adapter (and SNMP agent) on
-		// the zone's admin VLAN. shardOf must be set before AddAdapter: the
-		// sharded network homes the adapter by its node's shard.
-		nSw := (spec.ZoneNodes + spec.NodesPerSwitch - 1) / spec.NodesPerSwitch
-		zoneSwitches := make([]string, 0, nSw)
-		for s := 0; s < nSw; s++ {
-			name := fmt.Sprintf("z%03d-sw-%02d", z, s)
-			f.shardOf[name] = shard
-			f.Fabric.AddSwitch(name)
-			mgmt := b.nextIP(9)
-			a := f.Net.AddAdapter(mgmt, name)
-			b.wire(name, mgmt, zoneAdminVLAN(z))
-			f.Fabric.Switch(name).AttachAgent(a, spec.Central.Community)
-			zoneSwitches = append(zoneSwitches, name)
-		}
-
-		domain := fmt.Sprintf("zone-%03d", z)
-		for i := 0; i < spec.ZoneNodes; i++ {
-			name := fmt.Sprintf("z%03d-n%03d", z, i)
-			f.shardOf[name] = shard
-			sw := zoneSwitches[i%nSw]
-			info := &NodeInfo{Name: name, Role: "zone", Domain: domain, Switch: sw}
-			vlans := []int{zoneAdminVLAN(z)}
-			for a := 1; a < spec.ZoneAdapters; a++ {
-				vlans = append(vlans, zoneDataVLAN(z, a))
-			}
-			if i == 0 {
-				// Gateway: the extra backbone adapter rides at a non-admin
-				// index, so backbone leadership never hosts a zone Central.
-				vlans = append(vlans, BackboneVLAN)
-			}
-			var eps []transport.Endpoint
-			for idx, vlan := range vlans {
-				class := 1
-				if idx > 0 {
-					class = vlan % 97
-					if class <= 1 {
-						class += 2
-					}
-				}
-				ip := b.nextIP(class)
-				a := f.Net.AddAdapter(ip, name)
-				port := b.wire(sw, ip, vlan)
-				info.Adapters = append(info.Adapters, ip)
-				eps = append(eps, a)
-				f.adapters[ip] = a
-				f.owner[ip] = name
-				if err := zdb.AddAdapter(configdb.AdapterSpec{
-					IP: ip, Node: name, Index: idx, VLAN: vlan, Switch: sw, Port: port,
-				}); err != nil {
-					return err
-				}
-			}
-			node := zdb.AddNode(name, domain, "zone")
-			node.Domain = domain
-			node.Role = "zone"
-
-			seed := int64(sim.Splitmix64(uint64(spec.Seed) ^ sim.Splitmix64(uint64(0x10000+nodeIdx))))
-			d, err := core.NewDaemon(spec.Core, name, f.clockFor(name), rand.New(rand.NewSource(seed)), eps)
-			if err != nil {
-				return err
-			}
-			c := central.New(spec.Central, f.clockFor(name), zbus, zdb)
-			for _, swName := range zoneSwitches {
-				swt := f.Fabric.Switch(swName)
-				c.RegisterSwitchAgent(swt.Name(), transport.Addr{IP: swt.ManagementIP(), Port: transport.PortSNMP})
-			}
-			if spec.Journal {
-				j := journal.NewMem()
-				c.SetJournal(j)
-				f.Journals[name] = j
-			}
-			d.SetCentral(c)
-			d.SetTracer(f.Trace)
-			c.SetTracer(f.Trace, name)
-			f.Nodes[name] = info
-			f.Daemons[name] = d
-			f.Centrals[name] = c
-			f.order = append(f.order, name)
-			nodeIdx++
-		}
-	}
-	f.DB = f.DBs[0]
-	f.Bus = f.Buses[0]
 	return nil
 }
 
@@ -602,14 +555,13 @@ func (f *Farm) RunFor(d time.Duration) {
 	f.Sched.RunFor(d)
 }
 
-// ActiveCentral returns the authoritative GulfStream Central. Partitioned
-// admin adapters may each host a Central for their own partition (the
-// paper allows this); the authoritative one is the instance with the
-// largest admin group behind it — ties broken by build order for
-// determinism.
-func (f *Farm) ActiveCentral() *central.Central {
-	var best *central.Central
-	bestSize := -1
+// ActiveCentralNode names the node hosting the authoritative GulfStream
+// Central ("" when none is active). Partitioned admin adapters may each
+// host a Central for their own partition (the paper allows this); the
+// authoritative one is the instance with the largest admin group behind
+// it — ties broken by build order for determinism.
+func (f *Farm) ActiveCentralNode() string {
+	best, bestSize := "", -1
 	for _, name := range f.order {
 		d := f.Daemons[name]
 		if !d.Running() || !d.HostingCentral() {
@@ -620,30 +572,39 @@ func (f *Farm) ActiveCentral() *central.Central {
 			size = v.Size()
 		}
 		if size > bestSize {
-			best, bestSize = f.Centrals[name], size
+			best, bestSize = name, size
 		}
 	}
 	return best
+}
+
+// ActiveCentral returns the authoritative GulfStream Central, nil when
+// none is active.
+func (f *Farm) ActiveCentral() *central.Central { return f.Centrals[f.ActiveCentralNode()] }
+
+// runUntil advances in 250 ms steps until reached reports an instant or
+// the timeout elapses.
+func (f *Farm) runUntil(timeout time.Duration, reached func() (time.Duration, bool)) (time.Duration, bool) {
+	deadline := f.Now() + timeout
+	for f.Now() < deadline {
+		if at, ok := reached(); ok {
+			return at, ok
+		}
+		f.RunFor(250 * time.Millisecond)
+	}
+	return reached()
 }
 
 // RunUntilStable advances until the active Central has a stable view or
 // the timeout elapses. It returns the instant stability was reached
 // (Central's StableAt) and whether stability was achieved.
 func (f *Farm) RunUntilStable(timeout time.Duration) (time.Duration, bool) {
-	deadline := f.Now() + timeout
-	step := 250 * time.Millisecond
-	for f.Now() < deadline {
-		c := f.ActiveCentral()
-		if c != nil && c.Stable() {
+	return f.runUntil(timeout, func() (time.Duration, bool) {
+		if c := f.ActiveCentral(); c != nil && c.Stable() {
 			return c.StableAt(), true
 		}
-		f.RunFor(step)
-	}
-	c := f.ActiveCentral()
-	if c != nil && c.Stable() {
-		return c.StableAt(), true
-	}
-	return 0, false
+		return 0, false
+	})
 }
 
 // HostingCentrals lists every Central currently hosted by a running
@@ -664,9 +625,7 @@ func (f *Farm) HostingCentrals() []*central.Central {
 // zoned-farm convergence criterion (want = zone count). It returns the
 // latest StableAt among the hosted Centrals.
 func (f *Farm) RunUntilAllStable(want int, timeout time.Duration) (time.Duration, bool) {
-	deadline := f.Now() + timeout
-	step := 250 * time.Millisecond
-	check := func() (time.Duration, bool) {
+	return f.runUntil(timeout, func() (time.Duration, bool) {
 		cs := f.HostingCentrals()
 		if len(cs) < want {
 			return 0, false
@@ -681,14 +640,7 @@ func (f *Farm) RunUntilAllStable(want int, timeout time.Duration) (time.Duration
 			}
 		}
 		return last, true
-	}
-	for f.Now() < deadline {
-		if at, ok := check(); ok {
-			return at, ok
-		}
-		f.RunFor(step)
-	}
-	return check()
+	})
 }
 
 // --- fault injection ---
@@ -743,57 +695,57 @@ func (f *Farm) FailAdapter(ip transport.IP, mode netsim.FailureMode) error {
 
 // KillSwitch powers a switch off; every adapter wired to it loses its
 // segment.
-func (f *Farm) KillSwitch(name string) error {
+func (f *Farm) KillSwitch(name string) error { return f.powerSwitch(name, false) }
+
+// RestoreSwitch powers a switch back on.
+func (f *Farm) RestoreSwitch(name string) error { return f.powerSwitch(name, true) }
+
+func (f *Farm) powerSwitch(name string, up bool) error {
 	sw := f.Fabric.Switch(name)
 	if sw == nil {
 		return fmt.Errorf("farm: unknown switch %q", name)
 	}
-	f.traceFault(name, "switch-off")
-	sw.SetUp(false)
+	detail := "switch-off"
+	if up {
+		detail = "switch-on"
+	}
+	f.traceFault(name, detail)
+	sw.SetUp(up)
 	return nil
 }
 
-// RestoreSwitch powers a switch back on.
-func (f *Farm) RestoreSwitch(name string) error {
-	sw := f.Fabric.Switch(name)
-	if sw == nil {
-		return fmt.Errorf("farm: unknown switch %q", name)
+// domainMoves works out a domain move by the Figure 2 layout: the node's
+// non-admin adapters, by index, and the target domain's VLAN each is
+// re-wired to (front VLAN for a front-end's adapter 1, back VLAN for its
+// adapter 2 and for a back-end's adapter 1).
+func (f *Farm) domainMoves(node, toDomain string) (*NodeInfo, map[int]int, error) {
+	di := f.domainIndex(toDomain)
+	if di < 0 {
+		return nil, nil, fmt.Errorf("farm: unknown domain %q", toDomain)
 	}
-	f.traceFault(name, "switch-on")
-	sw.SetUp(true)
-	return nil
+	info, ok := f.Nodes[node]
+	if !ok {
+		return nil, nil, fmt.Errorf("farm: unknown node %q", node)
+	}
+	switch info.Role {
+	case "frontend":
+		return info, map[int]int{1: FrontVLAN(di), 2: BackVLAN(di)}, nil
+	case "backend":
+		return info, map[int]int{1: BackVLAN(di)}, nil
+	}
+	return nil, nil, fmt.Errorf("farm: node %q (role %s) is not movable", node, info.Role)
 }
 
 // MoveNodeToDomain asks the active Central to relocate a domain node: its
-// non-admin adapters are re-VLANed to the target domain's segments (front
-// VLAN for adapter 1, back VLAN for adapter 2, by the Figure 2 layout).
+// non-admin adapters are re-VLANed to the target domain's segments.
 func (f *Farm) MoveNodeToDomain(node, toDomain string, done func(error)) error {
 	c := f.ActiveCentral()
 	if c == nil {
 		return fmt.Errorf("farm: no active central")
 	}
-	di := -1
-	for i, d := range f.Spec.Domains {
-		if d.Name == toDomain {
-			di = i
-		}
-	}
-	if di < 0 {
-		return fmt.Errorf("farm: unknown domain %q", toDomain)
-	}
-	info, ok := f.Nodes[node]
-	if !ok {
-		return fmt.Errorf("farm: unknown node %q", node)
-	}
-	moves := map[int]int{}
-	switch info.Role {
-	case "frontend":
-		moves[1] = FrontVLAN(di)
-		moves[2] = BackVLAN(di)
-	case "backend":
-		moves[1] = BackVLAN(di)
-	default:
-		return fmt.Errorf("farm: node %q (role %s) is not movable", node, info.Role)
+	info, moves, err := f.domainMoves(node, toDomain)
+	if err != nil {
+		return err
 	}
 	c.MoveNode(node, moves, func(err error) {
 		if err == nil {

@@ -103,23 +103,9 @@ func (f *Farm) domainIndex(domain string) int {
 // until all that lands, the serving plane keeps routing to a node that
 // is gone.
 func (f *Farm) SurpriseMoveNode(node, toDomain string) error {
-	di := f.domainIndex(toDomain)
-	if di < 0 {
-		return fmt.Errorf("farm: unknown domain %q", toDomain)
-	}
-	info, ok := f.Nodes[node]
-	if !ok {
-		return fmt.Errorf("farm: unknown node %q", node)
-	}
-	moves := map[int]int{}
-	switch info.Role {
-	case "frontend":
-		moves[1] = FrontVLAN(di)
-		moves[2] = BackVLAN(di)
-	case "backend":
-		moves[1] = BackVLAN(di)
-	default:
-		return fmt.Errorf("farm: node %q (role %s) is not movable", node, info.Role)
+	info, moves, err := f.domainMoves(node, toDomain)
+	if err != nil {
+		return err
 	}
 	f.traceFault(node, "surprise-move "+toDomain)
 	for idx, vlan := range moves {

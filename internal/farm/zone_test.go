@@ -3,6 +3,10 @@ package farm
 import (
 	"testing"
 	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/switchsim"
+	"repro/internal/transport"
 )
 
 // zonedSpec is a small zoned farm: 4 zones × 6 nodes × 2 adapters, plus
@@ -84,9 +88,93 @@ func TestShardedSpecValidation(t *testing.T) {
 	if _, err := Build(s); err == nil {
 		t.Error("sharded spec with Trace should be rejected")
 	}
-	s = zonedSpec(1, 2)
-	s.Latency = 5 * time.Millisecond // exceeds the 1ms backbone default
-	if _, err := Build(s); err == nil {
-		t.Error("backbone latency below zone latency should be rejected")
+}
+
+// TestAfterOnShardedFarm: After must work under either kernel, or no
+// check.Schedule can run on a sharded farm.
+func TestAfterOnShardedFarm(t *testing.T) {
+	f, err := Build(Spec{Seed: 1, Zones: 2, ZoneNodes: 2, ZoneAdapters: 2, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shards.Stop()
+	want := f.Now() + time.Second
+	firedAt := time.Duration(-1)
+	// Inside a window the farm-wide Now is the last barrier; the firing
+	// shard's clock has the event's own instant.
+	f.After(time.Second, func() { firedAt = f.Clock().Now() })
+	f.RunFor(2 * time.Second)
+	if firedAt != want {
+		t.Fatalf("After(1s) fired at %v, want %v", firedAt, want)
+	}
+}
+
+// TestHealRestoresBuildProfile: healing a partitioned segment must put back
+// exactly the profile Build installed. On the backbone that is the 1 ms
+// latency, the per-pair spread and receiver-side multicast filtering; each
+// is observed through the test's own traffic on an unstarted farm.
+func TestHealRestoresBuildProfile(t *testing.T) {
+	f, err := Build(Spec{Seed: 3, Zones: 2, ZoneNodes: 2, ZoneAdapters: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateway := func(node string) *netsim.Adapter {
+		ips := f.Nodes[node].Adapters
+		return f.adapters[ips[len(ips)-1]]
+	}
+	a, b := gateway("z000-n000"), gateway("z001-n000")
+	backbone, _ := f.SegmentOf(a.LocalIP())
+	if seg, _ := f.SegmentOf(b.LocalIP()); seg != backbone || backbone != switchsim.SegmentName(BackboneVLAN) {
+		t.Fatalf("gateways sit on %q and %q, want the backbone", backbone, seg)
+	}
+
+	const port = 9999
+	group := transport.MakeIP(239, 9, 9, 9)
+	heardAt := time.Duration(-1)
+	b.Bind(port, func(_, _ transport.Addr, _ []byte) { heardAt = f.Now() })
+	// probe returns a unicast's one-way latency, and whether a receiver
+	// that joins a group while a multicast to it is in flight still hears
+	// it — true only under receiver-side filtering.
+	probe := func() (time.Duration, bool) {
+		t.Helper()
+		sent := f.Now()
+		heardAt = -1
+		if err := a.Unicast(port, transport.Addr{IP: b.LocalIP(), Port: port}, []byte("u")); err != nil {
+			t.Fatal(err)
+		}
+		f.RunFor(5 * time.Millisecond)
+		if heardAt < 0 {
+			t.Fatal("unicast probe lost")
+		}
+		latency := heardAt - sent
+
+		heardAt = -1
+		if err := a.Multicast(port, transport.Addr{IP: group, Port: port}, []byte("m")); err != nil {
+			t.Fatal(err)
+		}
+		f.RunFor(100 * time.Microsecond)
+		b.JoinGroup(group, port)
+		f.RunFor(5 * time.Millisecond)
+		b.LeaveGroup(group, port)
+		return latency, heardAt >= 0
+	}
+
+	latency, lateJoin := probe()
+	if latency < backboneLatency || latency >= backboneLatency+linkSpread || !lateJoin {
+		t.Fatalf("as built: latency %v, late joiner heard = %v; want [%v, %v) and true",
+			latency, lateJoin, backboneLatency, backboneLatency+linkSpread)
+	}
+	f.SetSegmentLoss(backbone, 1)
+	if err := a.Unicast(port, transport.Addr{IP: b.LocalIP(), Port: port}, []byte("u")); err != nil {
+		t.Fatal(err)
+	}
+	heardAt = -1
+	f.RunFor(5 * time.Millisecond)
+	if heardAt >= 0 {
+		t.Fatal("a partitioned backbone delivered")
+	}
+	f.SetSegmentLoss(backbone, -1)
+	if l, lj := probe(); l != latency || lj != lateJoin {
+		t.Fatalf("healed: latency %v, late joiner heard = %v; as built %v, %v", l, lj, latency, lateJoin)
 	}
 }
