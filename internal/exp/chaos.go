@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/central"
@@ -27,14 +25,10 @@ type ChaosOptions struct {
 	Seeds int
 	// Rounds is the fault-injection count per schedule.
 	Rounds int
-	// Parallel bounds concurrent simulations (NumCPU when 0).
-	Parallel int
 	// Partition enables segment partition / drop-profile faults.
 	Partition bool
 	// Failover enables active-Central failover faults.
 	Failover bool
-	// Settle overrides the post-fault reconvergence window (0 = default).
-	Settle time.Duration
 	// SeedBug plants core.Config.UnsafeSkipVerify — the paper's §3
 	// act-without-verification flaw — to demonstrate the harness catches
 	// and shrinks a real protocol bug.
@@ -100,7 +94,6 @@ type chaosOutcome struct {
 	seed       int64
 	schedule   check.Schedule
 	simTime    time.Duration
-	wall       time.Duration
 	violations []check.Violation
 	dropped    int
 	converge   []string
@@ -118,9 +111,6 @@ func (c chaosOutcome) failed() bool {
 // nil the schedule is generated from the seed.
 func chaosRun(o ChaosOptions, seed int64, sched *check.Schedule) chaosOutcome {
 	out := chaosOutcome{seed: seed}
-	start := time.Now()
-	defer func() { out.wall = time.Since(start) }()
-
 	f, err := farm.Build(chaosSpec(seed, o.SeedBug))
 	if err != nil {
 		out.err = err
@@ -148,9 +138,6 @@ func chaosRun(o ChaosOptions, seed int64, sched *check.Schedule) chaosOutcome {
 		s := check.Generate(seed, f.CheckTopology(), check.GenOpts{
 			Rounds: o.Rounds, Partition: o.Partition, Failover: o.Failover,
 		})
-		if o.Settle > 0 {
-			s.Settle = o.Settle
-		}
 		sched = &s
 	}
 	out.schedule = *sched
@@ -183,26 +170,15 @@ func Chaos(o ChaosOptions) (*Table, int, error) {
 	if o.Rounds <= 0 {
 		o.Rounds = 25
 	}
-	if o.Parallel <= 0 {
-		o.Parallel = runtime.NumCPU()
-	}
 	if o.ShrinkBudget <= 0 {
 		o.ShrinkBudget = 24
 	}
 
 	outcomes := make([]chaosOutcome, o.Seeds)
-	sem := make(chan struct{}, o.Parallel)
-	var wg sync.WaitGroup
-	for i := 0; i < o.Seeds; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			outcomes[i] = chaosRun(o, o.From+int64(i), nil)
-		}(i)
-	}
-	wg.Wait()
+	_ = each(o.Seeds, func(i int) error { // a seed's error is a table row
+		outcomes[i] = chaosRun(o, o.From+int64(i), nil)
+		return nil
+	})
 
 	// Shrinking re-runs full simulations; do it sequentially so the
 	// sweep's parallelism doesn't multiply.
@@ -232,7 +208,7 @@ func Chaos(o ChaosOptions) (*Table, int, error) {
 		ID: "E15/chaos",
 		Title: fmt.Sprintf("chaos seed sweep: %d seeds from %d, %d faults each",
 			o.Seeds, o.From, o.Rounds),
-		Columns: []string{"seed", "faults", "sim time(s)", "wall(s)", "violations", "converged", "shrunk to"},
+		Columns: []string{"seed", "faults", "sim time(s)", "violations", "converged", "shrunk to"},
 	}
 	for _, out := range outcomes {
 		verdict, shrunk := "yes", ""
@@ -250,11 +226,14 @@ func Chaos(o ChaosOptions) (*Table, int, error) {
 			shrunk = fmt.Sprintf("%d ops in %d runs", len(out.shrunk.Ops), out.shrinkRuns)
 		}
 		t.AddRow(fmt.Sprintf("%d", out.seed), fmt.Sprintf("%d", len(out.schedule.Ops)),
-			secs(out.simTime), fmt.Sprintf("%.1f", out.wall.Seconds()), vio, verdict, shrunk)
+			secs(out.simTime), vio, verdict, shrunk)
 	}
-	if failing == 0 {
+	switch {
+	case failing == 0:
 		t.Note("all %d seeds: protocol invariants held continuously and every farm reconverged", o.Seeds)
-	} else {
+	case o.ArtifactDir == "":
+		t.Note("%d/%d seeds FAILED", failing, o.Seeds)
+	default:
 		t.Note("%d/%d seeds FAILED; reproduction artifacts in %s", failing, o.Seeds, o.ArtifactDir)
 	}
 	if o.SeedBug {

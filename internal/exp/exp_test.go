@@ -9,9 +9,8 @@ import (
 	"repro/internal/detect"
 )
 
-// The experiment tests run scaled-down variants of every table so that
-// `go test` exercises each experiment end to end quickly; cmd/gsbench and
-// bench_test.go run the full-size versions.
+// The experiment tests check the shape of scaled-down variants of every
+// table; TestEvaluationGolden pins the full-size tables byte for byte.
 
 func parseF(t *testing.T, s string) float64 {
 	t.Helper()
@@ -291,13 +290,15 @@ func TestVerifyFindings(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tab := &Table{ID: "X", Title: "demo", Columns: []string{"a", "bb"}}
 	tab.AddRow("1", "2")
+	tab.AddRow("333", "")
 	tab.Note("n1")
+	tab.HostNote("this host only")
 	var sb strings.Builder
 	tab.Fprint(&sb)
-	out := sb.String()
-	for _, frag := range []string{"== X — demo ==", "a", "bb", "note: n1"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("rendered table missing %q:\n%s", frag, out)
-		}
+	// No line ends in a space — not the short last cell "2", not the empty
+	// one — and Host lines are the caller's to print.
+	want := "== X — demo ==\na    bb\n-------\n1    2\n333\nnote: n1\n\n"
+	if out := sb.String(); out != want {
+		t.Fatalf("rendered table:\n%q\nwant:\n%q", out, want)
 	}
 }

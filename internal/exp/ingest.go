@@ -308,7 +308,7 @@ func IngestPoint(adapters int, seed int64) (IngestResult, error) {
 }
 
 // Ingest runs the sweep. The table carries only the pinned counts; the
-// per-point wall-clock comes back beside it for the caller to print.
+// per-point wall-clock goes to Table.Host and comes back beside it.
 func Ingest(o IngestOptions) (*Table, []IngestResult, error) {
 	t := &Table{
 		ID:    "E19/ingest",
@@ -326,9 +326,13 @@ func Ingest(o IngestOptions) (*Table, []IngestResult, error) {
 		t.AddRow(fmt.Sprint(r.Adapters), fmt.Sprint(r.Reports), fmt.Sprint(r.Notifications),
 			fmt.Sprintf("%d/%d", r.NodeFailed, r.NodeRecovered), fmt.Sprint(r.Resyncs),
 			fmt.Sprint(r.JournalSeq), fmt.Sprint(r.Snapshots))
+		base := results[0]
+		t.HostNote("%7d adapters: cold %8.1f ms  deltas %6.1f ms  no-op %6.1f ms  total %8.1f ms  (%.2fx linear from %d)",
+			r.Adapters, durMs(r.Cold), durMs(r.Deltas), durMs(r.Noop), durMs(r.Total()),
+			r.Total().Seconds()/base.Total().Seconds()*float64(base.Adapters)/float64(r.Adapters), base.Adapters)
 	}
 	t.Note("every column follows from the corpus rules alone (groups of %d, one node in %d failing), so it is the same", ingestGroupSize, ingestVictimShare)
 	t.Note("on every host and at every seed; IngestPoint fails if any differs. Wall-clock per point is printed by")
-	t.Note("gsbench ingest and tracked by bench/ (central_storm is the 8192-adapter point), not committed here")
+	t.Note("gsbench after the table and tracked by bench/ (central_storm is the 8192-adapter point), not committed here")
 	return t, results, nil
 }

@@ -1,17 +1,11 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/farm"
-	"repro/internal/serve"
 	"repro/internal/span"
 )
 
@@ -39,11 +33,6 @@ type LagOptions struct {
 	// Warmup runs before measurement starts; Tail must stay error-free.
 	Warmup time.Duration
 	Tail   time.Duration
-	// Parallel bounds concurrent trials (NumCPU when 0).
-	Parallel int
-	// JSONPath, when non-empty, receives the raw points
-	// (BENCH_lag.json in CI).
-	JSONPath string
 }
 
 // DefaultLag matches E17's farm sizes and schedules (same base seed, so
@@ -71,92 +60,59 @@ func QuickLag() LagOptions {
 
 // LagTrial is one stitched trial of a cell.
 type LagTrial struct {
-	Seed int64 `json:"seed"`
 	// Stages is the primary span's per-stage attribution in milestone
 	// order; the durations sum to TotalMs exactly (gap-free).
-	Stages []LagTrialStage `json:"stages"`
+	Stages []LagTrialStage
 	// TotalMs is the primary span's end-to-end duration.
-	TotalMs float64 `json:"total_ms"`
+	TotalMs float64
 	// Spans counts all spans stitched from the trial (leader changes
 	// ride along with the incident under churn).
-	Spans int `json:"spans"`
+	Spans int
 	// MeasuredErrorSeconds is the serving plane's independent
 	// measurement; PredictedErrorSeconds is the span arithmetic
 	// (fault→reroute window / front-ends) — failure schedule only.
-	MeasuredErrorSeconds  float64 `json:"measured_error_seconds"`
-	PredictedErrorSeconds float64 `json:"predicted_error_seconds,omitempty"`
+	MeasuredErrorSeconds  float64
+	PredictedErrorSeconds float64
 }
 
 // LagTrialStage is one attributed stage of a trial's primary span.
 type LagTrialStage struct {
-	Stage string  `json:"stage"`
-	Ms    float64 `json:"ms"`
+	Stage string
+	Ms    float64
 }
 
 // LagStage is one stage's latency quantiles across a cell's trials.
 type LagStage struct {
-	Stage string  `json:"stage"`
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
+	Stage string
+	P50Ms float64
+	P95Ms float64
+	P99Ms float64
 }
 
 // LagPoint is one measured cell of the E18 sweep.
 type LagPoint struct {
-	FrontEnds int        `json:"front_ends_per_domain"`
-	Schedule  string     `json:"schedule"`
-	DelayMs   float64    `json:"delay_ms"`
-	Trials    []LagTrial `json:"trials"`
+	FrontEnds int
+	Schedule  string
+	DelayMs   float64
+	Trials    []LagTrial
 	// Stages aggregates the per-stage attribution across trials, in
 	// canonical pipeline order; Total aggregates the span totals.
-	Stages []LagStage `json:"stages"`
-	Total  LagStage   `json:"total"`
+	Stages []LagStage
+	Total  LagStage
 	// Findings collects span-audit and completeness violations (must be
 	// empty for the sweep to pass).
-	Findings []string `json:"findings,omitempty"`
+	Findings []string
 }
 
 // lagTrialRun measures one trial: the E17 cell pipeline with a span
 // collector attached, returning the trial plus any violations.
 func lagTrialRun(o LagOptions, seed int64, frontEnds int, schedule string) (LagTrial, []string, error) {
-	tr := LagTrial{Seed: seed}
+	var tr LagTrial
 	var bad []string
-	sched, err := serveChurn(schedule)
-	if err != nil {
-		return tr, nil, err
-	}
-	// The E17 farm, with the flight recorder switched on: capture does
-	// not perturb virtual time, so trial 0 still replays E17's cells.
-	spec := serveSpec(seed, frontEnds)
-	spec.Trace = true
-	f, err := farm.Build(spec)
-	if err != nil {
-		return tr, nil, err
-	}
-	// Attach before Start so the collector sees the whole run — the
-	// stitcher must not depend on the recorder ring's capacity.
 	coll := span.NewCollector(nil)
-	coll.Attach("farm", f.Trace)
-	f.Start()
-	if _, ok := f.RunUntilStable(2 * time.Minute); !ok {
-		return tr, nil, fmt.Errorf("exp: lag trial (fe=%d %s seed=%d) never stabilized",
-			frontEnds, schedule, seed)
-	}
-	plane := f.AttachServe(
-		serve.Config{Seed: seed, SessionsPerSec: o.SessionsPerSec},
-		serve.NewDelayedPipe(f.Clock(), o.Delay))
-	plane.Start()
-	f.RunFor(o.Warmup)
-	plane.Workload.ResetStats()
-
-	sched.Run(f)
-	if _, ok := f.RunUntilStable(time.Minute); !ok {
-		return tr, nil, fmt.Errorf("exp: lag trial (fe=%d %s seed=%d) did not reconverge",
-			frontEnds, schedule, seed)
-	}
-	f.RunFor(o.Delay + time.Second)
-	if !plane.Drained() {
-		return tr, nil, fmt.Errorf("exp: notification pipe still holds events after settle")
+	f, plane, err := churnCell{seed, frontEnds, schedule, o.Delay, o.SessionsPerSec, o.Warmup}.run(coll)
+	if err != nil {
+		return tr, nil, err
 	}
 	for _, d := range plane.Stats() {
 		tr.MeasuredErrorSeconds += d.ErrorSeconds
@@ -284,13 +240,8 @@ func LagCell(o LagOptions, frontEnds int, schedule string) (LagPoint, error) {
 	return pt, nil
 }
 
-// LagSweep measures every cell; trials across cells run in parallel
-// (each trial is its own farm, so results are deterministic regardless
-// of execution order).
+// LagSweep measures every cell.
 func LagSweep(o LagOptions) ([]LagPoint, error) {
-	if o.Parallel <= 0 {
-		o.Parallel = runtime.NumCPU()
-	}
 	type cell struct {
 		fe    int
 		sched string
@@ -302,23 +253,12 @@ func LagSweep(o LagOptions) ([]LagPoint, error) {
 		}
 	}
 	points := make([]LagPoint, len(cells))
-	errs := make([]error, len(cells))
-	sem := make(chan struct{}, o.Parallel)
-	var wg sync.WaitGroup
-	for i, c := range cells {
-		wg.Add(1)
-		go func(i int, c cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			points[i], errs[i] = LagCell(o, c.fe, c.sched)
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := each(len(cells), func(i int) (err error) {
+		points[i], err = LagCell(o, cells[i].fe, cells[i].sched)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }
@@ -377,16 +317,6 @@ func Lag(o LagOptions) (*Table, int, error) {
 	}
 	if len(bad) == 0 {
 		t.Note("sanity: every incident closed into a complete, monotone, gap-free span; failure-cell span arithmetic reconciles with measured error-seconds")
-	}
-	if o.JSONPath != "" {
-		blob, err := json.MarshalIndent(points, "", "  ")
-		if err != nil {
-			return nil, len(bad), err
-		}
-		if err := os.WriteFile(o.JSONPath, append(blob, '\n'), 0o644); err != nil {
-			return nil, len(bad), err
-		}
-		t.Note("raw points written to %s", o.JSONPath)
 	}
 	return t, len(bad), nil
 }

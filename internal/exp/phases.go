@@ -111,91 +111,3 @@ func Phases(o PhasesOptions) (*Table, error) {
 	t.Note("the stable-reporting gap is Central's Tgsc quiet wait, as the model predicts")
 	return t, nil
 }
-
-// TraceOverheadOptions parameterizes the recorder-overhead measurement.
-type TraceOverheadOptions struct {
-	Seed         int64
-	AdminNodes   int
-	UniformNodes int
-	// Window is how much simulated time to run past stabilization, so
-	// steady-state heartbeat traffic dominates the measurement.
-	Window time.Duration
-	// Trials per mode; the fastest wall time of each mode is compared.
-	Trials int
-}
-
-// DefaultTraceOverhead measures a 20-node farm over 10 simulated minutes
-// of steady state, long enough that wall time is dominated by protocol
-// work rather than farm construction.
-func DefaultTraceOverhead() TraceOverheadOptions {
-	return TraceOverheadOptions{Seed: 137, AdminNodes: 4, UniformNodes: 16,
-		Window: 10 * time.Minute, Trials: 5}
-}
-
-// traceOverheadRun cold-starts one farm and returns the wall time spent
-// simulating, plus the records captured.
-func traceOverheadRun(o TraceOverheadOptions, traced bool) (time.Duration, uint64, error) {
-	f, err := farm.Build(farm.Spec{
-		Seed:         o.Seed,
-		AdminNodes:   o.AdminNodes,
-		UniformNodes: o.UniformNodes, UniformAdapters: 2,
-		Trace: traced,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	start := time.Now()
-	f.Start()
-	if _, ok := f.RunUntilStable(5 * time.Minute); !ok {
-		return 0, 0, fmt.Errorf("exp: trace overhead: farm never stabilized")
-	}
-	f.RunFor(o.Window)
-	return time.Since(start), f.Trace.Total(), nil
-}
-
-// TraceOverhead compares wall-clock simulation cost with the flight
-// recorder off and on. The disabled recorder costs one atomic load per
-// capture site; enabled, each record is one copy into the ring.
-func TraceOverhead(o TraceOverheadOptions) (*Table, error) {
-	t := &Table{
-		ID: "E13b/trace-overhead",
-		Title: fmt.Sprintf("flight-recorder capture overhead (%d nodes, stabilization + %s steady state)",
-			o.AdminNodes+o.UniformNodes, o.Window),
-		Columns: []string{"recorder", "wall(s)", "records", "records/sec", "overhead"},
-	}
-	best := map[bool]time.Duration{}
-	recs := map[bool]uint64{}
-	for _, traced := range []bool{false, true} {
-		for trial := 0; trial < o.Trials; trial++ {
-			wall, n, err := traceOverheadRun(o, traced)
-			if err != nil {
-				return nil, err
-			}
-			if cur, ok := best[traced]; !ok || wall < cur {
-				best[traced] = wall
-				recs[traced] = n
-			}
-		}
-	}
-	overhead := 0.0
-	if best[false] > 0 {
-		overhead = (best[true].Seconds() - best[false].Seconds()) / best[false].Seconds() * 100
-	}
-	for _, traced := range []bool{false, true} {
-		rate, over := "-", "-"
-		if traced {
-			if s := best[true].Seconds(); s > 0 {
-				rate = fmt.Sprintf("%.0f", float64(recs[true])/s)
-			}
-			over = fmt.Sprintf("%+.1f%%", overhead)
-		}
-		mode := "off"
-		if traced {
-			mode = "on"
-		}
-		t.AddRow(mode, secs2(best[traced]), fmt.Sprintf("%d", recs[traced]), rate, over)
-	}
-	t.Note("fastest of %d trials per mode; capture is a mutex-guarded copy into a fixed ring,", o.Trials)
-	t.Note("no allocation on the hot path — see BenchmarkRecord in internal/trace for per-record cost")
-	return t, nil
-}

@@ -9,7 +9,7 @@ import (
 
 // The two cold starts the repository's benchmark times (`coldstart_flat`,
 // `coldstart_zoned` in bench/), pinned to the outcomes recorded at seed 99.
-// The constants live here, not in BENCH_scale.json: the beacon plane's
+// The constants live here, beside the code that checks them: the beacon plane's
 // optimizations (arrival lists, heard pages — DESIGN.md §9) are only
 // legitimate while every one of these numbers stays put, and `go test
 // ./...` is what says so.

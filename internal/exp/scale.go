@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/central"
@@ -26,19 +25,11 @@ type ScaleOptions struct {
 	Adapters        []int
 	AdaptersPerNode int
 	Trials          int
-	// Workers bounds how many trials run concurrently (wall-clock
-	// convenience on multi-core machines). Per-trial events/sec is only an
-	// honest throughput figure with Workers=1; above that the reported
-	// rates share cores and understate the kernel.
-	Workers int
 	// BeaconPhase is Tb for every run (the sweep holds protocol timing
 	// fixed so only farm size varies).
 	BeaconPhase time.Duration
 	StartSkew   time.Duration
 	Timeout     time.Duration
-	// JSONPath, when non-empty, also writes the results as JSON
-	// (BENCH_scale.json in CI).
-	JSONPath string
 }
 
 // DefaultScale sweeps 500 to 4,000 adapters — the paper's testbed tops
@@ -50,7 +41,6 @@ func DefaultScale() ScaleOptions {
 		Adapters:        []int{500, 1000, 2000, 4000},
 		AdaptersPerNode: 2,
 		Trials:          3,
-		Workers:         1,
 		BeaconPhase:     5 * time.Second,
 		StartSkew:       2 * time.Second,
 		Timeout:         10 * time.Minute,
@@ -59,24 +49,22 @@ func DefaultScale() ScaleOptions {
 
 // ScaleTrial is one measured cold start.
 type ScaleTrial struct {
-	Seed         int64   `json:"seed"`
-	StableSecs   float64 `json:"stable_secs"`    // simulated time to farm stability
-	WallSecs     float64 `json:"wall_secs"`      // real time for the run
-	Fired        uint64  `json:"fired"`          // events executed
-	EventsPerSec float64 `json:"events_per_sec"` // Fired / WallSecs
-	TopoHash     uint64  `json:"topo_hash"`      // FNV-1a over Central's sorted view
+	StableSecs   float64 // simulated time to farm stability
+	WallSecs     float64 // real time for the run
+	Fired        uint64  // events executed
+	EventsPerSec float64 // Fired / WallSecs
+	TopoHash     uint64  // FNV-1a over Central's sorted view
 }
 
 // ScalePoint aggregates the trials at one adapter count.
 type ScalePoint struct {
-	Adapters int          `json:"adapters"`
-	Nodes    int          `json:"nodes"`
-	Trials   []ScaleTrial `json:"trials"`
+	Adapters int
+	Nodes    int
+	Trials   []ScaleTrial
 	// AllocsPerEvent and BytesPerEvent are process-wide ReadMemStats
-	// deltas across the whole batch divided by total events fired, so they
-	// stay exact even when trials run concurrently.
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	BytesPerEvent  float64 `json:"bytes_per_event"`
+	// deltas across the whole batch divided by total events fired.
+	AllocsPerEvent float64
+	BytesPerEvent  float64
 }
 
 // ScaleFarm builds the uniform farm for one scale trial. Exposed so the
@@ -155,7 +143,6 @@ func ScaleTrialRun(o ScaleOptions, adapters int, seed int64) (ScaleTrial, error)
 	}
 	fired := f.Fired()
 	return ScaleTrial{
-		Seed:         seed,
 		StableSecs:   at.Seconds(),
 		WallSecs:     wall.Seconds(),
 		Fired:        fired,
@@ -165,44 +152,26 @@ func ScaleTrialRun(o ScaleOptions, adapters int, seed int64) (ScaleTrial, error)
 }
 
 // ScaleSweep measures every (adapter count, trial) cell and returns the
-// aggregated points.
+// aggregated points. Trials run one after another: events/sec is only an
+// honest throughput figure while a trial has the host to itself.
 func ScaleSweep(o ScaleOptions) ([]ScalePoint, error) {
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
 	points := make([]ScalePoint, 0, len(o.Adapters))
 	for _, a := range o.Adapters {
-		pt := ScalePoint{Adapters: a, Nodes: a / o.AdaptersPerNode}
-		trials := make([]ScaleTrial, o.Trials)
-		errs := make([]error, o.Trials)
+		pt := ScalePoint{Adapters: a, Nodes: a / o.AdaptersPerNode, Trials: make([]ScaleTrial, o.Trials)}
 
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
-
-		sem := make(chan struct{}, o.Workers)
-		var wg sync.WaitGroup
-		for i := 0; i < o.Trials; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				trials[i], errs[i] = ScaleTrialRun(o, a, o.Seed+int64(i)*7919)
-			}(i)
-		}
-		wg.Wait()
-		runtime.ReadMemStats(&m1)
-		for _, err := range errs {
+		var fired uint64
+		for i := range pt.Trials {
+			tr, err := ScaleTrialRun(o, a, o.Seed+int64(i)*7919)
 			if err != nil {
 				return nil, err
 			}
-		}
-		var fired uint64
-		for _, tr := range trials {
+			pt.Trials[i] = tr
 			fired += tr.Fired
 		}
-		pt.Trials = trials
+		runtime.ReadMemStats(&m1)
 		pt.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(fired)
 		pt.BytesPerEvent = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(fired)
 		points = append(points, pt)
@@ -217,8 +186,9 @@ func medianFloat(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-// Scale runs the E14 sweep and renders the table. When o.JSONPath is set
-// the raw points are also written there as JSON.
+// Scale runs the E14 sweep and renders the table: simulated time, events
+// and topology hash per size. Kernel throughput and allocation rates are
+// this host's and go to Table.Host.
 func Scale(o ScaleOptions) (*Table, error) {
 	points, err := ScaleSweep(o)
 	if err != nil {
@@ -228,7 +198,7 @@ func Scale(o ScaleOptions) (*Table, error) {
 		ID: "E14/scale",
 		Title: fmt.Sprintf("cold-start scale sweep, %d trials per size (Tb=%ds, skew=%v)",
 			o.Trials, int(o.BeaconPhase.Seconds()), o.StartSkew),
-		Columns: []string{"adapters", "nodes", "stable(s)", "events", "med ev/s", "allocs/ev", "B/ev"},
+		Columns: []string{"adapters", "nodes", "stable(s)", "events", "topo_hash"},
 	}
 	for _, pt := range points {
 		var stable, evps []float64
@@ -241,19 +211,13 @@ func Scale(o ScaleOptions) (*Table, error) {
 			fmt.Sprintf("%d", pt.Nodes),
 			fmt.Sprintf("%.1f", medianFloat(stable)),
 			fmt.Sprintf("%d", pt.Trials[0].Fired),
-			fmt.Sprintf("%.0f", medianFloat(evps)),
-			fmt.Sprintf("%.2f", pt.AllocsPerEvent),
-			fmt.Sprintf("%.0f", pt.BytesPerEvent),
+			fmt.Sprintf("%016x", pt.Trials[0].TopoHash),
 		)
+		t.HostNote("%7d adapters: median %.0f ev/s  %.2f allocs/ev  %.0f B/ev",
+			pt.Adapters, medianFloat(evps), pt.AllocsPerEvent, pt.BytesPerEvent)
 	}
-	t.Note("stable(s) is simulated time (= Tb+Ts+Tgsc+δ, size-invariant per the paper); ev/s is wall-clock kernel throughput")
-	t.Note("allocs/ev and B/ev are process-wide ReadMemStats deltas over the whole batch: formation-time decode/build")
-	t.Note("dominates the byte count, the steady state runs allocation-free (see DESIGN.md §9)")
-	if o.JSONPath != "" {
-		if err := mergeBenchJSON(o.JSONPath, "e14", points); err != nil {
-			return nil, err
-		}
-		t.Note("raw points written to %s (key e14)", o.JSONPath)
-	}
+	t.Note("stable(s) is simulated time (= Tb+Ts+Tgsc+δ, size-invariant per the paper), the median over trials;")
+	t.Note("events and topo_hash are the first trial's. Kernel throughput (ev/s) and allocation rates are printed")
+	t.Note("by gsbench after the table and tracked by bench/ (coldstart_flat is the 1000-adapter row)")
 	return t, nil
 }

@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -30,9 +28,6 @@ type ScaleBOptions struct {
 	BeaconPhase time.Duration
 	StartSkew   time.Duration
 	Timeout     time.Duration
-	// JSONPath, when non-empty, merges the results into the keyed BENCH
-	// file under "e14b".
-	JSONPath string
 }
 
 // DefaultScaleB sweeps 10k/50k/100k adapters at 1/2/4/8 shards — the
@@ -52,45 +47,26 @@ func DefaultScaleB() ScaleBOptions {
 	}
 }
 
-// QuickScaleB is the CI smoke variant: one small point, baseline plus the
-// requested shard count, still asserting the determinism contract.
-func QuickScaleB(shards int) ScaleBOptions {
+// QuickScaleB is the smoke variant: one small point at shard counts 1 and
+// 4, still asserting the determinism contract.
+func QuickScaleB() ScaleBOptions {
 	o := DefaultScaleB()
 	o.Adapters = []int{1000}
 	o.ZoneNodes = 50
-	o.Shards = []int{1, shards}
+	o.Shards = []int{1, 4}
 	o.Timeout = 5 * time.Minute
 	return o
 }
 
 // ScaleBCell is one measured cold start at a (adapters, shards) cell.
 type ScaleBCell struct {
-	Shards       int     `json:"shards"`
-	Seed         int64   `json:"seed"`
-	Parallel     bool    `json:"parallel"` // worker goroutines (false = serial windows)
-	StableSecs   float64 `json:"stable_secs"`
-	WallSecs     float64 `json:"wall_secs"`
-	Fired        uint64  `json:"fired"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	TopoHash     uint64  `json:"topo_hash"` // TopologyHashAll over every zone Central
-	Speedup      float64 `json:"speedup"`   // baseline wall / this wall
-}
-
-// ScaleBPoint aggregates one adapter count across shard counts.
-type ScaleBPoint struct {
-	Adapters int          `json:"adapters"`
-	Zones    int          `json:"zones"`
-	Nodes    int          `json:"nodes"`
-	Cells    []ScaleBCell `json:"cells"`
-}
-
-// ScaleBResult is the JSON payload written under the "e14b" key. HostCPUs
-// qualifies the speedup column: on a single-core host the kernel falls
-// back to serial windows and the honest speedup is ~1.
-type ScaleBResult struct {
-	HostCPUs   int           `json:"host_cpus"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Points     []ScaleBPoint `json:"points"`
+	Shards       int
+	Parallel     bool // worker goroutines (false = serial windows)
+	StableSecs   float64
+	WallSecs     float64
+	Fired        uint64
+	EventsPerSec float64
+	TopoHash     uint64 // TopologyHashAll over every zone Central
 }
 
 // ScaleBFarm builds the zoned farm for one E14b cell. Exposed so the
@@ -132,7 +108,6 @@ func ScaleBCellRun(o ScaleBOptions, adapters, shards int, seed int64) (ScaleBCel
 	}
 	return ScaleBCell{
 		Shards:       shards,
-		Seed:         seed,
 		Parallel:     parallel,
 		StableSecs:   at.Seconds(),
 		WallSecs:     wall.Seconds(),
@@ -145,21 +120,20 @@ func ScaleBCellRun(o ScaleBOptions, adapters, shards int, seed int64) (ScaleBCel
 // ScaleB runs the E14b sweep and renders the table. Every cell at one
 // adapter count must fire the same events and converge to the same
 // topology hash as the baseline — a determinism violation is an error,
-// not a table row.
+// not a table row. Throughput and speedup per cell are this host's and go
+// to Table.Host.
 func ScaleB(o ScaleBOptions) (*Table, error) {
-	res := ScaleBResult{HostCPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0)}
 	t := &Table{
 		ID: "E14b/scaleb",
-		Title: fmt.Sprintf("zoned sharded cold-start sweep (Tb=%ds, skew=%v, host_cpus=%d)",
-			int(o.BeaconPhase.Seconds()), o.StartSkew, res.HostCPUs),
-		Columns: []string{"adapters", "zones", "shards", "par", "stable(s)", "events", "ev/s", "speedup", "topo_hash"},
+		Title: fmt.Sprintf("zoned sharded cold-start sweep (Tb=%ds, skew=%v)",
+			int(o.BeaconPhase.Seconds()), o.StartSkew),
+		Columns: []string{"adapters", "zones", "shards", "stable(s)", "events", "topo_hash"},
 	}
 	for _, a := range o.Adapters {
 		zones := a / (o.ZoneNodes * o.ZoneAdapters)
 		if zones <= 0 {
 			return nil, fmt.Errorf("exp: e14b point %d adapters yields no zones (ZoneNodes=%d ZoneAdapters=%d)", a, o.ZoneNodes, o.ZoneAdapters)
 		}
-		pt := ScaleBPoint{Adapters: a, Zones: zones, Nodes: zones * o.ZoneNodes}
 		var base ScaleBCell
 		for i, k := range o.Shards {
 			cell, err := ScaleBCellRun(o, a, k, o.Seed)
@@ -172,55 +146,20 @@ func ScaleB(o ScaleBOptions) (*Table, error) {
 				return nil, fmt.Errorf("exp: e14b determinism violation at %d adapters: shards=%d fired=%d hash=%016x, baseline shards=%d fired=%d hash=%016x",
 					a, k, cell.Fired, cell.TopoHash, base.Shards, base.Fired, base.TopoHash)
 			}
-			cell.Speedup = base.WallSecs / cell.WallSecs
-			pt.Cells = append(pt.Cells, cell)
 			t.AddRow(
 				fmt.Sprintf("%d", a),
 				fmt.Sprintf("%d", zones),
 				fmt.Sprintf("%d", k),
-				fmt.Sprintf("%v", cell.Parallel),
 				fmt.Sprintf("%.1f", cell.StableSecs),
 				fmt.Sprintf("%d", cell.Fired),
-				fmt.Sprintf("%.0f", cell.EventsPerSec),
-				fmt.Sprintf("%.2f", cell.Speedup),
 				fmt.Sprintf("%016x", cell.TopoHash),
 			)
+			t.HostNote("%7d adapters, %d shards: par=%v  %.0f ev/s  speedup %.2f",
+				a, k, cell.Parallel, cell.EventsPerSec, base.WallSecs/cell.WallSecs)
 		}
-		res.Points = append(res.Points, pt)
 	}
 	t.Note("every shard count at one adapter count fired identical events and hashed to the identical topology (checked, not sampled)")
-	t.Note("speedup is wall-clock vs the first shard count; par=false means serial windows (GOMAXPROCS=%d), so speedup ~1 is the honest single-core figure", res.GoMaxProcs)
-	if o.JSONPath != "" {
-		if err := mergeBenchJSON(o.JSONPath, "e14b", res); err != nil {
-			return nil, err
-		}
-		t.Note("raw cells merged into %s (key e14b)", o.JSONPath)
-	}
+	t.HostNote("speedup is wall-clock vs the first shard count; par=false means serial windows, so ~1 is the honest")
+	t.HostNote("single-core figure (host_cpus=%d gomaxprocs=%d)", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	return t, nil
-}
-
-// mergeBenchJSON updates one key of a keyed benchmark JSON file in place,
-// preserving the other keys. A legacy file holding a bare array (the
-// pre-keyed BENCH_scale.json layout) is adopted as {"e14": <array>}.
-func mergeBenchJSON(path, key string, v any) error {
-	doc := map[string]json.RawMessage{}
-	if blob, err := os.ReadFile(path); err == nil {
-		if json.Unmarshal(blob, &doc) != nil {
-			doc = map[string]json.RawMessage{}
-			var raw json.RawMessage
-			if json.Unmarshal(blob, &raw) == nil && len(raw) > 0 && raw[0] == '[' {
-				doc["e14"] = raw
-			}
-		}
-	}
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	doc[key] = blob
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

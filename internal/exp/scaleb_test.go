@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 )
@@ -57,90 +55,5 @@ func TestScaleBCrossShardDeterminism(t *testing.T) {
 	if par.Fired != base.Fired || par.TopoHash != base.TopoHash {
 		t.Errorf("shards=4 parallel diverged: fired=%d hash=%016x, want fired=%d hash=%016x",
 			par.Fired, par.TopoHash, base.Fired, base.TopoHash)
-	}
-}
-
-// loadRecordedE14 reads the committed BENCH_scale.json, accepting both the
-// keyed layout ({"e14": [...], ...}) and the legacy bare array.
-func loadRecordedE14(t *testing.T) []ScalePoint {
-	t.Helper()
-	blob, err := os.ReadFile("../../BENCH_scale.json")
-	if err != nil {
-		t.Skipf("no recorded benchmark file: %v", err)
-	}
-	var doc struct {
-		E14 []ScalePoint `json:"e14"`
-	}
-	if err := json.Unmarshal(blob, &doc); err == nil && len(doc.E14) > 0 {
-		return doc.E14
-	}
-	var legacy []ScalePoint
-	if err := json.Unmarshal(blob, &legacy); err != nil {
-		t.Fatalf("BENCH_scale.json unparseable in either layout: %v", err)
-	}
-	return legacy
-}
-
-// TestScaleReplaysRecordedRun pins the degenerate kernel to history: the
-// E14 500-adapter cell re-run today must reproduce the committed events
-// fired and topology hash exactly. This is what makes "shards=1 is the
-// legacy kernel, bit for bit" falsifiable.
-func TestScaleReplaysRecordedRun(t *testing.T) {
-	points := loadRecordedE14(t)
-	var rec *ScalePoint
-	for i := range points {
-		if points[i].Adapters == 500 {
-			rec = &points[i]
-		}
-	}
-	if rec == nil || len(rec.Trials) == 0 {
-		t.Skip("no recorded 500-adapter point")
-	}
-	o := DefaultScale()
-	for _, want := range rec.Trials {
-		got, err := ScaleTrialRun(o, rec.Adapters, want.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Fired != want.Fired || got.TopoHash != want.TopoHash {
-			t.Errorf("seed %d: fired=%d hash=%d, recorded fired=%d hash=%d",
-				want.Seed, got.Fired, got.TopoHash, want.Fired, want.TopoHash)
-		}
-	}
-}
-
-// TestMergeBenchJSON covers the keyed writer: legacy array adoption, key
-// replacement, and preservation of sibling keys.
-func TestMergeBenchJSON(t *testing.T) {
-	path := t.TempDir() + "/bench.json"
-	if err := os.WriteFile(path, []byte(`[{"adapters": 500}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := mergeBenchJSON(path, "e14b", map[string]int{"host_cpus": 8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mergeBenchJSON(path, "e14b", map[string]int{"host_cpus": 1}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		E14 []struct {
-			Adapters int `json:"adapters"`
-		} `json:"e14"`
-		E14b struct {
-			HostCPUs int `json:"host_cpus"`
-		} `json:"e14b"`
-	}
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.E14) != 1 || doc.E14[0].Adapters != 500 {
-		t.Errorf("legacy e14 array not adopted: %s", blob)
-	}
-	if doc.E14b.HostCPUs != 1 {
-		t.Errorf("e14b not replaced: %s", blob)
 	}
 }

@@ -1,16 +1,13 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/farm"
 	"repro/internal/serve"
+	"repro/internal/span"
 )
 
 // ServeOptions parameterizes E17, the user-visible-impact sweep: a
@@ -33,11 +30,6 @@ type ServeOptions struct {
 	// Tail is the post-settle window that must accrue zero new
 	// error-seconds for the cell to count as recovered.
 	Tail time.Duration
-	// Parallel bounds concurrent cells (NumCPU when 0).
-	Parallel int
-	// JSONPath, when non-empty, receives the raw points
-	// (BENCH_serve.json in CI).
-	JSONPath string
 }
 
 // DefaultServe sweeps 3 farm sizes x 2 schedules x 3 delays.
@@ -55,25 +47,25 @@ func DefaultServe() ServeOptions {
 
 // ServePoint is one measured cell of the E17 sweep.
 type ServePoint struct {
-	FrontEnds int     `json:"front_ends_per_domain"`
-	Schedule  string  `json:"schedule"`
-	DelayMs   float64 `json:"delay_ms"`
+	FrontEnds int
+	Schedule  string
+	DelayMs   float64
 	// Aggregates across both domains for the measurement window.
-	Requests     uint64  `json:"requests"`
-	Errors       uint64  `json:"errors"`
-	Misroutes    uint64  `json:"misroutes"`
-	Unrouted     uint64  `json:"unrouted"`
-	ErrorSeconds float64 `json:"error_seconds"`
-	PeakSessions int64   `json:"peak_sessions"`
+	Requests     uint64
+	Errors       uint64
+	Misroutes    uint64
+	Unrouted     uint64
+	ErrorSeconds float64
+	PeakSessions int64
 	// Notification-path observability.
-	Notifications uint64  `json:"notifications"`
-	MaxLagMs      float64 `json:"max_notify_lag_ms"`
+	Notifications uint64
+	MaxLagMs      float64
 	// Invariants: stale routes after settle (must be 0) and whether the
 	// tail window accrued zero new error-seconds.
-	AuditFindings int  `json:"audit_findings"`
-	Recovered     bool `json:"recovered"`
-	// Domains keeps the per-domain breakdown for offline analysis.
-	Domains []serve.DomainStats `json:"domains"`
+	AuditFindings int
+	Recovered     bool
+	// Domains keeps the per-domain breakdown.
+	Domains []serve.DomainStats
 }
 
 // serveSpec is the E17 farm: two equal domains with the chaos harness's
@@ -117,6 +109,64 @@ func serveChurn(schedule string) (check.Schedule, error) {
 	}
 }
 
+// churnCell is one run of the pipeline E17 and E18 share.
+type churnCell struct {
+	Seed           int64
+	FrontEnds      int
+	Schedule       string
+	Delay          time.Duration
+	SessionsPerSec float64
+	Warmup         time.Duration
+}
+
+func (c churnCell) String() string {
+	return fmt.Sprintf("fe=%d %s delay=%v seed=%d", c.FrontEnds, c.Schedule, c.Delay, c.Seed)
+}
+
+// run builds the cell's farm, stabilises it, attaches the serving plane
+// behind a pipe of the cell's delay, warms up, zeroes the statistics,
+// plays the churn schedule and waits for the farm to reconverge and the
+// pipe to drain. The plane is still running when it returns. With a
+// collector the flight recorder is on (capture does not perturb virtual
+// time) and the collector is attached before Start, so it sees the whole
+// run whatever the recorder ring's capacity.
+func (c churnCell) run(coll *span.Collector) (*farm.Farm, *serve.Plane, error) {
+	sched, err := serveChurn(c.Schedule)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec := serveSpec(c.Seed, c.FrontEnds)
+	spec.Trace = coll != nil
+	f, err := farm.Build(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	if coll != nil {
+		coll.Attach("farm", f.Trace)
+	}
+	f.Start()
+	if _, ok := f.RunUntilStable(2 * time.Minute); !ok {
+		return nil, nil, fmt.Errorf("exp: churn cell (%v) never stabilized", c)
+	}
+	plane := f.AttachServe(
+		serve.Config{Seed: c.Seed, SessionsPerSec: c.SessionsPerSec},
+		serve.NewDelayedPipe(f.Clock(), c.Delay))
+	plane.Start()
+	f.RunFor(c.Warmup)
+	plane.Workload.ResetStats()
+
+	sched.Run(f)
+	if _, ok := f.RunUntilStable(time.Minute); !ok {
+		return nil, nil, fmt.Errorf("exp: churn cell (%v) did not reconverge", c)
+	}
+	// Let the pipe flush anything still in flight.
+	f.RunFor(c.Delay + time.Second)
+	if !plane.Drained() {
+		return nil, nil, fmt.Errorf("exp: churn cell (%v): notification pipe still holds events after settle", c)
+	}
+	return f, plane, nil
+}
+
 // ServeCell measures one (farm size, schedule, delay) cell. Everything
 // runs inside the deterministic kernel: the same options produce
 // bit-identical points.
@@ -124,37 +174,11 @@ func ServeCell(o ServeOptions, frontEnds int, schedule string, delay time.Durati
 	pt := ServePoint{
 		FrontEnds: frontEnds,
 		Schedule:  schedule,
-		DelayMs:   float64(delay) / float64(time.Millisecond),
+		DelayMs:   durMs(delay),
 	}
-	sched, err := serveChurn(schedule)
+	f, plane, err := churnCell{o.Seed, frontEnds, schedule, delay, o.SessionsPerSec, o.Warmup}.run(nil)
 	if err != nil {
 		return pt, err
-	}
-	f, err := farm.Build(serveSpec(o.Seed, frontEnds))
-	if err != nil {
-		return pt, err
-	}
-	f.Start()
-	if _, ok := f.RunUntilStable(2 * time.Minute); !ok {
-		return pt, fmt.Errorf("exp: serve cell (fe=%d %s delay=%v) never stabilized",
-			frontEnds, schedule, delay)
-	}
-	plane := f.AttachServe(
-		serve.Config{Seed: o.Seed, SessionsPerSec: o.SessionsPerSec},
-		serve.NewDelayedPipe(f.Clock(), delay))
-	plane.Start()
-	f.RunFor(o.Warmup)
-	plane.Workload.ResetStats()
-
-	sched.Run(f)
-	if _, ok := f.RunUntilStable(time.Minute); !ok {
-		return pt, fmt.Errorf("exp: serve cell (fe=%d %s delay=%v) did not reconverge",
-			frontEnds, schedule, delay)
-	}
-	// Let the pipe flush anything still in flight before auditing.
-	f.RunFor(delay + time.Second)
-	if !plane.Drained() {
-		return pt, fmt.Errorf("exp: notification pipe still holds events after settle")
 	}
 	pt.AuditFindings = len(plane.Audit(f))
 
@@ -170,7 +194,7 @@ func ServeCell(o ServeOptions, frontEnds int, schedule string, delay time.Durati
 		}
 	}
 	pt.Notifications = plane.Balancer.Notifications()
-	pt.MaxLagMs = float64(plane.Balancer.MaxLag()) / float64(time.Millisecond)
+	pt.MaxLagMs = durMs(plane.Balancer.MaxLag())
 
 	// Tail window: with the schedule over and every notification
 	// delivered, the plane must serve cleanly again.
@@ -186,12 +210,8 @@ func ServeCell(o ServeOptions, frontEnds int, schedule string, delay time.Durati
 	return pt, nil
 }
 
-// ServeSweep measures every cell, cells in parallel (each is its own
-// farm; results are deterministic regardless of execution order).
+// ServeSweep measures every cell.
 func ServeSweep(o ServeOptions) ([]ServePoint, error) {
-	if o.Parallel <= 0 {
-		o.Parallel = runtime.NumCPU()
-	}
 	type cell struct {
 		fe    int
 		sched string
@@ -206,23 +226,12 @@ func ServeSweep(o ServeOptions) ([]ServePoint, error) {
 		}
 	}
 	points := make([]ServePoint, len(cells))
-	errs := make([]error, len(cells))
-	sem := make(chan struct{}, o.Parallel)
-	var wg sync.WaitGroup
-	for i, c := range cells {
-		wg.Add(1)
-		go func(i int, c cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			points[i], errs[i] = ServeCell(o, c.fe, c.sched, c.delay)
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := each(len(cells), func(i int) (err error) {
+		points[i], err = ServeCell(o, cells[i].fe, cells[i].sched, cells[i].delay)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }
@@ -257,7 +266,7 @@ func serveSanity(o ServeOptions, points []ServePoint) []string {
 		for _, d := range o.Delays {
 			for _, pt := range points {
 				if pt.FrontEnds != fe || pt.Schedule != "failure" ||
-					pt.DelayMs != float64(d)/float64(time.Millisecond) {
+					pt.DelayMs != durMs(d) {
 					continue
 				}
 				if prevDelay >= 0 && pt.ErrorSeconds <= prevES {
@@ -312,16 +321,6 @@ func Serve(o ServeOptions) (*Table, int, error) {
 	}
 	if len(bad) == 0 {
 		t.Note("sanity: all cells recovered with clean audits; error-seconds strictly increase with delay on the failure schedule")
-	}
-	if o.JSONPath != "" {
-		blob, err := json.MarshalIndent(points, "", "  ")
-		if err != nil {
-			return nil, len(bad), err
-		}
-		if err := os.WriteFile(o.JSONPath, append(blob, '\n'), 0o644); err != nil {
-			return nil, len(bad), err
-		}
-		t.Note("raw points written to %s", o.JSONPath)
 	}
 	return t, len(bad), nil
 }
