@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -47,6 +48,9 @@ type healthSnapshot struct {
 	CentralStable  bool            `json:"central_stable,omitempty"`
 	TraceTotal     uint64          `json:"trace_total"`
 	TraceDropped   uint64          `json:"trace_dropped"`
+	// DeadSockets counts adapter sockets whose read loop died while still
+	// bound; such an adapter fails its loopback self-test.
+	DeadSockets uint64 `json:"dead_sockets"`
 }
 
 // healthRefreshEvery is how often the event loop republishes /healthz.
@@ -57,8 +61,10 @@ const healthRefreshEvery = 2 * time.Second
 // bound address (useful with ":0") after the listener goroutine is
 // launched, or "" if the listen failed. A non-nil fc additionally mounts
 // the /fabricctl handlers the conformance harness drives faults through.
+// udp are the UDP endpoints under eps, whose socket counters /metrics
+// and /healthz export.
 func startDebug(addr, node string, rt *transport.Runtime, eps []transport.Endpoint,
-	d *core.Daemon, ctr *central.Central, rec *trace.Recorder, reg *metrics.Registry,
+	udp []*transport.UDPEndpoint, d *core.Daemon, ctr *central.Central, rec *trace.Recorder, reg *metrics.Registry,
 	fc *fabricControl) string {
 
 	var cur atomic.Pointer[healthSnapshot]
@@ -84,6 +90,9 @@ func startDebug(addr, node string, rt *transport.Runtime, eps []transport.Endpoi
 			s.Adapters = append(s.Adapters, row)
 		}
 		sort.Slice(s.Adapters, func(i, j int) bool { return s.Adapters[i].Adapter < s.Adapters[j].Adapter })
+		for _, ep := range udp {
+			s.DeadSockets += ep.Counters.DeadSockets.Load()
+		}
 		if s.HostingCentral = d.HostingCentral(); s.HostingCentral {
 			s.CentralGroups = ctr.GroupCount()
 			s.CentralStable = ctr.Stable()
@@ -110,6 +119,7 @@ func startDebug(addr, node string, rt *transport.Runtime, eps []transport.Endpoi
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WriteProm(w)
+		writeUDPProm(w, rt, udp)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -158,6 +168,31 @@ func startDebug(addr, node string, rt *transport.Runtime, eps []transport.Endpoi
 	bound := ln.Addr().String()
 	log.Printf("gsd: debug endpoint on http://%s (/metrics /trace /spans /healthz /topology /debug/vars /debug/pprof)", bound)
 	return bound
+}
+
+// writeUDPProm renders the real-socket counters of every adapter and the
+// event-queue depth in Prometheus text.
+func writeUDPProm(w io.Writer, rt *transport.Runtime, udp []*transport.UDPEndpoint) {
+	counters := []struct {
+		name, label string
+		get         func(*transport.UDPCounters) uint64
+	}{
+		{"udp_rx_packets_total", "", func(c *transport.UDPCounters) uint64 { return c.RxPackets.Load() }},
+		{"udp_rx_bytes_total", "", func(c *transport.UDPCounters) uint64 { return c.RxBytes.Load() }},
+		{"udp_rx_dropped_total", `,reason="unbound"`, func(c *transport.UDPCounters) uint64 { return c.DropUnbound.Load() }},
+		{"udp_rx_dropped_total", `,reason="closed"`, func(c *transport.UDPCounters) uint64 { return c.DropClosed.Load() }},
+		{"udp_read_errors_total", "", func(c *transport.UDPCounters) uint64 { return c.ReadErrors.Load() }},
+		{"udp_tx_errors_total", "", func(c *transport.UDPCounters) uint64 { return c.TxErrors.Load() }},
+	}
+	for i, c := range counters {
+		if i == 0 || c.name != counters[i-1].name {
+			fmt.Fprintf(w, "# TYPE gulfstream_%s counter\n", c.name)
+		}
+		for _, ep := range udp {
+			fmt.Fprintf(w, "gulfstream_%s{adapter=%q%s} %d\n", c.name, ep.LocalIP().String(), c.label, c.get(&ep.Counters))
+		}
+	}
+	fmt.Fprintf(w, "# TYPE gulfstream_runtime_queue_depth gauge\ngulfstream_runtime_queue_depth %d\n", rt.QueueDepth())
 }
 
 // topologyDoc is the /topology document: Central's current belief about

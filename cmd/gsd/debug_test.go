@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -90,5 +91,45 @@ func TestServeTraceBadN(t *testing.T) {
 	serveTrace(w, httptest.NewRequest("GET", "/trace?n=bogus", nil), debugRecorder(t))
 	if w.Code != 400 || !strings.Contains(w.Body.String(), "bad n") {
 		t.Fatalf("code %d body %q, want 400 bad n", w.Code, w.Body.String())
+	}
+}
+
+// TestWriteUDPPromCountsUnboundDrops sends a datagram to a port whose
+// socket exists only for sending (no handler bound): it must show up as
+// an unbound drop in the /metrics text, next to every real-socket series.
+func TestWriteUDPPromCountsUnboundDrops(t *testing.T) {
+	rt := transport.NewRuntime()
+	rt.RunAsync()
+	defer rt.Close()
+	lo := transport.MakeIP(127, 0, 0, 1)
+	ep, err := transport.NewUDPEndpoint(rt, lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	// The send opens port 47451's socket and lands on it: a self-send to
+	// a port nothing is bound on.
+	if err := ep.Unicast(47451, transport.Addr{IP: lo, Port: 47451}, []byte("x")); err != nil {
+		t.Skipf("no loopback UDP in this environment: %v", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ep.Counters.DropUnbound.Load() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("datagram to an unbound port was never counted")
+		}
+	}
+	var out strings.Builder
+	writeUDPProm(&out, rt, []*transport.UDPEndpoint{ep})
+	for _, want := range []string{
+		`gulfstream_udp_rx_packets_total{adapter="127.0.0.1"} 1`,
+		`gulfstream_udp_rx_bytes_total{adapter="127.0.0.1"} 1`,
+		`gulfstream_udp_rx_dropped_total{adapter="127.0.0.1",reason="unbound"} 1`,
+		`gulfstream_udp_rx_dropped_total{adapter="127.0.0.1",reason="closed"} 0`,
+		`gulfstream_udp_read_errors_total{adapter="127.0.0.1"} 0`,
+		`gulfstream_udp_tx_errors_total{adapter="127.0.0.1"} 0`,
+		"# TYPE gulfstream_runtime_queue_depth gauge\ngulfstream_runtime_queue_depth ",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("/metrics missing %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -78,25 +78,21 @@ func fastProfile(cfg *core.Config) {
 
 // parseAdapters parses the -adapters list. Each element is `ip` or
 // `ip@scopegroup`; any scoped element wraps its endpoint in a
-// transport.ScopedEndpoint pinned to that multicast group.
-func parseAdapters(rt *transport.Runtime, spec string) (eps []transport.Endpoint, scoped map[transport.IP]*transport.ScopedEndpoint, close func(), err error) {
+// transport.ScopedEndpoint pinned to that multicast group. raw holds the
+// UDP endpoints under eps, in order, also on error (the caller closes
+// them).
+func parseAdapters(rt *transport.Runtime, spec string) (eps []transport.Endpoint, scoped map[transport.IP]*transport.ScopedEndpoint, raw []*transport.UDPEndpoint, err error) {
 	scoped = make(map[transport.IP]*transport.ScopedEndpoint)
-	var raw []*transport.UDPEndpoint
-	close = func() {
-		for _, ep := range raw {
-			ep.Close()
-		}
-	}
 	for _, s := range strings.Split(spec, ",") {
 		s = strings.TrimSpace(s)
 		addr, scope, hasScope := strings.Cut(s, "@")
 		ip, ok := transport.ParseIP(addr)
 		if !ok {
-			return nil, nil, close, fmt.Errorf("bad adapter address %q", s)
+			return nil, nil, raw, fmt.Errorf("bad adapter address %q", s)
 		}
 		ep, err := transport.NewUDPEndpoint(rt, ip)
 		if err != nil {
-			return nil, nil, close, fmt.Errorf("adapter %v: %v", ip, err)
+			return nil, nil, raw, fmt.Errorf("adapter %v: %v", ip, err)
 		}
 		raw = append(raw, ep)
 		if !hasScope {
@@ -105,13 +101,20 @@ func parseAdapters(rt *transport.Runtime, spec string) (eps []transport.Endpoint
 		}
 		group, ok := transport.ParseIP(scope)
 		if !ok || !group.IsMulticast() {
-			return nil, nil, close, fmt.Errorf("bad scope group %q for adapter %v", scope, ip)
+			return nil, nil, raw, fmt.Errorf("bad scope group %q for adapter %v", scope, ip)
 		}
 		sc := transport.NewScopedEndpoint(ep, group)
 		scoped[ip] = sc
 		eps = append(eps, sc)
 	}
-	return eps, scoped, close, nil
+	return eps, scoped, raw, nil
+}
+
+// closeAll closes every endpoint's sockets.
+func closeAll(eps []*transport.UDPEndpoint) {
+	for _, ep := range eps {
+		ep.Close()
+	}
 }
 
 // parseSwitches parses -switches: `name=ip:port` elements naming the SNMP
@@ -212,8 +215,8 @@ func run() int {
 	cfg.DetectorParams.MissThreshold = *miss
 
 	rt := transport.NewRuntime()
-	eps, scopedEPs, closeEPs, err := parseAdapters(rt, *adapters)
-	defer closeEPs()
+	eps, scopedEPs, udpEPs, err := parseAdapters(rt, *adapters)
+	defer closeAll(udpEPs)
 	if err != nil {
 		log.Printf("gsd: %v", err)
 		return 1
@@ -290,7 +293,7 @@ func run() int {
 		if *fabricCtl {
 			fc = &fabricControl{scoped: scopedEPs}
 		}
-		boundDebug = startDebug(*debugAddr, *node, rt, eps, d, ctr, rec, reg, fc)
+		boundDebug = startDebug(*debugAddr, *node, rt, eps, udpEPs, d, ctr, rec, reg, fc)
 	}
 
 	// Start inside the event loop so all protocol work is serialized.
@@ -336,7 +339,7 @@ func run() int {
 	log.Printf("gsd: %v, shutting down", got)
 	// Close sockets first: the runtime's Close waits for every socket
 	// read loop, and those only exit when their sockets close.
-	closeEPs()
+	closeAll(udpEPs)
 	rt.Close()
 	return 0
 }

@@ -116,13 +116,13 @@ func TestParseAdapters(t *testing.T) {
 	rt := transport.NewRuntime()
 	defer rt.Close()
 
-	eps, scoped, closeEPs, err := parseAdapters(rt, "127.0.0.1, 127.0.0.2@239.71.0.5")
-	defer closeEPs()
+	eps, scoped, raw, err := parseAdapters(rt, "127.0.0.1, 127.0.0.2@239.71.0.5")
+	defer closeAll(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(eps) != 2 || len(scoped) != 1 {
-		t.Fatalf("eps=%d scoped=%d", len(eps), len(scoped))
+	if len(eps) != 2 || len(scoped) != 1 || len(raw) != 2 {
+		t.Fatalf("eps=%d scoped=%d raw=%d", len(eps), len(scoped), len(raw))
 	}
 	sc, ok := scoped[transport.MakeIP(127, 0, 0, 2)]
 	if !ok {
@@ -136,8 +136,8 @@ func TestParseAdapters(t *testing.T) {
 	}
 
 	for _, bad := range []string{"nonsense", "127.0.0.1@not-multicast", "127.0.0.1@10.0.0.1"} {
-		_, _, c, err := parseAdapters(rt, bad)
-		c()
+		_, _, raw, err := parseAdapters(rt, bad)
+		closeAll(raw)
 		if err == nil {
 			t.Errorf("parseAdapters(%q) accepted", bad)
 		}

@@ -13,6 +13,7 @@ package snmp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,11 +82,13 @@ func appendInt(dst []byte, v int64) []byte {
 
 // appendOID appends a BER OBJECT IDENTIFIER.
 func appendOID(dst []byte, oid OID) ([]byte, error) {
-	if len(oid) < 2 || oid[0] > 2 || oid[1] >= 40 {
+	// X.690 8.19.4: the first two arcs share one subidentifier, 40*X+Y,
+	// so Y < 40 under roots 0 and 1 while root 2 takes any Y.
+	if len(oid) < 2 || oid[0] > 2 || (oid[0] < 2 && oid[1] >= 40) {
 		return dst, fmt.Errorf("snmp: cannot encode OID %v", oid)
 	}
 	var body []byte
-	body = appendBase128(body, uint64(oid[0]*40+oid[1]))
+	body = appendBase128(body, uint64(oid[0])*40+uint64(oid[1]))
 	for _, sub := range oid[2:] {
 		body = appendBase128(body, uint64(sub))
 	}
@@ -189,13 +192,20 @@ func decodeOID(val []byte) (OID, error) {
 	for _, b := range val {
 		v = v<<7 | uint64(b&0x7f)
 		started = true
+		if v > math.MaxUint32+80 {
+			return nil, ErrBadEncoding // no arc fits: stop before v can wrap
+		}
 		if b&0x80 == 0 {
 			if first {
-				oid = append(oid, uint32(v/40), uint32(v%40))
+				root := min(v/40, 2) // root 2 takes every subidentifier from 80 up
+				oid = append(oid, uint32(root))
+				v -= 40 * root
 				first = false
-			} else {
-				oid = append(oid, uint32(v))
 			}
+			if v > math.MaxUint32 {
+				return nil, ErrBadEncoding
+			}
+			oid = append(oid, uint32(v))
 			v = 0
 			started = false
 		}

@@ -54,6 +54,8 @@ func TestOIDRoundTrip(t *testing.T) {
 		"0.0",
 		"1.3.6.1.4.1.2.99999.1",
 		"2.39.4294967295",
+		"2.100.3", // root 2 takes second arcs past 39 (X.690 8.19.4)
+		"2.4294967295",
 	}
 	for _, s := range oids {
 		oid := MustOID(s)

@@ -2,9 +2,12 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,18 +28,36 @@ func listenUDPReuse(ip net.IP, port int) (*net.UDPConn, error) {
 // serialized onto one goroutine — the same single-threaded discipline the
 // simulator provides — so protocol code needs no locking.
 type Runtime struct {
-	events chan func()
+	events chan event
 	start  time.Time
-
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 	wg     sync.WaitGroup
 }
+
+// event is one turn of the event loop, queued by value so that neither a
+// packet nor a timer fire allocates: a packet for ep (data, owned by the
+// event until dispatch, in the pooled rx buffer when rx is set), a timer
+// fire, or a posted fn. The zero event is Close's stop sentinel.
+type event struct {
+	fn    func()
+	timer *udpTimer
+	ep    *UDPEndpoint
+	port  uint16
+	src   Addr
+	rx    *[rxPooled]byte
+	data  []byte
+}
+
+// rxPooled is the pooled receive buffer size: heartbeats, beacons, acks
+// and a 64-member report all fit; a larger datagram gets an exact make.
+const rxPooled = 2048
+
+var rxPool = sync.Pool{New: func() any { return new([rxPooled]byte) }}
 
 // NewRuntime returns an idle runtime; call Run (or RunAsync) to start
 // dispatching.
 func NewRuntime() *Runtime {
-	return &Runtime{events: make(chan func(), 1024), start: time.Now()}
+	return &Runtime{events: make(chan event, 1024), start: time.Now()}
 }
 
 // Now implements Clock: time since the runtime was created.
@@ -48,27 +69,32 @@ func (r *Runtime) Now() time.Duration { return time.Since(r.start) }
 // onto one farm-wide clock.
 func (r *Runtime) Start() time.Time { return r.start }
 
+// QueueDepth is the number of events waiting for the loop.
+func (r *Runtime) QueueDepth() int { return len(r.events) }
+
 // AfterFunc implements Clock. The callback is serialized onto the event
 // loop.
 func (r *Runtime) AfterFunc(d time.Duration, fn func()) Timer {
-	t := &udpTimer{}
-	t.t = time.AfterFunc(d, func() {
-		r.post(func() {
-			t.mu.Lock()
-			fired := t.stopped
-			t.mu.Unlock()
-			if !fired {
-				fn()
-			}
-		})
-	})
+	t := &udpTimer{fn: fn}
+	t.t = time.AfterFunc(d, func() { r.post(event{timer: t}) })
 	return t
 }
 
 type udpTimer struct {
+	fn      func()
 	t       *time.Timer
 	mu      sync.Mutex
 	stopped bool
+}
+
+// fire runs on the event loop: fn, unless Stop won the race.
+func (t *udpTimer) fire() {
+	t.mu.Lock()
+	stopped := t.stopped
+	t.mu.Unlock()
+	if !stopped {
+		t.fn()
+	}
 }
 
 func (t *udpTimer) Stop() bool {
@@ -94,31 +120,35 @@ func (t *udpTimer) Reset(d time.Duration) bool {
 // Post enqueues fn onto the event loop, serialized with all socket and
 // timer callbacks — the only safe way for outside goroutines to touch
 // event-driven components (daemons, Central) owned by this runtime.
-func (r *Runtime) Post(fn func()) { r.post(fn) }
+func (r *Runtime) Post(fn func()) { r.post(event{fn: fn}) }
 
-// post enqueues fn for the event loop; drops it if the runtime is closed.
-func (r *Runtime) post(fn func()) {
-	r.mu.Lock()
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		return
+// post enqueues ev for the event loop, blocking on a full queue rather
+// than dropping protocol events; it reports false, dropping ev, once the
+// runtime is closed.
+func (r *Runtime) post(ev event) bool {
+	if r.closed.Load() {
+		return false
 	}
-	select {
-	case r.events <- fn:
-	default:
-		// Back-pressure: block rather than drop protocol events.
-		r.events <- fn
-	}
+	r.events <- ev
+	return true
 }
 
 // Run dispatches events until Close.
 func (r *Runtime) Run() {
-	for fn := range r.events {
-		if fn == nil {
+	for ev := range r.events {
+		switch {
+		case ev.ep != nil:
+			ev.ep.deliver(ev.port, ev.src, ev.data)
+			if ev.rx != nil {
+				rxPool.Put(ev.rx)
+			}
+		case ev.timer != nil:
+			ev.timer.fire()
+		case ev.fn != nil:
+			ev.fn()
+		default:
 			return
 		}
-		fn()
 	}
 }
 
@@ -127,14 +157,10 @@ func (r *Runtime) RunAsync() { go r.Run() }
 
 // Close stops the loop and all endpoint sockets created from it.
 func (r *Runtime) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	if r.closed.Swap(true) {
 		return
 	}
-	r.closed = true
-	r.mu.Unlock()
-	r.events <- nil
+	r.events <- event{}
 	r.wg.Wait()
 }
 
@@ -152,6 +178,17 @@ type UDPEndpoint struct {
 	socks    map[uint16]*net.UDPConn
 	msocks   map[Addr]*net.UDPConn
 	closed   bool
+
+	Counters UDPCounters
+}
+
+// UDPCounters are an endpoint's cumulative socket counters, for export.
+// A drop is a packet read off a socket that reached no handler:
+// DropUnbound found none bound on its port, DropClosed arrived after the
+// runtime closed. DeadSockets counts read loops that ended with their
+// socket still bound; any one makes Loopback fail.
+type UDPCounters struct {
+	RxPackets, RxBytes, ReadErrors, TxErrors, DropUnbound, DropClosed, DeadSockets atomic.Uint64
 }
 
 // NewUDPEndpoint creates an endpoint for the given local IPv4 address.
@@ -226,48 +263,80 @@ func (e *UDPEndpoint) Bind(port uint16, h Handler) {
 	}
 	_ = setMulticastInterface(conn, e.local)
 	e.socks[port] = conn
-	e.readLoop(conn, port, false)
+	e.readLoop(conn, port, 0)
 }
 
-// readLoop pumps one socket into the event loop. mcast marks a group
-// membership socket, where our own transmissions echo back (multicast
+// readLoop pumps one socket into the event loop. On a group membership
+// socket where our own transmissions echo back (multicast
 // loopback) and must be suppressed; on unicast-bound sockets a packet
 // from our own address is a genuine self-send (e.g. an AMG leader
 // reporting to the Central it hosts) and must be delivered.
-func (e *UDPEndpoint) readLoop(conn *net.UDPConn, port uint16, mcast bool) {
+// group is the membership's group address, 0 for a unicast socket.
+//
+// A datagram is copied out of the socket's scratch buffer into a pooled
+// one its event owns until the handler returns (the Handler contract).
+// Read errors are counted and retried after a bounded backoff; a loop
+// that ends with its socket still bound marks the endpoint dead.
+func (e *UDPEndpoint) readLoop(conn *net.UDPConn, port uint16, group IP) {
 	e.rt.wg.Add(1)
 	go func() {
 		defer e.rt.wg.Done()
 		buf := make([]byte, 64*1024)
+		backoff := time.Duration(0)
 		for {
-			n, src, err := conn.ReadFromUDP(buf)
-			if err != nil {
+			n, from, err := conn.ReadFromUDPAddrPort(buf)
+			if errors.Is(err, net.ErrClosed) {
+				// Unbind, LeaveGroup and Close forget a socket under mu
+				// before closing it.
+				e.mu.Lock()
+				if e.socks[port] == conn || e.msocks[Addr{IP: group, Port: port}] == conn {
+					e.Counters.DeadSockets.Add(1)
+				}
+				e.mu.Unlock()
 				return
 			}
-			pkt := make([]byte, n)
-			copy(pkt, buf[:n])
-			srcIP := ipFrom(src.IP)
-			if mcast && srcIP == e.ip && src.Port == int(port) {
+			if err != nil {
+				e.Counters.ReadErrors.Add(1)
+				backoff = min(max(2*backoff, time.Millisecond), 100*time.Millisecond)
+				time.Sleep(backoff)
+				continue
+			}
+			backoff = 0
+			b := from.Addr().As16() // udp4 sockets: the v4 address is the last 4 bytes
+			src := Addr{IP: MakeIP(b[12], b[13], b[14], b[15]), Port: from.Port()}
+			if group != 0 && src.IP == e.ip && src.Port == port {
 				continue // our own multicast loopback
 			}
-			e.rt.post(func() {
-				e.mu.Lock()
-				h := e.handlers[port]
-				e.mu.Unlock()
-				if h != nil {
-					h(Addr{IP: srcIP, Port: uint16(src.Port)}, Addr{IP: e.ip, Port: port}, pkt)
+			e.Counters.RxPackets.Add(1)
+			e.Counters.RxBytes.Add(uint64(n))
+			ev := event{ep: e, port: port, src: src}
+			if n <= rxPooled {
+				ev.rx = rxPool.Get().(*[rxPooled]byte)
+				ev.data = ev.rx[:n]
+			} else {
+				ev.data = make([]byte, n)
+			}
+			copy(ev.data, buf)
+			if !e.rt.post(ev) {
+				e.Counters.DropClosed.Add(1)
+				if ev.rx != nil {
+					rxPool.Put(ev.rx)
 				}
-			})
+			}
 		}
 	}()
 }
 
-func ipFrom(ip net.IP) IP {
-	v4 := ip.To4()
-	if v4 == nil {
-		return 0
+// deliver runs a received packet's handler on the event loop.
+func (e *UDPEndpoint) deliver(port uint16, src Addr, data []byte) {
+	e.mu.Lock()
+	h := e.handlers[port]
+	e.mu.Unlock()
+	if h == nil {
+		e.Counters.DropUnbound.Add(1)
+		return
 	}
-	return MakeIP(v4[0], v4[1], v4[2], v4[3])
+	h(src, Addr{IP: e.ip, Port: port}, data)
 }
 
 // JoinGroup implements Endpoint: listens on the multicast group address.
@@ -285,7 +354,7 @@ func (e *UDPEndpoint) JoinGroup(group IP, port uint16) {
 	if conn, err := listenUDPReuse(gip, int(port)); err == nil {
 		if joinGroup4(conn, gip, ifaceAddr4(e.ifi)) == nil {
 			e.msocks[key] = conn
-			e.readLoop(conn, port, true)
+			e.readLoop(conn, port, group)
 			return
 		}
 		conn.Close()
@@ -297,7 +366,7 @@ func (e *UDPEndpoint) JoinGroup(group IP, port uint16) {
 		return
 	}
 	e.msocks[key] = conn
-	e.readLoop(conn, port, true)
+	e.readLoop(conn, port, group)
 }
 
 // ifaceAddr4 returns the first IPv4 address assigned to ifi (the address
@@ -348,20 +417,20 @@ func (e *UDPEndpoint) conn(srcPort uint16) (*net.UDPConn, error) {
 	}
 	_ = setMulticastInterface(conn, e.local)
 	e.socks[srcPort] = conn
-	e.readLoop(conn, srcPort, false)
+	e.readLoop(conn, srcPort, 0)
 	return conn, nil
 }
 
 // Unicast implements Endpoint.
 func (e *UDPEndpoint) Unicast(srcPort uint16, dst Addr, payload []byte) error {
 	conn, err := e.conn(srcPort)
-	if err != nil {
-		return err
+	if err == nil {
+		ip := [4]byte{byte(dst.IP >> 24), byte(dst.IP >> 16), byte(dst.IP >> 8), byte(dst.IP)}
+		_, err = conn.WriteToUDPAddrPort(payload, netip.AddrPortFrom(netip.AddrFrom4(ip), dst.Port))
 	}
-	_, err = conn.WriteToUDP(payload, &net.UDPAddr{
-		IP:   net.IPv4(byte(dst.IP>>24), byte(dst.IP>>16), byte(dst.IP>>8), byte(dst.IP)),
-		Port: int(dst.Port),
-	})
+	if err != nil {
+		e.Counters.TxErrors.Add(1)
+	}
 	return err
 }
 
@@ -370,8 +439,12 @@ func (e *UDPEndpoint) Multicast(srcPort uint16, group Addr, payload []byte) erro
 	return e.Unicast(srcPort, group, payload)
 }
 
-// Loopback implements Endpoint: the adapter passes if its interface is up.
+// Loopback implements Endpoint: the adapter passes if its interface is up
+// and no socket's read loop has died under it.
 func (e *UDPEndpoint) Loopback() bool {
+	if e.Counters.DeadSockets.Load() > 0 {
+		return false
+	}
 	if e.ifi == nil {
 		// Re-resolve: the interface may have come up since creation.
 		e.ifi = interfaceFor(e.local)
