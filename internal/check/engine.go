@@ -16,7 +16,7 @@
 //     driven by the deterministic sim clock, replayable from a seed;
 //   - an explorer and shrinker (shrink.go, internal/exp.Chaos): seed
 //     sweeps that, on a violation, bisect the schedule down to a minimal
-//     failing scenario re-emitted as a Go literal.
+//     failing scenario re-emitted as schedule text for Parse.
 //
 // The package deliberately does not import internal/farm: the farm (and
 // any future runtime) satisfies the Target and Context interfaces

@@ -542,94 +542,6 @@ func ParseOp(line string) (Op, error) {
 	return op, nil
 }
 
-// ---------------------------------------------------------------------------
-// Go-literal emission
-
-// GoLiteral renders the schedule as a Go composite literal (package
-// qualifier "check.") ready to paste into a regression test.
-func (s Schedule) GoLiteral() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "check.Schedule{\n\tSeed:   %d,\n\tSettle: %s,\n\tOps: []check.Op{\n", s.Seed, goDur(s.Settle))
-	for _, op := range s.Ops {
-		fmt.Fprintf(&b, "\t\t{At: %s, Kind: check.Op%s", goDur(op.At), exportedOpName(op.Kind))
-		if op.Node != "" {
-			fmt.Fprintf(&b, ", Node: %q", op.Node)
-		}
-		if op.Adapter != 0 {
-			fmt.Fprintf(&b, ", Adapter: %s", goIP(op.Adapter))
-		}
-		if op.Mode != netsim.Healthy {
-			fmt.Fprintf(&b, ", Mode: netsim.%s", exportedModeName(op.Mode))
-		}
-		if op.Target != "" {
-			fmt.Fprintf(&b, ", Target: %q", op.Target)
-		}
-		if op.Loss != 0 {
-			fmt.Fprintf(&b, ", Loss: %s", strconv.FormatFloat(op.Loss, 'g', -1, 64))
-		}
-		if op.For > 0 {
-			fmt.Fprintf(&b, ", For: %s", goDur(op.For))
-		}
-		b.WriteString("},\n")
-	}
-	b.WriteString("\t},\n}")
-	return b.String()
-}
-
-func exportedOpName(k OpKind) string {
-	switch k {
-	case OpKillNode:
-		return "KillNode"
-	case OpRestartNode:
-		return "RestartNode"
-	case OpFailAdapter:
-		return "FailAdapter"
-	case OpPartition:
-		return "Partition"
-	case OpDropProfile:
-		return "DropProfile"
-	case OpKillSwitch:
-		return "KillSwitch"
-	case OpMoveDomain:
-		return "MoveDomain"
-	case OpFailover:
-		return "Failover"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-func exportedModeName(m netsim.FailureMode) string {
-	switch m {
-	case netsim.FailStop:
-		return "FailStop"
-	case netsim.FailRecv:
-		return "FailRecv"
-	case netsim.FailSend:
-		return "FailSend"
-	}
-	return fmt.Sprintf("FailureMode(%d)", int(m))
-}
-
-func goDur(d time.Duration) string {
-	switch {
-	case d == 0:
-		return "0"
-	case d%time.Minute == 0:
-		return fmt.Sprintf("%d * time.Minute", d/time.Minute)
-	case d%time.Second == 0:
-		return fmt.Sprintf("%d * time.Second", d/time.Second)
-	case d%time.Millisecond == 0:
-		return fmt.Sprintf("%d * time.Millisecond", d/time.Millisecond)
-	default:
-		return fmt.Sprintf("time.Duration(%d)", int64(d))
-	}
-}
-
-func goIP(ip transport.IP) string {
-	parts := strings.Split(ip.String(), ".")
-	return fmt.Sprintf("transport.MakeIP(%s, %s, %s, %s)", parts[0], parts[1], parts[2], parts[3])
-}
-
 // sortOps orders ops by time, keeping the relative order of equal
 // times stable (needed by the shrinker's chunking).
 func sortOps(ops []Op) {

@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -124,18 +123,6 @@ func TestParseIgnoresCommentsAndBlanks(t *testing.T) {
 	}
 	if s.Seed != 7 || len(s.Ops) != 1 || s.Settle != time.Minute {
 		t.Fatalf("unexpected parse result: %+v", s)
-	}
-}
-
-func TestGoLiteralMentionsEveryOp(t *testing.T) {
-	topo := testTopology()
-	s := Generate(3, topo, GenOpts{Partition: true, Failover: true, Rounds: 40})
-	lit := s.GoLiteral()
-	if !strings.HasPrefix(lit, "check.Schedule{") {
-		t.Fatalf("literal prefix: %q", lit[:30])
-	}
-	if got := strings.Count(lit, "{At:"); got != len(s.Ops) {
-		t.Fatalf("literal has %d ops, schedule has %d:\n%s", got, len(s.Ops), lit)
 	}
 }
 

@@ -245,7 +245,7 @@ func Chaos(o ChaosOptions) (*Table, int, error) {
 // writeChaosArtifact records everything needed to replay one failing
 // seed: the schedule DSL, the first violations with their trace windows,
 // the convergence findings, and (when shrunk) the minimal reproduction
-// as DSL and as a Go literal.
+// as DSL text.
 func writeChaosArtifact(dir string, out chaosOutcome) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -279,8 +279,8 @@ func writeChaosArtifact(dir string, out chaosOutcome) error {
 		}
 	}
 	if out.shrunk != nil {
-		fmt.Fprintf(&b, "## minimal reproduction (%d runs)\n\n%s\n## as Go literal\n\n%s\n",
-			out.shrinkRuns, out.shrunk, out.shrunk.GoLiteral())
+		fmt.Fprintf(&b, "## minimal reproduction (%d runs)\n\n%s\n",
+			out.shrinkRuns, out.shrunk)
 	}
 	name := filepath.Join(dir, fmt.Sprintf("chaos-seed-%d.txt", out.seed))
 	return os.WriteFile(name, []byte(b.String()), 0o644)

@@ -139,6 +139,6 @@ func TestSeededBugCaught(t *testing.T) {
 		t.Errorf("shrinker left %d ops (want <= 5) after %d runs:\n%s",
 			len(min.Ops), runs, min)
 	}
-	t.Logf("shrunk %d ops -> %d in %d runs; reproduction:\n%s\nGo literal:\n%s",
-		len(sched.Ops), len(min.Ops), runs, min, min.GoLiteral())
+	t.Logf("shrunk %d ops -> %d in %d runs; reproduction:\n%s",
+		len(sched.Ops), len(min.Ops), runs, min)
 }

@@ -1,383 +1,160 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Codec errors.
-var (
-	ErrShort   = errors.New("journal: short record")
-	ErrBadKind = errors.New("journal: unknown record kind")
-	ErrBadCRC  = errors.New("journal: frame CRC mismatch")
-)
+// ErrBadKind is returned by DecodeRecord for a record kind it does not know.
+var ErrBadKind = errors.New("journal: unknown record kind")
 
 // recVersion is the first byte of every encoded record.
 const recVersion = 1
 
-type jenc struct{ buf []byte }
-
-func (e *jenc) u8(v byte)   { e.buf = append(e.buf, v) }
-func (e *jenc) bool(v bool) { e.u8(map[bool]byte{false: 0, true: 1}[v]) }
-func (e *jenc) u16(v uint16) {
-	e.buf = binary.BigEndian.AppendUint16(e.buf, v)
-}
-func (e *jenc) u32(v uint32) {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
-}
-func (e *jenc) u64(v uint64) {
-	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
-}
-func (e *jenc) ip(v transport.IP)     { e.u32(uint32(v)) }
-func (e *jenc) dur(v time.Duration)   { e.u64(uint64(v)) }
-func (e *jenc) addr(a transport.Addr) { e.ip(a.IP); e.u16(a.Port) }
-
-func (e *jenc) str(s string) {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
-	e.u16(uint16(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *jenc) member(m wire.Member) {
-	e.ip(m.IP)
-	e.str(m.Node)
-	e.u8(m.Index)
-	e.bool(m.Admin)
-}
-
-func (e *jenc) members(ms []wire.Member) {
-	e.u16(uint16(len(ms)))
-	for _, m := range ms {
-		e.member(m)
-	}
-}
-
-type jdec struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *jdec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: reading %s at %d", ErrShort, what, d.pos)
-	}
-}
-
-func (d *jdec) need(n int, what string) bool {
-	if d.err != nil {
-		return false
-	}
-	if d.pos+n > len(d.buf) {
-		d.fail(what)
-		return false
-	}
-	return true
-}
-
-func (d *jdec) u8() byte {
-	if !d.need(1, "u8") {
-		return 0
-	}
-	v := d.buf[d.pos]
-	d.pos++
-	return v
-}
-
-func (d *jdec) bool() bool { return d.u8() != 0 }
-
-func (d *jdec) u16() uint16 {
-	if !d.need(2, "u16") {
-		return 0
-	}
-	v := binary.BigEndian.Uint16(d.buf[d.pos:])
-	d.pos += 2
-	return v
-}
-
-func (d *jdec) u32() uint32 {
-	if !d.need(4, "u32") {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.pos:])
-	d.pos += 4
-	return v
-}
-
-func (d *jdec) u64() uint64 {
-	if !d.need(8, "u64") {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.pos:])
-	d.pos += 8
-	return v
-}
-
-func (d *jdec) ip() transport.IP   { return transport.IP(d.u32()) }
-func (d *jdec) dur() time.Duration { return time.Duration(d.u64()) }
-func (d *jdec) addr() transport.Addr {
-	return transport.Addr{IP: d.ip(), Port: d.u16()}
-}
-
-func (d *jdec) str() string {
-	n := int(d.u16())
-	if d.err != nil || !d.need(n, "string body") {
-		return ""
-	}
-	s := string(d.buf[d.pos : d.pos+n])
-	d.pos += n
-	return s
-}
-
-func (d *jdec) member() wire.Member {
-	var m wire.Member
-	m.IP = d.ip()
-	m.Node = d.str()
-	m.Index = d.u8()
-	m.Admin = d.bool()
-	return m
-}
-
-func (d *jdec) members() []wire.Member {
-	n := int(d.u16())
-	if d.err != nil {
-		return nil
-	}
-	// Each member is at least 8 bytes; bound allocation by what can fit.
-	if n > (len(d.buf)-d.pos)/8+1 {
-		d.fail("member count")
-		return nil
-	}
-	ms := make([]wire.Member, 0, n)
-	for i := 0; i < n; i++ {
-		ms = append(ms, d.member())
-		if d.err != nil {
-			return nil
-		}
-	}
-	return ms
-}
-
-// EncodeRecord serializes one record. The layout is versioned and
-// per-kind: header (version, kind, epoch, seq, time) then only the
-// payload fields that kind uses.
+// EncodeRecord serializes one record: a version byte and the kind byte,
+// then walkRecord's layout. Records, snapshots and the wire messages share
+// one codec (wire.Codec), so each layout is written once.
 func EncodeRecord(rec Record) []byte {
-	e := &jenc{buf: make([]byte, 0, 64)}
-	e.u8(recVersion)
-	e.u8(byte(rec.Kind))
-	e.u64(rec.Epoch)
-	e.u64(rec.Seq)
-	e.dur(rec.Time)
-	switch rec.Kind {
-	case RecGroupUpdate:
-		e.ip(rec.Group)
-		e.u64(rec.Version)
-		e.addr(rec.Src)
-		e.members(rec.Members)
-	case RecGroupRemove:
-		e.ip(rec.Group)
-	case RecAdapterFlip:
-		e.member(rec.Member)
-		e.bool(rec.Alive)
-		e.ip(rec.Group)
-		e.dur(rec.DiedAt)
-	case RecNodeFlip, RecSwitchFlip:
-		e.str(rec.Node)
-		e.bool(rec.Dead)
-	case RecMoveExpect:
-		e.ip(rec.Adapter)
-		e.dur(rec.Deadline)
-	case RecMoveDone:
-		e.ip(rec.Adapter)
-	case RecSnapshot:
-		encodeState(e, rec.Snap)
-	}
-	return e.buf
+	c := wire.NewEncoder(append(make([]byte, 0, 64), recVersion, byte(rec.Kind)))
+	walkRecord(c, &rec)
+	return c.Bytes()
 }
 
 // DecodeRecord parses one encoded record, rejecting trailing bytes.
 func DecodeRecord(b []byte) (Record, error) {
 	var rec Record
-	d := &jdec{buf: b}
-	if v := d.u8(); d.err == nil && v != recVersion {
-		return rec, fmt.Errorf("journal: unknown record version %d", v)
+	if len(b) < 2 {
+		return rec, fmt.Errorf("journal: %w: %d-byte record", wire.ErrShort, len(b))
 	}
-	rec.Kind = Kind(d.u8())
-	rec.Epoch = d.u64()
-	rec.Seq = d.u64()
-	rec.Time = d.dur()
-	switch rec.Kind {
-	case RecGroupUpdate:
-		rec.Group = d.ip()
-		rec.Version = d.u64()
-		rec.Src = d.addr()
-		rec.Members = d.members()
-	case RecGroupRemove:
-		rec.Group = d.ip()
-	case RecAdapterFlip:
-		rec.Member = d.member()
-		rec.Alive = d.bool()
-		rec.Group = d.ip()
-		rec.DiedAt = d.dur()
-	case RecNodeFlip, RecSwitchFlip:
-		rec.Node = d.str()
-		rec.Dead = d.bool()
-	case RecMoveExpect:
-		rec.Adapter = d.ip()
-		rec.Deadline = d.dur()
-	case RecMoveDone:
-		rec.Adapter = d.ip()
-	case RecSnapshot:
-		rec.Snap = decodeState(d)
-	default:
-		if d.err == nil {
-			return rec, fmt.Errorf("%w: %d", ErrBadKind, byte(rec.Kind))
-		}
+	if b[0] != recVersion {
+		return rec, fmt.Errorf("journal: unknown record version %d", b[0])
 	}
-	if d.err != nil {
-		return rec, d.err
+	rec.Kind = Kind(b[1])
+	c := wire.NewDecoder(b[2:])
+	if !walkRecord(c, &rec) {
+		return rec, fmt.Errorf("%w: %d", ErrBadKind, b[1])
 	}
-	if d.pos != len(b) {
-		return rec, fmt.Errorf("journal: %d trailing bytes", len(b)-d.pos)
+	if err := c.Done(); err != nil {
+		return rec, fmt.Errorf("journal: %w", err)
 	}
 	return rec, nil
 }
 
-// encodeState writes a full state in deterministic (sorted) order.
-func encodeState(e *jenc, s *State) {
-	if s == nil {
-		s = NewState()
+// walkRecord walks one record after its kind byte: the header every kind
+// shares (epoch, seq, time), then only the payload fields its kind uses.
+// It reports false for a kind it does not know.
+func walkRecord(c *wire.Codec, rec *Record) bool {
+	c.U64(&rec.Epoch)
+	c.U64(&rec.Seq)
+	walkDur(c, &rec.Time)
+	switch rec.Kind {
+	case RecGroupUpdate:
+		c.IP(&rec.Group)
+		c.U64(&rec.Version)
+		walkAddr(c, &rec.Src)
+		c.Members(&rec.Members)
+	case RecGroupRemove:
+		c.IP(&rec.Group)
+	case RecAdapterFlip:
+		c.Member(&rec.Member)
+		c.Bool(&rec.Alive)
+		c.IP(&rec.Group)
+		walkDur(c, &rec.DiedAt)
+	case RecNodeFlip, RecSwitchFlip:
+		c.Str(&rec.Node)
+		c.Bool(&rec.Dead)
+	case RecMoveExpect:
+		c.IP(&rec.Adapter)
+		walkDur(c, &rec.Deadline)
+	case RecMoveDone:
+		c.IP(&rec.Adapter)
+	case RecSnapshot:
+		if rec.Snap == nil {
+			rec.Snap = NewState()
+		}
+		walkState(c, rec.Snap)
+	default:
+		return false
 	}
-	leaders := make([]transport.IP, 0, len(s.Groups))
-	for l := range s.Groups {
-		leaders = append(leaders, l)
-	}
-	sort.Slice(leaders, func(a, b int) bool { return leaders[a] < leaders[b] })
-	e.u16(uint16(len(leaders)))
-	for _, l := range leaders {
-		g := s.Groups[l]
-		e.ip(g.Leader)
-		e.u64(g.Version)
-		e.addr(g.Src)
-		e.u64(g.Seq)
-		e.u64(g.Epoch)
-		e.members(g.Members)
-	}
-	ips := make([]transport.IP, 0, len(s.Adapters))
-	for ip := range s.Adapters {
-		ips = append(ips, ip)
-	}
-	sort.Slice(ips, func(a, b int) bool { return ips[a] < ips[b] })
-	e.u16(uint16(len(ips)))
-	for _, ip := range ips {
-		a := s.Adapters[ip]
-		e.member(a.Member)
-		e.bool(a.Alive)
-		e.ip(a.Group)
-		e.dur(a.DiedAt)
-	}
-	encodeStringSet(e, s.DeadNodes)
-	encodeStringSet(e, s.DeadSwitches)
-	moves := make([]transport.IP, 0, len(s.ExpectedMoves))
-	for ip := range s.ExpectedMoves {
-		moves = append(moves, ip)
-	}
-	sort.Slice(moves, func(a, b int) bool { return moves[a] < moves[b] })
-	e.u16(uint16(len(moves)))
-	for _, ip := range moves {
-		e.ip(ip)
-		e.dur(s.ExpectedMoves[ip])
-	}
+	return true
 }
 
-func encodeStringSet(e *jenc, set map[string]bool) {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
+// walkState walks a full state. Decoding fills s, which starts empty.
+func walkState(c *wire.Codec, s *State) {
+	walkMap(c, s.Groups, 8, func(leader *transport.IP, g **GroupState) {
+		if *g == nil {
+			*g = &GroupState{}
+		}
+		c.IP(&(*g).Leader)
+		c.U64(&(*g).Version)
+		walkAddr(c, &(*g).Src)
+		c.U64(&(*g).Seq)
+		c.U64(&(*g).Epoch)
+		c.Members(&(*g).Members)
+		*leader = (*g).Leader
+	})
+	walkMap(c, s.Adapters, 8, func(ip *transport.IP, a *AdapterState) {
+		c.Member(&a.Member)
+		c.Bool(&a.Alive)
+		c.IP(&a.Group)
+		walkDur(c, &a.DiedAt)
+		*ip = a.Member.IP
+	})
+	name := func(n *string, in *bool) {
+		c.Str(n)
+		*in = true
 	}
-	sort.Strings(names)
-	e.u16(uint16(len(names)))
-	for _, n := range names {
-		e.str(n)
-	}
+	walkMap(c, s.DeadNodes, 2, name)
+	walkMap(c, s.DeadSwitches, 2, name)
+	walkMap(c, s.ExpectedMoves, 8, func(ip *transport.IP, deadline *time.Duration) {
+		c.IP(ip)
+		walkDur(c, deadline)
+	})
 }
 
-func decodeState(d *jdec) *State {
-	s := NewState()
-	ng := int(d.u16())
-	if d.err != nil || ng > (len(d.buf)-d.pos)/8+1 {
-		d.fail("group count")
-		return s
+// walkMap walks a map as a count and then its entries in ascending key
+// order, so an encoding is deterministic. entry walks one entry; decoding,
+// it also sets the key, and m (which starts empty) receives the entry.
+// min is the fewest bytes one entry can take.
+func walkMap[K cmp.Ordered, V any](c *wire.Codec, m map[K]V, min int, entry func(*K, *V)) {
+	keys := make([]K, 0, len(m))
+	for k := range m { // order-free: sorted below
+		keys = append(keys, k)
 	}
-	for i := 0; i < ng; i++ {
-		g := &GroupState{}
-		g.Leader = d.ip()
-		g.Version = d.u64()
-		g.Src = d.addr()
-		g.Seq = d.u64()
-		g.Epoch = d.u64()
-		g.Members = d.members()
-		if d.err != nil {
-			return s
-		}
-		s.Groups[g.Leader] = g
-	}
-	na := int(d.u16())
-	if d.err != nil || na > (len(d.buf)-d.pos)/8+1 {
-		d.fail("adapter count")
-		return s
-	}
-	for i := 0; i < na; i++ {
-		var a AdapterState
-		a.Member = d.member()
-		a.Alive = d.bool()
-		a.Group = d.ip()
-		a.DiedAt = d.dur()
-		if d.err != nil {
-			return s
-		}
-		s.Adapters[a.Member.IP] = a
-	}
-	decodeStringSet(d, s.DeadNodes)
-	decodeStringSet(d, s.DeadSwitches)
-	nm := int(d.u16())
-	if d.err != nil || nm > (len(d.buf)-d.pos)/8+1 {
-		d.fail("move count")
-		return s
-	}
-	for i := 0; i < nm; i++ {
-		ip := d.ip()
-		dl := d.dur()
-		if d.err != nil {
-			return s
-		}
-		s.ExpectedMoves[ip] = dl
-	}
-	return s
-}
-
-func decodeStringSet(d *jdec, set map[string]bool) {
-	n := int(d.u16())
-	if d.err != nil || n > (len(d.buf)-d.pos)/2+1 {
-		d.fail("string set count")
-		return
-	}
+	slices.Sort(keys)
+	n := c.Count(len(keys), min)
 	for i := 0; i < n; i++ {
-		name := d.str()
-		if d.err != nil {
-			return
+		var k K
+		var v V
+		if i < len(keys) {
+			k, v = keys[i], m[keys[i]]
 		}
-		set[name] = true
+		entry(&k, &v)
+		if i >= len(keys) {
+			m[k] = v
+		}
 	}
+}
+
+// walkDur walks a duration as a u64 of nanoseconds.
+func walkDur(c *wire.Codec, d *time.Duration) {
+	v := uint64(*d)
+	c.U64(&v)
+	*d = time.Duration(v)
+}
+
+// walkAddr walks an address as its IP and a u16 port.
+func walkAddr(c *wire.Codec, a *transport.Addr) {
+	c.IP(&a.IP)
+	c.U16(&a.Port)
 }
 
 // --- CRC frames (file backend) ---

@@ -162,3 +162,32 @@ func TestFileStoreEmptyDirIsFresh(t *testing.T) {
 		t.Fatal("fresh dir reports state")
 	}
 }
+
+// A snapshot's collection counts do not wrap at 65 536 entries: a state
+// of 70 000 adapters, the scale one Central is sized for, survives a
+// snapshot write and reload intact instead of loading as absent.
+func TestFileStoreSnapshotBeyondU16Counts(t *testing.T) {
+	const adapters = 70000
+	st := NewState()
+	for n := 0; n < adapters; n++ {
+		st.Adapters[bigIP(n)] = AdapterState{Member: bigMember(n), Alive: n%3 != 0, Group: bigIP(n &^ 63)}
+	}
+	store, err := NewFileStore(t.TempDir(), FileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.SetSnapshot(Snapshot{Epoch: 3, Seq: 9, State: st}); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.State == nil {
+		t.Fatalf("a %d-adapter snapshot loaded as absent", adapters)
+	}
+	if snap.Epoch != 3 || snap.Seq != 9 || !st.Equal(snap.State) {
+		t.Fatalf("reloaded snapshot differs: epoch %d seq %d, %d adapters", snap.Epoch, snap.Seq, len(snap.State.Adapters))
+	}
+}

@@ -1,6 +1,10 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/hex"
+	"flag"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -8,12 +12,10 @@ import (
 	"repro/internal/wire"
 )
 
-// FuzzDecodeRecord feeds arbitrary bytes to the record decoder a journal
-// replays its files and the warm standby its stream through. The corpus
-// holds one record of every kind plus every prefix of one (torn
-// records); any input that decodes must re-encode to a record that
-// decodes to the same value.
-func FuzzDecodeRecord(f *testing.F) {
+var update = flag.Bool("update", false, "rewrite testdata/records.golden from this encoder")
+
+// seedRecords returns one record of every kind, the snapshot included.
+func seedRecords() []Record {
 	snap := NewState()
 	snap.Groups[ip(3, 3)] = &GroupState{
 		Leader: ip(3, 3), Version: 9, Src: addr(3, 3),
@@ -23,7 +25,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	snap.DeadNodes["z9"] = true
 	snap.DeadSwitches["sw-07"] = true
 	snap.ExpectedMoves[ip(3, 1)] = 90 * time.Second
-	recs := []Record{
+	return []Record{
 		{Epoch: 1, Seq: 1, Time: time.Second, Kind: RecGroupUpdate, Group: ip(1, 9), Version: 4,
 			Src: addr(1, 9), Members: []wire.Member{mem(1, 9, "n9"), mem(1, 2, "n2")}},
 		{Epoch: 1, Seq: 2, Kind: RecGroupRemove, Group: ip(1, 9)},
@@ -34,6 +36,40 @@ func FuzzDecodeRecord(f *testing.F) {
 		{Epoch: 1, Seq: 7, Kind: RecMoveDone, Adapter: ip(1, 2)},
 		{Epoch: 2, Seq: 7, Kind: RecSnapshot, Snap: snap},
 	}
+}
+
+// TestRecordsGolden pins the byte layout of every record kind: one line
+// of hex per seedRecords entry, compared byte for byte with the committed
+// file. -update is the only writer.
+func TestRecordsGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, rec := range seedRecords() {
+		got.WriteString(hex.EncodeToString(EncodeRecord(rec)))
+		got.WriteByte('\n')
+	}
+	const path = "testdata/records.golden"
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("%s differs from this encoder:\n got:\n%s\nwant:\n%s", path, got.Bytes(), want)
+	}
+}
+
+// FuzzDecodeRecord feeds arbitrary bytes to the record decoder a journal
+// replays its files and the warm standby its stream through. The corpus
+// holds one record of every kind plus every prefix of one (torn
+// records); any input that decodes must re-encode to a record that
+// decodes to the same value.
+func FuzzDecodeRecord(f *testing.F) {
+	recs := seedRecords()
 	for _, rec := range recs {
 		f.Add(EncodeRecord(rec))
 	}

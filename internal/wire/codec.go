@@ -1,542 +1,383 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/transport"
 )
 
-// enc is an append-style binary writer (big-endian).
-type enc struct {
-	buf []byte
-}
-
-func (e *enc) u8(v byte) { e.buf = append(e.buf, v) }
-
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-func (e *enc) u16(v uint16) { e.buf = append(e.buf, byte(v>>8), byte(v)) }
-
-func (e *enc) u32(v uint32) {
-	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func (e *enc) u64(v uint64) {
-	e.u32(uint32(v >> 32))
-	e.u32(uint32(v))
-}
-
-func (e *enc) ip(v transport.IP) { e.u32(uint32(v)) }
-
-func (e *enc) str(s string) {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
-	e.u16(uint16(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *enc) member(m Member) {
-	e.ip(m.IP)
-	e.str(m.Node)
-	e.u8(m.Index)
-	e.bool(m.Admin)
-}
-
-func (e *enc) members(ms []Member) {
-	e.u16(uint16(len(ms)))
-	for _, m := range ms {
-		e.member(m)
-	}
-}
-
-func (e *enc) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *enc) ips(ips []transport.IP) {
-	e.u16(uint16(len(ips)))
-	for _, ip := range ips {
-		e.ip(ip)
-	}
-}
-
-// dec is a sticky-error binary reader. The intern table, when present,
-// deduplicates decoded strings across packets: node names repeat in every
-// beacon and membership list, and returning the shared copy keeps the
-// hot receive paths allocation-free.
-type dec struct {
+// Codec is the one binary layout engine (big-endian). A layout is written
+// once, as a walk that hands every field to a Codec primitive by pointer:
+// an encoding codec appends the field, a decoding codec overwrites it. So
+// there is no separate encoder and decoder that could drift apart. Messages
+// walk themselves; internal/journal walks its records and snapshots over
+// the same primitives.
+//
+// A decoding codec's failure is sticky: after the first short read every
+// primitive leaves its field alone and Done reports where it happened.
+// The scalar primitives are small enough to inline into the walks. The
+// intern table, when present, deduplicates decoded strings across packets:
+// node names repeat in every beacon and membership list, and returning the
+// shared copy keeps the hot receive paths allocation-free.
+type Codec struct {
 	buf    []byte
 	pos    int
-	err    error
+	short  bool // a read ran past the end; pos is where it began
+	decode bool
 	intern map[string]string
+}
+
+// NewEncoder returns a codec that appends to dst.
+func NewEncoder(dst []byte) *Codec { return &Codec{buf: dst} }
+
+// NewDecoder returns a codec that reads b from its start.
+func NewDecoder(b []byte) *Codec { return &Codec{buf: b, decode: true} }
+
+// Bytes returns an encoding codec's buffer: dst with every walked field
+// appended.
+func (c *Codec) Bytes() []byte { return c.buf }
+
+// Done returns a decoding codec's failure: ErrShort if a read ran past the
+// end, ErrTrailing if the walk left bytes unread.
+func (c *Codec) Done() error {
+	switch {
+	case c.short:
+		return fmt.Errorf("%w: at byte %d", ErrShort, c.pos)
+	case c.decode && c.pos != len(c.buf):
+		return ErrTrailing
+	}
+	return nil
 }
 
 // internCap bounds the intern table; node names and disable reasons are
 // the only strings on the wire, so hitting this means garbage input.
 const internCap = 1 << 12
 
-func (d *dec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: reading %s at %d", ErrShort, what, d.pos)
+// need reports whether n more bytes can be read, failing the codec if not.
+func (c *Codec) need(n int) bool {
+	if c.short || n > len(c.buf)-c.pos {
+		c.short = true
+		return false
+	}
+	return true
+}
+
+// u8 walks one byte.
+func (c *Codec) u8(v *byte) {
+	if !c.decode {
+		c.buf = append(c.buf, *v)
+	} else if c.need(1) {
+		*v = c.buf[c.pos]
+		c.pos++
 	}
 }
 
-func (d *dec) u8() byte {
-	if d.err != nil {
-		return 0
+// Bool walks a bool as one byte: 1 or 0 out, anything non-zero in is true.
+func (c *Codec) Bool(v *bool) {
+	if !c.decode {
+		b := byte(0)
+		if *v {
+			b = 1
+		}
+		c.buf = append(c.buf, b)
+	} else if c.need(1) {
+		*v = c.buf[c.pos] != 0
+		c.pos++
 	}
-	if d.pos+1 > len(d.buf) {
-		d.fail("u8")
-		return 0
-	}
-	v := d.buf[d.pos]
-	d.pos++
-	return v
 }
 
-func (d *dec) bool() bool { return d.u8() != 0 }
-
-func (d *dec) u16() uint16 {
-	if d.err != nil {
-		return 0
+// U16 walks a big-endian uint16.
+func (c *Codec) U16(v *uint16) {
+	if !c.decode {
+		c.buf = binary.BigEndian.AppendUint16(c.buf, *v)
+	} else if c.need(2) {
+		*v = binary.BigEndian.Uint16(c.buf[c.pos:])
+		c.pos += 2
 	}
-	if d.pos+2 > len(d.buf) {
-		d.fail("u16")
-		return 0
-	}
-	v := uint16(d.buf[d.pos])<<8 | uint16(d.buf[d.pos+1])
-	d.pos += 2
-	return v
 }
 
-func (d *dec) u32() uint32 {
-	if d.err != nil {
-		return 0
+// u32 walks a big-endian uint32.
+func (c *Codec) u32(v *uint32) {
+	if !c.decode {
+		c.buf = binary.BigEndian.AppendUint32(c.buf, *v)
+	} else if c.need(4) {
+		*v = binary.BigEndian.Uint32(c.buf[c.pos:])
+		c.pos += 4
 	}
-	if d.pos+4 > len(d.buf) {
-		d.fail("u32")
-		return 0
-	}
-	v := uint32(d.buf[d.pos])<<24 | uint32(d.buf[d.pos+1])<<16 |
-		uint32(d.buf[d.pos+2])<<8 | uint32(d.buf[d.pos+3])
-	d.pos += 4
-	return v
 }
 
-func (d *dec) u64() uint64 {
-	hi := uint64(d.u32())
-	return hi<<32 | uint64(d.u32())
+// U64 walks a big-endian uint64.
+func (c *Codec) U64(v *uint64) {
+	if !c.decode {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, *v)
+	} else if c.need(8) {
+		*v = binary.BigEndian.Uint64(c.buf[c.pos:])
+		c.pos += 8
+	}
 }
 
-func (d *dec) ip() transport.IP { return transport.IP(d.u32()) }
+// IP walks an IPv4 address as a uint32.
+func (c *Codec) IP(v *transport.IP) { c.u32((*uint32)(v)) }
 
-func (d *dec) str() string {
-	n := int(d.u16())
-	if d.err != nil {
-		return ""
+// Str walks a string as a u16 length and its bytes; a longer string is
+// cut to 65 535 bytes on the way out.
+func (c *Codec) Str(s *string) {
+	if !c.decode {
+		v := *s
+		if len(v) > 0xffff {
+			v = v[:0xffff]
+		}
+		c.buf = append(binary.BigEndian.AppendUint16(c.buf, uint16(len(v))), v...)
+		return
 	}
-	if d.pos+n > len(d.buf) {
-		d.fail("string body")
-		return ""
+	var n uint16
+	c.U16(&n)
+	if c.need(int(n)) {
+		*s = c.internBytes(c.buf[c.pos : c.pos+int(n)])
+		c.pos += int(n)
 	}
-	b := d.buf[d.pos : d.pos+n]
-	d.pos += n
-	return d.internBytes(b)
 }
 
 // internBytes converts b to a string, returning the shared interned copy
 // when one exists (the map lookup converts without allocating).
-func (d *dec) internBytes(b []byte) string {
-	if d.intern != nil {
-		if s, ok := d.intern[string(b)]; ok {
+func (c *Codec) internBytes(b []byte) string {
+	if c.intern != nil {
+		if s, ok := c.intern[string(b)]; ok {
 			return s
 		}
-		if len(d.intern) < internCap {
+		if len(c.intern) < internCap {
 			s := string(b)
-			d.intern[s] = s
+			c.intern[s] = s
 			return s
 		}
 	}
 	return string(b)
 }
 
-func (d *dec) member() Member {
-	var m Member
-	m.IP = d.ip()
-	m.Node = d.str()
-	m.Index = d.u8()
-	m.Admin = d.bool()
-	return m
-}
-
-func (d *dec) members() []Member {
-	n := int(d.u16())
-	if d.err != nil {
-		return nil
-	}
-	// Each member is at least 8 bytes; bound allocation by what can fit.
-	if n > (len(d.buf)-d.pos)/8+1 {
-		d.fail("member count")
-		return nil
-	}
-	ms := make([]Member, 0, n)
-	for i := 0; i < n; i++ {
-		ms = append(ms, d.member())
-		if d.err != nil {
-			return nil
+// Count walks a collection length and returns it. A count below 0xFFFF is
+// one u16; a larger one is 0xFFFF followed by a u32. Decoding, min is the
+// fewest bytes one entry can take: a count the remaining bytes cannot hold
+// fails the codec (and returns 0) before the caller allocates for it.
+func (c *Codec) Count(n, min int) int {
+	if !c.decode {
+		if n < 0xffff {
+			c.buf = append(c.buf, byte(n>>8), byte(n))
+		} else {
+			c.buf = append(c.buf, 0xff, 0xff, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 		}
+		return n
 	}
-	return ms
-}
-
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil {
-		return nil
+	var short uint16
+	c.U16(&short)
+	v := uint32(short)
+	if short == 0xffff {
+		c.u32(&v)
 	}
-	if d.pos+n > len(d.buf) {
-		d.fail("bytes body")
-		return nil
+	if uint64(v) > uint64((len(c.buf)-c.pos)/min+1) {
+		c.short = true
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.pos:d.pos+n])
-	d.pos += n
-	return b
-}
-
-func (d *dec) ips() []transport.IP {
-	n := int(d.u16())
-	if d.err != nil {
-		return nil
+	if c.short {
+		return 0
 	}
-	if n > (len(d.buf)-d.pos)/4+1 {
-		d.fail("ip count")
-		return nil
+	return int(v)
+}
+
+// Member walks one membership entry.
+func (c *Codec) Member(m *Member) {
+	c.IP(&m.IP)
+	c.Str(&m.Node)
+	c.u8(&m.Index)
+	c.Bool(&m.Admin)
+}
+
+// Members walks a membership list; decoding replaces *ms with a new slice.
+func (c *Codec) Members(ms *[]Member) {
+	n := c.Count(len(*ms), 8) // an entry is at least 8 bytes
+	if c.decode {
+		*ms = make([]Member, n)
 	}
-	out := make([]transport.IP, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.ip())
-		if d.err != nil {
-			return nil
-		}
+	for i := range *ms {
+		c.Member(&(*ms)[i])
 	}
-	return out
 }
 
-// --- per-message marshalling ---
-
-func (m *Beacon) marshal(e *enc) {
-	e.ip(m.Sender)
-	e.str(m.Node)
-	e.u32(m.Incarnation)
-	e.ip(m.Leader)
-	e.u64(m.Version)
-	e.u32(m.Members)
-	e.bool(m.Admin)
+// ips walks an address list.
+func (c *Codec) ips(ips *[]transport.IP) {
+	n := c.Count(len(*ips), 4)
+	if c.decode {
+		*ips = make([]transport.IP, n)
+	}
+	for i := range *ips {
+		c.IP(&(*ips)[i])
+	}
 }
 
-func (m *Beacon) unmarshal(d *dec) {
-	m.Sender = d.ip()
-	m.Node = d.str()
-	m.Incarnation = d.u32()
-	m.Leader = d.ip()
-	m.Version = d.u64()
-	m.Members = d.u32()
-	m.Admin = d.bool()
+// blob walks a byte string as a u32 length and its bytes; decoding copies
+// them out of the packet.
+func (c *Codec) blob(b *[]byte) {
+	n := uint32(len(*b))
+	c.u32(&n)
+	if !c.decode {
+		c.buf = append(c.buf, *b...)
+	} else if c.need(int(n)) {
+		*b = make([]byte, n)
+		c.pos += copy(*b, c.buf[c.pos:])
+	}
 }
 
-func (m *Prepare) marshal(e *enc) {
-	e.ip(m.Leader)
-	e.u64(m.Version)
-	e.u64(m.Token)
-	e.u8(byte(m.Op))
-	e.members(m.Members)
+// --- one walk per message ---
+
+func (m *Beacon) walk(c *Codec) {
+	c.IP(&m.Sender)
+	c.Str(&m.Node)
+	c.u32(&m.Incarnation)
+	c.IP(&m.Leader)
+	c.U64(&m.Version)
+	c.u32(&m.Members)
+	c.Bool(&m.Admin)
 }
 
-func (m *Prepare) unmarshal(d *dec) {
-	m.Leader = d.ip()
-	m.Version = d.u64()
-	m.Token = d.u64()
-	m.Op = Op(d.u8())
-	m.Members = d.members()
+func (m *Prepare) walk(c *Codec) {
+	c.IP(&m.Leader)
+	c.U64(&m.Version)
+	c.U64(&m.Token)
+	c.u8((*byte)(&m.Op))
+	c.Members(&m.Members)
 }
 
-func (m *PrepareAck) marshal(e *enc) {
-	e.ip(m.From)
-	e.ip(m.Leader)
-	e.u64(m.Version)
-	e.u64(m.Token)
-	e.bool(m.OK)
+func (m *PrepareAck) walk(c *Codec) {
+	c.IP(&m.From)
+	c.IP(&m.Leader)
+	c.U64(&m.Version)
+	c.U64(&m.Token)
+	c.Bool(&m.OK)
 }
 
-func (m *PrepareAck) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Leader = d.ip()
-	m.Version = d.u64()
-	m.Token = d.u64()
-	m.OK = d.bool()
+func (m *Commit) walk(c *Codec) {
+	c.IP(&m.Leader)
+	c.U64(&m.Version)
+	c.U64(&m.Token)
+	c.Members(&m.Members)
 }
 
-func (m *Commit) marshal(e *enc) {
-	e.ip(m.Leader)
-	e.u64(m.Version)
-	e.u64(m.Token)
-	e.members(m.Members)
+func (m *Abort) walk(c *Codec) {
+	c.IP(&m.Leader)
+	c.U64(&m.Version)
+	c.U64(&m.Token)
 }
 
-func (m *Commit) unmarshal(d *dec) {
-	m.Leader = d.ip()
-	m.Version = d.u64()
-	m.Token = d.u64()
-	m.Members = d.members()
+func (m *JoinRequest) walk(c *Codec) {
+	c.IP(&m.From)
+	c.Str(&m.Node)
+	c.u8(&m.Index)
+	c.Bool(&m.Admin)
+	c.u32(&m.Incarnation)
 }
 
-func (m *Abort) marshal(e *enc) {
-	e.ip(m.Leader)
-	e.u64(m.Version)
-	e.u64(m.Token)
+func (m *MergeOffer) walk(c *Codec) {
+	c.IP(&m.From)
+	c.U64(&m.Version)
+	c.Members(&m.Members)
 }
 
-func (m *Abort) unmarshal(d *dec) {
-	m.Leader = d.ip()
-	m.Version = d.u64()
-	m.Token = d.u64()
+func (m *Heartbeat) walk(c *Codec) {
+	c.IP(&m.From)
+	c.U64(&m.Seq)
+	c.U64(&m.Version)
+	c.IP(&m.Leader)
 }
 
-func (m *JoinRequest) marshal(e *enc) {
-	e.ip(m.From)
-	e.str(m.Node)
-	e.u8(m.Index)
-	e.bool(m.Admin)
-	e.u32(m.Incarnation)
+func (m *Suspect) walk(c *Codec) {
+	c.IP(&m.Reporter)
+	c.IP(&m.Suspect)
+	c.U64(&m.Version)
+	c.u8((*byte)(&m.Reason))
 }
 
-func (m *JoinRequest) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Node = d.str()
-	m.Index = d.u8()
-	m.Admin = d.bool()
-	m.Incarnation = d.u32()
+func (m *Probe) walk(c *Codec) {
+	c.IP(&m.From)
+	c.U64(&m.Nonce)
 }
 
-func (m *MergeOffer) marshal(e *enc) {
-	e.ip(m.From)
-	e.u64(m.Version)
-	e.members(m.Members)
+func (m *ProbeAck) walk(c *Codec) {
+	c.IP(&m.From)
+	c.U64(&m.Nonce)
+	c.IP(&m.Leader)
+	c.U64(&m.Version)
 }
 
-func (m *MergeOffer) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Version = d.u64()
-	m.Members = d.members()
+func (m *Ping) walk(c *Codec) {
+	c.IP(&m.From)
+	c.U64(&m.Nonce)
+	c.IP(&m.Leader)
 }
 
-func (m *Heartbeat) marshal(e *enc) {
-	e.ip(m.From)
-	e.u64(m.Seq)
-	e.u64(m.Version)
-	e.ip(m.Leader)
+func (m *PingAck) walk(c *Codec) {
+	c.IP(&m.From)
+	c.IP(&m.Target)
+	c.U64(&m.Nonce)
 }
 
-func (m *Heartbeat) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Seq = d.u64()
-	m.Version = d.u64()
-	m.Leader = d.ip()
+func (m *PingReq) walk(c *Codec) {
+	c.IP(&m.From)
+	c.IP(&m.Target)
+	c.U64(&m.Nonce)
 }
 
-func (m *Suspect) marshal(e *enc) {
-	e.ip(m.Reporter)
-	e.ip(m.Suspect)
-	e.u64(m.Version)
-	e.u8(byte(m.Reason))
+func (m *Report) walk(c *Codec) {
+	c.IP(&m.Leader)
+	c.Str(&m.Segment)
+	c.U64(&m.Version)
+	c.U64(&m.Seq)
+	c.Bool(&m.Full)
+	c.IP(&m.PrevLeader)
+	c.U64(&m.PrevVersion)
+	c.Bool(&m.Fresh)
+	c.Members(&m.Members)
+	c.ips(&m.Left)
 }
 
-func (m *Suspect) unmarshal(d *dec) {
-	m.Reporter = d.ip()
-	m.Suspect = d.ip()
-	m.Version = d.u64()
-	m.Reason = SuspectReason(d.u8())
+func (m *ReportAck) walk(c *Codec) {
+	c.IP(&m.From)
+	c.U64(&m.Seq)
 }
 
-func (m *Probe) marshal(e *enc) {
-	e.ip(m.From)
-	e.u64(m.Nonce)
+func (m *Disable) walk(c *Codec) {
+	c.IP(&m.Target)
+	c.Str(&m.Reason)
 }
 
-func (m *Probe) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Nonce = d.u64()
+func (m *SubPoll) walk(c *Codec) {
+	c.IP(&m.From)
+	c.u32(&m.Subgroup)
+	c.U64(&m.Nonce)
 }
 
-func (m *ProbeAck) marshal(e *enc) {
-	e.ip(m.From)
-	e.u64(m.Nonce)
-	e.ip(m.Leader)
-	e.u64(m.Version)
+func (m *SubPollAck) walk(c *Codec) {
+	c.IP(&m.From)
+	c.u32(&m.Subgroup)
+	c.U64(&m.Nonce)
+	c.u32(&m.Alive)
 }
 
-func (m *ProbeAck) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Nonce = d.u64()
-	m.Leader = d.ip()
-	m.Version = d.u64()
+func (m *Evict) walk(c *Codec) {
+	c.IP(&m.Leader)
+	c.IP(&m.Target)
+	c.U64(&m.Version)
 }
 
-func (m *Ping) marshal(e *enc) {
-	e.ip(m.From)
-	e.u64(m.Nonce)
-	e.ip(m.Leader)
+func (m *ResyncRequest) walk(c *Codec) { c.IP(&m.From) }
+
+func (m *JournalAppend) walk(c *Codec) {
+	c.IP(&m.From)
+	c.U64(&m.Epoch)
+	c.U64(&m.Seq)
+	c.blob(&m.Payload)
 }
 
-func (m *Ping) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Nonce = d.u64()
-	m.Leader = d.ip()
-}
-
-func (m *PingAck) marshal(e *enc) {
-	e.ip(m.From)
-	e.ip(m.Target)
-	e.u64(m.Nonce)
-}
-
-func (m *PingAck) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Target = d.ip()
-	m.Nonce = d.u64()
-}
-
-func (m *PingReq) marshal(e *enc) {
-	e.ip(m.From)
-	e.ip(m.Target)
-	e.u64(m.Nonce)
-}
-
-func (m *PingReq) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Target = d.ip()
-	m.Nonce = d.u64()
-}
-
-func (m *Report) marshal(e *enc) {
-	e.ip(m.Leader)
-	e.str(m.Segment)
-	e.u64(m.Version)
-	e.u64(m.Seq)
-	e.bool(m.Full)
-	e.ip(m.PrevLeader)
-	e.u64(m.PrevVersion)
-	e.bool(m.Fresh)
-	e.members(m.Members)
-	e.ips(m.Left)
-}
-
-func (m *Report) unmarshal(d *dec) {
-	m.Leader = d.ip()
-	m.Segment = d.str()
-	m.Version = d.u64()
-	m.Seq = d.u64()
-	m.Full = d.bool()
-	m.PrevLeader = d.ip()
-	m.PrevVersion = d.u64()
-	m.Fresh = d.bool()
-	m.Members = d.members()
-	m.Left = d.ips()
-}
-
-func (m *ReportAck) marshal(e *enc) {
-	e.ip(m.From)
-	e.u64(m.Seq)
-}
-
-func (m *ReportAck) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Seq = d.u64()
-}
-
-func (m *Disable) marshal(e *enc) {
-	e.ip(m.Target)
-	e.str(m.Reason)
-}
-
-func (m *Disable) unmarshal(d *dec) {
-	m.Target = d.ip()
-	m.Reason = d.str()
-}
-
-func (m *SubPoll) marshal(e *enc) {
-	e.ip(m.From)
-	e.u32(m.Subgroup)
-	e.u64(m.Nonce)
-}
-
-func (m *SubPoll) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Subgroup = d.u32()
-	m.Nonce = d.u64()
-}
-
-func (m *SubPollAck) marshal(e *enc) {
-	e.ip(m.From)
-	e.u32(m.Subgroup)
-	e.u64(m.Nonce)
-	e.u32(m.Alive)
-}
-
-func (m *SubPollAck) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Subgroup = d.u32()
-	m.Nonce = d.u64()
-	m.Alive = d.u32()
-}
-
-func (m *Evict) marshal(e *enc) {
-	e.ip(m.Leader)
-	e.ip(m.Target)
-	e.u64(m.Version)
-}
-
-func (m *Evict) unmarshal(d *dec) {
-	m.Leader = d.ip()
-	m.Target = d.ip()
-	m.Version = d.u64()
-}
-
-func (m *ResyncRequest) marshal(e *enc) { e.ip(m.From) }
-
-func (m *ResyncRequest) unmarshal(d *dec) { m.From = d.ip() }
-
-func (m *JournalAppend) marshal(e *enc) {
-	e.ip(m.From)
-	e.u64(m.Epoch)
-	e.u64(m.Seq)
-	e.bytes(m.Payload)
-}
-
-func (m *JournalAppend) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Epoch = d.u64()
-	m.Seq = d.u64()
-	m.Payload = d.bytes()
-}
-
-func (m *JournalAck) marshal(e *enc) {
-	e.ip(m.From)
-	e.u64(m.Epoch)
-	e.u64(m.Seq)
-}
-
-func (m *JournalAck) unmarshal(d *dec) {
-	m.From = d.ip()
-	m.Epoch = d.u64()
-	m.Seq = d.u64()
+func (m *JournalAck) walk(c *Codec) {
+	c.IP(&m.From)
+	c.U64(&m.Epoch)
+	c.U64(&m.Seq)
 }

@@ -5,6 +5,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -46,35 +47,40 @@ const (
 	tMax
 )
 
-var typeNames = [...]string{
-	TBeacon:        "beacon",
-	TPrepare:       "prepare",
-	TPrepareAck:    "prepare-ack",
-	TCommit:        "commit",
-	TAbort:         "abort",
-	TJoinRequest:   "join-request",
-	TMergeOffer:    "merge-offer",
-	THeartbeat:     "heartbeat",
-	TSuspect:       "suspect",
-	TProbe:         "probe",
-	TProbeAck:      "probe-ack",
-	TPing:          "ping",
-	TPingAck:       "ping-ack",
-	TPingReq:       "ping-req",
-	TReport:        "report",
-	TReportAck:     "report-ack",
-	TDisable:       "disable",
-	TSubPoll:       "subpoll",
-	TSubPollAck:    "subpoll-ack",
-	TEvict:         "evict",
-	TResync:        "resync",
-	TJournalAppend: "journal-append",
-	TJournalAck:    "journal-ack",
+// types is the one table indexed by Type: a message's name and its
+// constructor.
+var types = [tMax]struct {
+	name string
+	new  func() Message
+}{
+	TBeacon:        {"beacon", func() Message { return new(Beacon) }},
+	TPrepare:       {"prepare", func() Message { return new(Prepare) }},
+	TPrepareAck:    {"prepare-ack", func() Message { return new(PrepareAck) }},
+	TCommit:        {"commit", func() Message { return new(Commit) }},
+	TAbort:         {"abort", func() Message { return new(Abort) }},
+	TJoinRequest:   {"join-request", func() Message { return new(JoinRequest) }},
+	TMergeOffer:    {"merge-offer", func() Message { return new(MergeOffer) }},
+	THeartbeat:     {"heartbeat", func() Message { return new(Heartbeat) }},
+	TSuspect:       {"suspect", func() Message { return new(Suspect) }},
+	TProbe:         {"probe", func() Message { return new(Probe) }},
+	TProbeAck:      {"probe-ack", func() Message { return new(ProbeAck) }},
+	TPing:          {"ping", func() Message { return new(Ping) }},
+	TPingAck:       {"ping-ack", func() Message { return new(PingAck) }},
+	TPingReq:       {"ping-req", func() Message { return new(PingReq) }},
+	TReport:        {"report", func() Message { return new(Report) }},
+	TReportAck:     {"report-ack", func() Message { return new(ReportAck) }},
+	TDisable:       {"disable", func() Message { return new(Disable) }},
+	TSubPoll:       {"subpoll", func() Message { return new(SubPoll) }},
+	TSubPollAck:    {"subpoll-ack", func() Message { return new(SubPollAck) }},
+	TEvict:         {"evict", func() Message { return new(Evict) }},
+	TResync:        {"resync", func() Message { return new(ResyncRequest) }},
+	TJournalAppend: {"journal-append", func() Message { return new(JournalAppend) }},
+	TJournalAck:    {"journal-ack", func() Message { return new(JournalAck) }},
 }
 
 func (t Type) String() string {
-	if int(t) < len(typeNames) && typeNames[t] != "" {
-		return typeNames[t]
+	if t < tMax && types[t].name != "" {
+		return types[t].name
 	}
 	return fmt.Sprintf("Type(%d)", byte(t))
 }
@@ -91,8 +97,8 @@ var (
 type Message interface {
 	// Type returns the message's wire type.
 	Type() Type
-	marshal(e *enc)
-	unmarshal(d *dec)
+	// walk hands every field, in layout order, to the codec.
+	walk(c *Codec)
 }
 
 // Member describes one adapter in an AMG membership list. The node name
@@ -467,79 +473,25 @@ type JournalAck struct {
 // Type implements Message.
 func (*JournalAck) Type() Type { return TJournalAck }
 
-// newByType allocates the zero message for a wire type.
-func newByType(t Type) Message {
-	switch t {
-	case TBeacon:
-		return &Beacon{}
-	case TPrepare:
-		return &Prepare{}
-	case TPrepareAck:
-		return &PrepareAck{}
-	case TCommit:
-		return &Commit{}
-	case TAbort:
-		return &Abort{}
-	case TJoinRequest:
-		return &JoinRequest{}
-	case TMergeOffer:
-		return &MergeOffer{}
-	case THeartbeat:
-		return &Heartbeat{}
-	case TSuspect:
-		return &Suspect{}
-	case TProbe:
-		return &Probe{}
-	case TProbeAck:
-		return &ProbeAck{}
-	case TPing:
-		return &Ping{}
-	case TPingAck:
-		return &PingAck{}
-	case TPingReq:
-		return &PingReq{}
-	case TReport:
-		return &Report{}
-	case TReportAck:
-		return &ReportAck{}
-	case TDisable:
-		return &Disable{}
-	case TSubPoll:
-		return &SubPoll{}
-	case TSubPollAck:
-		return &SubPollAck{}
-	case TEvict:
-		return &Evict{}
-	case TResync:
-		return &ResyncRequest{}
-	case TJournalAppend:
-		return &JournalAppend{}
-	case TJournalAck:
-		return &JournalAck{}
-	default:
-		return nil
-	}
-}
-
 // Encode serializes a message, prefixed with version and type bytes.
 func Encode(m Message) []byte {
 	return AppendEncode(make([]byte, 0, 64), m)
 }
 
-// encPool recycles encoder state so the append-style API allocates
+// encPool recycles encoding codecs so the append-style API allocates
 // nothing beyond what dst itself needs.
-var encPool = sync.Pool{New: func() any { return new(enc) }}
+var encPool = sync.Pool{New: func() any { return new(Codec) }}
 
 // AppendEncode appends m's wire encoding to dst and returns the extended
 // slice. With a dst of sufficient capacity the call performs zero
 // allocations.
 func AppendEncode(dst []byte, m Message) []byte {
-	e := encPool.Get().(*enc)
-	e.buf = append(dst, codecVersion, byte(m.Type()))
-	m.marshal(e)
-	out := e.buf
-	e.buf = nil
-	encPool.Put(e)
+	c := encPool.Get().(*Codec)
+	c.buf = append(dst, codecVersion, byte(m.Type()))
+	m.walk(c)
+	out := c.buf
+	c.buf = nil
+	encPool.Put(c)
 	return out
 }
 
@@ -552,7 +504,7 @@ func AppendEncode(dst []byte, m Message) []byte {
 //	_ = ep.Unicast(port, dst, pkt.Bytes())
 //	pkt.Free()
 type Packet struct {
-	e enc
+	c Codec
 }
 
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
@@ -561,34 +513,31 @@ var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 // once the send (or fan-out of sends) sharing its bytes has returned.
 func NewPacket(m Message) *Packet {
 	p := packetPool.Get().(*Packet)
-	p.e.buf = append(p.e.buf[:0], codecVersion, byte(m.Type()))
-	m.marshal(&p.e)
+	p.c.buf = append(p.c.buf[:0], codecVersion, byte(m.Type()))
+	m.walk(&p.c)
 	return p
 }
 
 // Bytes returns the encoded packet, valid until Free.
-func (p *Packet) Bytes() []byte { return p.e.buf }
+func (p *Packet) Bytes() []byte { return p.c.buf }
 
 // Free returns the packet to the pool. The slice returned by Bytes must
 // not be used afterwards.
 func (p *Packet) Free() { packetPool.Put(p) }
 
-// decPool recycles decoder state. Each pooled decoder keeps its string
+// decPool recycles decoding codecs. Each pooled codec keeps its string
 // intern table across packets, so node names — the only strings on the
 // hot planes — decode to shared copies instead of fresh allocations.
-var decPool = sync.Pool{New: func() any { return &dec{intern: make(map[string]string)} }}
+var decPool = sync.Pool{New: func() any { return &Codec{decode: true, intern: make(map[string]string)} }}
 
-// decodeBody unmarshals pkt's body into m using a pooled decoder.
+// decodeBody walks pkt's body into m using a pooled decoding codec.
 func decodeBody(pkt []byte, m Message) error {
-	d := decPool.Get().(*dec)
-	d.buf, d.pos, d.err = pkt, 2, nil
-	m.unmarshal(d)
-	err := d.err
-	if err == nil && d.pos != len(pkt) {
-		err = ErrTrailing
-	}
-	d.buf = nil
-	decPool.Put(d)
+	c := decPool.Get().(*Codec)
+	c.buf, c.pos, c.short = pkt, 2, false
+	m.walk(c)
+	err := c.Done()
+	c.buf = nil
+	decPool.Put(c)
 	return err
 }
 
@@ -600,10 +549,11 @@ func Decode(pkt []byte) (Message, error) {
 	if pkt[0] != codecVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, pkt[0])
 	}
-	m := newByType(Type(pkt[1]))
-	if m == nil {
+	t, ok := Peek(pkt)
+	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrBadType, pkt[1])
 	}
+	m := types[t].new()
 	if err := decodeBody(pkt, m); err != nil {
 		return nil, err
 	}
@@ -664,12 +614,13 @@ const beaconFixed = 29
 // DecodeBeaconFixed is the decoder for the highest-rate message on the
 // wire: during discovery every adapter hears every segment-mate's beacon
 // each interval, and all but the first from each say what the receiver
-// already knows. It validates the whole packet exactly as DecodeInto does
-// — one length check and straight loads instead of seven sticky-error
-// field reads through the generic decoder — and fills every field of b but
-// Node, which is left empty; the name's bytes are returned instead, still
-// inside pkt, for the receiver to turn into a string (InternString) only if
-// it is going to keep it.
+// already knows. It validates the whole packet exactly as the Beacon walk
+// does — one length check and straight loads instead of seven sticky-error
+// field reads through the codec — and fills every field of b but Node,
+// which is left empty; the name's bytes are returned instead, still inside
+// pkt, for the receiver to turn into a string (InternString) only if it is
+// going to keep it. It is the one deliberate second reader of a layout:
+// FuzzDecode holds it to the walk's verdict and values.
 func DecodeBeaconFixed(pkt []byte, b *Beacon) (node []byte, err error) {
 	if err := checkHeader(pkt, TBeacon); err != nil {
 		return nil, err
@@ -686,11 +637,11 @@ func DecodeBeaconFixed(pkt []byte, b *Beacon) (node []byte, err error) {
 	}
 	p := 8 + n
 	*b = Beacon{
-		Sender:      transport.IP(be32(pkt[2:])),
-		Incarnation: be32(pkt[p:]),
-		Leader:      transport.IP(be32(pkt[p+4:])),
-		Version:     be64(pkt[p+8:]),
-		Members:     be32(pkt[p+16:]),
+		Sender:      transport.IP(binary.BigEndian.Uint32(pkt[2:])),
+		Incarnation: binary.BigEndian.Uint32(pkt[p:]),
+		Leader:      transport.IP(binary.BigEndian.Uint32(pkt[p+4:])),
+		Version:     binary.BigEndian.Uint64(pkt[p+8:]),
+		Members:     binary.BigEndian.Uint32(pkt[p+16:]),
 		Admin:       pkt[p+20] != 0,
 	}
 	return pkt[8:p], nil
@@ -699,17 +650,8 @@ func DecodeBeaconFixed(pkt []byte, b *Beacon) (node []byte, err error) {
 // InternString converts b to a string through the pooled decoders' intern
 // tables — the shared copy, when the name has been decoded before.
 func InternString(b []byte) string {
-	d := decPool.Get().(*dec)
-	s := d.internBytes(b)
-	decPool.Put(d)
+	c := decPool.Get().(*Codec)
+	s := c.internBytes(b)
+	decPool.Put(c)
 	return s
-}
-
-func be32(b []byte) uint32 {
-	_ = b[3]
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func be64(b []byte) uint64 {
-	return uint64(be32(b))<<32 | uint64(be32(b[4:]))
 }

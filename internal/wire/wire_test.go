@@ -1,7 +1,13 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -40,6 +46,40 @@ func sampleMessages() []Message {
 		&SubPollAck{From: ip4(10, 0, 0, 7), Subgroup: 3, Nonce: 99, Alive: 8},
 		&JournalAppend{From: ip4(10, 0, 1, 1), Epoch: 2, Seq: 17, Payload: []byte{0xca, 0xfe, 0x01}},
 		&JournalAck{From: ip4(10, 0, 1, 2), Epoch: 2, Seq: 17},
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/layout.golden from this encoder")
+
+// TestLayoutGolden pins the byte layout of every message type: one line of
+// hex per sampleMessages entry, compared byte for byte with the committed
+// file. A codec refactor must leave it untouched; a deliberate layout
+// change re-runs with -update, the only writer, and shows the diff.
+func TestLayoutGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, m := range sampleMessages() {
+		got.WriteString(hex.EncodeToString(Encode(m)))
+		got.WriteByte('\n')
+	}
+	const path = "testdata/layout.golden"
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if !bytes.Equal(g[i], w[i]) {
+			t.Fatalf("%s line %d (%v):\n got: %s\nwant: %s", path, i+1, sampleMessages()[i].Type(), g[i], w[i])
+		}
+	}
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d lines encoded, %d committed", path, len(g), len(w))
 	}
 }
 
@@ -199,16 +239,44 @@ func TestRandomBytesNeverPanic(t *testing.T) {
 
 // Hostile member counts must not cause huge allocations.
 func TestHostileMemberCountBounded(t *testing.T) {
-	e := &enc{}
-	e.u8(codecVersion)
-	e.u8(byte(TPrepare))
-	e.ip(ip4(1, 1, 1, 1))
-	e.u64(1)
-	e.u64(1)
-	e.u8(byte(OpForm))
-	e.u16(0xffff) // claims 65535 members, then no bytes
-	if _, err := Decode(e.buf); err == nil {
-		t.Fatal("hostile member count accepted")
+	for _, count := range [][]byte{
+		{0xff, 0xfe},             // claims 65534 members, then no bytes
+		{0xff, 0xff, 0, 1, 0, 0}, // escaped count: claims 65536
+	} {
+		pkt := Encode(&Prepare{Leader: ip4(1, 1, 1, 1), Version: 1, Token: 1, Op: OpForm})
+		pkt = append(pkt[:len(pkt)-2], count...)
+		if _, err := Decode(pkt); err == nil {
+			t.Fatalf("hostile member count %x accepted", count)
+		}
+	}
+}
+
+// Counts of 0xFFFF and more take the escape: 0xFFFF then a u32. Shorter
+// lists keep the plain u16, so every layout below the escape is unchanged.
+func TestCountEscape(t *testing.T) {
+	for _, n := range []int{0, 1, 0xfffe, 0xffff, 70000} {
+		mem := make([]Member, n)
+		pkt := Encode(&MergeOffer{From: ip4(1, 1, 1, 1), Version: 2, Members: mem})
+		head := pkt[2+4+8:]
+		wantHead := 2
+		if n >= 0xffff {
+			wantHead = 6
+			if head[0] != 0xff || head[1] != 0xff || int(binary.BigEndian.Uint32(head[2:])) != n {
+				t.Fatalf("%d members: count bytes %x, want ffff then u32", n, head[:6])
+			}
+		} else if int(head[0])<<8|int(head[1]) != n {
+			t.Fatalf("%d members: count bytes %x", n, head[:2])
+		}
+		if len(head) != wantHead+8*n {
+			t.Fatalf("%d members: %d bytes from the count on, want %d", n, len(head), wantHead+8*n)
+		}
+		got, err := Decode(pkt)
+		if err != nil {
+			t.Fatalf("%d members: %v", n, err)
+		}
+		if len(got.(*MergeOffer).Members) != n {
+			t.Fatalf("%d members decoded as %d", n, len(got.(*MergeOffer).Members))
+		}
 	}
 }
 
@@ -290,6 +358,23 @@ func BenchmarkDecodeHeartbeat(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(pkt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodePrepare500 is the formation-time decode every member of
+// a 500-member AMG does for each Prepare and Commit.
+func BenchmarkDecodePrepare500(b *testing.B) {
+	mem := make([]Member, 500)
+	for i := range mem {
+		mem[i] = Member{IP: transport.MakeIP(10, 0, byte(i/250), byte(i%250+1)), Node: fmt.Sprintf("node-%03d", i)}
+	}
+	pkt := Encode(&Prepare{Leader: mem[0].IP, Version: 1, Token: 1, Op: OpForm, Members: mem})
+	var scratch Prepare
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeInto(pkt, &scratch); err != nil {
 			b.Fatal(err)
 		}
 	}
