@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	gsbench [-quick] [-list] [experiment ...]
+//	gsbench [-quick] [-list] [-cpuprofile file] [-memprofile file] [experiment ...]
 //	gsbench scale [-quick] [-shards K]
 //	gsbench chaos [-seeds N] [-from N] [-rounds N] [-partition] [-failover]
 //	              [-seed-bug] [-no-shrink] [-o dir]
@@ -19,7 +19,10 @@
 // `go test ./internal/exp` compares byte for byte. What is this host's
 // (events/s, allocations, wall time per point) is printed after each
 // table and never committed; bench/ tracks those. gsbench writes no file
-// except chaos's reproduction artifacts under -o.
+// except chaos's reproduction artifacts under -o and the profiles it is
+// asked for: -cpuprofile covers every selected experiment, -memprofile is
+// the heap profile after the last (its alloc_space view counts all of
+// them).
 //
 // The exit status is 1 when an experiment fails to run or fails its own
 // checks: serve and lag verify the sweep's sanity properties, scaleb that
@@ -35,6 +38,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"time"
 
@@ -58,6 +63,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&a.Chaos.SeedBug, "seed-bug", false, "chaos: plant UnsafeSkipVerify to prove the harness catches it")
 	noShrink := fs.Bool("no-shrink", false, "chaos: skip shrinking failing schedules")
 	fs.StringVar(&a.Chaos.ArtifactDir, "o", "", "chaos: directory for reproduction artifacts (none when empty)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiments run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file once the experiments have run")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: gsbench [flags] [experiment ...]\n\nexperiments:\n")
 		printExperiments(stderr)
@@ -97,6 +104,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			selected = append(selected, exp.Experiments[i])
 		}
 	}
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(stderr, "gsbench: %v\n", err)
+		return 2
+	}
 	code := 0
 	for _, e := range selected {
 		start := time.Now()
@@ -115,7 +127,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 			code = 1
 		}
 	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(stderr, "gsbench: %v\n", err)
+		code = 1
+	}
 	return code
+}
+
+// startProfiles starts a CPU profile into the file cpu names, if any, and
+// returns the function that ends it and then writes the heap profile into
+// the file mem names, if any, after a collection.
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	var f *os.File
+	if cpu != "" {
+		if f, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(f); err != nil {
+			return nil, errors.Join(err, f.Close())
+		}
+	}
+	return func() error {
+		if f != nil {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == "" {
+			return nil
+		}
+		h, err := os.Create(mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		return errors.Join(pprof.WriteHeapProfile(h), h.Close())
+	}, nil
 }
 
 func printExperiments(w io.Writer) {

@@ -87,3 +87,23 @@ func TestListAndUsageComeFromTheRegistry(t *testing.T) {
 		t.Errorf("-list printed %d lines for %d rows", n, len(exp.Experiments))
 	}
 }
+
+// -cpuprofile and -memprofile parse before or after the names, and each
+// writes a gzip-compressed pprof file; a profile that cannot be created
+// stops gsbench before any experiment runs.
+func TestProfileFlags(t *testing.T) {
+	stdout, stderr, code, dir := gsbench(t, "-cpuprofile", "cpu.out", "fig5", "-quick", "-memprofile", "mem.out")
+	if code != 0 || !strings.Contains(stdout, "(fig5 wall time: ") {
+		t.Fatalf("exit %d\n%s%s", code, stdout, stderr)
+	}
+	for _, name := range []string{"cpu.out", "mem.out"} {
+		b, err := os.ReadFile(dir + "/" + name)
+		if err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %d bytes, err %v; want a gzip-compressed profile", name, len(b), err)
+		}
+	}
+	stdout, stderr, code, _ = gsbench(t, "fig5", "-quick", "-cpuprofile", "no/such/dir/cpu.out")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "no/such/dir/cpu.out") {
+		t.Errorf("uncreatable profile: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}

@@ -1,12 +1,15 @@
 package exp
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/fnv"
 	"runtime"
+	"runtime/pprof"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/central"
@@ -49,11 +52,12 @@ func DefaultScale() ScaleOptions {
 
 // ScaleTrial is one measured cold start.
 type ScaleTrial struct {
-	StableSecs   float64 // simulated time to farm stability
-	WallSecs     float64 // real time for the run
-	Fired        uint64  // events executed
-	EventsPerSec float64 // Fired / WallSecs
-	TopoHash     uint64  // FNV-1a over Central's sorted view
+	StableSecs     float64 // simulated time to farm stability
+	WallSecs       float64 // real time for the run
+	Fired          uint64  // events executed
+	EventsPerSec   float64 // Fired / WallSecs
+	TopoHash       uint64  // FNV-1a over Central's sorted view
+	MsgsPerAdapter float64 // messages sent per adapter, every plane
 }
 
 // ScalePoint aggregates the trials at one adapter count.
@@ -143,17 +147,21 @@ func ScaleTrialRun(o ScaleOptions, adapters int, seed int64) (ScaleTrial, error)
 	}
 	fired := f.Fired()
 	return ScaleTrial{
-		StableSecs:   at.Seconds(),
-		WallSecs:     wall.Seconds(),
-		Fired:        fired,
-		EventsPerSec: float64(fired) / wall.Seconds(),
-		TopoHash:     TopologyHash(f),
+		StableSecs:     at.Seconds(),
+		WallSecs:       wall.Seconds(),
+		Fired:          fired,
+		EventsPerSec:   float64(fired) / wall.Seconds(),
+		TopoHash:       TopologyHash(f),
+		MsgsPerAdapter: float64(f.Metrics.Total().Messages) / float64(adapters),
 	}, nil
 }
 
 // ScaleSweep measures every (adapter count, trial) cell and returns the
 // aggregated points. Trials run one after another: events/sec is only an
-// honest throughput figure while a trial has the host to itself.
+// honest throughput figure while a trial has the host to itself. Each
+// size runs under the profiler label adapters=<count>, so a CPU profile of
+// the sweep (gsbench scale -cpuprofile) narrows to one size with pprof's
+// -tagfocus='adapters=^4000$' (anchored, or pprof reads 4000 as a range).
 func ScaleSweep(o ScaleOptions) ([]ScalePoint, error) {
 	points := make([]ScalePoint, 0, len(o.Adapters))
 	for _, a := range o.Adapters {
@@ -163,13 +171,17 @@ func ScaleSweep(o ScaleOptions) ([]ScalePoint, error) {
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
 		var fired uint64
-		for i := range pt.Trials {
-			tr, err := ScaleTrialRun(o, a, o.Seed+int64(i)*7919)
-			if err != nil {
-				return nil, err
+		var err error
+		pprof.Do(context.Background(), pprof.Labels("adapters", strconv.Itoa(a)), func(context.Context) {
+			for i := range pt.Trials {
+				if pt.Trials[i], err = ScaleTrialRun(o, a, o.Seed+int64(i)*7919); err != nil {
+					return
+				}
+				fired += pt.Trials[i].Fired
 			}
-			pt.Trials[i] = tr
-			fired += tr.Fired
+		})
+		if err != nil {
+			return nil, err
 		}
 		runtime.ReadMemStats(&m1)
 		pt.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(fired)
@@ -213,8 +225,8 @@ func Scale(o ScaleOptions) (*Table, error) {
 			fmt.Sprintf("%d", pt.Trials[0].Fired),
 			fmt.Sprintf("%016x", pt.Trials[0].TopoHash),
 		)
-		t.HostNote("%7d adapters: median %.0f ev/s  %.2f allocs/ev  %.0f B/ev",
-			pt.Adapters, medianFloat(evps), pt.AllocsPerEvent, pt.BytesPerEvent)
+		t.HostNote("%7d adapters: median %.0f ev/s  %.2f allocs/ev  %.0f B/ev  %.1f msgs/adapter",
+			pt.Adapters, medianFloat(evps), pt.AllocsPerEvent, pt.BytesPerEvent, pt.Trials[0].MsgsPerAdapter)
 	}
 	t.Note("stable(s) is simulated time (= Tb+Ts+Tgsc+δ, size-invariant per the paper), the median over trials;")
 	t.Note("events and topo_hash are the first trial's. Kernel throughput (ev/s) and allocation rates are printed")

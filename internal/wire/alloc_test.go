@@ -10,6 +10,16 @@ import (
 // planes (beacons, heartbeats, 2PC) encode through pooled Packets and
 // decode into caller-owned scratch messages; these tests pin that
 // contract so a refactor cannot quietly reintroduce per-message garbage.
+// They count on sync.Pool keeping what it is given, which it does not
+// under the race detector (it drops items at random there), so a race
+// build skips them.
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop codecs at random")
+	}
+}
 
 func allocBeacon() *Beacon {
 	return &Beacon{
@@ -30,6 +40,7 @@ func allocHeartbeat() *Heartbeat {
 // TestAllocPacketCycle: the pooled encode path allocates nothing in the
 // steady state, for fixed-size and string-carrying messages alike.
 func TestAllocPacketCycle(t *testing.T) {
+	skipUnderRace(t)
 	msgs := []Message{allocBeacon(), allocHeartbeat(), &Prepare{Op: OpJoin, Version: 7}}
 	for _, m := range msgs {
 		m := m
@@ -49,6 +60,7 @@ func TestAllocPacketCycle(t *testing.T) {
 // TestAllocAppendEncode: encoding into a caller buffer of sufficient
 // capacity is allocation-free.
 func TestAllocAppendEncode(t *testing.T) {
+	skipUnderRace(t)
 	dst := make([]byte, 0, 256)
 	m := allocBeacon()
 	got := testing.AllocsPerRun(200, func() {
@@ -63,6 +75,7 @@ func TestAllocAppendEncode(t *testing.T) {
 // reused message with zero steady-state allocations — the beacon's node
 // name comes out of the pooled decoder's intern table.
 func TestAllocDecodeInto(t *testing.T) {
+	skipUnderRace(t)
 	cases := []struct {
 		name    string
 		pkt     []byte
@@ -85,6 +98,26 @@ func TestAllocDecodeInto(t *testing.T) {
 		if got != 0 {
 			t.Errorf("DecodeInto(%s): %.1f allocs/op, want 0", tc.name, got)
 		}
+	}
+}
+
+// TestAllocRedecodeMemberList: the 2PC fan-out's receive side. Every
+// member of a 500-adapter group decodes the same Prepare; once one of them
+// has, the rest share its member list and allocate nothing.
+func TestAllocRedecodeMemberList(t *testing.T) {
+	skipUnderRace(t)
+	pkt := Encode(&Prepare{Leader: 1, Version: 9, Token: 3, Op: OpJoin, Members: testMembers(500)})
+	var scratch Prepare
+	if err := DecodeInto(pkt, &scratch); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if err := DecodeInto(pkt, &scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("re-decoding a 500-member Prepare: %.1f allocs/op, want 0", got)
 	}
 }
 

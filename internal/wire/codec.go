@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -17,16 +18,35 @@ import (
 // A decoding codec's failure is sticky: after the first short read every
 // primitive leaves its field alone and Done reports where it happened.
 // The scalar primitives are small enough to inline into the walks. The
-// intern table, when present, deduplicates decoded strings across packets:
-// node names repeat in every beacon and membership list, and returning the
-// shared copy keeps the hot receive paths allocation-free.
+// pooled decoders (Decode, DecodeInto) also carry two caches. The intern
+// table deduplicates decoded strings across packets: node names repeat in
+// every beacon and membership list, and returning the shared copy keeps
+// the hot receive paths allocation-free. The list slots do the same for
+// whole member lists, which a 2PC round sends to every member alike.
 type Codec struct {
 	buf    []byte
 	pos    int
 	short  bool // a read ran past the end; pos is where it began
 	decode bool
-	intern map[string]string
+
+	intern     map[string]string // nil: no interning and no list slots
+	internCost int               // charged as internBudget says
+	lists      [listSlots]struct {
+		raw []byte   // a list's wire bytes, count included
+		ms  []Member // what they decoded to
+	}
+	nextSlot int // the slot the next miss overwrites
 }
+
+// listSlots is how many lists a pooled codec remembers, overwritten in
+// turn. Formation interleaves the lists of the segments a node's adapters
+// sit on, two in the benchmark farms: in their cold starts, sharded or
+// not, nearly every hit was on one of the two newest lists, and one slot
+// missed about half the time and gave back a third of the memory the
+// slots save. A goroutine that interleaves more lists than this misses,
+// and a miss decodes as before, plus a failed compare and a copy of the
+// list's bytes.
+const listSlots = 2
 
 // NewEncoder returns a codec that appends to dst.
 func NewEncoder(dst []byte) *Codec { return &Codec{buf: dst} }
@@ -50,9 +70,13 @@ func (c *Codec) Done() error {
 	return nil
 }
 
-// internCap bounds the intern table; node names and disable reasons are
-// the only strings on the wire, so hitting this means garbage input.
-const internCap = 1 << 12
+// internBudget bounds an intern table by what it holds, each name charged
+// its bytes plus internEntryCost for map slot and header, not by a count a
+// real farm exceeds: a pooled codec sees every node name of its shard, and
+// a 131 072-adapter farm's 65 536 names charge about 4 MB. Hostile input
+// can fill one table to the budget (under twice that in memory, at the
+// map's emptiest after a growth); later strings are converted afresh.
+const internBudget, internEntryCost = 8 << 20, 48
 
 // need reports whether n more bytes can be read, failing the codec if not.
 func (c *Codec) need(n int) bool {
@@ -146,9 +170,10 @@ func (c *Codec) internBytes(b []byte) string {
 		if s, ok := c.intern[string(b)]; ok {
 			return s
 		}
-		if len(c.intern) < internCap {
+		if cost := len(b) + internEntryCost; c.internCost+cost <= internBudget {
 			s := string(b)
 			c.intern[s] = s
+			c.internCost += cost
 			return s
 		}
 	}
@@ -191,14 +216,37 @@ func (c *Codec) Member(m *Member) {
 	c.Bool(&m.Admin)
 }
 
-// Members walks a membership list; decoding replaces *ms with a new slice.
+// Members walks a membership list; decoding replaces *ms.
+//
+// A pooled codec first looks for the packet's next bytes among the lists
+// it decoded recently; on a match *ms becomes that list's slice, shared
+// with every earlier decode of the same bytes. Decoding is a pure function
+// of the bytes and a list's length is fixed by its own bytes, so a hit
+// accepts exactly what a fresh decode would and yields an equal slice.
+// The slice is read-only for everyone it is handed to.
 func (c *Codec) Members(ms *[]Member) {
+	if c.intern != nil && !c.short {
+		for i := range c.lists {
+			if s := &c.lists[i]; s.raw != nil && bytes.HasPrefix(c.buf[c.pos:], s.raw) {
+				*ms = s.ms
+				c.pos += len(s.raw)
+				return
+			}
+		}
+	}
+	start := c.pos
 	n := c.Count(len(*ms), 8) // an entry is at least 8 bytes
 	if c.decode {
 		*ms = make([]Member, n)
 	}
 	for i := range *ms {
 		c.Member(&(*ms)[i])
+	}
+	if c.intern != nil && !c.short {
+		s := &c.lists[c.nextSlot]
+		c.nextSlot = (c.nextSlot + 1) % listSlots
+		s.raw = append(s.raw[:0], c.buf[start:c.pos]...)
+		s.ms = *ms
 	}
 }
 

@@ -526,8 +526,9 @@ func (p *Packet) Bytes() []byte { return p.c.buf }
 func (p *Packet) Free() { packetPool.Put(p) }
 
 // decPool recycles decoding codecs. Each pooled codec keeps its string
-// intern table across packets, so node names — the only strings on the
-// hot planes — decode to shared copies instead of fresh allocations.
+// intern table and member-list slots across packets, so node names and
+// the member lists a 2PC round repeats to every receiver decode to shared
+// copies instead of fresh allocations.
 var decPool = sync.Pool{New: func() any { return &Codec{decode: true, intern: make(map[string]string)} }}
 
 // decodeBody walks pkt's body into m using a pooled decoding codec.
@@ -541,7 +542,10 @@ func decodeBody(pkt []byte, m Message) error {
 	return err
 }
 
-// Decode parses one packet. All trailing garbage is rejected.
+// Decode parses one packet. All trailing garbage is rejected. A decoded
+// member list (Prepare, Commit, MergeOffer, Report) may be shared with
+// other decodes of the same list, so the caller must treat it as
+// read-only: copy it before editing, as every amg.Membership method does.
 func Decode(pkt []byte) (Message, error) {
 	if len(pkt) < 2 {
 		return nil, ErrShort
@@ -592,6 +596,7 @@ func checkHeader(pkt []byte, t Type) error {
 // packet's wire type. Unlike Decode it allocates nothing for fixed-size
 // messages, so hot receive paths (beacons, heartbeats) can decode into a
 // long-lived scratch value. On error the message contents are undefined.
+// A decoded member list is shared and read-only, as with Decode.
 func DecodeInto(pkt []byte, m Message) error {
 	if b, ok := m.(*Beacon); ok {
 		node, err := DecodeBeaconFixed(pkt, b)
