@@ -54,26 +54,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// group is Central's record of one AMG.
-type group struct {
-	leader  transport.IP
-	version uint64
-	members map[transport.IP]wire.Member
-	// src is the admin address of the daemon reporting for this group,
-	// kept so Central can ask it for a full resync.
+// reporter is what Central keeps about one group beside its view: the
+// admin address of the daemon reporting for the group, so Central can ask
+// it for a full resync, and the rate limit on asking. A stale or
+// unchanged report updates src without committing a record, so the
+// group's next record, not the view, carries the current reporter.
+type reporter struct {
 	src transport.Addr
-	// resyncAt rate-limits per-group resync requests; resynced marks it
-	// meaningful (zero is a valid instant under the simulated clock).
+	// resyncAt rate-limits resync requests; resynced marks it meaningful
+	// (zero is a valid instant under the simulated clock).
 	resyncAt time.Duration
 	resynced bool
-}
-
-// adapterInfo is Central's record of one adapter's state.
-type adapterInfo struct {
-	member wire.Member
-	alive  bool
-	group  transport.IP // leader of the group it belongs to
-	diedAt time.Duration
 }
 
 // Central is the farm-view authority. Like the daemon it is event-driven
@@ -88,19 +79,19 @@ type Central struct {
 	ep     transport.Endpoint
 	snmp   *snmp.Client
 
-	groups   map[transport.IP]*group
-	adapters map[transport.IP]adapterInfo
+	// st is the farm view: groups, adapter liveness, correlated node and
+	// switch deaths, and the moves Central itself started. It changes only
+	// by folding a record (commit); an active journaling Central's st is
+	// its journal's State.
+	st *journal.State
+	// reporters holds a reporter per group in st, keyed by leader.
+	reporters map[transport.IP]*reporter
 	// nodesSeen accumulates every adapter ever reported per node
 	// (ascending), the basis of node-failure correlation.
-	nodesSeen  map[string][]transport.IP
-	nodeDead   map[string]bool
-	switchDead map[string]bool
+	nodesSeen map[string][]transport.IP
 
 	// lastSeq dedups reports per reporting daemon (admin adapter addr).
 	lastSeq map[transport.IP]uint64
-
-	// expectedMoves holds adapters Central itself is relocating.
-	expectedMoves map[transport.IP]time.Duration
 
 	// incidents holds the open incident id per subject node or switch;
 	// incidentSeq issues ids (incident.go).
@@ -135,32 +126,25 @@ type Central struct {
 
 	lastChange  time.Duration
 	everChanged bool
-
-	// OnReport, if set, observes every report as it is applied (after
-	// dedup) — an observability hook for tests and debugging tools.
-	OnReport func(src transport.Addr, r *wire.Report)
 }
 
 // New builds a Central. db may be nil (no verification or switch
 // correlation). bus receives all published events.
 func New(cfg Config, clock transport.Clock, bus *event.Bus, db *configdb.DB) *Central {
 	return &Central{
-		cfg:           cfg,
-		clock:         clock,
-		bus:           bus,
-		db:            db,
-		groups:        make(map[transport.IP]*group),
-		adapters:      make(map[transport.IP]adapterInfo),
-		nodesSeen:     make(map[string][]transport.IP),
-		nodeDead:      make(map[string]bool),
-		switchDead:    make(map[string]bool),
-		lastSeq:       make(map[transport.IP]uint64),
-		expectedMoves: make(map[transport.IP]time.Duration),
-		incidents:     make(map[string]uint64),
-		limbo:         make(map[transport.IP]time.Duration),
-		switchAgents:  make(map[string]transport.Addr),
-		snmpWiring:    make(map[string][]transport.IP),
-		snmpSwitchOf:  make(map[transport.IP]string),
+		cfg:          cfg,
+		clock:        clock,
+		bus:          bus,
+		db:           db,
+		st:           journal.NewState(),
+		reporters:    make(map[transport.IP]*reporter),
+		nodesSeen:    make(map[string][]transport.IP),
+		lastSeq:      make(map[transport.IP]uint64),
+		incidents:    make(map[string]uint64),
+		limbo:        make(map[transport.IP]time.Duration),
+		switchAgents: make(map[string]transport.Addr),
+		snmpWiring:   make(map[string][]transport.IP),
+		snmpSwitchOf: make(map[transport.IP]string),
 	}
 }
 
@@ -175,40 +159,47 @@ func (c *Central) Activate(admin transport.Endpoint) {
 	c.active = true
 	c.ep = admin
 	c.snmp = snmp.NewClient(admin, c.clock, c.cfg.Community, c.cfg.SNMPPort)
-	// With a journal the successor replays its accumulated state (streamed
-	// from the previous active, or loaded from disk) instead of starting
-	// from nothing.
-	restored := c.jr != nil && c.jr.Loaded() && c.installRestored()
+	// With a journal the successor adopts the view it accumulated
+	// (streamed from the previous active, or loaded from disk) instead of
+	// starting from nothing.
+	restored := c.jr != nil && c.jr.Loaded() && len(c.jr.State().Groups) > 0
 	if !restored {
 		// Cold start: whatever this Central held under a previous regime
 		// — groups, adapter liveness, correlated node/switch deaths — no
-		// longer describes its (empty) view. The correlation maps must be
-		// dropped along with the groups: a node marked dead by a prior
-		// activation would otherwise survive in memory with no journal
-		// record backing it, and the resync rebuilds all of it anyway.
-		c.groups = make(map[transport.IP]*group)
-		c.adapters = make(map[transport.IP]adapterInfo)
-		c.nodesSeen = make(map[string][]transport.IP)
-		c.nodeDead = make(map[string]bool)
-		c.switchDead = make(map[string]bool)
-		c.expectedMoves = make(map[transport.IP]time.Duration)
+		// longer describes its (empty) view, and the resync rebuilds it.
 		// Incident correlation state is regime-local (never journaled):
 		// incidents opened by a previous activation cannot be resolved by
 		// this one. The sequence keeps counting so ids stay unique per
 		// instance.
 		c.incidents = make(map[string]uint64)
+		c.st = journal.NewState()
 		if c.jr != nil {
-			// The journal fold is stale for the same reason, and left in
+			// The journal's fold is stale for the same reason, and left in
 			// place it would leak into the next standby snapshot.
 			c.jr.Reset()
+		}
+	}
+	if c.jr != nil {
+		c.st = c.jr.State() // the journal's fold is the view
+	}
+	// The regime-local tables are rebuilt from the view.
+	c.reporters = make(map[transport.IP]*reporter, len(c.st.Groups))
+	c.nodesSeen = make(map[string][]transport.IP)
+	for ip, a := range c.st.Adapters {
+		c.noteSeen(a.Member.Node, ip)
+	}
+	for leader, g := range c.st.Groups {
+		c.reporters[leader] = &reporter{src: g.Src}
+		for _, m := range g.Members {
+			c.noteSeen(m.Node, m.IP)
 		}
 	}
 	det := "cold"
 	if restored {
 		det = "restored"
-		c.trace(trace.Record{Kind: trace.KJournalReplayed, Count: uint32(len(c.groups))})
+		c.trace(trace.Record{Kind: trace.KJournalReplayed, Count: uint32(len(c.st.Groups))})
 	}
-	c.trace(trace.Record{Kind: trace.KCentralActivated, Count: uint32(len(c.groups)), Detail: det})
+	c.trace(trace.Record{Kind: trace.KCentralActivated, Count: uint32(len(c.st.Groups)), Detail: det})
 	c.lastSeq = make(map[transport.IP]uint64)
 	c.limbo = make(map[transport.IP]time.Duration)
 	c.resetStream()
@@ -234,20 +225,21 @@ func (c *Central) Activate(admin transport.Endpoint) {
 
 // requestGroupResync asks one group's reporting daemon for a fresh full
 // report, rate-limited per group.
-func (c *Central) requestGroupResync(g *group) {
-	if c.ep == nil || g.src.IP == 0 {
+func (c *Central) requestGroupResync(leader transport.IP) {
+	rep := c.reporters[leader]
+	if c.ep == nil || rep.src.IP == 0 {
 		return
 	}
 	now := c.clock.Now()
-	if g.resynced && now-g.resyncAt < 10*time.Second {
+	if rep.resynced && now-rep.resyncAt < 10*time.Second {
 		return
 	}
-	g.resyncAt = now
-	g.resynced = true
-	c.trace(trace.Record{Kind: trace.KResyncSent, Peer: g.src.IP,
-		Group: g.leader, Version: g.version, Detail: "group"})
+	rep.resyncAt = now
+	rep.resynced = true
+	c.trace(trace.Record{Kind: trace.KResyncSent, Peer: rep.src.IP,
+		Group: leader, Version: c.st.Groups[leader].Version, Detail: "group"})
 	req := wire.Encode(&wire.ResyncRequest{From: c.ep.LocalIP()})
-	_ = c.ep.Unicast(transport.PortReport, g.src, req)
+	_ = c.ep.Unicast(transport.PortReport, rep.src, req)
 }
 
 // requestResync multicasts a ResyncRequest, re-sending `times` times.
@@ -264,8 +256,13 @@ func (c *Central) requestResync(times int) {
 
 // Deactivate implements core.CentralHook.
 func (c *Central) Deactivate() {
-	c.trace(trace.Record{Kind: trace.KCentralDeactivated, Count: uint32(len(c.groups))})
+	c.trace(trace.Record{Kind: trace.KCentralDeactivated, Count: uint32(len(c.st.Groups))})
 	c.active = false
+	if c.jr != nil {
+		// The journal goes on folding the next active's stream; the view
+		// this Central leaves behind stays as it was.
+		c.st = c.st.Clone()
+	}
 	c.resetStream()
 	if c.sweepTimer != nil {
 		c.sweepTimer.Stop()
@@ -293,17 +290,15 @@ func (c *Central) sweepLimbo() {
 	now := c.clock.Now()
 	for _, ip := range expired(c.limbo, now) {
 		delete(c.limbo, ip)
-		info, known := c.adapters[ip]
-		if !known || !info.alive {
+		info, known := c.st.Adapters[ip]
+		if !known || !info.Alive {
 			continue
 		}
-		info.alive = false
-		info.diedAt = now
-		c.adapters[ip] = info
-		c.jAdapter(info)
+		c.commit(journal.Record{Kind: journal.RecAdapterFlip,
+			Member: info.Member, Group: info.Group, DiedAt: now})
 		c.publish(event.Event{Kind: event.AdapterFailed, Adapter: ip,
-			Node: info.member.Node, Detail: "unaccounted after group dissolution"})
-		c.correlateNode(info.member.Node)
+			Node: info.Member.Node, Detail: "unaccounted after group dissolution"})
+		c.correlateNode(info.Member.Node)
 		c.correlateSwitch(ip)
 	}
 }
@@ -324,7 +319,7 @@ func (c *Central) touch() {
 
 // Stable reports whether a nonempty view has been quiet for Tgsc.
 func (c *Central) Stable() bool {
-	return c.everChanged && len(c.groups) > 0 &&
+	return c.everChanged && len(c.st.Groups) > 0 &&
 		c.clock.Now()-c.lastChange >= c.cfg.StabilizeWait
 }
 
@@ -332,63 +327,110 @@ func (c *Central) Stable() bool {
 // no further changes: lastChange + Tgsc.
 func (c *Central) StableAt() time.Duration { return c.lastChange + c.cfg.StabilizeWait }
 
-// Groups snapshots the discovered topology: leader -> member addresses.
+// Groups snapshots the discovered topology: leader -> member addresses,
+// ascending. A group without members is left out.
 func (c *Central) Groups() map[transport.IP][]transport.IP {
-	out := make(map[transport.IP][]transport.IP, len(c.groups))
-	for l, g := range c.groups {
-		for ip := range g.members {
-			out[l] = append(out[l], ip)
+	out := make(map[transport.IP][]transport.IP, len(c.st.Groups))
+	for l, g := range c.st.Groups {
+		if len(g.Members) == 0 {
+			continue
 		}
-	}
-	for _, ips := range out {
-		slices.Sort(ips)
+		ips := make([]transport.IP, len(g.Members))
+		for i, m := range g.Members {
+			ips[len(ips)-1-i] = m.IP
+		}
+		out[l] = ips
 	}
 	return out
 }
 
 // GroupCount returns how many AMGs Central currently tracks.
-func (c *Central) GroupCount() int { return len(c.groups) }
+func (c *Central) GroupCount() int { return len(c.st.Groups) }
 
 // AdapterAlive reports the last known liveness of an adapter.
 func (c *Central) AdapterAlive(ip transport.IP) (alive, known bool) {
-	a, ok := c.adapters[ip]
-	if !ok {
-		return false, false
-	}
-	return a.alive, true
+	a, ok := c.st.Adapters[ip]
+	return a.Alive, ok
 }
 
 // NodeAlive reports node-level correlated state.
-func (c *Central) NodeAlive(node string) bool { return !c.nodeDead[node] }
+func (c *Central) NodeAlive(node string) bool { return !c.st.DeadNodes[node] }
 
 // DeadNodes lists the nodes Central currently believes dead, sorted —
 // the harness diffs this against a scenario's expected casualties.
 func (c *Central) DeadNodes() []string {
-	out := make([]string, 0, len(c.nodeDead))
-	for n := range c.nodeDead {
+	out := make([]string, 0, len(c.st.DeadNodes))
+	for n := range c.st.DeadNodes {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// departed lists, in address order, the members of old that keep does not
-// hold. Departures publish events and write journal records, so they are
-// walked in an order a second run of the same seed will repeat — never in
-// the map's.
-func departed[V any](old map[transport.IP]wire.Member, keep map[transport.IP]V) []wire.Member {
-	var out []wire.Member
-	for ip, m := range old {
-		if _, still := keep[ip]; !still {
-			out = append(out, m)
-		}
+// commit applies one transition to the view by folding its record. A
+// journaling Central's journal does the folding, into the same state,
+// after stamping and persisting the record, which then goes to the
+// standby.
+func (c *Central) commit(rec journal.Record) {
+	rec.Time = c.clock.Now()
+	if !c.journaling() {
+		c.st.Fold(rec)
+		return
 	}
-	slices.SortFunc(out, func(a, b wire.Member) int { return cmp.Compare(a.IP, b.IP) })
-	return out
+	c.streamRecord(c.jr.Commit(rec))
+}
+
+// putGroup commits one group's state under its current reporter. members
+// is strictly descending by IP and never modified afterwards.
+func (c *Central) putGroup(leader transport.IP, version uint64, members []wire.Member) {
+	c.commit(journal.Record{Kind: journal.RecGroupUpdate, Group: leader,
+		Version: version, Src: c.reporters[leader].src, Members: members})
+}
+
+// removeGroup commits a group's dissolution.
+func (c *Central) removeGroup(leader transport.IP) {
+	delete(c.reporters, leader)
+	c.commit(journal.Record{Kind: journal.RecGroupRemove, Group: leader})
+}
+
+// find locates ip in a member list strictly descending by IP: its index
+// and whether it is there (absent, the index it would take).
+func find(members []wire.Member, ip transport.IP) (int, bool) {
+	return slices.BinarySearchFunc(members, ip, func(m wire.Member, ip transport.IP) int {
+		return cmp.Compare(ip, m.IP)
+	})
+}
+
+// descending returns a report's member list in the view's order, strictly
+// descending by IP. A list already in that order (every amg.Membership
+// is) is kept as is, shared with the decoded report. Any other comes from
+// a corrupt or hostile report: it is sorted into a copy, and of several
+// entries for one IP the last wins.
+func descending(ms []wire.Member) []wire.Member {
+	i := 1
+	for i < len(ms) && ms[i].IP < ms[i-1].IP {
+		i++
+	}
+	if i >= len(ms) {
+		return ms
+	}
+	out := slices.Clone(ms)
+	slices.SortStableFunc(out, func(a, b wire.Member) int { return cmp.Compare(b.IP, a.IP) })
+	n := 0
+	for i, m := range out {
+		if i+1 < len(out) && out[i+1].IP == m.IP {
+			continue
+		}
+		out[n] = m
+		n++
+	}
+	return out[:n]
 }
 
 // expired lists, in address order, the addresses whose deadline has
-// passed (see departed).
+// passed. Expiries publish events and commit records, so they are walked
+// in an order a second run of the same seed will repeat — never in the
+// map's.
 func expired(deadlines map[transport.IP]time.Duration, now time.Duration) []transport.IP {
 	var out []transport.IP
 	for ip, deadline := range deadlines {
@@ -417,13 +459,10 @@ func (c *Central) HandleReport(src transport.Addr, r *wire.Report) {
 	}
 	c.trace(trace.Record{Kind: trace.KReportApplied, Peer: src.IP,
 		Group: r.Leader, Version: r.Version, Token: r.Seq, Detail: det})
-	if c.OnReport != nil {
-		c.OnReport(src, r)
-	}
 	if r.Full {
 		c.applyFull(src, r)
 	} else {
-		if c.groups[r.Leader] == nil {
+		if c.st.Groups[r.Leader] == nil {
 			// A delta without a baseline: we are missing state for this
 			// group. Apply what we can and ask the reporter for a full.
 			defer func() {
@@ -449,6 +488,7 @@ func (c *Central) ack(src transport.Addr, seq uint64) {
 }
 
 func (c *Central) applyFull(src transport.Addr, r *wire.Report) {
+	members := descending(r.Members)
 	// A takeover report names the group (leader + version) it supersedes:
 	// the successor won leadership after verifying the old leader's death.
 	// Old-group members absent from the new membership departed (typically
@@ -456,52 +496,40 @@ func (c *Central) applyFull(src transport.Addr, r *wire.Report) {
 	// The version guard skips the inference when the old leader's address
 	// now keys an unrelated, newer lineage (it moved and re-formed).
 	if r.PrevLeader != 0 && r.PrevLeader != r.Leader {
-		if og := c.groups[r.PrevLeader]; og != nil && og.version <= r.PrevVersion {
-			inNew := make(map[transport.IP]bool, len(r.Members))
-			for _, m := range r.Members {
-				inNew[m.IP] = true
-			}
-			for _, m := range departed(og.members, inNew) {
-				c.memberLeft(r.PrevLeader, m)
-			}
-			delete(c.groups, r.PrevLeader)
-			c.jGroupRemove(r.PrevLeader)
+		if og := c.st.Groups[r.PrevLeader]; og != nil && og.Version <= r.PrevVersion {
+			c.leaveAll(r.PrevLeader, og.Members, members)
+			c.removeGroup(r.PrevLeader)
 			c.publish(event.Event{Kind: event.LeaderChanged, Group: r.Leader,
 				Detail: fmt.Sprintf("took over from %v", r.PrevLeader)})
 		}
 	}
+	old := c.st.Groups[r.Leader]
 	// A Fresh report is a lineage break: the sender reformed after total
 	// isolation and knows nothing about its previous group. Displace the
 	// old same-key group's members into limbo — alive, but expected to
-	// resurface somewhere within the move window.
-	if r.Fresh {
-		if og := c.groups[r.Leader]; og != nil {
-			for ip := range og.members {
-				if ip != r.Leader {
-					c.limbo[ip] = c.clock.Now() + c.cfg.MoveWindow
-				}
+	// resurface somewhere within the move window — and take the report as
+	// a new group's first.
+	if r.Fresh && old != nil {
+		for _, m := range old.Members {
+			if m.IP != r.Leader {
+				c.limbo[m.IP] = c.clock.Now() + c.cfg.MoveWindow
 			}
-			delete(c.groups, r.Leader)
 		}
+		old = nil
 	}
-	g := c.groups[r.Leader]
-	fresh := g == nil
+	fresh := old == nil
 	if fresh {
-		g = &group{leader: r.Leader} // members are installed just below
-		c.groups[r.Leader] = g
+		// The report founds the group: an empty baseline, a new reporter.
+		old = &journal.GroupState{}
+		c.reporters[r.Leader] = &reporter{}
 	}
-	if !fresh && r.Version < g.version {
-		g.src = src // still the live reporter, even when the full is stale
+	rep := c.reporters[r.Leader]
+	if r.Version < old.Version {
+		rep.src = src // still the live reporter, even when the full is stale
 		return
 	}
-	oldVersion, oldSrc := g.version, g.src
-	g.src = src
-	oldMembers := g.members
-	g.members = make(map[transport.IP]wire.Member, len(r.Members))
-	g.version = r.Version
-	for _, m := range r.Members {
-		g.members[m.IP] = m
-	}
+	oldSrc := rep.src
+	rep.src = src
 	if fresh {
 		c.publish(event.Event{Kind: event.GroupFormed, Group: r.Leader,
 			Detail: fmt.Sprintf("%d members", len(r.Members))})
@@ -509,48 +537,64 @@ func (c *Central) applyFull(src transport.Addr, r *wire.Report) {
 	changed := fresh
 	// Joins: present now, absent before.
 	for _, m := range r.Members {
-		if _, had := oldMembers[m.IP]; !had {
+		if _, had := find(old.Members, m.IP); !had {
 			c.memberJoined(r.Leader, m, fresh)
 			changed = true
 		}
 	}
 	// Departures: present before, absent now.
-	for _, m := range departed(oldMembers, g.members) {
-		c.memberLeft(r.Leader, m)
+	if c.leaveAll(r.Leader, old.Members, members) {
 		changed = true
 	}
 	if changed {
 		// Resync-triggered no-op fulls must not reset the stability clock.
 		c.touch()
 	}
-	if changed || g.version != oldVersion || g.src != oldSrc {
-		c.jGroup(g)
+	if changed || r.Version != old.Version || src != oldSrc {
+		c.putGroup(r.Leader, r.Version, members)
 	}
 }
 
+// leaveAll walks the members of leader's group that keep does not list
+// through memberLeft, in address order: departures publish events and
+// commit records, so a second run of the same seed must repeat the order.
+// It reports whether any departed.
+func (c *Central) leaveAll(leader transport.IP, members, keep []wire.Member) bool {
+	left := false
+	for i := len(members) - 1; i >= 0; i-- {
+		if _, still := find(keep, members[i].IP); !still {
+			c.memberLeft(leader, members[i])
+			left = true
+		}
+	}
+	return left
+}
+
 func (c *Central) applyDelta(src transport.Addr, r *wire.Report) {
-	g := c.groups[r.Leader]
+	g := c.st.Groups[r.Leader]
 	if g == nil {
 		// Delta without a baseline (lost state); synthesize the group so
 		// we at least track these members — the next full report heals.
-		g = &group{leader: r.Leader, members: make(map[transport.IP]wire.Member)}
-		c.groups[r.Leader] = g
+		g = &journal.GroupState{}
+		c.reporters[r.Leader] = &reporter{}
 		c.publish(event.Event{Kind: event.GroupFormed, Group: r.Leader, Detail: "from delta"})
 	}
-	oldVersion := g.version
-	g.src = src
-	g.version = r.Version
+	c.reporters[r.Leader].src = src
+	// The list may be shared with the view and with decoded reports:
+	// every edit builds a new one.
+	members := g.Members
 	changed := false
 	for _, m := range r.Members {
-		if _, had := g.members[m.IP]; !had {
-			g.members[m.IP] = m
+		if i, had := find(members, m.IP); !had {
+			members = slices.Insert(slices.Clip(members), i, m)
 			c.memberJoined(r.Leader, m, false)
 			changed = true
 		}
 	}
 	for _, ip := range r.Left {
-		if m, had := g.members[ip]; had {
-			delete(g.members, ip)
+		if i, had := find(members, ip); had {
+			m := members[i]
+			members = without(members, i)
 			c.memberLeft(r.Leader, m)
 			changed = true
 		}
@@ -558,60 +602,59 @@ func (c *Central) applyDelta(src transport.Addr, r *wire.Report) {
 	if changed {
 		c.touch()
 		c.publish(event.Event{Kind: event.GroupChanged, Group: r.Leader,
-			Detail: fmt.Sprintf("v%d, %d members", r.Version, len(g.members))})
+			Detail: fmt.Sprintf("v%d, %d members", r.Version, len(members))})
 	}
-	if len(g.members) == 0 {
-		delete(c.groups, r.Leader)
-		c.jGroupRemove(r.Leader)
-	} else if changed || g.version != oldVersion {
-		c.jGroup(g)
+	if len(members) == 0 {
+		c.removeGroup(r.Leader)
+	} else if changed || r.Version != g.Version {
+		c.putGroup(r.Leader, r.Version, members)
 	}
+}
+
+// without returns a new list: members less its i-th entry.
+func without(members []wire.Member, i int) []wire.Member {
+	return slices.Concat(members[:i:i], members[i+1:])
 }
 
 // memberJoined integrates one adapter into the view.
 func (c *Central) memberJoined(leader transport.IP, m wire.Member, initial bool) {
 	delete(c.limbo, m.IP) // surfaced somewhere; no longer unaccounted
-	prev, known := c.adapters[m.IP]
+	prev, known := c.st.Adapters[m.IP]
 	// An adapter lives in exactly one group: a join here is an implicit
 	// departure from any other group (that is how merges appear). Only the
 	// group its record names can still list it: every entry into a member
-	// set comes through here and sets that name, and nothing re-points the
+	// list comes through here and sets that name, and nothing re-points the
 	// record of a listed adapter (DESIGN.md §4, "What Central indexes").
 	// The old group's leader may not know it lost the member (an orphan
 	// reforms without its leader dropping it), in which case our record
 	// and the leader's reported state have silently diverged — ask that
 	// group for a full resync so later changes reconcile.
-	if og := c.groups[prev.group]; known && prev.group != leader && og != nil {
-		if _, in := og.members[m.IP]; in {
-			delete(og.members, m.IP)
-			if len(og.members) == 0 {
-				delete(c.groups, og.leader)
-				c.jGroupRemove(og.leader)
+	if og := c.st.Groups[prev.Group]; known && prev.Group != leader && og != nil {
+		if i, in := find(og.Members, m.IP); in {
+			if len(og.Members) == 1 {
+				c.removeGroup(og.Leader)
 			} else {
-				c.jGroup(og)
-				c.requestGroupResync(og)
+				c.putGroup(og.Leader, og.Version, without(og.Members, i))
+				c.requestGroupResync(og.Leader)
 			}
 		}
 	}
 	c.noteSeen(m.Node, m.IP)
-	wasDead := known && !prev.alive
-	movedGroup := known && prev.group != leader
-	info := adapterInfo{member: m, alive: true, group: leader}
-	c.adapters[m.IP] = info
-	c.jAdapter(info)
+	wasDead := known && !prev.Alive
+	movedGroup := known && prev.Group != leader
+	c.commit(journal.Record{Kind: journal.RecAdapterFlip, Member: m, Alive: true, Group: leader})
 
-	deadline, expected := c.expectedMoves[m.IP]
+	deadline, expected := c.st.ExpectedMoves[m.IP]
 	switch {
 	case expected && movedGroup && c.clock.Now() <= deadline:
 		// A Central-initiated move completed. The adapter may have been
 		// reported dead in between (ordinary member move) or regrouped
 		// silently (it led its old group and reformed); either way the
 		// expectation is satisfied.
-		delete(c.expectedMoves, m.IP)
-		c.jMoveDone(m.IP)
+		c.commit(journal.Record{Kind: journal.RecMoveDone, Adapter: m.IP})
 		c.publish(event.Event{Kind: event.NodeMoved, Adapter: m.IP, Node: m.Node,
 			Group: leader, Detail: "expected (central-initiated)"})
-	case wasDead && movedGroup && c.clock.Now()-prev.diedAt <= c.cfg.MoveWindow:
+	case wasDead && movedGroup && c.clock.Now()-prev.DiedAt <= c.cfg.MoveWindow:
 		// Death in one group + join in another inside the window: the
 		// adapter moved domains; only Central can see this (paper §3.1) —
 		// and nobody planned it.
@@ -628,28 +671,22 @@ func (c *Central) memberJoined(leader transport.IP, m wire.Member, initial bool)
 	c.correlateSwitch(m.IP)
 }
 
-// memberLeft marks one adapter dead (or moving).
+// memberLeft marks one adapter dead (or moving). A group lists only
+// adapters memberJoined recorded, so the adapter is known.
 func (c *Central) memberLeft(leader transport.IP, m wire.Member) {
-	info, known := c.adapters[m.IP]
-	if !known {
-		info = adapterInfo{member: m}
-		c.adapters[m.IP] = info
-	}
-	if !info.alive {
+	info := c.st.Adapters[m.IP]
+	if !info.Alive {
 		return
 	}
-	if info.group != leader && info.group != 0 {
+	if info.Group != leader && info.Group != 0 {
 		// Already accounted to a different group (it moved before this
 		// departure report arrived): cleanup, not a death.
 		return
 	}
-	info.alive = false
-	info.diedAt = c.clock.Now()
-	info.group = leader
-	c.adapters[m.IP] = info
-	c.jAdapter(info)
+	c.commit(journal.Record{Kind: journal.RecAdapterFlip,
+		Member: info.Member, Group: leader, DiedAt: c.clock.Now()})
 
-	_, expected := c.expectedMoves[m.IP]
+	_, expected := c.st.ExpectedMoves[m.IP]
 	c.publish(event.Event{Kind: event.AdapterFailed, Adapter: m.IP, Node: m.Node,
 		Group: leader, Suppressed: expected,
 		Detail: map[bool]string{true: "expected move in progress", false: ""}[expected]})
@@ -666,10 +703,10 @@ func (c *Central) correlateNode(node string) {
 	known, allDead, suppressed := 0, true, true
 	c.eachNodeAdapter(node, func(ip transport.IP) bool {
 		known++
-		if a, ok := c.adapters[ip]; !ok || a.alive {
+		if a, ok := c.st.Adapters[ip]; !ok || a.Alive {
 			allDead = false
 		}
-		if _, exp := c.expectedMoves[ip]; !exp {
+		if _, exp := c.st.ExpectedMoves[ip]; !exp {
 			suppressed = false
 		}
 		return true
@@ -677,15 +714,13 @@ func (c *Central) correlateNode(node string) {
 	if known == 0 {
 		return
 	}
-	switch {
-	case allDead && !c.nodeDead[node]:
-		c.nodeDead[node] = true
-		c.jNode(node, true)
+	switch dead := c.st.DeadNodes[node]; {
+	case allDead && !dead:
+		c.commit(journal.Record{Kind: journal.RecNodeFlip, Node: node, Dead: true})
 		c.publish(event.Event{Kind: event.NodeFailed, Node: node, Suppressed: suppressed,
 			Detail: fmt.Sprintf("all %d adapters down", known)})
-	case !allDead && c.nodeDead[node]:
-		delete(c.nodeDead, node)
-		c.jNode(node, false)
+	case !allDead && dead:
+		c.commit(journal.Record{Kind: journal.RecNodeFlip, Node: node})
 		c.publish(event.Event{Kind: event.NodeRecovered, Node: node})
 	}
 }
@@ -752,12 +787,12 @@ func (c *Central) correlateSwitch(ip transport.IP) {
 	allDead := true
 	anySeen := false
 	for _, w := range wired {
-		a, known := c.adapters[w]
+		a, known := c.st.Adapters[w]
 		if !known {
 			continue
 		}
 		anySeen = true
-		if a.alive {
+		if a.Alive {
 			allDead = false
 			break
 		}
@@ -765,27 +800,24 @@ func (c *Central) correlateSwitch(ip transport.IP) {
 	if !anySeen {
 		return
 	}
-	switch {
-	case allDead && !c.switchDead[name]:
-		c.switchDead[name] = true
-		c.jSwitch(name, true)
+	switch dead := c.st.DeadSwitches[name]; {
+	case allDead && !dead:
+		c.commit(journal.Record{Kind: journal.RecSwitchFlip, Node: name, Dead: true})
 		c.publish(event.Event{Kind: event.SwitchFailed, Node: name,
 			Detail: fmt.Sprintf("all %d wired adapters down", len(wired))})
-	case !allDead && c.switchDead[name]:
-		delete(c.switchDead, name)
-		c.jSwitch(name, false)
+	case !allDead && dead:
+		c.commit(journal.Record{Kind: journal.RecSwitchFlip, Node: name})
 		c.publish(event.Event{Kind: event.SwitchRecovered, Node: name})
 	}
 }
 
 // sweepExpectedMoves drops moves that never completed.
 func (c *Central) sweepExpectedMoves() {
-	for _, ip := range expired(c.expectedMoves, c.clock.Now()) {
-		delete(c.expectedMoves, ip)
-		c.jMoveDone(ip)
+	for _, ip := range expired(c.st.ExpectedMoves, c.clock.Now()) {
+		c.commit(journal.Record{Kind: journal.RecMoveDone, Adapter: ip})
 		node := ""
-		if a, ok := c.adapters[ip]; ok {
-			node = a.member.Node
+		if a, ok := c.st.Adapters[ip]; ok {
+			node = a.Member.Node
 		} else if c.db != nil {
 			if spec, ok := c.db.Adapter(ip); ok {
 				node = spec.Node

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/configdb"
 	"repro/internal/event"
+	"repro/internal/journal"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -29,7 +30,11 @@ type fixture struct {
 
 func ip(c, d byte) transport.IP { return transport.MakeIP(10, 0, c, d) }
 
-func newFixture(t *testing.T, db *configdb.DB) *fixture {
+func newFixture(t *testing.T, db *configdb.DB) *fixture { return newJournaledFixture(t, db, nil) }
+
+// newJournaledFixture is newFixture with j (if not nil) attached before
+// Central activates.
+func newJournaledFixture(t *testing.T, db *configdb.DB, j *journal.Journal) *fixture {
 	t.Helper()
 	sched := sim.NewScheduler(1)
 	res := netsim.NewStaticResolver()
@@ -41,6 +46,9 @@ func newFixture(t *testing.T, db *configdb.DB) *fixture {
 	cfg.StabilizeWait = 5 * time.Second
 	cfg.MoveWindow = 30 * time.Second
 	c := New(cfg, clock{sched}, bus, db)
+	if j != nil {
+		c.SetJournal(j)
+	}
 	c.Activate(ep)
 	return &fixture{sched: sched, bus: bus, c: c, ep: ep}
 }
@@ -57,6 +65,12 @@ func (f *fixture) report(r *wire.Report) {
 
 func (f *fixture) full(leader transport.IP, version uint64, members ...wire.Member) {
 	f.report(&wire.Report{Leader: leader, Version: version, Full: true, Members: members})
+}
+
+// expectMove registers a Central-initiated move of ip, as MoveAdapter
+// does, without the SNMP side.
+func (f *fixture) expectMove(ip transport.IP, deadline time.Duration) {
+	f.c.commit(journal.Record{Kind: journal.RecMoveExpect, Adapter: ip, Deadline: deadline})
 }
 
 func TestFullReportBuildsView(t *testing.T) {
@@ -237,7 +251,7 @@ func TestExpectedMoveSuppression(t *testing.T) {
 	f.full(ip(1, 5), 1, member(1, 5, "n5", true), member(1, 4, "mover", true))
 	f.full(ip(2, 5), 1, wire.Member{IP: ip(2, 5), Node: "x"})
 	// Register the expectation as MoveAdapter would.
-	f.c.expectedMoves[ip(1, 4)] = f.sched.Now() + f.c.cfg.MoveWindow
+	f.expectMove(ip(1, 4), f.sched.Now()+f.c.cfg.MoveWindow)
 	f.report(&wire.Report{Leader: ip(1, 5), Version: 2, Left: []transport.IP{ip(1, 4)}})
 	fails := f.bus.Filter(event.AdapterFailed)
 	if len(fails) != 1 || !fails[0].Suppressed {
@@ -250,7 +264,7 @@ func TestExpectedMoveSuppression(t *testing.T) {
 	if len(moves) != 1 || moves[0].Detail != "expected (central-initiated)" {
 		t.Fatalf("moves = %v", moves)
 	}
-	if _, still := f.c.expectedMoves[ip(1, 4)]; still {
+	if _, still := f.c.st.ExpectedMoves[ip(1, 4)]; still {
 		t.Fatal("expectation not cleared")
 	}
 }

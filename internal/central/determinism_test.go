@@ -63,7 +63,7 @@ func TestSimultaneousExpiriesAreHandledInAddressOrder(t *testing.T) {
 			run: func(f *fixture) {
 				f.full(ip(1, 20), 1, members(20, 15, 14, 13, 12, 11)...)
 				for d := byte(11); d <= 15; d++ {
-					f.c.expectedMoves[ip(1, d)] = f.sched.Now() + f.c.cfg.MoveWindow
+					f.expectMove(ip(1, d), f.sched.Now()+f.c.cfg.MoveWindow)
 				}
 				f.sched.RunFor(f.c.cfg.MoveWindow + 10*time.Second)
 			},

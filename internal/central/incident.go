@@ -69,7 +69,7 @@ func (c *Central) stampIncident(e *event.Event) {
 			// itself is no longer correlated dead (for a single-adapter
 			// failure that is immediately; for a node death the
 			// NodeRecovered that follows does the closing).
-			if !c.nodeDead[subject] {
+			if !c.st.DeadNodes[subject] {
 				c.closeIncident(subject, id)
 			}
 		}
@@ -80,8 +80,8 @@ func (c *Central) stampIncident(e *event.Event) {
 // expecting to move belongs to the node — a multi-adapter move closes on
 // the last adapter's NodeMoved, not the first.
 func (c *Central) nodeHasPendingMove(node string) bool {
-	for ip := range c.expectedMoves {
-		if a, ok := c.adapters[ip]; ok && a.member.Node == node {
+	for ip := range c.st.ExpectedMoves {
+		if a, ok := c.st.Adapters[ip]; ok && a.Member.Node == node {
 			return true
 		}
 		if c.db != nil {
@@ -103,7 +103,7 @@ func (c *Central) closeIncidentIfMoveDone(node string) {
 	if node == "" {
 		return
 	}
-	if id, open := c.incidents[node]; open && !c.nodeDead[node] && !c.nodeHasPendingMove(node) {
+	if id, open := c.incidents[node]; open && !c.st.DeadNodes[node] && !c.nodeHasPendingMove(node) {
 		c.closeIncident(node, id)
 	}
 }

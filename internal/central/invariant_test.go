@@ -15,33 +15,40 @@ import (
 )
 
 // memberJoined finds "the other group that still lists this adapter"
-// through adapters[ip].group instead of scanning every group. That is
+// through Adapters[ip].Group instead of scanning every group. That is
 // sound only while:
 //
-//	an adapter is in at most one group's member set, and if it is in
-//	groups[l].members then adapters[ip].group == l.
+//	an adapter is in at most one group's member list, and if it is in
+//	Groups[l].Members then Adapters[ip].Group == l.
 //
-// checkGroupIndex verifies it the slow way, by scanning c.groups.
+// checkGroupIndex verifies it the slow way, by scanning every group, and
+// that each member list is strictly descending by IP.
 func checkGroupIndex(t *testing.T, c *Central, when string) {
 	t.Helper()
 	owner := map[transport.IP]transport.IP{}
-	for l, g := range c.groups {
-		if g.leader != l {
-			t.Fatalf("%s: group keyed %v says its leader is %v", when, l, g.leader)
+	for l, g := range c.st.Groups {
+		if g.Leader != l {
+			t.Fatalf("%s: group keyed %v says its leader is %v", when, l, g.Leader)
 		}
-		for ip := range g.members {
-			if other, dup := owner[ip]; dup {
-				t.Fatalf("%s: adapter %v listed by groups %v and %v", when, ip, other, l)
+		for i, m := range g.Members {
+			if i > 0 && m.IP >= g.Members[i-1].IP {
+				t.Fatalf("%s: group %v lists %v after %v", when, l, m.IP, g.Members[i-1].IP)
 			}
-			owner[ip] = l
-			info, known := c.adapters[ip]
+			if other, dup := owner[m.IP]; dup {
+				t.Fatalf("%s: adapter %v listed by groups %v and %v", when, m.IP, other, l)
+			}
+			owner[m.IP] = l
+			info, known := c.st.Adapters[m.IP]
 			if !known {
-				t.Fatalf("%s: adapter %v listed by group %v has no record", when, ip, l)
+				t.Fatalf("%s: adapter %v listed by group %v has no record", when, m.IP, l)
 			}
-			if info.group != l {
-				t.Fatalf("%s: adapter %v is listed by group %v but its record names %v", when, ip, l, info.group)
+			if info.Group != l {
+				t.Fatalf("%s: adapter %v is listed by group %v but its record names %v", when, m.IP, l, info.Group)
 			}
 		}
+	}
+	if len(c.reporters) != len(c.st.Groups) {
+		t.Fatalf("%s: %d reporters for %d groups", when, len(c.reporters), len(c.st.Groups))
 	}
 }
 
@@ -80,8 +87,8 @@ func (g *reportGen) subset(a, must, max int) []wire.Member {
 
 // existing picks the leader of a group Central holds (ok=false if none).
 func (g *reportGen) existing(c *Central) (transport.IP, bool) {
-	leaders := make([]transport.IP, 0, len(c.groups))
-	for l := range c.groups {
+	leaders := make([]transport.IP, 0, len(c.st.Groups))
+	for l := range c.st.Groups {
 		leaders = append(leaders, l)
 	}
 	if len(leaders) == 0 {
@@ -161,10 +168,10 @@ func genDB(nodes int) *configdb.DB {
 // sequences — fulls, deltas, takeovers with PrevLeader, Fresh lineage
 // breaks, merges, stale and empty fulls, limbo sweeps — and every so
 // often moves the whole view into a new Central through a journal
-// snapshot (installRestored), checking the index invariant and the
-// journal fold after every report. The digest it logs is independent of
-// map order; it was compared, seed by seed, with the group-scanning
-// implementation this replaced.
+// snapshot, checking the index invariant and the journal's replay after
+// every report. The digest it logs is independent of map order; it was
+// compared, seed by seed, with the group-scanning implementation this
+// replaced.
 func TestOneGroupPerAdapterUnderRandomReports(t *testing.T) {
 	const nodes = 10
 	for seed := int64(1); seed <= 30; seed++ {

@@ -1,7 +1,6 @@
 package central
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -47,129 +46,24 @@ func (c *Central) Journal() *journal.Journal { return c.jr }
 
 func (c *Central) journaling() bool { return c.jr != nil && c.active }
 
-// --- commit helpers: journal a transition and feed the stream ---
-
-func (c *Central) jGroup(g *group) {
-	if !c.journaling() {
-		return
-	}
-	members := make([]wire.Member, 0, len(g.members))
-	for _, m := range g.members {
-		members = append(members, m)
-	}
-	c.streamRecord(c.jr.GroupUpdate(c.clock.Now(), g.leader, g.version, g.src, members))
-}
-
-func (c *Central) jGroupRemove(leader transport.IP) {
-	if !c.journaling() {
-		return
-	}
-	c.streamRecord(c.jr.GroupRemove(c.clock.Now(), leader))
-}
-
-func (c *Central) jAdapter(info adapterInfo) {
-	if !c.journaling() {
-		return
-	}
-	c.streamRecord(c.jr.AdapterFlip(c.clock.Now(), info.member, info.alive, info.group, info.diedAt))
-}
-
-func (c *Central) jNode(node string, dead bool) {
-	if !c.journaling() {
-		return
-	}
-	c.streamRecord(c.jr.NodeFlip(c.clock.Now(), node, dead))
-}
-
-func (c *Central) jSwitch(name string, dead bool) {
-	if !c.journaling() {
-		return
-	}
-	c.streamRecord(c.jr.SwitchFlip(c.clock.Now(), name, dead))
-}
-
-func (c *Central) jMoveExpect(ip transport.IP, deadline time.Duration) {
-	if !c.journaling() {
-		return
-	}
-	c.streamRecord(c.jr.MoveExpect(c.clock.Now(), ip, deadline))
-}
-
-func (c *Central) jMoveDone(ip transport.IP) {
-	if !c.journaling() {
-		return
-	}
-	c.streamRecord(c.jr.MoveDone(c.clock.Now(), ip))
-}
-
-// --- restore on activation ---
-
-// installRestored rebuilds the live view from the journal's folded state.
-// It reports whether there was anything to restore.
-func (c *Central) installRestored() bool {
-	st := c.jr.State()
-	if len(st.Groups) == 0 {
-		return false
-	}
-	c.groups = make(map[transport.IP]*group, len(st.Groups))
-	for leader, gs := range st.Groups {
-		g := &group{
-			leader:  leader,
-			version: gs.Version,
-			src:     gs.Src,
-			members: make(map[transport.IP]wire.Member, len(gs.Members)),
-		}
-		for _, m := range gs.Members {
-			g.members[m.IP] = m
-		}
-		c.groups[leader] = g
-	}
-	c.adapters = make(map[transport.IP]adapterInfo, len(st.Adapters))
-	c.nodesSeen = make(map[string][]transport.IP)
-	for ip, a := range st.Adapters {
-		c.adapters[ip] = adapterInfo{member: a.Member, alive: a.Alive, group: a.Group, diedAt: a.DiedAt}
-		c.noteSeen(a.Member.Node, ip)
-	}
-	for _, g := range c.groups {
-		for ip, m := range g.members {
-			c.noteSeen(m.Node, ip)
-		}
-	}
-	c.nodeDead = make(map[string]bool, len(st.DeadNodes))
-	for n := range st.DeadNodes {
-		c.nodeDead[n] = true
-	}
-	c.switchDead = make(map[string]bool, len(st.DeadSwitches))
-	for n := range st.DeadSwitches {
-		c.switchDead[n] = true
-	}
-	c.expectedMoves = make(map[transport.IP]time.Duration, len(st.ExpectedMoves))
-	for ip, dl := range st.ExpectedMoves {
-		c.expectedMoves[ip] = dl
-	}
-	return true
-}
-
 // verifyRestored sends one unicast verification ResyncRequest per group
 // whose state did NOT arrive live over the standby stream this process
 // lifetime. Streamed state is exactly what the failed Central had
 // committed, so it is trusted as-is; state loaded from disk may be
 // arbitrarily stale and gets re-confirmed by its reporting daemon.
 func (c *Central) verifyRestored() {
-	st := c.jr.State()
 	// In leader order, not the map's: each request draws its delivery
 	// jitter from the simulation's one random stream, so the order they
 	// are sent in decides every later event's timing.
-	leaders := make([]transport.IP, 0, len(c.groups))
-	for leader := range c.groups {
-		leaders = append(leaders, leader)
+	var leaders []transport.IP
+	for leader, g := range c.st.Groups {
+		if !g.Streamed {
+			leaders = append(leaders, leader)
+		}
 	}
 	slices.Sort(leaders)
 	for _, leader := range leaders {
-		if gs := st.Groups[leader]; gs != nil && gs.Streamed {
-			continue
-		}
-		c.requestGroupResync(c.groups[leader])
+		c.requestGroupResync(leader)
 	}
 }
 
@@ -184,17 +78,14 @@ func (c *Central) successor() transport.IP {
 		return 0
 	}
 	self := c.ep.LocalIP()
-	g := c.groups[self]
-	if g == nil {
-		return 0
-	}
-	var best transport.IP
-	for ip := range g.members {
-		if ip != self && ip > best {
-			best = ip
+	if g := c.st.Groups[self]; g != nil {
+		for _, m := range g.Members { // descending: the first other is the highest
+			if m.IP != self {
+				return m.IP
+			}
 		}
 	}
-	return best
+	return 0
 }
 
 // refreshStream recomputes the standby after a view change and, when it
@@ -344,44 +235,16 @@ func (c *Central) HandleJournal(ep transport.Endpoint, src transport.Addr, msg w
 	}
 }
 
-// JournalDrift compares the journal's incrementally folded state against
-// the live Central state and describes the first divergence found ("" when
-// consistent, or when this instance is not an active journaling Central).
-// The invariant it serves: replaying the journal must reconstruct exactly
-// the state the active Central is operating on — the journal is a prefix
-// of (here: equal to, since appends are synchronous) the live view. The
-// simulation-testing harness calls it from a trace sink at every applied
-// report and at quiescence.
+// JournalDrift describes how replaying the journal's store (snapshot
+// plus log) fails to reproduce the live view ("" when it reproduces it
+// exactly, or when this instance is not an active journaling Central).
+// The invariant it serves: a successor stands up from exactly that
+// replay, so it must be the state the active Central is operating on.
+// The simulation-testing harness calls it from a trace sink at every
+// applied report and at quiescence.
 func (c *Central) JournalDrift() string {
 	if !c.journaling() {
 		return ""
 	}
-	st := c.jr.State()
-	if len(st.Groups) != len(c.groups) {
-		return fmt.Sprintf("journal folds %d groups, live tracks %d", len(st.Groups), len(c.groups))
-	}
-	for leader, g := range c.groups {
-		jg := st.Groups[leader]
-		if jg == nil {
-			return fmt.Sprintf("live group %v missing from journal fold", leader)
-		}
-		if jg.Version != g.version {
-			return fmt.Sprintf("group %v: journal v%d, live v%d", leader, jg.Version, g.version)
-		}
-		if len(jg.Members) != len(g.members) {
-			return fmt.Sprintf("group %v: journal folds %d members, live has %d",
-				leader, len(jg.Members), len(g.members))
-		}
-		for _, m := range jg.Members {
-			if _, ok := g.members[m.IP]; !ok {
-				return fmt.Sprintf("group %v: journaled member %v not in live group", leader, m.IP)
-			}
-		}
-	}
-	for node, dead := range c.nodeDead {
-		if dead != st.DeadNodes[node] {
-			return fmt.Sprintf("node %s: journal dead=%v, live dead=%v", node, st.DeadNodes[node], dead)
-		}
-	}
-	return ""
+	return c.jr.Drift()
 }

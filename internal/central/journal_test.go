@@ -68,22 +68,21 @@ func (tf *tapFixture) reportMulticasts() int {
 func TestResyncRateLimitAtTimeZero(t *testing.T) {
 	tf := newTapFixture(t, nil)
 	tf.full(ip(1, 3), 1, member(1, 3, "n3", true), member(1, 2, "n2", true))
-	g := tf.c.groups[ip(1, 3)]
-	if g == nil || g.src.IP == 0 {
+	if rep := tf.c.reporters[ip(1, 3)]; rep == nil || rep.src.IP == 0 {
 		t.Fatal("group src not recorded")
 	}
 	if now := tf.sched.Now(); now != 0 {
 		t.Fatalf("test requires time zero, at %v", now)
 	}
 	base := tf.reportUnicasts()
-	tf.c.requestGroupResync(g)
-	tf.c.requestGroupResync(g) // must be rate-limited, even at t=0
+	tf.c.requestGroupResync(ip(1, 3))
+	tf.c.requestGroupResync(ip(1, 3)) // must be rate-limited, even at t=0
 	if got := tf.reportUnicasts() - base; got != 1 {
 		t.Fatalf("%d resync requests sent at t=0, want 1 (rate limit)", got)
 	}
 	// After the window the next request goes through again.
 	tf.sched.RunFor(11 * time.Second)
-	tf.c.requestGroupResync(g)
+	tf.c.requestGroupResync(ip(1, 3))
 	if got := tf.reportUnicasts() - base; got != 2 {
 		t.Fatalf("%d resync requests after window, want 2", got)
 	}

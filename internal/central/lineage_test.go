@@ -85,7 +85,7 @@ func TestExpectedMoveCompletesOnSilentRegroup(t *testing.T) {
 	f := newFixture(t, nil)
 	f.full(ip(1, 5), 1, member(1, 5, "mover", true), member(1, 4, "n4", true))
 	f.full(ip(2, 9), 1, wire.Member{IP: ip(2, 9), Node: "n9"})
-	f.c.expectedMoves[ip(1, 5)] = f.sched.Now() + f.c.cfg.MoveWindow
+	f.expectMove(ip(1, 5), f.sched.Now()+f.c.cfg.MoveWindow)
 	// The mover joins segment B's group without ever being reported dead.
 	f.report(&wire.Report{Leader: ip(2, 9), Version: 2,
 		Members: []wire.Member{member(1, 5, "mover", true)}})
@@ -93,7 +93,7 @@ func TestExpectedMoveCompletesOnSilentRegroup(t *testing.T) {
 	if len(moves) != 1 || moves[0].Detail != "expected (central-initiated)" {
 		t.Fatalf("moves = %v", moves)
 	}
-	if _, still := f.c.expectedMoves[ip(1, 5)]; still {
+	if _, still := f.c.st.ExpectedMoves[ip(1, 5)]; still {
 		t.Fatal("expectation not cleared")
 	}
 	// The sweep must not later complain the move never completed.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/configdb"
 	"repro/internal/event"
+	"repro/internal/journal"
 	"repro/internal/snmp"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
@@ -57,8 +58,8 @@ func (c *Central) DisableAdapter(ip transport.IP, reason string) bool {
 // preferring live view data and falling back to the database.
 func (c *Central) adminAdapterFor(ip transport.IP) (transport.IP, bool) {
 	node := ""
-	if a, ok := c.adapters[ip]; ok {
-		node = a.member.Node
+	if a, ok := c.st.Adapters[ip]; ok {
+		node = a.Member.Node
 	} else if c.db != nil {
 		if spec, ok := c.db.Adapter(ip); ok {
 			node = spec.Node
@@ -69,7 +70,7 @@ func (c *Central) adminAdapterFor(ip transport.IP) (transport.IP, bool) {
 	}
 	var admin transport.IP
 	c.eachNodeAdapter(node, func(aip transport.IP) bool {
-		if a, ok := c.adapters[aip]; ok && a.member.Admin {
+		if a, ok := c.st.Adapters[aip]; ok && a.Member.Admin {
 			admin = aip
 		} else if c.db != nil {
 			if spec, ok := c.db.Adapter(aip); ok && spec.Index == 0 {
@@ -171,9 +172,8 @@ func (c *Central) MoveAdapter(ip transport.IP, vlan int, done func(error)) {
 	}
 	// Register the expectation BEFORE the SET: the departure may be
 	// reported before the SNMP response returns.
-	deadline := c.clock.Now() + c.cfg.MoveWindow
-	c.expectedMoves[ip] = deadline
-	c.jMoveExpect(ip, deadline)
+	c.commit(journal.Record{Kind: journal.RecMoveExpect, Adapter: ip,
+		Deadline: c.clock.Now() + c.cfg.MoveWindow})
 	// Announce the intent before the VLAN rewrite lands: traffic-routing
 	// subscribers (the serving plane) drain the node now, instead of
 	// discovering the move through failure detection after the fact.
@@ -181,8 +181,7 @@ func (c *Central) MoveAdapter(ip transport.IP, vlan int, done func(error)) {
 		Detail: fmt.Sprintf("to %s", switchsim.SegmentName(vlan))})
 	c.snmp.Set(agent, switchsim.OIDPortVLAN(spec.Port), snmp.Integer(int64(vlan)), func(err error) {
 		if err != nil {
-			delete(c.expectedMoves, ip)
-			c.jMoveDone(ip)
+			c.commit(journal.Record{Kind: journal.RecMoveDone, Adapter: ip})
 			c.closeIncidentIfMoveDone(spec.Node)
 			done(fmt.Errorf("central: VLAN set for %v failed: %w", ip, err))
 			return

@@ -132,7 +132,7 @@ func TestMoveAdapterEndToEnd(t *testing.T) {
 		t.Fatalf("db vlan = %d", spec.VLAN)
 	}
 	// The expectation is registered for suppression.
-	if _, ok := f.c.expectedMoves[ip(2, 1)]; !ok {
+	if _, ok := f.c.st.ExpectedMoves[ip(2, 1)]; !ok {
 		t.Fatal("expected move not registered")
 	}
 }
@@ -154,7 +154,7 @@ func TestMoveAdapterErrorsDirect(t *testing.T) {
 	_ = spec
 	delete(f.c.switchAgents, "sw-x")
 	expectErr(ip(2, 1), 200)
-	if _, ok := f.c.expectedMoves[ip(2, 1)]; ok {
+	if _, ok := f.c.st.ExpectedMoves[ip(2, 1)]; ok {
 		t.Fatal("failed move left an expectation behind")
 	}
 }
@@ -200,9 +200,9 @@ func TestRegisterAndGroupCount(t *testing.T) {
 
 func TestExpectedMoveExpirySweep(t *testing.T) {
 	f := newReconfigFixture(t)
-	f.c.expectedMoves[ip(2, 1)] = f.sched.Now() + 2*time.Second
+	f.expectMove(ip(2, 1), f.sched.Now()+2*time.Second)
 	f.sched.RunFor(10 * time.Second) // sweep timer fires at 5s
-	if _, still := f.c.expectedMoves[ip(2, 1)]; still {
+	if _, still := f.c.st.ExpectedMoves[ip(2, 1)]; still {
 		t.Fatal("stale expectation not swept")
 	}
 	found := false

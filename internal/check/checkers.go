@@ -480,8 +480,9 @@ func (c *noDeadInView) Observe(ctx Context, rec trace.Record, report func(string
 
 // ---------------------------------------------------------------------------
 // journal-consistent: whenever a Central applies a report or replays its
-// journal, folding the journal from scratch must reproduce exactly the
-// live in-memory state — the durability guarantee failover relies on.
+// journal, replaying the journal's store (snapshot + log) into a fresh
+// state must reproduce exactly the live view — the durability guarantee
+// failover relies on, since a successor stands up from that replay.
 
 type journalConsistent struct{}
 

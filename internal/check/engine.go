@@ -44,8 +44,8 @@ type Context interface {
 	// SegmentOf resolves an adapter's current broadcast segment from
 	// scratch (the switch fabric's authoritative answer).
 	SegmentOf(ip transport.IP) (string, bool)
-	// JournalDrift describes the divergence between the named node's
-	// journal fold and its live Central state ("" when consistent, not
+	// JournalDrift describes how replaying the named node's journal store
+	// fails to reproduce its live Central view ("" when consistent, not
 	// journaling, or not a Central).
 	JournalDrift(node string) string
 }

@@ -59,8 +59,9 @@ func (f *Farm) ViewOf(ip transport.IP) (amg.Membership, bool) {
 	return d.View(ip)
 }
 
-// JournalDrift reports the divergence between the named node's journal
-// fold and its live Central state ("" when consistent or not relevant).
+// JournalDrift reports how replaying the named node's journal store
+// fails to reproduce its live Central view ("" when consistent or not
+// relevant).
 func (f *Farm) JournalDrift(node string) string {
 	c, ok := f.Centrals[node]
 	if !ok {

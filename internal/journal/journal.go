@@ -110,7 +110,10 @@ type GroupState struct {
 	Leader  transport.IP
 	Version uint64
 	Src     transport.Addr
-	Members []wire.Member // descending-IP order
+	// Members is strictly descending by IP and read-only: it is shared
+	// with the record that installed it (and, in Central, often with the
+	// decoded report it came from).
+	Members []wire.Member
 	// Seq is the journal position of the last record touching this group.
 	Seq uint64
 	// Epoch is the activation epoch that last touched this group.
@@ -130,8 +133,10 @@ type AdapterState struct {
 	DiedAt time.Duration
 }
 
-// State is the materialized fold of the journal: everything a successor
-// needs to stand up a Central view without a farm-wide resync.
+// State is Central's farm view and the fold of the journal: every record
+// committed so far, applied in order. It is everything a successor needs
+// to stand up a Central view without a farm-wide resync. It changes only
+// by folding a record (Fold, or a Journal's Commit and Ingest).
 type State struct {
 	Groups        map[transport.IP]*GroupState
 	Adapters      map[transport.IP]AdapterState
@@ -155,12 +160,12 @@ func NewState() *State {
 	}
 }
 
-// clone deep-copies a state (snapshots must not alias live maps).
-func (s *State) clone() *State {
+// Clone copies a state's tables (snapshots must not alias live maps); the
+// read-only member lists are shared.
+func (s *State) Clone() *State {
 	c := NewState()
 	for l, g := range s.Groups {
 		gg := *g
-		gg.Members = append([]wire.Member(nil), g.Members...)
 		c.Groups[l] = &gg
 		c.members += len(g.Members)
 	}
@@ -231,6 +236,9 @@ func (s *State) Equal(o *State) bool {
 	return true
 }
 
+// Fold applies one record to the state.
+func (s *State) Fold(rec Record) { s.fold(rec, false) }
+
 // fold applies one record to the state. streamed marks records received
 // live over the standby stream (vs. committed locally or loaded).
 func (s *State) fold(rec Record, streamed bool) {
@@ -278,7 +286,7 @@ func (s *State) fold(rec Record, streamed bool) {
 		if rec.Snap == nil {
 			return
 		}
-		fresh := rec.Snap.clone()
+		fresh := rec.Snap.Clone()
 		*s = *fresh
 		if streamed {
 			for _, g := range s.Groups {
@@ -305,7 +313,8 @@ type Store interface {
 	// snap.State from here on: the caller hands over a private copy.
 	SetSnapshot(snap Snapshot) error
 	// Load returns the persisted basis and every record after it. A fresh
-	// store returns a nil snapshot state and no records.
+	// store returns a nil snapshot state and no records. The returned
+	// state is the caller's to fold into.
 	Load() (Snapshot, []Record, error)
 	// Close releases resources. The Journal calls it exactly once.
 	Close() error
@@ -350,7 +359,7 @@ func New(store Store, opts Options) (*Journal, error) {
 	}
 	j := &Journal{store: store, st: NewState(), snapEvery: opts.SnapEvery}
 	if snap.State != nil {
-		j.st = snap.State.clone()
+		j.st = snap.State.Clone() // Clone also totals the member count a decoded state lacks
 		j.epoch, j.seq = snap.Epoch, snap.Seq
 		j.loaded = true
 	}
@@ -373,7 +382,9 @@ func NewMem() *Journal {
 	return j
 }
 
-// State exposes the materialized fold. Callers must not mutate it.
+// State exposes the materialized fold. The Central holding the journal
+// adopts it as its view and changes it only through Commit; nothing else
+// may mutate it.
 func (j *Journal) State() *State { return j.st }
 
 // Epoch returns the current activation epoch.
@@ -410,7 +421,7 @@ func (j *Journal) Reset() {
 // snapshot re-bases the store on the current state and position, which
 // empties its log.
 func (j *Journal) snapshot() {
-	_ = j.store.SetSnapshot(Snapshot{Epoch: j.epoch, Seq: j.seq, State: j.st.clone()})
+	_ = j.store.SetSnapshot(Snapshot{Epoch: j.epoch, Seq: j.seq, State: j.st.Clone()})
 	j.sinceSnap, j.tail = 0, 0
 }
 
@@ -431,9 +442,12 @@ func (j *Journal) logged(rec Record) {
 	}
 }
 
-// commit stamps, persists and folds one locally-committed record,
-// returning the stamped record for streaming.
-func (j *Journal) commit(rec Record) Record {
+// Commit stamps one locally committed record with the next journal
+// position, persists it and folds it into State, returning the stamped
+// record for streaming. A RecGroupUpdate's Members must be strictly
+// descending by IP; the record keeps the slice, so the caller must not
+// modify it afterwards.
+func (j *Journal) Commit(rec Record) Record {
 	j.seq++
 	rec.Epoch, rec.Seq = j.epoch, j.seq
 	_ = j.store.Append(rec)
@@ -442,50 +456,20 @@ func (j *Journal) commit(rec Record) Record {
 	return rec
 }
 
-// GroupUpdate journals one group's full committed state.
+// GroupUpdate commits one group's full state from a member list in any
+// order, which it copies.
 func (j *Journal) GroupUpdate(now time.Duration, leader transport.IP, version uint64, src transport.Addr, members []wire.Member) Record {
 	ms := slices.Clone(members)
 	slices.SortFunc(ms, func(a, b wire.Member) int { return cmp.Compare(b.IP, a.IP) })
-	return j.commit(Record{Time: now, Kind: RecGroupUpdate,
+	return j.Commit(Record{Time: now, Kind: RecGroupUpdate,
 		Group: leader, Version: version, Src: src, Members: ms})
-}
-
-// GroupRemove journals a group's dissolution.
-func (j *Journal) GroupRemove(now time.Duration, leader transport.IP) Record {
-	return j.commit(Record{Time: now, Kind: RecGroupRemove, Group: leader})
-}
-
-// AdapterFlip journals one adapter's liveness transition.
-func (j *Journal) AdapterFlip(now time.Duration, m wire.Member, alive bool, group transport.IP, diedAt time.Duration) Record {
-	return j.commit(Record{Time: now, Kind: RecAdapterFlip,
-		Member: m, Alive: alive, Group: group, DiedAt: diedAt})
-}
-
-// NodeFlip journals node-level correlated death or recovery.
-func (j *Journal) NodeFlip(now time.Duration, node string, dead bool) Record {
-	return j.commit(Record{Time: now, Kind: RecNodeFlip, Node: node, Dead: dead})
-}
-
-// SwitchFlip journals switch-level correlated death or recovery.
-func (j *Journal) SwitchFlip(now time.Duration, name string, dead bool) Record {
-	return j.commit(Record{Time: now, Kind: RecSwitchFlip, Node: name, Dead: dead})
-}
-
-// MoveExpect journals a Central-initiated move in progress.
-func (j *Journal) MoveExpect(now time.Duration, adapter transport.IP, deadline time.Duration) Record {
-	return j.commit(Record{Time: now, Kind: RecMoveExpect, Adapter: adapter, Deadline: deadline})
-}
-
-// MoveDone journals the completion (or expiry) of an expected move.
-func (j *Journal) MoveDone(now time.Duration, adapter transport.IP) Record {
-	return j.commit(Record{Time: now, Kind: RecMoveDone, Adapter: adapter})
 }
 
 // SnapshotRecord synthesizes a RecSnapshot of the current state at the
 // current position, for bootstrapping a fresh standby over the stream. It
 // is not appended locally — the local store already holds this state.
 func (j *Journal) SnapshotRecord(now time.Duration) Record {
-	return Record{Epoch: j.epoch, Seq: j.seq, Time: now, Kind: RecSnapshot, Snap: j.st.clone()}
+	return Record{Epoch: j.epoch, Seq: j.seq, Time: now, Kind: RecSnapshot, Snap: j.st.Clone()}
 }
 
 // Ingest applies one record received over the standby stream. Records
@@ -513,6 +497,35 @@ func (j *Journal) Ingest(rec Record) bool {
 	default:
 		return false
 	}
+}
+
+// Drift replays the store — its snapshot, then its log — into a fresh
+// state and compares it, and the position it reaches, with State and the
+// journal's position. It describes the divergence, or returns "" when
+// replay reproduces the live state exactly: the contract failover relies
+// on, since a successor stands up from exactly that replay.
+func (j *Journal) Drift() string {
+	snap, recs, err := j.store.Load()
+	if err != nil {
+		return fmt.Sprintf("store unreadable: %v", err)
+	}
+	st := snap.State
+	if st == nil {
+		st = NewState()
+	}
+	epoch, seq := snap.Epoch, snap.Seq
+	for _, rec := range recs {
+		st.fold(rec, false)
+		epoch, seq = rec.Epoch, rec.Seq
+	}
+	switch {
+	case epoch != j.epoch || seq != j.seq:
+		return fmt.Sprintf("store replays to position %d/%d, journal is at %d/%d", epoch, seq, j.epoch, j.seq)
+	case !st.Equal(j.st):
+		return fmt.Sprintf("store (snapshot at %d/%d + %d records) replays to a state unlike the live one",
+			snap.Epoch, snap.Seq, len(recs))
+	}
+	return ""
 }
 
 // Close closes the underlying store.
@@ -545,7 +558,7 @@ func (m *MemStore) SetSnapshot(snap Snapshot) error {
 func (m *MemStore) Load() (Snapshot, []Record, error) {
 	var snap Snapshot
 	if m.snap.State != nil {
-		snap = Snapshot{Epoch: m.snap.Epoch, Seq: m.snap.Seq, State: m.snap.State.clone()}
+		snap = Snapshot{Epoch: m.snap.Epoch, Seq: m.snap.Seq, State: m.snap.State.Clone()}
 	}
 	return snap, append([]Record(nil), m.recs...), nil
 }

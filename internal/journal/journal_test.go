@@ -27,17 +27,17 @@ func drive(j *Journal) {
 		[]wire.Member{mem(1, 9, "n9"), mem(1, 5, "n5"), mem(1, 2, "n2")})
 	j.GroupUpdate(tick(), ip(2, 7), 1, addr(2, 7),
 		[]wire.Member{mem(2, 7, "m7"), mem(2, 3, "m3")})
-	j.AdapterFlip(tick(), mem(1, 5, "n5"), false, ip(1, 9), now)
+	j.Commit(Record{Time: tick(), Kind: RecAdapterFlip, Member: mem(1, 5, "n5"), Alive: false, Group: ip(1, 9), DiedAt: now})
 	j.GroupUpdate(tick(), ip(1, 9), 4, addr(1, 9),
 		[]wire.Member{mem(1, 9, "n9"), mem(1, 2, "n2")})
-	j.NodeFlip(tick(), "n5", true)
-	j.SwitchFlip(tick(), "sw-00", true)
-	j.SwitchFlip(tick(), "sw-00", false)
-	j.MoveExpect(tick(), ip(2, 3), now+time.Minute)
-	j.GroupRemove(tick(), ip(2, 7))
-	j.AdapterFlip(tick(), mem(1, 5, "n5"), true, ip(1, 9), 0)
-	j.NodeFlip(tick(), "n5", false)
-	j.MoveDone(tick(), ip(2, 3))
+	j.Commit(Record{Time: tick(), Kind: RecNodeFlip, Node: "n5", Dead: true})
+	j.Commit(Record{Time: tick(), Kind: RecSwitchFlip, Node: "sw-00", Dead: true})
+	j.Commit(Record{Time: tick(), Kind: RecSwitchFlip, Node: "sw-00", Dead: false})
+	j.Commit(Record{Time: tick(), Kind: RecMoveExpect, Adapter: ip(2, 3), Deadline: now + time.Minute})
+	j.Commit(Record{Time: tick(), Kind: RecGroupRemove, Group: ip(2, 7)})
+	j.Commit(Record{Time: tick(), Kind: RecAdapterFlip, Member: mem(1, 5, "n5"), Alive: true, Group: ip(1, 9), DiedAt: 0})
+	j.Commit(Record{Time: tick(), Kind: RecNodeFlip, Node: "n5", Dead: false})
+	j.Commit(Record{Time: tick(), Kind: RecMoveDone, Adapter: ip(2, 3)})
 	j.GroupUpdate(tick(), ip(2, 7), 2, addr(2, 7),
 		[]wire.Member{mem(2, 7, "m7"), mem(2, 3, "m3"), mem(2, 1, "m1")})
 }
@@ -110,8 +110,8 @@ func TestIngestStreamMatchesSource(t *testing.T) {
 	commit := func(rec Record) { streamed = append(streamed, rec) }
 	commit(active.GroupUpdate(now, ip(1, 9), 1, addr(1, 9),
 		[]wire.Member{mem(1, 9, "n9"), mem(1, 2, "n2")}))
-	commit(active.AdapterFlip(now, mem(1, 2, "n2"), false, ip(1, 9), now))
-	commit(active.NodeFlip(now, "n2", true))
+	commit(active.Commit(Record{Time: now, Kind: RecAdapterFlip, Member: mem(1, 2, "n2"), Alive: false, Group: ip(1, 9), DiedAt: now}))
+	commit(active.Commit(Record{Time: now, Kind: RecNodeFlip, Node: "n2", Dead: true}))
 	for _, rec := range streamed {
 		if !standby.Ingest(rec) {
 			t.Fatalf("in-order record %d rejected", rec.Seq)

@@ -49,7 +49,7 @@ func withAdapters(t testing.TB, s int) (*Journal, *weighingStore) {
 	}
 	j.BeginEpoch()
 	for n := 0; n < s; n++ {
-		j.AdapterFlip(0, bigMember(n), true, bigIP(0), 0)
+		j.Commit(Record{Time: 0, Kind: RecAdapterFlip, Member: bigMember(n), Alive: true, Group: bigIP(0), DiedAt: 0})
 	}
 	return j, store
 }
@@ -64,7 +64,7 @@ func TestSnapshotCadenceFollowsStateSize(t *testing.T) {
 		n := 6 * period
 		before := store.snapshots
 		for i := 0; i < n; i++ {
-			j.AdapterFlip(time.Duration(i), bigMember(i%s), i%2 == 0, bigIP(0), 0)
+			j.Commit(Record{Time: time.Duration(i), Kind: RecAdapterFlip, Member: bigMember(i % s), Alive: i%2 == 0, Group: bigIP(0), DiedAt: 0})
 		}
 		got := store.snapshots - before
 		if got < n/period-1 || got > n/period+1 {
@@ -128,20 +128,20 @@ func randomOp(rng *rand.Rand, j *Journal, now time.Duration) Record {
 		}
 		return j.GroupUpdate(now, ip(g, 12), uint64(rng.Intn(50)), addr(g, 12), ms)
 	case 3:
-		return j.GroupRemove(now, ip(g, 12))
+		return j.Commit(Record{Time: now, Kind: RecGroupRemove, Group: ip(g, 12)})
 	case 4, 5:
 		d := byte(rng.Intn(12) + 1)
-		return j.AdapterFlip(now, mem(g, d, fmt.Sprintf("n%d", d)), rng.Intn(2) == 0, ip(g, 12), now)
+		return j.Commit(Record{Time: now, Kind: RecAdapterFlip, Member: mem(g, d, fmt.Sprintf("n%d", d)), Alive: rng.Intn(2) == 0, Group: ip(g, 12), DiedAt: now})
 	case 6:
-		return j.NodeFlip(now, fmt.Sprintf("n%d", rng.Intn(12)+1), rng.Intn(2) == 0)
+		return j.Commit(Record{Time: now, Kind: RecNodeFlip, Node: fmt.Sprintf("n%d", rng.Intn(12)+1), Dead: rng.Intn(2) == 0})
 	case 7:
-		return j.SwitchFlip(now, fmt.Sprintf("sw%d", rng.Intn(3)), rng.Intn(2) == 0)
+		return j.Commit(Record{Time: now, Kind: RecSwitchFlip, Node: fmt.Sprintf("sw%d", rng.Intn(3)), Dead: rng.Intn(2) == 0})
 	default:
 		a := ip(g, byte(rng.Intn(12)+1))
 		if rng.Intn(2) == 0 {
-			return j.MoveExpect(now, a, now+time.Minute)
+			return j.Commit(Record{Time: now, Kind: RecMoveExpect, Adapter: a, Deadline: now + time.Minute})
 		}
-		return j.MoveDone(now, a)
+		return j.Commit(Record{Time: now, Kind: RecMoveDone, Adapter: a})
 	}
 }
 
@@ -228,7 +228,7 @@ func TestAdapterFlipCostIndependentOfStateSize(t *testing.T) {
 		i := 0
 		flip := func() {
 			i++
-			j.AdapterFlip(time.Duration(i), members[i%s], i%2 == 0, bigIP(0), 0)
+			j.Commit(Record{Time: time.Duration(i), Kind: RecAdapterFlip, Member: members[i%s], Alive: i%2 == 0, Group: bigIP(0), DiedAt: 0})
 		}
 		for k := 0; k < 2*DefaultSnapEvery; k++ {
 			flip() // past the first floor snapshot, into the steady state

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -17,10 +18,6 @@ import (
 // Recorder.AddSink; both the simulator farm and gsd use it so the same
 // instrumentation works in virtual and wall-clock time.
 func ObserveTrace(r *Registry) func(trace.Record) {
-	type txnKey struct {
-		leader transport.IP
-		token  uint64
-	}
 	var mu sync.Mutex
 	open := make(map[txnKey]time.Duration)
 	return func(rec trace.Record) {
@@ -34,10 +31,7 @@ func ObserveTrace(r *Registry) func(trace.Record) {
 			k := txnKey{rec.Group, rec.Token}
 			if _, seen := open[k]; !seen {
 				if len(open) > 4096 { // bound abandoned rounds
-					for stale := range open {
-						delete(open, stale)
-						break
-					}
+					delete(open, oldest(open))
 				}
 				open[k] = rec.T
 				r.Inc("twopc_rounds_total")
@@ -99,4 +93,25 @@ func ObserveTrace(r *Registry) func(trace.Record) {
 			r.Inc(fmt.Sprintf("rx_dropped_total{plane=%q,reason=%q}", plane, reason))
 		}
 	}
+}
+
+// txnKey names one 2PC round: its leader and token.
+type txnKey struct {
+	leader transport.IP
+	token  uint64
+}
+
+// oldest picks the open round whose first Prepare came earliest, the
+// lowest (leader, token) among equals: never the map's order, which would
+// let each run pick at random whose latency is lost.
+func oldest(open map[txnKey]time.Duration) txnKey {
+	var min txnKey
+	var minT time.Duration
+	first := true
+	for k, t0 := range open {
+		if first || cmp.Or(cmp.Compare(t0, minT), cmp.Compare(k.leader, min.leader), cmp.Compare(k.token, min.token)) < 0 {
+			min, minT, first = k, t0, false
+		}
+	}
+	return min
 }

@@ -186,3 +186,33 @@ func TestObserveTraceBridge(t *testing.T) {
 		t.Errorf("prom output missing %q", want)
 	}
 }
+
+// TestObserveTraceEvictsOldestRound: past 4 096 open 2PC rounds the sink
+// drops one per new round, and which one must not depend on map order.
+// 4 200 rounds open a millisecond apart and all commit at once; every run
+// must drop the 103 oldest, so the histogram comes out the same each time.
+func TestObserveTraceEvictsOldestRound(t *testing.T) {
+	const rounds = 4200
+	end := time.Hour
+	var first HistogramStats
+	for run := 0; run < 20; run++ {
+		r := NewRegistry()
+		sink := ObserveTrace(r)
+		leader := transport.MakeIP(10, 1, 0, 9)
+		for i := 0; i < rounds; i++ {
+			sink(trace.Record{Kind: trace.KPrepareSent, Group: leader, Token: uint64(i), T: time.Duration(i) * time.Millisecond})
+		}
+		for i := 0; i < rounds; i++ {
+			sink(trace.Record{Kind: trace.KCommitSent, Group: leader, Token: uint64(i), T: end})
+		}
+		h := r.Histogram("twopc_round")
+		if run == 0 {
+			first = h
+			if h.N != 4097 || h.Max != end-103*time.Millisecond {
+				t.Fatalf("twopc_round = %+v, want 4097 samples, the oldest 103 rounds dropped", h)
+			}
+		} else if h != first {
+			t.Fatalf("run %d: twopc_round = %+v, run 0 gave %+v", run, h, first)
+		}
+	}
+}
