@@ -220,8 +220,11 @@ func (c *Central) HandleJournal(ep transport.Endpoint, src transport.Addr, msg w
 		c.trace(trace.Record{Kind: trace.KJournalIngested, Peer: src.IP,
 			Version: rec.Epoch, Token: rec.Seq})
 		c.jr.Ingest(rec)
-		// Ack our position regardless: a rejected gap record makes the
-		// active see a stale ack and re-base us with a snapshot.
+		// Ack our position regardless. After a rejected gap record the ack
+		// is stale: it retires nothing past our position, so the active
+		// keeps those records pending and resends its whole unacked window
+		// every streamRetry until the missing one lands (or, while its
+		// bootstrap snapshot is unconfirmed, resends that snapshot).
 		ack := wire.NewPacket(&wire.JournalAck{
 			From: ep.LocalIP(), Epoch: c.jr.Epoch(), Seq: c.jr.Seq(),
 		})

@@ -31,10 +31,18 @@ const heardIncMask = 1<<30 - 1
 // names are cold — read by the one adapter that ends the phase leading,
 // written when a peer is new or changed — and live apart, in the order the
 // peers were first heard, so that recording one is an append.
+//
+// Only an adapter that may still lead reads its set at phase end, and
+// every adapter but a segment's highest stops being one the moment it hears
+// a higher address. So the set is kept only until then: an outranked set
+// is empty with one bit set, and everything heard afterwards is dropped
+// unrecorded. Summed over a segment, that leaves names held by the few
+// adapters that have not yet heard anyone above them.
 type heardSet struct {
-	pages []heardPage // ascending base
-	names []heardName // one per peer heard
-	odd   []heardOdd  // peers whose incarnation is not their page's
+	pages     []heardPage // ascending base
+	names     []heardName // one per peer heard
+	odd       []heardOdd  // peers whose incarnation is not their page's
+	outranked bool        // a higher address was heard: the rest is empty
 }
 
 type heardPage struct {

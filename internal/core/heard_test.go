@@ -241,8 +241,8 @@ func TestBeaconPhaseFormsFromHeardSet(t *testing.T) {
 
 // TestMemberIgnoresBeaconsUndecoded: an adapter that follows a leader does
 // not act on beacons (§2.1) — so it must not even look at them: a torn
-// beacon is counted as dropped by a beaconing adapter and by a leader, and
-// goes unseen by a member.
+// beacon is counted as dropped by a beaconing adapter, outranked or not, and
+// by a leader, and goes unseen by a member.
 func TestMemberIgnoresBeaconsUndecoded(t *testing.T) {
 	h := newHarness(t, 3)
 	rec := trace.New(1 << 12)
@@ -261,9 +261,16 @@ func TestMemberIgnoresBeaconsUndecoded(t *testing.T) {
 			d.adapters[0].onBeaconPacket(transport.Addr{IP: ipn(0, 9)}, to, torn)
 		}
 	}
+	// The lower adapter hears its peer first: outranked, it keeps no heard
+	// set, but it still decodes, so its torn beacons still count.
+	low := h.daemons["n0"].adapters[0]
+	low.onBeaconPacket(transport.Addr{IP: ips[1]}, to, wire.Encode(&wire.Beacon{Sender: ips[1], Node: "n1", Incarnation: 1, Admin: true}))
+	if !low.heard.outranked {
+		t.Fatal("a beacon from the higher peer did not outrank the lower adapter")
+	}
 	deliver()
 	if got := drops(); got != 2 {
-		t.Fatalf("two beaconing adapters dropped %d torn beacons", got)
+		t.Fatalf("two beaconing adapters, one outranked, dropped %d torn beacons", got)
 	}
 	h.run(10 * time.Second)
 	h.assertOneGroup(ips)

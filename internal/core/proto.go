@@ -201,7 +201,7 @@ func (p *adapterProto) endBeaconPhase() {
 	}
 	heard := p.heard
 	p.heard = heardSet{} // only a beaconing adapter listens; start() opens the next phase
-	if heard.highest() <= p.self {
+	if !heard.outranked && heard.highest() <= p.self {
 		// We lead: two-phase commit over every ungrouped adapter we heard
 		// (paper §2.1). Adapters already in groups come over through the
 		// merge path instead, led by their own leaders.
@@ -297,9 +297,17 @@ func (p *adapterProto) onBeaconPacket(_, _ transport.Addr, payload []byte) {
 		}
 		// Beacons repeat every interval; only the first from a peer, or one
 		// that says something new, is written down — with its node name,
-		// which cannot change without an incarnation bump.
-		if name := p.heard.put(b.Sender, b.Incarnation, b.Leader != 0, b.Admin); name != nil {
-			*name = wire.InternString(node)
+		// which cannot change without an incarnation bump. Once a higher
+		// address is heard this adapter will not lead, and phase end asks
+		// nothing more of the set: one bit replaces it.
+		switch {
+		case p.heard.outranked:
+		case b.Sender > p.self:
+			p.heard = heardSet{outranked: true}
+		default:
+			if name := p.heard.put(b.Sender, b.Incarnation, b.Leader != 0, b.Admin); name != nil {
+				*name = wire.InternString(node)
+			}
 		}
 	case stDeferring:
 		// A formed leader on our segment: ask to join directly rather than

@@ -28,7 +28,7 @@ func TestTornPacketsAreCountedOnEveryPlane(t *testing.T) {
 	rec := trace.New(256)
 	reg := metrics.NewRegistry()
 	rec.AddSink(metrics.ObserveTrace(reg))
-	self := ipn(0, 1)
+	self := ipn(0, 3) // above the peer, so the intact beacon below is recorded
 	d := h.addNode(fastConfig(), "n", []transport.IP{self}, []string{"seg"})
 	jc := &journalingCentral{fakeCentral: h.central}
 	d.SetCentral(jc)

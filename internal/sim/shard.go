@@ -288,16 +288,17 @@ func (sh *Shards) startWorkers() {
 	for i := range sh.shards {
 		ch := make(chan wcmd)
 		sh.run[i] = ch
-		go func(s *Scheduler, ch chan wcmd) {
+		go func(s *Scheduler, ch chan wcmd, done chan int) {
 			for cmd := range ch {
 				if cmd.inclusive {
 					s.RunUntil(cmd.end)
 				} else {
 					s.runWindow(cmd.end)
 				}
-				sh.done <- 0
+				done <- 0
 			}
-		}(sh.shards[i], ch)
+			done <- 0 // exited: Stop waits for this
+		}(sh.shards[i], ch, sh.done)
 	}
 }
 
@@ -398,14 +399,19 @@ func (sh *Shards) Run() {
 // callback — windows are the atomic unit of sharded execution.
 func (sh *Shards) Halt() { sh.halted = true }
 
-// Stop terminates the worker goroutines. The kernel remains usable in
-// serial mode; workers respawn on the next parallel window.
+// Stop terminates the worker goroutines and returns once they have
+// exited, so a stopped kernel's shards are no longer reachable from a
+// running goroutine. The kernel remains usable in serial mode; workers
+// respawn on the next parallel window.
 func (sh *Shards) Stop() {
 	if sh.run == nil {
 		return
 	}
 	for _, ch := range sh.run {
 		close(ch)
+	}
+	for range sh.run {
+		<-sh.done
 	}
 	sh.run, sh.done = nil, nil
 }
