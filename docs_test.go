@@ -45,7 +45,7 @@ func TestDocPathsResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -38,14 +38,6 @@ func (m heardModel) put(ip transport.IP, inc uint32, grouped, admin bool, node s
 	return true
 }
 
-func (m heardModel) highest() transport.IP {
-	var h transport.IP
-	for ip := range m {
-		h = max(h, ip)
-	}
-	return h
-}
-
 func (m heardModel) ungrouped() []wire.Member {
 	var ms []wire.Member
 	for ip, r := range m {
@@ -58,8 +50,8 @@ func (m heardModel) ungrouped() []wire.Member {
 }
 
 // heardPeers is an address population with every awkward corner: a dense
-// farm-style run crossing page and /24 boundaries, both ends of the address
-// space, and peers a /8 apart (one page each).
+// farm-style run crossing /24 boundaries, both ends of the address space,
+// and peers a /8 apart.
 func heardPeers() []transport.IP {
 	ips := []transport.IP{0, 1, 63, 64, 0xffffffff, 0xffffffc0, 0xffffffbf}
 	for i := 0; i < 450; i++ {
@@ -101,7 +93,7 @@ func (s *beaconStream) next() (transport.IP, heardRef) {
 		b.inc ^= 1 << 31 // invisible to a 30-bit comparison
 		b.node += "?"    // so this rename must not be picked up
 	case 5:
-		b.inc = 1 // back to what its page-mates say
+		b.inc = 1 // back to what its segment-mates say
 	}
 	s.last[ip] = b
 	return ip, b
@@ -122,35 +114,11 @@ func TestHeardSetMatchesMap(t *testing.T) {
 				*name = b.node
 			}
 			if i%5000 == 4999 || i < 50 {
-				if got, want := h.highest(), ref.highest(); got != want {
-					t.Fatalf("seed %d beacon %d: highest %v, want %v", seed, i, got, want)
-				}
-				// appendUngrouped reorders the name list it reads; doing it
-				// mid-stream checks that later puts still find their names.
 				if got, want := h.appendUngrouped(nil), ref.ungrouped(); !slices.Equal(got, want) {
 					t.Fatalf("seed %d beacon %d: ungrouped members differ:\n got %v\nwant %v", seed, i, got, want)
 				}
 			}
 		}
-		if len(h.odd) == 0 || len(h.odd) > len(s.peers) {
-			t.Errorf("seed %d: %d odd incarnations — the stream should leave some, never more than peers", seed, len(h.odd))
-		}
-		if pages := len(h.pages); pages < 40 || pages > 50 {
-			t.Errorf("seed %d: %d pages for 450 dense + 36 scattered peers", seed, pages)
-		}
-	}
-}
-
-// TestHeardSetIsSmall pins the point of the structure: what a repeat
-// beacon reads, for a 500-peer farm-numbered segment, is a few hundred
-// bytes.
-func TestHeardSetIsSmall(t *testing.T) {
-	var h heardSet
-	for i := 0; i < 500; i++ {
-		*h.put(transport.MakeIP(10, 1, byte(i/200), byte(i%200+1)), 1, false, i%2 == 0) = "n"
-	}
-	if hot := len(h.pages) * 32; hot > 400 || len(h.odd) != 0 {
-		t.Errorf("500 peers: %d pages = %d hot bytes, %d odd", len(h.pages), hot, len(h.odd))
 	}
 }
 
@@ -160,7 +128,7 @@ func TestHeardSetRepeatAllocatesNothing(t *testing.T) {
 	for _, ip := range peers {
 		*h.put(ip, 1, false, true) = "n"
 	}
-	*h.put(peers[9], 2, false, true) = "n" // one odd incarnation: repeats now consult the list
+	*h.put(peers[9], 2, false, true) = "n" // one peer restarted: its repeats carry the new incarnation
 	i := 0
 	if got := testing.AllocsPerRun(1000, func() {
 		k := i % len(peers)
@@ -215,6 +183,7 @@ func TestBeaconPhaseFormsFromHeardSet(t *testing.T) {
 		}
 	}
 	feed(20_000)
+	assertHeldBelow(t, p)
 	h.run(cfg.BeaconPhase + 1)
 	if p.state != stLeader || p.lead.round == nil {
 		t.Fatalf("state %v after the phase, round %v", p.state, p.lead)
@@ -223,7 +192,7 @@ func TestBeaconPhaseFormsFromHeardSet(t *testing.T) {
 	if got := p.lead.round.target.Members; !slices.Equal(got, want) {
 		t.Fatalf("proposed membership differs from the map's:\n got %d: %v\nwant %d: %v", len(got), got[:min(5, len(got))], len(want), want[:min(5, len(want))])
 	}
-	if len(p.heard.pages)+len(p.heard.names) != 0 {
+	if len(p.heard.peers) != 0 {
 		t.Error("heard set survives the phase it belongs to")
 	}
 
@@ -234,8 +203,20 @@ func TestBeaconPhaseFormsFromHeardSet(t *testing.T) {
 	}
 	s.last, ref = map[transport.IP]heardRef{}, heardModel{}
 	feed(300)
+	assertHeldBelow(t, p)
 	if got, want := p.heard.appendUngrouped(nil), ref.ungrouped(); !slices.Equal(got, want) {
 		t.Fatalf("after a restart the set holds %d ungrouped peers, the map %d", len(got), len(want))
+	}
+}
+
+// assertHeldBelow fails unless every peer p's heard set holds is below p's
+// own address — what lets phase end lead on !outranked alone.
+func assertHeldBelow(t *testing.T, p *adapterProto) {
+	t.Helper()
+	for _, q := range p.heard.peers {
+		if q.ip >= p.self {
+			t.Fatalf("%v holds %v in its heard set, not below its own address", p.self, q.ip)
+		}
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 // and in a shuffled order, and stops it every few microseconds while the
 // first beacons are in flight. At every stop, an adapter that has heard a
 // higher address holds one bit and nothing else, and one that has not
-// holds exactly what the map model makes of the beacons it heard. Summed
-// over the segment the names held stay within 64·H₆₄: the k-th highest
-// adapter keeps only the peers it hears before the first of the k-1 above
-// it. At phase end only the top adapter forms, over the map's ungrouped set.
+// holds exactly what the map model makes of the beacons it heard, every
+// peer below its own address. Summed over the segment the peers held stay
+// within 64·H₆₄: the k-th highest adapter keeps only the peers it hears
+// before the first of the k-1 above it. At phase end only the top adapter
+// forms, over the map's ungrouped set.
 func TestOutrankedAdaptersKeepNothing(t *testing.T) {
 	const n = 64
 	h := newHarness(t, 11)
@@ -60,16 +61,17 @@ func TestOutrankedAdaptersKeepNothing(t *testing.T) {
 		bound += n / float64(k)
 	}
 	// check compares every adapter's set with its trace and returns the
-	// names held over the segment.
+	// peers held over the segment.
 	check := func() int {
 		heard, outranked := models()
 		held := 0
 		for _, d := range ds {
 			p := d.adapters[0]
+			assertHeldBelow(t, p)
 			if outranked[p.self] {
-				if !p.heard.outranked || p.heard.pages != nil || p.heard.names != nil || p.heard.odd != nil {
-					t.Fatalf("%v: %v heard a higher address but keeps %d pages, %d names (outranked=%v)",
-						h.sched.Now(), p.self, len(p.heard.pages), len(p.heard.names), p.heard.outranked)
+				if !p.heard.outranked || p.heard.peers != nil {
+					t.Fatalf("%v: %v heard a higher address but keeps %d peers (outranked=%v)",
+						h.sched.Now(), p.self, len(p.heard.peers), p.heard.outranked)
 				}
 				continue
 			}
@@ -79,10 +81,10 @@ func TestOutrankedAdaptersKeepNothing(t *testing.T) {
 			if got, want := p.heard.appendUngrouped(nil), heard[p.self].ungrouped(); !slices.Equal(got, want) {
 				t.Fatalf("%v: %v holds %v, its beacons say %v", h.sched.Now(), p.self, got, want)
 			}
-			held += len(p.heard.names)
+			held += len(p.heard.peers)
 		}
 		if held > int(math.Floor(bound)) {
-			t.Fatalf("%v: %d names held over the segment, above 64·H₆₄ = %.1f", h.sched.Now(), held, bound)
+			t.Fatalf("%v: %d peers held over the segment, above 64·H₆₄ = %.1f", h.sched.Now(), held, bound)
 		}
 		return held
 	}
@@ -91,10 +93,10 @@ func TestOutrankedAdaptersKeepNothing(t *testing.T) {
 		check()
 	}
 	// Shortly before phase end every adapter has beaconed to every other
-	// at least once: only the top one is left holding names, all 63.
+	// at least once: only the top one is left holding peers, all 63.
 	h.run(cfg.BeaconPhase - h.sched.Now() - time.Millisecond)
 	if held := check(); held != n-1 {
-		t.Fatalf("%d names held just before phase end, want the top adapter's %d", held, n-1)
+		t.Fatalf("%d peers held just before phase end, want the top adapter's %d", held, n-1)
 	}
 
 	top := ipn(0, n)
@@ -146,8 +148,8 @@ func TestOutrankedBeaconAllocatesNothing(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("beacon to an outranked adapter: %.2f allocs, want 0", got)
 	}
-	if p.state != stBeaconing || len(p.heard.names)+len(p.heard.pages) != 0 {
-		t.Errorf("state %v, %d names, %d pages after %d new peers", p.state, len(p.heard.names), len(p.heard.pages), i)
+	if p.state != stBeaconing || len(p.heard.peers) != 0 {
+		t.Errorf("state %v, %d peers held after %d new peers", p.state, len(p.heard.peers), i)
 	}
 }
 

@@ -201,8 +201,9 @@ func (p *adapterProto) endBeaconPhase() {
 	}
 	heard := p.heard
 	p.heard = heardSet{} // only a beaconing adapter listens; start() opens the next phase
-	if !heard.outranked && heard.highest() <= p.self {
-		// We lead: two-phase commit over every ungrouped adapter we heard
+	if !heard.outranked {
+		// Nobody heard is above us (the set holds only lower peers), so we
+		// lead: two-phase commit over every ungrouped adapter we heard
 		// (paper §2.1). Adapters already in groups come over through the
 		// merge path instead, led by their own leaders.
 		members := heard.appendUngrouped([]wire.Member{p.selfMember()})

@@ -69,13 +69,13 @@ func TestTornPacketsAreCountedOnEveryPlane(t *testing.T) {
 			t.Fatalf("case %d (%s, %s): %d drops recorded, last record %v", i, c.plane, c.reason, n, last)
 		}
 	}
-	if jc.journaled != 0 || len(p.heard.names) != 0 {
+	if jc.journaled != 0 || len(p.heard.peers) != 0 {
 		t.Error("a torn packet got through to the protocol")
 	}
 	// An intact packet is not a drop.
 	p.onBeaconPacket(src, transport.Addr{}, wire.Encode(&wire.Beacon{Sender: ipn(0, 2), Node: "peer"}))
-	if n := countKind(rec.Snapshot(), trace.KRxDropped); n != len(cases) || len(p.heard.names) != 1 {
-		t.Errorf("after an intact beacon: %d drops, %d peers heard", n, len(p.heard.names))
+	if n := countKind(rec.Snapshot(), trace.KRxDropped); n != len(cases) || len(p.heard.peers) != 1 {
+		t.Errorf("after an intact beacon: %d drops, %d peers heard", n, len(p.heard.peers))
 	}
 	for name, want := range map[string]uint64{
 		`rx_dropped_total{plane="beacon",reason="short"}`:       1,
