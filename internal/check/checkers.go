@@ -43,18 +43,12 @@ type pairKey struct {
 	peer transport.IP
 }
 
-// isAdapterReset reports whether rec wipes the adapter's group lineage:
-// reforming fresh (orphan, eviction, formation) or a crash-restart
-// re-entering the beacon phase ungrouped (KBeaconSent with Group == 0).
-// After any of these the adapter's version counter legitimately restarts.
+// isAdapterReset reports whether rec ends the adapter's group lineage:
+// a (re)start (KStarted) or an orphaning (KOrphaned, which every eviction
+// also ends in). Nothing else is a reset. After either, the adapter's
+// version counter legitimately restarts and its open votes are void.
 func isAdapterReset(rec trace.Record) bool {
-	switch rec.Kind {
-	case trace.KOrphaned, trace.KEvicted, trace.KFormed:
-		return true
-	case trace.KBeaconSent:
-		return rec.Group == 0
-	}
-	return false
+	return rec.Kind == trace.KStarted || rec.Kind == trace.KOrphaned
 }
 
 // viewFingerprint renders the committed membership of the adapter that

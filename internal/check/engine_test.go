@@ -59,11 +59,12 @@ func TestMonotoneVersionsFlagsRegression(t *testing.T) {
 		t.Fatalf("want 1 violation, got %v", e.Violations())
 	}
 
-	// A reset (crash-restart beacon) legitimizes starting over at v1.
+	// A restart ends the lineage: the same lineage may then come back at a
+	// lower version without a violation.
 	e2 := NewEngine(ctx, NewMonotoneVersions())
 	e2.Observe(commit(ctx, m, mkView(5, l, m)))
-	e2.Observe(trace.Record{Kind: trace.KBeaconSent, Self: m}) // Group 0: ungrouped
-	e2.Observe(commit(ctx, m, mkView(1, m)))
+	e2.Observe(trace.Record{Kind: trace.KStarted, Self: m, Token: 2})
+	e2.Observe(commit(ctx, m, mkView(4, l, m)))
 	if !e2.Ok() {
 		t.Fatalf("reset lineage flagged: %v", e2.Violations())
 	}
@@ -111,6 +112,34 @@ func TestTwoPCFlagsDoubleCommitAndUnpreparedInstall(t *testing.T) {
 	e3.Observe(trace.Record{Kind: trace.KCommitRecv, Self: m, Group: l, Token: 9, Detail: "direct"})
 	if !e3.Ok() {
 		t.Fatalf("direct install flagged: %v", e3.Violations())
+	}
+}
+
+// A restarted adapter keeps beaconing ungrouped while it votes; only its
+// KStarted ends a lineage, so a beacon between prepare and commit is not a
+// reset, while a restart between them voids the vote.
+func TestTwoPCResetIsStartNotBeacon(t *testing.T) {
+	ctx := &stubContext{views: map[transport.IP]amg.Membership{}}
+	l, m := ip("10.0.0.9"), ip("10.0.0.5")
+	started := trace.Record{Kind: trace.KStarted, Self: m, Token: 2}
+	beacon := trace.Record{Kind: trace.KBeaconSent, Self: m} // Group 0: ungrouped
+	prepare := trace.Record{Kind: trace.KPrepareRecv, Self: m, Group: l, Token: 7}
+	install := trace.Record{Kind: trace.KCommitRecv, Self: m, Group: l, Token: 7}
+
+	e := NewEngine(ctx, NewTwoPC())
+	for _, rec := range []trace.Record{started, beacon, prepare, beacon, install} {
+		e.Observe(rec)
+	}
+	if !e.Ok() {
+		t.Fatalf("beacon between prepare and commit read as a reset: %v", e.Violations())
+	}
+
+	e2 := NewEngine(ctx, NewTwoPC())
+	for _, rec := range []trace.Record{started, beacon, prepare, started, install} {
+		e2.Observe(rec)
+	}
+	if len(e2.Violations()) != 1 || !strings.Contains(e2.Violations()[0].Msg, "without a matching prepare") {
+		t.Fatalf("install of a vote cast before a restart not flagged: %v", e2.Violations())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -97,6 +98,50 @@ func TestPendingViewExpires(t *testing.T) {
 		t.Fatal("pending view survived its timeout")
 	}
 	h.assertOneGroup(ips)
+}
+
+// A vote ends with the lineage it was cast in: a member that acked a
+// higher leader's Prepare and is then orphaned by its own leader's Evict
+// holds no vote, so the round's Commit cannot install through it. A Commit
+// that names only the round installs nothing; the Commit the leader really
+// sends carries the membership and may fold the orphan in, but only as a
+// "direct" install, the merge path that needs no vote.
+func TestOrphanDropsVote(t *testing.T) {
+	h := newHarness(t, 47)
+	ips := h.singleSegment(fastConfig(), 3)
+	h.run(8 * time.Second)
+	leaderIP := h.viewOf(ips[0]).Leader()
+	var member *adapterProto
+	for _, d := range h.daemons {
+		if p, ok := d.byIP[ipn(0, 1)]; ok {
+			member = p
+		}
+	}
+	rec := trace.New(256)
+	member.d.SetTracer(rec)
+	higher := ipn(0, 99)
+	prep := &wire.Prepare{
+		Leader: higher, Version: member.view.Version + 1, Token: 777, Op: wire.OpJoin,
+		Members: append([]wire.Member{{IP: higher, Node: "x"}}, member.view.Members...),
+	}
+	member.onPrepare(prep)
+	if member.pending == nil {
+		t.Fatal("prepare did not pend")
+	}
+	member.onEvict(&wire.Evict{Leader: leaderIP, Target: member.self})
+	if member.pending != nil {
+		t.Fatal("orphaned adapter kept its vote")
+	}
+	member.onCommit(&wire.Commit{Leader: higher, Version: prep.Version, Token: prep.Token})
+	if n := countKind(rec.Snapshot(), trace.KCommitRecv); n != 0 || member.view.Leader() != member.self {
+		t.Fatalf("commit of a dropped vote installed: %d commit records, view %v", n, member.view)
+	}
+	member.onCommit(&wire.Commit{Leader: higher, Version: prep.Version, Token: prep.Token, Members: prep.Members})
+	for _, r := range rec.Snapshot() {
+		if r.Kind == trace.KCommitRecv && r.Detail != "direct" {
+			t.Fatalf("commit installed through a dropped vote: %v", r)
+		}
+	}
 }
 
 // A Prepare that does not include the recipient must be NACKed.

@@ -100,11 +100,11 @@ func (p *adapterProto) now() time.Duration { return p.d.clock.Now() }
 // start (re)initializes the adapter and opens the beacon phase.
 func (p *adapterProto) start() {
 	p.shutdown() // clear any leftovers from a previous life
+	p.trace(&trace.Record{Kind: trace.KStarted, Token: uint64(p.d.incarnation)})
 	p.disabled = false
 	p.state = stBeaconing
 	p.heard = heardSet{}
 	p.view = amg.Membership{}
-	p.pending = nil
 	p.probes = make(map[uint64]*probeState)
 	p.refreshLog = make(map[transport.IP]time.Duration)
 	p.lastGroupActivity = p.now()
@@ -138,10 +138,7 @@ func (p *adapterProto) shutdown() {
 			*t = nil
 		}
 	}
-	if p.pending != nil && p.pending.timer != nil {
-		p.pending.timer.Stop()
-		p.pending = nil
-	}
+	p.dropPending()
 	if p.detector != nil {
 		p.detector.Stop()
 		p.detector = nil
@@ -590,9 +587,7 @@ func (p *adapterProto) onPrepare(m *wire.Prepare) {
 	if !ok {
 		return
 	}
-	if p.pending != nil && p.pending.timer != nil {
-		p.pending.timer.Stop()
-	}
+	p.dropPending()
 	pv := &pendingView{
 		view:   amg.New(m.Version, m.Members),
 		leader: m.Leader,
@@ -614,11 +609,7 @@ func (p *adapterProto) onCommit(m *wire.Commit) {
 		return
 	}
 	if p.pending != nil && p.pending.token == m.Token && p.pending.leader == m.Leader {
-		pv := p.pending
-		p.pending = nil
-		if pv.timer != nil {
-			pv.timer.Stop()
-		}
+		pv := p.dropPending()
 		p.trace(&trace.Record{Kind: trace.KCommitRecv, Peer: m.Leader, Group: m.Leader,
 			Version: m.Version, Token: m.Token})
 		p.adoptView(pv.view, m.Leader)
@@ -667,12 +658,21 @@ func (p *adapterProto) adoptView(v amg.Membership, leader transport.IP) {
 	p.commitView(v)
 }
 
+// dropPending ends the adapter's vote, if it holds one: the expiry timer
+// stops and the prepared view is returned (nil when there was none). Every
+// way a vote ends goes through here, except the expiry timer itself.
+func (p *adapterProto) dropPending() *pendingView {
+	pv := p.pending
+	if pv != nil && pv.timer != nil {
+		pv.timer.Stop()
+	}
+	p.pending = nil
+	return pv
+}
+
 func (p *adapterProto) onAbort(m *wire.Abort) {
 	if p.pending != nil && p.pending.token == m.Token && p.pending.leader == m.Leader {
-		if p.pending.timer != nil {
-			p.pending.timer.Stop()
-		}
-		p.pending = nil
+		p.dropPending()
 		p.trace(&trace.Record{Kind: trace.KAbortRecv, Peer: m.Leader, Group: m.Leader, Token: m.Token})
 	}
 }
@@ -947,6 +947,7 @@ func (p *adapterProto) escalateSuspicion() {
 // a fresh singleton leader. The lineage break is flagged so Central does
 // not misread the reformation as the old group dying.
 func (p *adapterProto) isolationOrphan() {
+	p.dropPending() // a vote cast under the old lineage must not install later
 	p.trace(&trace.Record{Kind: trace.KOrphaned,
 		Group: p.view.Leader(), Version: p.view.Version})
 	if p.d.hooks.Orphaned != nil {

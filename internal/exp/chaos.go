@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/farm"
 	"repro/internal/serve"
 	"repro/internal/span"
+	"repro/internal/trace"
 )
 
 // ChaosOptions parameterizes the chaos seed sweep (E15): N independent
@@ -100,7 +102,13 @@ type chaosOutcome struct {
 	err        error
 	shrunk     *check.Schedule
 	shrinkRuns int
+	// txnContext holds txnContext's text for each violation an artifact
+	// shows; nil without an artifact directory.
+	txnContext []string
 }
+
+// artifactViolations is how many violations one artifact shows.
+const artifactViolations = 5
 
 func (c chaosOutcome) failed() bool {
 	return c.err != nil || len(c.violations) > 0 || c.dropped > 0 || len(c.converge) > 0
@@ -146,6 +154,12 @@ func chaosRun(o ChaosOptions, seed int64, sched *check.Schedule) chaosOutcome {
 	out.simTime = f.Now() - before
 	out.violations = engine.Violations()
 	out.dropped = engine.Dropped()
+	if o.ArtifactDir != "" && len(out.violations) > 0 {
+		recs := coll.Records()
+		for _, v := range out.violations[:min(len(out.violations), artifactViolations)] {
+			out.txnContext = append(out.txnContext, txnContext(recs, v))
+		}
+	}
 	out.converge = f.ConvergenceFailures()
 	plane.Stop()
 	// Only audit routing when the farm itself reconverged; a farm that is
@@ -189,10 +203,15 @@ func Chaos(o ChaosOptions) (*Table, int, error) {
 			continue
 		}
 		failing++
-		if o.Shrink && (len(out.violations) > 0 || out.dropped > 0) && out.err == nil {
+		if o.Shrink && len(out.violations) > 0 && out.err == nil {
+			// Keep ddmin on the original failure: a candidate counts only if
+			// the checker that fired first in the full run fires again.
+			checker := out.violations[0].Checker
 			min, runs := check.Shrink(out.schedule, func(c check.Schedule) bool {
 				r := chaosRun(o, out.seed, &c)
-				return len(r.violations) > 0 || r.dropped > 0
+				return slices.ContainsFunc(r.violations, func(v check.Violation) bool {
+					return v.Checker == checker
+				})
 			}, o.ShrinkBudget)
 			out.shrunk = &min
 			out.shrinkRuns = runs
@@ -242,6 +261,58 @@ func Chaos(o ChaosOptions) (*Table, int, error) {
 	return t, failing, nil
 }
 
+// txnContext renders, from a run's records up to a violation's trigger,
+// what explains a violation that carries a 2PC transaction: the victim's
+// own records for that leader#token, the victim's last started or
+// orphaned record (the last end of its lineage), and the leader's records
+// for the round (prepares, acks, commit). Empty when there is no txn.
+func txnContext(recs []trace.Record, v check.Violation) string {
+	if v.Txn == "" {
+		return ""
+	}
+	victim, leader := v.Rec.Self, v.Rec.Group
+	var lastEnd *trace.Record
+	n := len(recs)
+	for i, r := range recs {
+		if r.Seq > v.Rec.Seq {
+			n = i
+			break
+		}
+		if r.Self == victim && (r.Kind == trace.KStarted || r.Kind == trace.KOrphaned) {
+			lastEnd = &recs[i]
+		}
+	}
+	var own, led []trace.Record
+	for _, t := range trace.Txns(recs[:n]) {
+		if t.Leader != leader || t.Token != v.Rec.Token {
+			continue
+		}
+		for _, r := range t.Records {
+			if r.Self == victim {
+				own = append(own, r)
+			} else if r.Self == leader {
+				led = append(led, r)
+			}
+		}
+	}
+	var b strings.Builder
+	section := func(title string, rs ...trace.Record) {
+		fmt.Fprintf(&b, "\n  %s:", title)
+		for _, r := range rs {
+			b.WriteString("\n    ")
+			b.WriteString(r.String())
+		}
+	}
+	section(fmt.Sprintf("%v's records for txn %s", victim, v.Txn), own...)
+	if lastEnd != nil {
+		section(fmt.Sprintf("%v's last lineage end", victim), *lastEnd)
+	}
+	if leader != victim {
+		section(fmt.Sprintf("leader %v's records for the round", leader), led...)
+	}
+	return b.String()
+}
+
 // writeChaosArtifact records everything needed to replay one failing
 // seed: the schedule DSL, the first violations with their trace windows,
 // the convergence findings, and (when shrunk) the minimal reproduction
@@ -269,12 +340,9 @@ func writeChaosArtifact(dir string, out chaosOutcome) error {
 			fmt.Fprintf(&b, ", +%d dropped", out.dropped)
 		}
 		b.WriteString(")\n\n")
-		max := len(out.violations)
-		if max > 5 {
-			max = 5
-		}
-		for _, v := range out.violations[:max] {
+		for i, v := range out.violations[:min(len(out.violations), artifactViolations)] {
 			b.WriteString(v.Format())
+			b.WriteString(out.txnContext[i])
 			b.WriteString("\n\n")
 		}
 	}

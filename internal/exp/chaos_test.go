@@ -1,0 +1,74 @@
+package exp
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/check"
+	"repro/internal/trace"
+	"repro/internal/transport"
+)
+
+// TestChaosOrphanDropsVote replays seed 2's shrunk E15 schedule. A switch
+// outage orphans adapters that had just acked a Prepare; before an orphan
+// dropped its vote, the round's later Commit installed through it and the
+// two-phase-commit checker saw an install without a matching prepare.
+// Only the invariants are asserted: the schedule never restarts
+// globex-be-00, so the farm cannot reconverge.
+func TestChaosOrphanDropsVote(t *testing.T) {
+	sched, err := check.Parse(`
+@1m30s kill globex-be-00
+@1m40s restart globex-fe-01
+@1m42s switch-off sw-00 for 8s
+@1m49s switch-off sw-00 for 8s
+@1m53s switch-off sw-00 for 8s
+settle 3m0s
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := chaosRun(ChaosOptions{}, 2, &sched)
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if len(out.violations) > 0 || out.dropped > 0 {
+		for _, v := range out.violations {
+			t.Error(v.Format())
+		}
+		t.Fatalf("%d violations (+%d dropped)", len(out.violations), out.dropped)
+	}
+}
+
+// TestTxnContextTellsTheVotesStory: the artifact text for a 2PC violation
+// lists the victim's records for the txn, its last lineage end before the
+// trigger, and the leader's records for the round, and nothing later.
+func TestTxnContextTellsTheVotesStory(t *testing.T) {
+	l, m, other := transport.MakeIP(10, 0, 0, 9), transport.MakeIP(10, 0, 0, 5), transport.MakeIP(10, 0, 0, 6)
+	recs := []trace.Record{
+		{Seq: 1, Kind: trace.KStarted, Self: m, Token: 1},
+		{Seq: 2, Kind: trace.KPrepareSent, Self: l, Group: l, Token: 7},
+		{Seq: 3, Kind: trace.KPrepareRecv, Self: m, Peer: l, Group: l, Token: 7},
+		{Seq: 4, Kind: trace.KPrepareRecv, Self: other, Peer: l, Group: l, Token: 7},
+		{Seq: 5, Kind: trace.KOrphaned, Self: m},
+		{Seq: 6, Kind: trace.KCommitSent, Self: l, Group: l, Token: 7},
+		{Seq: 7, Kind: trace.KCommitRecv, Self: m, Peer: l, Group: l, Token: 7},
+		{Seq: 8, Kind: trace.KStarted, Self: m, Token: 2},
+	}
+	v := check.Violation{Rec: recs[6], Txn: recs[6].TxnID()}
+	got := txnContext(recs, v)
+	rest := got
+	for _, want := range []string{"records for txn", "2pc-prepare-recv", "2pc-commit-recv",
+		"last lineage end", "orphaned", "leader 10.0.0.9", "2pc-prepare-sent", "2pc-commit-sent"} {
+		i := strings.Index(rest, want)
+		if i < 0 {
+			t.Fatalf("%q missing or out of order in:%s", want, got)
+		}
+		rest = rest[i+len(want):]
+	}
+	if strings.Contains(got, "started") || strings.Contains(got, other.String()) {
+		t.Fatalf("a later reset or another adapter's vote is listed:%s", got)
+	}
+	if txnContext(recs, check.Violation{Rec: recs[4]}) != "" {
+		t.Fatal("a violation without a txn got a txn context")
+	}
+}

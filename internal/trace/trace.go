@@ -136,6 +136,9 @@ const (
 	// on (beacon, member, heartbeat, report, journal) and what was wrong
 	// with it (short, trailing, bad-version, bad-type).
 	KRxDropped
+	// KStarted: the adapter (re)started, ungrouped; Token is the daemon
+	// incarnation.
+	KStarted
 
 	kindMax
 )
@@ -179,6 +182,7 @@ var kindNames = [...]string{
 	KIncidentClosed:     "incident-closed",
 	KServeClean:         "serve-clean",
 	KRxDropped:          "rx-dropped",
+	KStarted:            "started",
 }
 
 func (k Kind) String() string {
