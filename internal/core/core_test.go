@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -133,6 +135,33 @@ func (h *harness) addNode(cfg Config, node string, ips []transport.IP, segments 
 }
 
 func (h *harness) run(d time.Duration) { h.sched.RunFor(d) }
+
+// traceKinds gives every daemon of h one flight recorder and returns the
+// records of the given kinds it captures from then on, in capture order.
+func (h *harness) traceKinds(kinds ...trace.Kind) *[]trace.Record {
+	rec := trace.New(16)
+	var got []trace.Record
+	rec.AddSink(func(r trace.Record) {
+		if slices.Contains(kinds, r.Kind) {
+			got = append(got, r)
+		}
+	})
+	for _, d := range h.daemons { // order-free: every daemon gets the same recorder
+		d.SetTracer(rec)
+	}
+	return &got
+}
+
+// deathsOf lists the dead members the KDeathCommitted records name.
+func deathsOf(recs []trace.Record) []transport.IP {
+	var out []transport.IP
+	for _, r := range recs {
+		if r.Kind == trace.KDeathCommitted {
+			out = append(out, r.Peer)
+		}
+	}
+	return out
+}
 
 func ipn(c, d byte) transport.IP { return transport.MakeIP(10, 0, c, d) }
 
@@ -296,14 +325,12 @@ func TestMemberDeathRecommit(t *testing.T) {
 	h.run(8 * time.Second)
 	h.assertOneGroup(ips)
 
-	var deaths []transport.IP
-	for _, d := range h.daemons {
-		d.SetHooks(Hooks{Death: func(_, dead transport.IP) { deaths = append(deaths, dead) }})
-	}
+	recs := h.traceKinds(trace.KDeathCommitted)
 	victim := ipn(0, 3)
 	h.daemons["node-03"].Crash()
 	h.eps[victim].SetMode(netsim.FailStop)
 	h.run(15 * time.Second)
+	deaths := deathsOf(*recs)
 
 	var rest []transport.IP
 	for _, ip := range ips {
@@ -321,7 +348,7 @@ func TestMemberDeathRecommit(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("death hook never fired for victim")
+		t.Fatal("no committed death traced for the victim")
 	}
 }
 
@@ -711,5 +738,37 @@ func TestAllDetectorKindsConverge(t *testing.T) {
 			}
 			h.assertOneGroup(rest)
 		})
+	}
+}
+
+// Two members that die together leave in one round, and the leader
+// traces their committed deaths in ascending address order on every run,
+// whatever order the map that batched them walks in.
+func TestTwoDeathsTraceInAddressOrder(t *testing.T) {
+	run := func() []trace.Record {
+		h := newHarness(t, 7)
+		ips := h.singleSegment(fastConfig(), 8)
+		h.run(8 * time.Second)
+		h.assertOneGroup(ips)
+		recs := h.traceKinds(trace.KDeathCommitted)
+		for _, name := range []string{"node-02", "node-05"} {
+			d := h.daemons[name]
+			d.Crash()
+			h.eps[d.AdminIP()].SetMode(netsim.FailStop)
+		}
+		h.run(15 * time.Second)
+		return *recs
+	}
+	first := run()
+	if len(first) != 2 || first[0].TxnID() != first[1].TxnID() {
+		t.Fatalf("want two committed deaths in one round, got %v", first)
+	}
+	if first[0].Peer > first[1].Peer {
+		t.Fatalf("deaths traced out of address order: %v", first)
+	}
+	for i := 0; i < 8; i++ { // one walk of a two-entry map comes out either way
+		if again := run(); !slices.Equal(deathsOf(first), deathsOf(again)) {
+			t.Fatalf("runs traced deaths %v, then %v", deathsOf(first), deathsOf(again))
+		}
 	}
 }

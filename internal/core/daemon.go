@@ -34,23 +34,6 @@ type JournalPeer interface {
 	HandleJournal(ep transport.Endpoint, src transport.Addr, msg wire.Message)
 }
 
-// Hooks are optional observation points for tests and experiments.
-type Hooks struct {
-	// Commit fires after an adapter installs a committed view.
-	Commit func(adapter transport.IP, view amg.Membership)
-	// Death fires when a leader declares a member dead (post-probe).
-	Death func(leader, dead transport.IP)
-	// Orphaned fires when a member gives up on its group.
-	Orphaned func(adapter transport.IP)
-	// Formed fires when an adapter ends its beacon phase as the highest
-	// IP it heard, with the size of its formation attempt — the "initial
-	// topology" of the paper's §4.1 loss analysis.
-	Formed func(adapter transport.IP, members int)
-	// Suspicion fires when this daemon's detector raises a suspicion
-	// (after the loopback self-test, before verification).
-	Suspicion func(reporter, suspect transport.IP, reason wire.SuspectReason)
-}
-
 // Daemon is the per-node GulfStream agent.
 //
 // Concurrency: a Daemon is event-driven and NOT safe for concurrent use.
@@ -68,7 +51,6 @@ type Daemon struct {
 
 	reporter *reporter
 	central  CentralHook
-	hooks    Hooks
 	tracer   *trace.Recorder
 
 	// centralIP is the current administrative AMG leader (0 if unknown).
@@ -114,9 +96,6 @@ func (d *Daemon) Node() string { return d.node }
 // SetCentral installs the Central implementation this daemon hosts when
 // elected. Must be called before Start.
 func (d *Daemon) SetCentral(c CentralHook) { d.central = c }
-
-// SetHooks installs observation hooks. Must be called before Start.
-func (d *Daemon) SetHooks(h Hooks) { d.hooks = h }
 
 // Clock exposes the daemon's time source.
 func (d *Daemon) Clock() transport.Clock { return d.clock }

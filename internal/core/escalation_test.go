@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -68,10 +70,7 @@ func TestMovedLeaderDoesNotMassKill(t *testing.T) {
 		h.addNode(cfg, nodeName("b", i), []transport.IP{ip}, []string{"seg-b"})
 		segB = append(segB, ip)
 	}
-	var deaths []transport.IP
-	for _, d := range h.daemons {
-		d.SetHooks(Hooks{Death: func(_, dead transport.IP) { deaths = append(deaths, dead) }})
-	}
+	recs := h.traceKinds(trace.KDeathCommitted)
 	for _, d := range h.daemons {
 		d.Start()
 	}
@@ -97,6 +96,7 @@ func TestMovedLeaderDoesNotMassKill(t *testing.T) {
 	// The isolation guard: the moved leader must not have declared the
 	// (alive) survivors dead. The survivors legitimately declare the
 	// *leader* dead during takeover.
+	deaths := deathsOf(*recs)
 	for _, d := range deaths {
 		if d != leader {
 			t.Fatalf("moved leader mass-killed healthy member %v (deaths: %v)", d, deaths)
@@ -217,4 +217,39 @@ func TestSuspicionClockResetOnCommit(t *testing.T) {
 		t.Fatal("suspicion clock survived a commit")
 	}
 	h.assertOneGroup(append(append([]transport.IP{}, ips...), ipn(0, 99)))
+}
+
+// A death the leader verified but could not commit is retracted with its
+// round: when every other member is silent, the isolation guard abandons
+// the lineage instead of committing the removal, and the trace shows the
+// verdict and the orphaning but no committed death.
+func TestIsolationAbortTracesNoDeath(t *testing.T) {
+	h := newHarness(t, 33)
+	ips := h.singleSegment(fastConfig(), 5)
+	h.run(8 * time.Second)
+	leader := h.viewOf(ips[0]).Leader()
+	recs := h.traceKinds(trace.KVerdictDead, trace.KOrphaned, trace.KDeathCommitted)
+	for _, d := range h.daemons {
+		if d.AdminIP() != leader {
+			d.Crash()
+			h.eps[d.AdminIP()].SetMode(netsim.FailStop)
+		}
+	}
+	h.run(30 * time.Second)
+	var verdicts, orphaned int
+	for _, r := range *recs {
+		switch {
+		case r.Self != leader:
+		case r.Kind == trace.KVerdictDead:
+			verdicts++
+		case r.Kind == trace.KOrphaned:
+			orphaned++
+		}
+	}
+	if verdicts == 0 || orphaned == 0 {
+		t.Fatalf("fixture: leader %v traced %d dead verdicts and %d orphanings, want both", leader, verdicts, orphaned)
+	}
+	if deaths := deathsOf(*recs); len(deaths) != 0 {
+		t.Fatalf("an aborted round traced committed deaths %v", deaths)
+	}
 }

@@ -204,9 +204,6 @@ func (p *adapterProto) endBeaconPhase() {
 		// (paper §2.1). Adapters already in groups come over through the
 		// merge path instead, led by their own leaders.
 		members := heard.appendUngrouped([]wire.Member{p.selfMember()})
-		if p.d.hooks.Formed != nil {
-			p.d.hooks.Formed(p.self, len(members))
-		}
 		p.trace(&trace.Record{Kind: trace.KFormed, Count: uint32(len(members))})
 		p.becomeLeader()
 		p.lead.startChange(wire.OpForm, amg.New(1, members))
@@ -699,9 +696,6 @@ func (p *adapterProto) commitView(v amg.Membership) {
 	if p.isAdmin() {
 		p.d.adminViewChanged()
 	}
-	if p.d.hooks.Commit != nil {
-		p.d.hooks.Commit(p.self, v)
-	}
 }
 
 // --- suspicion routing & verification ---
@@ -719,9 +713,6 @@ func (p *adapterProto) reportSuspect(suspect transport.IP, reason wire.SuspectRe
 		// §3 false-report flaw. Stay quiet and let others detect us.
 		p.trace(&trace.Record{Kind: trace.KLoopbackFailed, Peer: suspect, Detail: reason.String()})
 		return
-	}
-	if p.d.hooks.Suspicion != nil {
-		p.d.hooks.Suspicion(p.self, suspect, reason)
 	}
 	p.trace(&trace.Record{Kind: trace.KSuspicionRaised, Peer: suspect,
 		Group: p.view.Leader(), Version: p.view.Version, Detail: reason.String()})
@@ -950,9 +941,6 @@ func (p *adapterProto) isolationOrphan() {
 	p.dropPending() // a vote cast under the old lineage must not install later
 	p.trace(&trace.Record{Kind: trace.KOrphaned,
 		Group: p.view.Leader(), Version: p.view.Version})
-	if p.d.hooks.Orphaned != nil {
-		p.d.hooks.Orphaned(p.self)
-	}
 	// The new version jumps beyond anything the old group used — or
 	// anything this adapter's own earlier lineage used, if that counter
 	// ran higher — so stale messages cannot confuse a later rejoin.

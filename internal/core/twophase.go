@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/amg"
@@ -19,7 +20,8 @@ type leaderState struct {
 
 	dirtyJoins map[transport.IP]wire.Member
 	// dirtyRemoves maps member -> verified death (true) vs. departure to
-	// another group (false); only deaths fire the Death hook on commit.
+	// another group (false); only deaths are traced as such when the
+	// removal commits.
 	dirtyRemoves map[transport.IP]bool
 	changeTimer  transport.Timer
 
@@ -140,7 +142,7 @@ func (l *leaderState) flushChanges() {
 	op := wire.OpJoin
 	if len(l.dirtyRemoves) > 0 {
 		var gone []transport.IP
-		for ip := range l.dirtyRemoves {
+		for ip := range l.dirtyRemoves { // order-free: Without rebuilds through amg.New, which sorts
 			gone = append(gone, ip)
 		}
 		target = target.Without(gone...)
@@ -148,7 +150,7 @@ func (l *leaderState) flushChanges() {
 	}
 	if len(l.dirtyJoins) > 0 {
 		var extra []wire.Member
-		for _, m := range l.dirtyJoins {
+		for _, m := range l.dirtyJoins { // order-free: WithJoined rebuilds through amg.New, which sorts
 			extra = append(extra, m)
 		}
 		target = target.WithJoined(extra...)
@@ -157,11 +159,12 @@ func (l *leaderState) flushChanges() {
 		}
 	}
 	var deaths []transport.IP
-	for ip, wasDeath := range l.dirtyRemoves {
+	for ip, wasDeath := range l.dirtyRemoves { // order-free: sorted below
 		if wasDeath {
 			deaths = append(deaths, ip)
 		}
 	}
+	slices.Sort(deaths) // commit traces them in this order
 	l.dirtyJoins = make(map[transport.IP]wire.Member)
 	l.dirtyRemoves = make(map[transport.IP]bool)
 	if target.SameMembers(l.p.view) {
@@ -181,9 +184,9 @@ type twoPCRound struct {
 	target  amg.Membership
 	token   uint64
 	waiting map[transport.IP]bool
-	// deaths lists verified-dead members whose removal this round carries;
-	// the Death hook fires only when the removal actually commits (an
-	// isolation abort retracts unconfirmable declarations).
+	// deaths lists verified-dead members whose removal this round carries.
+	// Each gets a KDeathCommitted record only when the removal commits: an
+	// isolation abort retracts the declarations and traces none.
 	deaths  []transport.IP
 	resends int // Prepare retransmissions for the current target
 	shrinks int // how many times the target was reduced
@@ -385,11 +388,10 @@ func (r *twoPCRound) commit() {
 		}
 	}
 	pkt.Free()
-	if p.d.hooks.Death != nil {
-		for _, ip := range r.deaths {
-			if !r.target.Contains(ip) {
-				p.d.hooks.Death(p.self, ip)
-			}
+	for _, ip := range r.deaths {
+		if !r.target.Contains(ip) {
+			p.trace(&trace.Record{Kind: trace.KDeathCommitted, Peer: ip, Group: p.self,
+				Version: r.target.Version, Token: r.token})
 		}
 	}
 	p.commitView(r.target)

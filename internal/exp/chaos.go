@@ -244,19 +244,19 @@ func Chaos(o ChaosOptions) (*Table, int, error) {
 		if out.shrunk != nil {
 			shrunk = fmt.Sprintf("%d ops in %d runs", len(out.shrunk.Ops), out.shrinkRuns)
 		}
-		t.AddRow(fmt.Sprintf("%d", out.seed), fmt.Sprintf("%d", len(out.schedule.Ops)),
+		t.addRow(fmt.Sprintf("%d", out.seed), fmt.Sprintf("%d", len(out.schedule.Ops)),
 			secs(out.simTime), vio, verdict, shrunk)
 	}
 	switch {
 	case failing == 0:
-		t.Note("all %d seeds: protocol invariants held continuously and every farm reconverged", o.Seeds)
+		t.note("all %d seeds: protocol invariants held continuously and every farm reconverged", o.Seeds)
 	case o.ArtifactDir == "":
-		t.Note("%d/%d seeds FAILED", failing, o.Seeds)
+		t.note("%d/%d seeds FAILED", failing, o.Seeds)
 	default:
-		t.Note("%d/%d seeds FAILED; reproduction artifacts in %s", failing, o.Seeds, o.ArtifactDir)
+		t.note("%d/%d seeds FAILED; reproduction artifacts in %s", failing, o.Seeds, o.ArtifactDir)
 	}
 	if o.SeedBug {
-		t.Note("UnsafeSkipVerify planted: failures above demonstrate the harness catching the §3 flaw")
+		t.note("UnsafeSkipVerify planted: failures above demonstrate the harness catching the §3 flaw")
 	}
 	return t, failing, nil
 }

@@ -1,14 +1,18 @@
 // Package exp regenerates the paper's evaluation artifacts: every
 // experiment in DESIGN.md §5 (Figure 5, Formula 1, the beacon-loss
-// analysis, and the quantitative versions of the §3/§4.2 claims) is a
-// function producing a printable table and one row of Experiments.
-// cmd/gsbench prints the rows it is asked for; TestEvaluationGolden
-// renders all of them and compares the bytes with
-// testdata/evaluation.golden, the one committed record of the evaluation;
-// EXPERIMENTS.md discusses that record against the paper.
+// analysis, and the quantitative versions of the §3/§4.2 claims) is one
+// row of Experiments producing a printable table. Most rows are data for
+// one trial runner (runner.go): cells, seeds, a farm, a fault schedule and
+// a measure read from the flight recorder. The scale sweeps, the chaos
+// sweep and the ingest storm keep drivers of their own. cmd/gsbench prints
+// the rows it is asked for; TestEvaluationGolden renders all of them and
+// compares the bytes with testdata/evaluation.golden, the one committed
+// record of the evaluation; EXPERIMENTS.md discusses that record against
+// the paper.
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -30,16 +34,16 @@ type Table struct {
 	Host []string
 }
 
-// AddRow appends one formatted row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// addRow appends one formatted row.
+func (t *Table) addRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Note appends a footnote.
-func (t *Table) Note(format string, args ...any) {
+// note appends a footnote.
+func (t *Table) note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// HostNote appends a line of this host's figures.
-func (t *Table) HostNote(format string, args ...any) {
+// hostNote appends a line of this host's figures.
+func (t *Table) hostNote(format string, args ...any) {
 	t.Host = append(t.Host, fmt.Sprintf(format, args...))
 }
 
@@ -89,27 +93,22 @@ func secs(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()) }
 // secs2 renders a duration as seconds with two decimals.
 func secs2(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
 
-// each runs fn(0) … fn(n-1) on up to NumCPU goroutines and returns the
-// error of the lowest index that failed. Every cell of a sweep is its own
+// each runs fn(0) … fn(n-1) on up to NumCPU goroutines and returns their
+// errors joined, lowest index first. Every cell of a sweep is its own
 // farm on its own kernel, so results do not depend on the execution order.
 func each(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	sem := make(chan struct{}, runtime.NumCPU())
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range n {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
-			defer func() { <-sem }()
 			errs[i] = fn(i)
-		}(i)
+			<-sem
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }

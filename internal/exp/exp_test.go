@@ -4,9 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/detect"
 )
 
 // The experiment tests check the shape of scaled-down variants of every
@@ -21,24 +18,38 @@ func parseF(t *testing.T, s string) float64 {
 	return v
 }
 
-func smallFig5() Fig5Options {
-	o := DefaultFig5()
-	o.NodeCounts = []int{2, 6, 12}
-	o.BeaconPhases = []time.Duration{5 * time.Second, 10 * time.Second}
-	return o
-}
-
-func TestFig5ShapeConstantInSize(t *testing.T) {
-	o := smallFig5()
-	tab, err := Fig5(o)
+// sweep runs row r over the given cells, at the given seeds if any, and
+// returns its table.
+func sweep[C, M any](t *testing.T, r row[C, M], cells []C, seeds ...int64) *Table {
+	t.Helper()
+	r.cells, r.quick = cells, 0
+	if len(seeds) > 0 {
+		r.seeds, r.quickSeeds = seeds, 0
+	}
+	tab, _, err := r.run(Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != len(o.NodeCounts) {
+	return tab
+}
+
+// trialOf runs one trial of row r and returns its measure.
+func trialOf[C, M any](t *testing.T, r row[C, M], c C, seed int64) M {
+	t.Helper()
+	var m M
+	if err := r.plan(c, seed, &m).run(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestFig5ShapeConstantInSize(t *testing.T) {
+	tab := sweep(t, fig5, fig5Cells(2, 6, 12))
+	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// Column 1 = Tb=5s series; column 2 = Tb=10s series.
-	for col := 1; col <= 2; col++ {
+	// Columns 1-3 = the Tb=5s, 10s and 20s series.
+	for col := 1; col <= 3; col++ {
 		var vals []float64
 		for _, row := range tab.Rows {
 			vals = append(vals, parseF(t, row[col]))
@@ -65,7 +76,7 @@ func TestFig5ShapeConstantInSize(t *testing.T) {
 	}
 	// δ columns must be small and nonnegative-ish.
 	for _, row := range tab.Rows {
-		for col := 3; col <= 4; col++ {
+		for col := 4; col <= 6; col++ {
 			d := parseF(t, row[col])
 			if d < -0.5 || d > 6.5 {
 				t.Fatalf("δ out of range: %.1f", d)
@@ -75,13 +86,7 @@ func TestFig5ShapeConstantInSize(t *testing.T) {
 }
 
 func TestFormula1Delta(t *testing.T) {
-	o := DefaultFormula1()
-	o.Nodes = 10
-	o.Grid = o.Grid[:3]
-	tab, err := Formula1(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sweep(t, formula1, formula1Cells(10, formula1Grid[:3]))
 	for _, row := range tab.Rows {
 		delta := parseF(t, row[5])
 		if delta < -0.5 || delta > 6.5 {
@@ -95,14 +100,7 @@ func TestFormula1Delta(t *testing.T) {
 }
 
 func TestBeaconLossMatchesAnalytic(t *testing.T) {
-	o := DefaultBeaconLoss()
-	o.Adapters = 20
-	o.LossRates = []float64{0, 0.5, 0.8}
-	o.Trials = 3
-	tab, err := BeaconLoss(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sweep(t, beaconLoss, []float64{0, 0.5, 0.8}, beaconLoss.seeds[:3]...)
 	for _, row := range tab.Rows {
 		analytic, measured := parseF(t, row[1]), parseF(t, row[2])
 		if analytic == 0 {
@@ -119,18 +117,7 @@ func TestBeaconLossMatchesAnalytic(t *testing.T) {
 }
 
 func TestDetectorTradeoffShape(t *testing.T) {
-	o := DefaultDetectors()
-	o.Adapters = 12
-	o.LossRates = []float64{0, 0.10}
-	o.Window = 60 * time.Second
-	o.Schemes = []DetectorScheme{
-		{Name: "ring k=1", Kind: detect.Ring, Miss: 1},
-		{Name: "biring k=3 + consensus", Kind: detect.BiRing, Miss: 3, Consensus: true},
-	}
-	tab, err := Detectors(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sweep(t, detectors, []detCell{{schemes[0], 0}, {schemes[0], 0.10}, {schemes[2], 0}, {schemes[2], 0.10}})
 	// Layout: rows 0,1 = ring k=1 at loss 0, 10%; rows 2,3 = biring.
 	get := func(r, c int) string { return tab.Rows[r][c] }
 	// Everyone must detect the real failure eventually.
@@ -161,13 +148,7 @@ func TestDetectorTradeoffShape(t *testing.T) {
 }
 
 func TestHBLoadScaling(t *testing.T) {
-	o := DefaultHBLoad()
-	o.GroupSizes = []int{8, 32}
-	o.Window = 30 * time.Second
-	tab, err := HBLoad(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sweep(t, hbLoad, loadCells(8, 32))
 	// Columns: size, ring, biring, subgroup, randping, all-to-all.
 	small, large := tab.Rows[0], tab.Rows[1]
 	ringGrowth := parseF(t, large[1]) / parseF(t, small[1])
@@ -188,15 +169,9 @@ func TestHBLoadScaling(t *testing.T) {
 }
 
 func TestFailoverTimings(t *testing.T) {
-	o := DefaultFailover()
-	o.Nodes = 8
-	o.Trials = 1
-	tab, err := Failover(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sweep(t, failover, []int{8}, failover.seeds[0])
 	row := tab.Rows[0]
-	if row[1] == "n/a" || row[2] == "timeout" || row[3] == "timeout" {
+	if row[1] == "n/a" {
 		t.Fatalf("failover row incomplete: %v", row)
 	}
 	recommit := parseF(t, row[1])
@@ -210,12 +185,7 @@ func TestFailoverTimings(t *testing.T) {
 }
 
 func TestMoveScenario(t *testing.T) {
-	o := DefaultMove()
-	o.Trials = 1
-	tab, err := Move(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sweep(t, move, move.cells, move.seeds[0])
 	row := tab.Rows[0]
 	if row[1] == "never" || row[2] == "never" {
 		t.Fatalf("move incomplete: %v", row)
@@ -232,12 +202,7 @@ func TestMoveScenario(t *testing.T) {
 }
 
 func TestMergeConvergence(t *testing.T) {
-	o := DefaultMerge()
-	o.Sizes = [][2]int{{3, 3}, {6, 2}}
-	tab, err := Merge(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sweep(t, merge, [][2]int{{3, 3}, {6, 2}})
 	for _, row := range tab.Rows {
 		if row[2] != "yes" {
 			t.Fatalf("merge not led by highest IP: %v", row)
@@ -249,13 +214,7 @@ func TestMergeConvergence(t *testing.T) {
 }
 
 func TestCentralLoadSteadyStateSilent(t *testing.T) {
-	o := DefaultCentralLoad()
-	o.FarmSizes = []int{8, 16}
-	o.Window = 30 * time.Second
-	tab, err := CentralLoad(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sweep(t, centralLoad, []int{8, 16})
 	for _, row := range tab.Rows {
 		if parseF(t, row[3]) != 0 {
 			t.Fatalf("steady-state report traffic nonzero: %v", row)
@@ -275,10 +234,7 @@ func TestCentralLoadSteadyStateSilent(t *testing.T) {
 }
 
 func TestVerifyFindings(t *testing.T) {
-	tab, err := Verify(DefaultVerify())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sweep(t, verify, verify.cells)
 	if parseF(t, tab.Rows[0][2]) < 1 {
 		t.Fatalf("wrong-segment not found: %v", tab.Rows[0])
 	}
@@ -289,10 +245,10 @@ func TestVerifyFindings(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tab := &Table{ID: "X", Title: "demo", Columns: []string{"a", "bb"}}
-	tab.AddRow("1", "2")
-	tab.AddRow("333", "")
-	tab.Note("n1")
-	tab.HostNote("this host only")
+	tab.addRow("1", "2")
+	tab.addRow("333", "")
+	tab.note("n1")
+	tab.hostNote("this host only")
 	var sb strings.Builder
 	tab.Fprint(&sb)
 	// No line ends in a space — not the short last cell "2", not the empty

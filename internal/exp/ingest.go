@@ -30,24 +30,17 @@ const (
 	ingestSwitchShare  = 16  // nodes per switch
 	ingestVictimShare  = 100 // one node in this many fails and recovers
 	ingestMaxNodes     = 1 << 16
-	ingestSnapshots    = 4 // see IngestCounts.Snapshots
+	ingestSnapshots    = 4 // see ingestCounts.Snapshots
 	ingestResyncRounds = 3 // central.Activate multicasts its pull this often
 )
 
-// IngestOptions parameterizes the sweep.
-type IngestOptions struct {
-	Seed     int64
-	Adapters []int // farm sizes; two adapters per node
-}
+// ingestSizes are the farm sizes E19 sweeps (8 k to 128 k adapters, two
+// per node); the scaled-down variant keeps the first two.
+var ingestSizes = []int{8192, 16384, 32768, 65536, 131072}
 
-// DefaultIngest sweeps 8 k to 128 k adapters.
-func DefaultIngest() IngestOptions {
-	return IngestOptions{Seed: 99, Adapters: []int{8192, 16384, 32768, 65536, 131072}}
-}
-
-// IngestCounts are the outcomes of one point that depend on nothing but
+// ingestCounts are the outcomes of one point that depend on nothing but
 // the farm size: the committed columns of E19.
-type IngestCounts struct {
+type ingestCounts struct {
 	Reports       int // fulls + deltas + no-op fulls, each acknowledged
 	Notifications int // events published on the bus
 	NodeFailed    int
@@ -60,22 +53,22 @@ type IngestCounts struct {
 	Snapshots int
 }
 
-// IngestResult is one measured point.
-type IngestResult struct {
+// ingestResult is one measured point.
+type ingestResult struct {
 	Adapters int
-	IngestCounts
+	ingestCounts
 	// Wall-clock per phase on this host: printed, never committed.
 	Cold, Deltas, Noop time.Duration
 }
 
-// Total is the wall-clock of the whole ingest.
-func (r IngestResult) Total() time.Duration { return r.Cold + r.Deltas + r.Noop }
+// total is the wall-clock of the whole ingest.
+func (r ingestResult) total() time.Duration { return r.Cold + r.Deltas + r.Noop }
 
 // expectedIngest derives a point's counts from the corpus rules.
-func expectedIngest(nodes int) IngestCounts {
+func expectedIngest(nodes int) ingestCounts {
 	groups := 2 * nodes / ingestGroupSize
 	victims := nodes / ingestVictimShare
-	return IngestCounts{
+	return ingestCounts{
 		// Every group reports in full twice; a victim's two adapters
 		// each leave and rejoin.
 		Reports: 2*groups + 4*victims,
@@ -123,12 +116,12 @@ func ingestIP(adapter, node int) transport.IP {
 
 func ingestNode(n int) string { return fmt.Sprintf("node-%05d", n) }
 
-// IngestPoint runs one farm size and checks its outcome: the final view
+// ingestPoint runs one farm size and checks its outcome: the final view
 // must equal the generated truth with no node left dead, the journal must
 // fold to the live state, every report must be acknowledged, and the
 // counts must be the ones the corpus rules predict.
-func IngestPoint(adapters int, seed int64) (IngestResult, error) {
-	res := IngestResult{Adapters: adapters}
+func ingestPoint(adapters int, seed int64) (ingestResult, error) {
+	res := ingestResult{Adapters: adapters}
 	nodes := adapters / 2
 	if nodes < ingestVictimShare || nodes > ingestMaxNodes || nodes%ingestGroupSize != 0 {
 		return res, fmt.Errorf("exp: ingest: %d adapters: want a multiple of %d between %d and %d",
@@ -301,38 +294,39 @@ func IngestPoint(adapters int, seed int64) (IngestResult, error) {
 	if acks != res.Reports {
 		return res, fmt.Errorf("exp: ingest %d: %d of %d reports acknowledged", adapters, acks, res.Reports)
 	}
-	if want := expectedIngest(nodes); res.IngestCounts != want {
-		return res, fmt.Errorf("exp: ingest %d: counts %+v, the corpus rules give %+v", adapters, res.IngestCounts, want)
+	if want := expectedIngest(nodes); res.ingestCounts != want {
+		return res, fmt.Errorf("exp: ingest %d: counts %+v, the corpus rules give %+v", adapters, res.ingestCounts, want)
 	}
 	return res, nil
 }
 
-// Ingest runs the sweep. The table carries only the pinned counts; the
-// per-point wall-clock goes to Table.Host and comes back beside it.
-func Ingest(o IngestOptions) (*Table, []IngestResult, error) {
+// ingest runs the sweep at seed 99. The table carries only the pinned
+// counts; the per-point wall-clock goes to Table.Host and comes back
+// beside it.
+func ingest(adapters []int) (*Table, error) {
 	t := &Table{
 		ID:    "E19/ingest",
 		Title: "one Central ingesting a farm-wide resync storm, 1 % node churn as deltas, then no-op fulls",
 		Columns: []string{"adapters", "reports", "notifications", "node failed/recovered",
 			"resyncs", "journal seq", "snapshots"},
 	}
-	var results []IngestResult
-	for _, adapters := range o.Adapters {
-		r, err := IngestPoint(adapters, o.Seed)
+	var results []ingestResult
+	for _, n := range adapters {
+		r, err := ingestPoint(n, 99)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		results = append(results, r)
-		t.AddRow(fmt.Sprint(r.Adapters), fmt.Sprint(r.Reports), fmt.Sprint(r.Notifications),
+		t.addRow(fmt.Sprint(r.Adapters), fmt.Sprint(r.Reports), fmt.Sprint(r.Notifications),
 			fmt.Sprintf("%d/%d", r.NodeFailed, r.NodeRecovered), fmt.Sprint(r.Resyncs),
 			fmt.Sprint(r.JournalSeq), fmt.Sprint(r.Snapshots))
 		base := results[0]
-		t.HostNote("%7d adapters: cold %8.1f ms  deltas %6.1f ms  no-op %6.1f ms  total %8.1f ms  (%.2fx linear from %d)",
-			r.Adapters, durMs(r.Cold), durMs(r.Deltas), durMs(r.Noop), durMs(r.Total()),
-			r.Total().Seconds()/base.Total().Seconds()*float64(base.Adapters)/float64(r.Adapters), base.Adapters)
+		t.hostNote("%7d adapters: cold %8.1f ms  deltas %6.1f ms  no-op %6.1f ms  total %8.1f ms  (%.2fx linear from %d)",
+			r.Adapters, durMs(r.Cold), durMs(r.Deltas), durMs(r.Noop), durMs(r.total()),
+			r.total().Seconds()/base.total().Seconds()*float64(base.Adapters)/float64(r.Adapters), base.Adapters)
 	}
-	t.Note("every column follows from the corpus rules alone (groups of %d, one node in %d failing), so it is the same", ingestGroupSize, ingestVictimShare)
-	t.Note("on every host and at every seed; IngestPoint fails if any differs. Wall-clock per point is printed by")
-	t.Note("gsbench after the table and tracked by bench/ (central_storm is the 8192-adapter point), not committed here")
-	return t, results, nil
+	t.note("every column follows from the corpus rules alone (groups of %d, one node in %d failing), so it is the same", ingestGroupSize, ingestVictimShare)
+	t.note("on every host and at every seed; IngestPoint fails if any differs. Wall-clock per point is printed by")
+	t.note("gsbench after the table and tracked by bench/ (central_storm is the 8192-adapter point), not committed here")
+	return t, nil
 }

@@ -11,30 +11,30 @@ import (
 // notifications (40 NodeFailed, 40 NodeRecovered), 768 delivered resync
 // requests and journal position 9 104 — at any seed.
 func TestIngestStormShapeGolden(t *testing.T) {
-	want := IngestCounts{Reports: 1184, Notifications: 913, NodeFailed: 40, NodeRecovered: 40,
+	want := ingestCounts{Reports: 1184, Notifications: 913, NodeFailed: 40, NodeRecovered: 40,
 		Resyncs: 768, JournalSeq: 9104, Snapshots: 4}
 	for _, seed := range []int64{99, 7} {
-		r, err := IngestPoint(8192, seed)
+		r, err := ingestPoint(8192, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.IngestCounts != want {
-			t.Errorf("seed %d: counts %+v, want %+v", seed, r.IngestCounts, want)
+		if r.ingestCounts != want {
+			t.Errorf("seed %d: counts %+v, want %+v", seed, r.ingestCounts, want)
 		}
 	}
-	tab, results, err := Ingest(IngestOptions{Seed: 99, Adapters: []int{8192}})
+	tab, err := ingest([]int{8192})
 	if err != nil {
 		t.Fatal(err)
 	}
 	row := []string{"8192", "1184", "913", "40/40", "768", "9104", "4"}
-	if len(results) != 1 || len(tab.Rows) != 1 || !slices.Equal(tab.Rows[0], row) {
+	if len(tab.Rows) != 1 || !slices.Equal(tab.Rows[0], row) {
 		t.Errorf("table rows %v, want [%v]", tab.Rows, row)
 	}
 }
 
 func TestIngestRejectsSizesTheCorpusCannotBuild(t *testing.T) {
 	for _, adapters := range []int{0, 100, 8200, 1 << 18} {
-		if _, err := IngestPoint(adapters, 1); err == nil {
+		if _, err := ingestPoint(adapters, 1); err == nil {
 			t.Errorf("%d adapters accepted", adapters)
 		}
 	}
@@ -52,11 +52,11 @@ func TestIngestIsLinear(t *testing.T) {
 	best := func(adapters int) time.Duration {
 		var fastest time.Duration
 		for i := 0; i < 3; i++ {
-			r, err := IngestPoint(adapters, 99)
+			r, err := ingestPoint(adapters, 99)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := r.Total(); fastest == 0 || d < fastest {
+			if d := r.total(); fastest == 0 || d < fastest {
 				fastest = d
 			}
 		}

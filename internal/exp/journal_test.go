@@ -7,51 +7,36 @@ import "testing"
 // rebuild its view with strictly fewer report-plane messages than a cold
 // successor pulling full re-reports from every leader.
 func TestJournalFailoverFewerResyncMessages(t *testing.T) {
-	o := DefaultJournalFailover()
-	if o.AdminNodes+o.UniformNodes < 20 {
-		t.Fatalf("farm too small for the acceptance check: %d nodes", o.AdminNodes+o.UniformNodes)
+	seed := journalFailover.seeds[0]
+	off, on := trialOf(t, journalFailover, false, seed), trialOf(t, journalFailover, true, seed)
+	if off.rebuilt <= 0 || on.rebuilt <= 0 {
+		t.Fatalf("implausible rebuild times: off=%v on=%v", off.rebuilt, on.rebuilt)
 	}
-	off, err := JournalFailoverTrial(o, false, o.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := JournalFailoverTrial(o, true, o.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Rebuild <= 0 || on.Rebuild <= 0 {
-		t.Fatalf("implausible rebuild times: off=%v on=%v", off.Rebuild, on.Rebuild)
-	}
-	if on.ResyncMsgs >= off.ResyncMsgs {
+	if on.reports >= off.reports {
 		t.Fatalf("journal did not reduce resync traffic: on=%d off=%d report msgs",
-			on.ResyncMsgs, off.ResyncMsgs)
+			on.reports, off.reports)
 	}
 	// The journal plane is what replaces that traffic: silent with the
 	// journal off, active (snapshot + appends to the new standby) with it on.
-	if off.JournalMsgs != 0 {
-		t.Fatalf("journal-off farm sent %d journal-plane messages", off.JournalMsgs)
+	if off.journal != 0 {
+		t.Fatalf("journal-off farm sent %d journal-plane messages", off.journal)
 	}
-	if on.JournalMsgs == 0 {
+	if on.journal == 0 {
 		t.Fatal("journal-on farm never used the journal plane after failover")
 	}
 	t.Logf("rebuild off=%v on=%v; report msgs off=%d on=%d; journal msgs on=%d",
-		off.Rebuild, on.Rebuild, off.ResyncMsgs, on.ResyncMsgs, on.JournalMsgs)
+		off.rebuilt, on.rebuilt, off.reports, on.reports, on.journal)
 }
 
 // TestJournalFailoverTable exercises the printable experiment end to end
 // at a reduced size.
 func TestJournalFailoverTable(t *testing.T) {
-	o := DefaultJournalFailover()
-	o.AdminNodes, o.UniformNodes, o.Trials = 3, 5, 1
-	tab, err := JournalFailover(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sweep(t, journalFailover, journalFailover.cells, journalFailover.seeds[0])
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2 (off + on)", len(tab.Rows))
 	}
-	for _, row := range tab.Rows {
-		if row[2] == "timeout" {
+	for i, row := range tab.Rows {
+		if row[1] != []string{"off", "on"}[i] || parseF(t, row[2]) <= 0 {
 			t.Fatalf("incomplete row: %v", row)
 		}
 	}

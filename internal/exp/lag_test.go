@@ -1,15 +1,11 @@
 package exp
 
 import (
-	"bytes"
-	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/farm"
-	"repro/internal/serve"
-	"repro/internal/span"
+	"repro/internal/metrics"
 )
 
 // TestLagQuickSanity runs the PR-gate E18 variant end to end: every
@@ -17,7 +13,7 @@ import (
 // failure cells' span arithmetic must reconcile with the serving
 // plane's measured error-seconds.
 func TestLagQuickSanity(t *testing.T) {
-	_, bad, err := Lag(QuickLag())
+	_, bad, err := lag.run(Args{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,57 +23,33 @@ func TestLagQuickSanity(t *testing.T) {
 }
 
 // TestLagDeterministic asserts the acceptance property directly: the
-// same options serialize to byte-identical points on every run.
+// same cell and seed give identical trials on every run.
 func TestLagDeterministic(t *testing.T) {
-	o := QuickLag()
-	o.Schedules = []string{"failure"}
-	run := func() []byte {
-		points, err := LagSweep(o)
-		if err != nil {
-			t.Fatal(err)
+	c := lag.cells[0]
+	for _, seed := range lag.seeds[:lag.quickSeeds] {
+		if a, b := trialOf(t, lag, c, seed), trialOf(t, lag, c, seed); !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: same-seed trials differ:\n%+v\n---\n%+v", seed, a, b)
 		}
-		blob, err := json.Marshal(points)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	if a, b := run(), run(); !bytes.Equal(a, b) {
-		t.Fatalf("same-seed sweeps differ:\n%s\n---\n%s", a, b)
 	}
 }
 
-// TestLagPromSurface runs one seeded E17-style cell and checks the
-// Prometheus rendering of the notification-lag and per-stage span
-// histograms: the series exist and their quantiles are monotone.
+// TestLagPromSurface runs one seeded E18 trial and checks the Prometheus
+// rendering of the notification-lag and per-stage span histograms: the
+// series exist and their quantiles are monotone.
 func TestLagPromSurface(t *testing.T) {
-	spec := serveSpec(171, 2)
-	spec.Trace = true
-	f, err := farm.Build(spec)
-	if err != nil {
+	var m lagTrial
+	p := lagPlan(lag.cells[0], 171, &m)
+	var reg *metrics.Registry
+	stitch := p.end
+	p.end = func(tr *trial) error {
+		reg = tr.Metrics
+		return stitch(tr)
+	}
+	if err := p.run(); err != nil {
 		t.Fatal(err)
 	}
-	coll := span.NewCollector(nil)
-	coll.Attach("farm", f.Trace)
-	f.Start()
-	if _, ok := f.RunUntilStable(2 * time.Minute); !ok {
-		t.Fatal("farm never stabilized")
-	}
-	plane := f.AttachServe(serve.Config{Seed: 171, SessionsPerSec: 200},
-		serve.NewDelayedPipe(f.Clock(), 500*time.Millisecond))
-	plane.Start()
-	f.RunFor(5 * time.Second)
-	sched, err := serveChurn("failure")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.Run(f)
-	f.RunFor(2 * time.Second)
-	plane.Stop()
-	span.Observe(f.Metrics, span.Stitch(coll.Records(), f))
-
 	var sb strings.Builder
-	f.Metrics.WriteProm(&sb)
+	reg.WriteProm(&sb)
 	text := sb.String()
 	for _, name := range []string{
 		"serve_notify_lag", "span_stage_suspicion", "span_stage_2pc_prepare",
@@ -86,7 +58,7 @@ func TestLagPromSurface(t *testing.T) {
 		if !strings.Contains(text, "gulfstream_"+name+"_seconds{quantile=\"0.5\"}") {
 			t.Fatalf("prometheus text missing %s quantile series:\n%s", name, text)
 		}
-		h := f.Metrics.Histogram(name)
+		h := reg.Histogram(name)
 		if h.N == 0 {
 			t.Fatalf("%s has no observations", name)
 		}

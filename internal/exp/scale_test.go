@@ -30,24 +30,24 @@ func TestScaleDeterminism(t *testing.T) {
 		sizes = sizes[:1]
 	}
 	for _, adapters := range sizes {
-		a, err := ScaleTrialRun(o, adapters, o.Seed)
+		a, err := scaleTrialRun(o, adapters, o.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ScaleTrialRun(o, adapters, o.Seed)
+		b, err := scaleTrialRun(o, adapters, o.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Fired != b.Fired {
-			t.Errorf("adapters=%d: same seed, different event counts: %d vs %d", adapters, a.Fired, b.Fired)
+		if a.fired != b.fired {
+			t.Errorf("adapters=%d: same seed, different event counts: %d vs %d", adapters, a.fired, b.fired)
 		}
-		if a.StableSecs != b.StableSecs {
-			t.Errorf("adapters=%d: same seed, different stabilization times: %v vs %v", adapters, a.StableSecs, b.StableSecs)
+		if a.stable != b.stable {
+			t.Errorf("adapters=%d: same seed, different stabilization times: %v vs %v", adapters, a.stable, b.stable)
 		}
-		if a.TopoHash != b.TopoHash {
-			t.Errorf("adapters=%d: same seed, different topologies: %#x vs %#x", adapters, a.TopoHash, b.TopoHash)
+		if a.hash != b.hash {
+			t.Errorf("adapters=%d: same seed, different topologies: %#x vs %#x", adapters, a.hash, b.hash)
 		}
-		if a.TopoHash == 0 {
+		if a.hash == 0 {
 			t.Errorf("adapters=%d: topology hash is zero: Central view missing or empty", adapters)
 		}
 	}
@@ -58,27 +58,27 @@ func TestScaleDeterminism(t *testing.T) {
 func TestScaleSweep(t *testing.T) {
 	o := scaleTestOptions()
 	o.Trials = 2
-	tab, err := Scale(o)
+	tab, err := scaleTable(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(tab.Rows))
 	}
-	pts, err := ScaleSweep(o)
+	pts, err := scaleSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pt := pts[0]
-	if pt.Nodes != 30 || len(pt.Trials) != 2 {
-		t.Fatalf("point = %+v, want 30 nodes x 2 trials", pt)
+	if pt.adapters != 60 || len(pt.trials) != 2 {
+		t.Fatalf("point = %+v, want 60 adapters x 2 trials", pt)
 	}
-	for _, tr := range pt.Trials {
-		if tr.Fired == 0 || tr.EventsPerSec <= 0 {
+	for _, tr := range pt.trials {
+		if tr.fired == 0 || tr.evps() <= 0 {
 			t.Errorf("trial %+v: no events measured", tr)
 		}
 	}
-	if pt.AllocsPerEvent < 0 || pt.BytesPerEvent <= 0 {
+	if pt.allocsPerEvent < 0 || pt.bytesPerEvent <= 0 {
 		t.Errorf("alloc accounting broken: %+v", pt)
 	}
 }

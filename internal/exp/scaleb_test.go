@@ -22,7 +22,7 @@ func scaledDownB() ScaleBOptions {
 // worker-goroutine windows, which must change nothing.
 func TestScaleBCrossShardDeterminism(t *testing.T) {
 	o := scaledDownB()
-	run := func(shards int, parallel bool) ScaleBCell {
+	run := func(shards int, parallel bool) coldRun {
 		t.Helper()
 		f, err := ScaleBFarm(o, o.Adapters[0], shards, o.Seed)
 		if err != nil {
@@ -30,30 +30,27 @@ func TestScaleBCrossShardDeterminism(t *testing.T) {
 		}
 		if f.Shards != nil {
 			f.Shards.SetParallel(parallel)
-			defer f.Shards.Stop()
 		}
-		f.Start()
-		zones := o.Adapters[0] / (o.ZoneNodes * o.ZoneAdapters)
-		at, ok := f.RunUntilAllStable(zones, o.Timeout)
-		if !ok {
-			t.Fatalf("shards=%d parallel=%v never stabilized", shards, parallel)
+		r, err := coldStart(f, o.Adapters[0]/(o.ZoneNodes*o.ZoneAdapters), o.Timeout)
+		if err != nil {
+			t.Fatalf("shards=%d parallel=%v: %v", shards, parallel, err)
 		}
-		return ScaleBCell{Shards: shards, Fired: f.Fired(), TopoHash: TopologyHashAll(f), StableSecs: at.Seconds()}
+		return r
 	}
 	base := run(1, false)
-	if base.Fired == 0 || base.TopoHash == 0 {
+	if base.fired == 0 || base.hash == 0 {
 		t.Fatalf("degenerate baseline: %+v", base)
 	}
 	for _, k := range []int{2, 4, 8} {
 		got := run(k, false)
-		if got.Fired != base.Fired || got.TopoHash != base.TopoHash || got.StableSecs != base.StableSecs {
+		if got.fired != base.fired || got.hash != base.hash || got.stable != base.stable {
 			t.Errorf("shards=%d diverged: fired=%d hash=%016x stable=%v, want fired=%d hash=%016x stable=%v",
-				k, got.Fired, got.TopoHash, got.StableSecs, base.Fired, base.TopoHash, base.StableSecs)
+				k, got.fired, got.hash, got.stable, base.fired, base.hash, base.stable)
 		}
 	}
 	par := run(4, true)
-	if par.Fired != base.Fired || par.TopoHash != base.TopoHash {
+	if par.fired != base.fired || par.hash != base.hash {
 		t.Errorf("shards=4 parallel diverged: fired=%d hash=%016x, want fired=%d hash=%016x",
-			par.Fired, par.TopoHash, base.Fired, base.TopoHash)
+			par.fired, par.hash, base.fired, base.hash)
 	}
 }

@@ -2,472 +2,425 @@ package exp
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
-	"repro/internal/amg"
 	"repro/internal/central"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/farm"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
-// coreView aliases the committed-membership type used in daemon hooks.
-type coreView = amg.Membership
+// The scenario rows: leader and Central failover (E6), a Central-initiated
+// domain move (E7), partition heal (E8), report-plane load (E9), database
+// verification (E10) and journal-backed Central failover (E12).
 
-// FailoverOptions parameterizes the leader / Central failover timings.
-type FailoverOptions struct {
-	Seed   int64
-	Nodes  int
-	Trials int
-}
-
-// DefaultFailover uses a modest admin segment.
-func DefaultFailover() FailoverOptions {
-	return FailoverOptions{Seed: 41, Nodes: 12, Trials: 3}
-}
-
-// Failover measures (a) AMG leader death -> recommitted group under the
-// successor, and (b) Central death -> new Central with a rebuilt view.
-func Failover(o FailoverOptions) (*Table, error) {
-	t := &Table{
-		ID:      "E6/failover",
-		Title:   fmt.Sprintf("leader and Central failover times (%d admin nodes)", o.Nodes),
-		Columns: []string{"trial", "leader death -> recommit(s)", "central death -> re-elected(s)", "central view rebuilt(s)"},
-	}
-	for trial := 0; trial < o.Trials; trial++ {
-		cfg := core.DefaultConfig()
-		cfg.BeaconPhase = 3 * time.Second
-		cc := central.DefaultConfig()
-		cc.StabilizeWait = 5 * time.Second
-		f, err := farm.Build(farm.Spec{
-			Seed:         o.Seed + int64(trial)*13,
-			AdminNodes:   o.Nodes,
-			UniformNodes: 4, UniformAdapters: 2, // extra groups to rebuild
-			Core: cfg, Central: cc, RecordEvents: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Track recommits of the admin group.
-		var recommitAt time.Duration
-		var killedAt time.Duration
-		var oldLeader transport.IP
-		for _, d := range f.Daemons {
-			d := d
-			d.SetHooks(core.Hooks{Commit: func(adapter transport.IP, view coreView) {
-				if killedAt > 0 && recommitAt == 0 && !view.Contains(oldLeader) && view.Size() > 1 {
-					recommitAt = f.Sched.Now()
-				}
-			}})
-			_ = d
-		}
-		f.Start()
-		if _, ok := f.RunUntilStable(2 * time.Minute); !ok {
-			return nil, fmt.Errorf("exp: failover trial %d never stabilized", trial)
-		}
-		// Identify and kill the Central host (the admin leader).
-		var hostName string
-		for name, d := range f.Daemons {
-			if d.Running() && d.HostingCentral() {
-				hostName = name
-			}
-		}
-		host := f.Daemons[hostName]
-		oldLeader = host.AdminIP()
-		groupsBefore := f.ActiveCentral().GroupCount()
-		killedAt = f.Sched.Now()
-		if err := f.KillNode(hostName); err != nil {
-			return nil, err
-		}
-		// Run until a new central is elected and has the full view again.
-		var electedAt, rebuiltAt time.Duration
-		deadline := f.Sched.Now() + 3*time.Minute
-		for f.Sched.Now() < deadline {
-			f.RunFor(250 * time.Millisecond)
-			c := f.ActiveCentral()
-			if c == nil {
-				continue
-			}
-			if electedAt == 0 {
-				for _, e := range f.Bus.Log() {
-					if e.Kind == event.CentralElected && e.Time > killedAt {
-						electedAt = e.Time
-						break
-					}
-				}
-			}
-			if electedAt != 0 && rebuiltAt == 0 && c.GroupCount() >= groupsBefore {
-				rebuiltAt = f.Sched.Now()
-				break
-			}
-		}
-		row := []string{fmt.Sprintf("%d", trial+1)}
-		if recommitAt > 0 {
-			row = append(row, secs2(recommitAt-killedAt))
-		} else {
-			row = append(row, "n/a")
-		}
-		if electedAt > 0 {
-			row = append(row, secs2(electedAt-killedAt))
-		} else {
-			row = append(row, "timeout")
-		}
-		if rebuiltAt > 0 {
-			row = append(row, secs2(rebuiltAt-killedAt))
-		} else {
-			row = append(row, "timeout")
-		}
-		t.AddRow(row...)
-	}
-	t.Note("leader recommit = detect (k x Th) + consensus window + probe + 2PC;")
-	t.Note("view rebuild adds the successor's Ts quiet wait and full re-reports")
-	return t, nil
-}
-
-// MoveOptions parameterizes the dynamic reconfiguration experiment.
-type MoveOptions struct {
-	Seed   int64
-	Trials int
-}
-
-// DefaultMove uses two domains of the Figure 2 shape.
-func DefaultMove() MoveOptions { return MoveOptions{Seed: 51, Trials: 3} }
-
-// Move reproduces §3.1: Central moves a node between domains via SNMP
-// VLAN rewriting; the old AMG recommits, the new AMG absorbs the node,
-// Central infers the move and suppresses the false failure notifications.
-func Move(o MoveOptions) (*Table, error) {
-	t := &Table{
-		ID:      "E7/move",
-		Title:   "central-initiated domain move (SNMP VLAN rewrite)",
-		Columns: []string{"trial", "snmp done(s)", "move inferred(s)", "suppressed fails", "unsuppressed fails", "verify clean"},
-	}
-	for trial := 0; trial < o.Trials; trial++ {
-		cfg := core.DefaultConfig()
-		cfg.BeaconPhase = 3 * time.Second
-		cfg.OrphanTimeout = 8 * time.Second
-		cc := central.DefaultConfig()
-		cc.StabilizeWait = 5 * time.Second
-		f, err := farm.Build(farm.Spec{
-			Seed:       o.Seed + int64(trial)*17,
-			AdminNodes: 2,
-			Domains: []farm.DomainSpec{
-				{Name: "acme", FrontEnds: 2, BackEnds: 3},
-				{Name: "globex", FrontEnds: 2, BackEnds: 3},
-			},
-			Core: cfg, Central: cc, RecordEvents: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		f.Start()
-		if _, ok := f.RunUntilStable(3 * time.Minute); !ok {
-			return nil, fmt.Errorf("exp: move trial %d never stabilized", trial)
-		}
-		mover := "acme-be-01"
-		movedAdapter := f.Nodes[mover].Adapters[1]
-		start := f.Sched.Now()
-		var snmpDone time.Duration
-		if err := f.MoveNodeToDomain(mover, "globex", func(err error) {
-			if err == nil {
-				snmpDone = f.Sched.Now()
-			}
-		}); err != nil {
-			return nil, err
-		}
-		f.RunFor(2 * time.Minute)
-
-		var inferredAt time.Duration
-		suppressed, unsuppressed := 0, 0
-		for _, e := range f.Bus.Log() {
-			if e.Time < start {
-				continue
-			}
-			switch e.Kind {
-			case event.NodeMoved:
-				if e.Adapter == movedAdapter && inferredAt == 0 {
-					inferredAt = e.Time
-				}
-			case event.AdapterFailed:
-				if e.Adapter == movedAdapter {
-					if e.Suppressed {
-						suppressed++
-					} else {
-						unsuppressed++
-					}
-				}
-			}
-		}
-		clean := "yes"
-		if ms := f.ActiveCentral().Verify(); len(ms) != 0 {
-			clean = fmt.Sprintf("no (%d findings)", len(ms))
-		}
-		inf := "never"
-		if inferredAt > 0 {
-			inf = secs2(inferredAt - start)
-		}
-		sd := "never"
-		if snmpDone > 0 {
-			sd = secs2(snmpDone - start)
-		}
-		t.AddRow(fmt.Sprintf("%d", trial+1), sd, inf, fmt.Sprintf("%d", suppressed),
-			fmt.Sprintf("%d", unsuppressed), clean)
-	}
-	t.Note("paper §3.1: neither AMG leader knows a move happened; Central correlates the leave/join pair,")
-	t.Note("and expected (Central-initiated) changes suppress external failure notifications")
-	return t, nil
-}
-
-// MergeOptions parameterizes the partition-heal experiment.
-type MergeOptions struct {
-	Seed  int64
-	Sizes [][2]int
-}
-
-// DefaultMerge sweeps partition size pairs.
-func DefaultMerge() MergeOptions {
-	return MergeOptions{Seed: 61, Sizes: [][2]int{{2, 2}, {4, 4}, {8, 8}, {16, 4}, {16, 16}}}
-}
-
-// Merge measures how long two independently formed AMGs take to merge
-// under the higher-IP leader once their partition heals.
-func Merge(o MergeOptions) (*Table, error) {
-	t := &Table{
-		ID:      "E8/merge",
-		Title:   "partition heal: time to one merged AMG",
-		Columns: []string{"sizes", "merge time(s)", "final leader is highest"},
-	}
-	for _, pair := range o.Sizes {
-		dur, leaderOK, err := mergeTrial(o.Seed, pair[0], pair[1])
-		if err != nil {
-			return nil, err
-		}
-		ok := "yes"
-		if !leaderOK {
-			ok = "NO"
-		}
-		t.AddRow(fmt.Sprintf("%d+%d", pair[0], pair[1]), secs2(dur), ok)
-	}
-	t.Note("merging AMGs are led by the AMG leader with the highest IP address (paper §2.1)")
-	return t, nil
-}
-
-func mergeTrial(seed int64, a, b int) (time.Duration, bool, error) {
-	cfg := core.DefaultConfig()
-	cfg.BeaconPhase = 3 * time.Second
-	// Two VLANs initially; we heal by re-VLANing partition B.
-	f, err := farm.Build(farm.Spec{
-		Seed:            seed,
-		UniformNodes:    a + b,
-		UniformAdapters: 2, // admin + one data segment per node
-		NodesPerSwitch:  a + b,
-		Core:            cfg,
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	// Pre-partition: move the data adapters of the last b nodes onto a
-	// private VLAN before starting.
-	var partB []transport.IP
-	for i := a; i < a+b; i++ {
-		ip := f.Nodes[fmt.Sprintf("node-%03d", i)].Adapters[1]
-		partB = append(partB, ip)
-		sw, port, _ := f.Fabric.Locate(ip)
-		if err := sw.SetPortVLAN(port, 900); err != nil {
-			return 0, false, err
-		}
-	}
-	f.Start()
-	f.RunFor(cfg.BeaconPhase + 15*time.Second)
-	// Heal: everyone back onto VLAN 11.
-	healedAt := f.Sched.Now()
-	for _, ip := range partB {
-		sw, port, _ := f.Fabric.Locate(ip)
-		if err := sw.SetPortVLAN(port, 11); err != nil {
-			return 0, false, err
-		}
-	}
-	// Wait until every data adapter shares one committed view.
-	var all []transport.IP
-	var highest transport.IP
-	for i := 0; i < a+b; i++ {
-		ip := f.Nodes[fmt.Sprintf("node-%03d", i)].Adapters[1]
-		all = append(all, ip)
-		if ip > highest {
-			highest = ip
-		}
-	}
-	deadline := f.Sched.Now() + 5*time.Minute
-	for f.Sched.Now() < deadline {
-		f.RunFor(250 * time.Millisecond)
-		if merged, leader := oneGroup(f, all); merged {
-			return f.Sched.Now() - healedAt, leader == highest, nil
-		}
-	}
-	return 0, false, fmt.Errorf("exp: merge %d+%d never converged", a, b)
-}
-
-// oneGroup reports whether all adapters share one committed view.
-func oneGroup(f *farm.Farm, ips []transport.IP) (bool, transport.IP) {
-	var leader transport.IP
-	for i, ip := range ips {
-		v, ok := viewOf(f, ip)
-		if !ok || v.Size() != len(ips) {
-			return false, 0
-		}
-		if i == 0 {
-			leader = v.Leader()
-		} else if v.Leader() != leader {
-			return false, 0
-		}
-	}
-	return true, leader
-}
-
-func viewOf(f *farm.Farm, ip transport.IP) (coreView, bool) {
-	for _, d := range f.Daemons {
-		if v, ok := d.View(ip); ok {
-			return v, true
-		}
-	}
-	return coreView{}, false
-}
-
-// CentralLoadOptions parameterizes the §4.2 Central-load experiment.
-type CentralLoadOptions struct {
-	Seed      int64
-	FarmSizes []int
-	Window    time.Duration
-	// ChurnPeriod injects a node kill+restart this often during the churn
-	// window (0 disables).
-	ChurnPeriod time.Duration
-}
-
-// DefaultCentralLoad sweeps farm sizes.
-func DefaultCentralLoad() CentralLoadOptions {
-	return CentralLoadOptions{
-		Seed:        71,
-		FarmSizes:   []int{10, 25, 50, 100},
-		Window:      60 * time.Second,
-		ChurnPeriod: 10 * time.Second,
-	}
-}
-
-// CentralLoad measures report-plane traffic: during formation, in steady
-// state (the paper: zero), and under churn (delta-only).
-func CentralLoad(o CentralLoadOptions) (*Table, error) {
-	t := &Table{
-		ID:      "E9/centralload",
-		Title:   "report-plane load at GulfStream Central (messages)",
-		Columns: []string{"nodes", "adapters", "formation msgs", "steady msgs/min", "churn msgs/min"},
-	}
-	for _, n := range o.FarmSizes {
-		cfg := core.DefaultConfig()
-		cfg.BeaconPhase = 5 * time.Second
-		f, err := farm.Build(farm.Spec{
-			Seed:            o.Seed + int64(n),
-			UniformNodes:    n,
-			UniformAdapters: 3,
-			StartSkew:       2 * time.Second,
-			Core:            cfg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		f.Start()
-		if _, ok := f.RunUntilStable(5 * time.Minute); !ok {
-			return nil, fmt.Errorf("exp: centralload n=%d never stabilized", n)
-		}
-		formation := f.Metrics.PlaneCounter(metrics.Plane(transport.PortReport)).Messages
-
-		f.Metrics.Reset(f.Sched.Now())
-		f.RunFor(o.Window)
-		steady := f.Metrics.PlaneCounter(metrics.Plane(transport.PortReport)).Messages
-		steadyPerMin := float64(steady) / o.Window.Minutes()
-
-		churnPerMin := 0.0
-		if o.ChurnPeriod > 0 {
-			f.Metrics.Reset(f.Sched.Now())
-			end := f.Sched.Now() + o.Window
-			i := 0
-			for f.Sched.Now() < end {
-				name := fmt.Sprintf("node-%03d", i%n)
-				_ = f.KillNode(name)
-				f.RunFor(o.ChurnPeriod / 2)
-				_ = f.RestartNode(name)
-				f.RunFor(o.ChurnPeriod / 2)
-				i++
-			}
-			churn := f.Metrics.PlaneCounter(metrics.Plane(transport.PortReport)).Messages
-			churnPerMin = float64(churn) / o.Window.Minutes()
-		}
-		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", 3*n),
-			fmt.Sprintf("%d", formation), fmt.Sprintf("%.1f", steadyPerMin),
-			fmt.Sprintf("%.1f", churnPerMin))
-	}
-	t.Note("paper §2.2: 'in the steady state, no network resources are used for group membership information';")
-	t.Note("leaders forward only membership changes, so churn traffic scales with churn, not farm size")
-	return t, nil
-}
-
-// VerifyOptions parameterizes the verification experiment.
-type VerifyOptions struct {
-	Seed int64
-}
-
-// DefaultVerify uses a two-domain farm.
-func DefaultVerify() VerifyOptions { return VerifyOptions{Seed: 81} }
-
-// Verify seeds one inconsistency of each kind between the database and
-// the farm, and checks Central's discovered-vs-database comparison flags
-// each (paper §2.2's inversion: discover first, then check the database).
-func Verify(o VerifyOptions) (*Table, error) {
-	cfg := core.DefaultConfig()
-	cfg.BeaconPhase = 3 * time.Second
+// quick3 is the default core configuration with a 3 s beacon phase, and
+// Central's with a 5 s quiet wait: farms that stabilize in seconds.
+func quick3() (core.Config, central.Config) {
 	cc := central.DefaultConfig()
 	cc.StabilizeWait = 5 * time.Second
-	f, err := farm.Build(farm.Spec{
-		Seed:       o.Seed,
+	return withTb(3 * time.Second), cc
+}
+
+// twoDomains is the Figure 2 shape: two management nodes and two domains
+// of 2 front ends and 3 back ends, with the event log kept.
+func twoDomains(seed int64) farm.Spec {
+	cfg, cc := quick3()
+	return farm.Spec{
+		Seed:       seed,
 		AdminNodes: 2,
 		Domains: []farm.DomainSpec{
 			{Name: "acme", FrontEnds: 2, BackEnds: 3},
 			{Name: "globex", FrontEnds: 2, BackEnds: 3},
 		},
 		Core: cfg, Central: cc, RecordEvents: true,
-	})
-	if err != nil {
-		return nil, err
 	}
-	// Seed 1: wrong expected VLAN in the database (WrongSegment).
-	wrongSeg := f.Nodes["acme-be-01"].Adapters[1]
-	_ = f.DB.SetExpectedVLAN(wrongSeg, 999)
+}
 
-	f.Start()
-	if _, ok := f.RunUntilStable(3 * time.Minute); !ok {
-		return nil, fmt.Errorf("exp: verify farm never stabilized")
-	}
-	// Seed 2: an adapter the database knows nothing about (UnknownAdapter)
-	// — simulate by removing... the DB is already built; instead report a
-	// rogue adapter by killing a node the DB expects (MissingAdapter).
-	missing := "globex-be-02"
-	_ = f.KillNode(missing)
-	f.RunFor(30 * time.Second)
+// killCentral is the failover op without its restart: the restart falls
+// long after every trial that uses it has ended.
+const killCentral = "@0s failover for 1h"
 
-	findings := f.ActiveCentral().Verify()
-	counts := map[string]int{}
-	for _, m := range findings {
-		counts[m.Kind.String()]++
+// recovery is one E6 or E12 trial's measure, every time from the kill of
+// the Central host.
+type recovery struct {
+	// recommit is the first commit of a group of two or more without the
+	// old host's admin adapter: the admin AMG recommitted under the
+	// successor (0 when none was seen).
+	recommit, elected, rebuilt time.Duration
+	reports, journal           uint64 // report- and journal-plane messages
+}
+
+// centralKill is the trial E6 and E12 share: a farm of admin nodes and
+// uniform two-adapter nodes stabilizes, settles for settle more, loses
+// the node hosting Central, and runs until a new Central is elected and
+// holds as many groups as the old one did, then for tail more. The event
+// log gives the election, the plane counters the recovery's traffic.
+func centralKill(seed int64, admins, uniform int, journal bool, settle, tail time.Duration, m *recovery) plan {
+	var (
+		old           transport.IP
+		groups        int
+		killed        time.Duration
+		reports, jrnl uint64
+	)
+	elected := func(t *trial) time.Duration {
+		for _, e := range t.Bus.Log() {
+			if e.Kind == event.CentralElected && e.Time > killed {
+				return e.Time
+			}
+		}
+		return 0
 	}
-	t := &Table{
-		ID:      "E10/verify",
-		Title:   "discovered-vs-database verification findings",
-		Columns: []string{"seeded inconsistency", "expected kind", "found"},
+	cfg, cc := quick3()
+	return plan{
+		spec: farm.Spec{Seed: seed, AdminNodes: admins, UniformNodes: uniform, UniformAdapters: 2,
+			Core: cfg, Central: cc, RecordEvents: true, Journal: journal},
+		stages: []stage{
+			{stable: 3 * time.Minute},
+			{run: settle, at: func(t *trial) error {
+				old = t.Daemons[t.ActiveCentralNode()].AdminIP()
+				groups, killed = t.ActiveCentral().GroupCount(), t.anchor
+				reports, jrnl = planes(t)
+				return nil
+			}, ops: killCentral},
+			{until: func(t *trial) bool {
+				c := t.ActiveCentral()
+				return c != nil && elected(t) != 0 && c.GroupCount() >= groups
+			}, every: 250 * time.Millisecond, limit: 3 * time.Minute,
+				at: func(t *trial) error { m.rebuilt = t.anchor - killed; return nil }},
+			{run: tail},
+		},
+		sink: func(t *trial, r trace.Record) {
+			if r.Kind != trace.KViewCommit || old == 0 || m.recommit != 0 {
+				return
+			}
+			if v, _ := t.ViewOf(r.Self); !v.Contains(old) && v.Size() > 1 {
+				m.recommit = r.T - killed
+			}
+		},
+		end: func(t *trial) error {
+			m.elected = elected(t) - killed
+			m.reports, m.journal = planes(t)
+			m.reports, m.journal = m.reports-reports, m.journal-jrnl
+			return nil
+		},
 	}
-	t.AddRow("db expects vlan 999 for "+wrongSeg.String(), "wrong-segment", fmt.Sprintf("%d", counts["wrong-segment"]))
-	t.AddRow("node "+missing+" down (its adapters vanish)", "missing-adapter", fmt.Sprintf("%d", counts["missing-adapter"]))
-	t.AddRow("(control) everything else", "no findings", fmt.Sprintf("%d other", len(findings)-counts["wrong-segment"]-counts["missing-adapter"]))
-	t.Note("paper §2.2: inconsistencies are flagged and the affected adapters can be disabled until resolved")
-	return t, nil
+}
+
+func planes(t *trial) (reports, journal uint64) {
+	return t.Metrics.PlaneCounter(metrics.Plane(transport.PortReport)).Messages,
+		t.Metrics.PlaneCounter(metrics.Plane(transport.PortJournal)).Messages
+}
+
+// failover measures (a) AMG leader death -> recommitted group under the
+// successor, and (b) Central death -> new Central with a rebuilt view, on
+// a farm of admin nodes plus four uniform nodes whose groups the new
+// Central must rebuild. Cells are admin-node counts.
+var failover = row[int, recovery]{
+	cells:      []int{12},
+	seeds:      []int64{41, 54, 67},
+	quickSeeds: 1,
+	plan: func(admins int, seed int64, m *recovery) plan {
+		return centralKill(seed, admins, 4, false, 0, 0, m)
+	},
+	table: func(cells []int, ms [][]recovery) (*Table, int) {
+		t := &Table{
+			ID:      "E6/failover",
+			Title:   fmt.Sprintf("leader and Central failover times (%d admin nodes)", cells[0]),
+			Columns: []string{"trial", "leader death -> recommit(s)", "central death -> re-elected(s)", "central view rebuilt(s)"},
+		}
+		for i, r := range ms[0] {
+			recommit := "n/a"
+			if r.recommit > 0 {
+				recommit = secs2(r.recommit)
+			}
+			t.addRow(fmt.Sprint(i+1), recommit, secs2(r.elected), secs2(r.rebuilt))
+		}
+		t.note("leader recommit = detect (k x Th) + consensus window + probe + 2PC;")
+		t.note("view rebuild adds the successor's Ts quiet wait and full re-reports")
+		return t, 0
+	},
+}
+
+// journalFailover compares Central failover recovery with the journal off
+// (cold successor: multicast resync pull, every leader re-reports) and on
+// (warm standby: replay the streamed journal, verify only stale groups).
+// The farm stabilizes and lets the standby stream drain for 5 s; after
+// the view is rebuilt, 15 s more let stragglers (late resync responses,
+// duplicate fulls) count. The farm is 4 admin and 16 uniform nodes;
+// cells say whether it journals.
+var journalFailover = row[bool, recovery]{
+	cells:      []bool{false, true},
+	seeds:      []int64{101, 108},
+	quickSeeds: 1,
+	plan: func(journaled bool, seed int64, m *recovery) plan {
+		return centralKill(seed, 4, 16, journaled, 5*time.Second, 15*time.Second, m)
+	},
+	table: func(cells []bool, ms [][]recovery) (*Table, int) {
+		t := &Table{
+			ID:      "E12/journal-failover",
+			Title:   "Central failover recovery, state journal off vs on (20 nodes)",
+			Columns: []string{"trial", "journal", "view rebuilt(s)", "report msgs", "journal msgs"},
+		}
+		for trial := range ms[0] {
+			for i, journaled := range cells {
+				r := ms[i][trial]
+				t.addRow(fmt.Sprint(trial+1), map[bool]string{false: "off", true: "on"}[journaled], secs2(r.rebuilt),
+					fmt.Sprint(r.reports), fmt.Sprint(r.journal))
+			}
+		}
+		t.note("off: the successor multicasts a resync pull 3x and every leader answers with a full report;")
+		t.note("on: the successor replays the journal streamed to it while standby — streamed groups are")
+		t.note("trusted, only stale ones get a unicast verification pull, so the report plane stays quieter")
+		return t, 0
+	},
+}
+
+// moveResult is one E7 trial's measure: when the move was ordered, when
+// its VLAN writes landed and when Central inferred it (0: never), and
+// the moved adapter's failure events since the order.
+type moveResult struct {
+	order, snmp, inferred    time.Duration
+	suppressed, unsuppressed int
+	findings                 int // Central's verification findings at the end
+}
+
+// move reproduces §3.1: Central moves a node between domains via SNMP
+// VLAN rewriting; the old AMG recommits, the new AMG absorbs the node,
+// Central infers the move and suppresses the false failure notifications.
+// The event log is read two minutes after the order.
+var move = row[string, moveResult]{
+	cells:      []string{"acme-be-01"},
+	seeds:      []int64{51, 68, 85},
+	quickSeeds: 1,
+	plan: func(mover string, seed int64, m *moveResult) plan {
+		spec := twoDomains(seed)
+		spec.Core.OrphanTimeout = 8 * time.Second
+		return plan{
+			spec: spec,
+			stages: []stage{
+				{stable: 3 * time.Minute, at: func(t *trial) error { m.order = t.anchor; return nil },
+					ops: "@0s move " + mover + " to globex"},
+				{run: 2 * time.Minute},
+			},
+			end: func(t *trial) error {
+				m.snmp = t.moved
+				moved := t.Nodes[mover].Adapters[1]
+				for _, e := range t.Bus.Log() {
+					switch {
+					case e.Time < m.order || e.Adapter != moved:
+					case e.Kind == event.NodeMoved && m.inferred == 0:
+						m.inferred = e.Time
+					case e.Kind == event.AdapterFailed && e.Suppressed:
+						m.suppressed++
+					case e.Kind == event.AdapterFailed:
+						m.unsuppressed++
+					}
+				}
+				m.findings = len(t.ActiveCentral().Verify())
+				return nil
+			},
+		}
+	},
+	table: func(_ []string, ms [][]moveResult) (*Table, int) {
+		t := &Table{
+			ID:      "E7/move",
+			Title:   "central-initiated domain move (SNMP VLAN rewrite)",
+			Columns: []string{"trial", "snmp done(s)", "move inferred(s)", "suppressed fails", "unsuppressed fails", "verify clean"},
+		}
+		for i, r := range ms[0] {
+			since := func(at time.Duration) string {
+				if at == 0 {
+					return "never"
+				}
+				return secs2(at - r.order)
+			}
+			clean := "yes"
+			if r.findings != 0 {
+				clean = fmt.Sprintf("no (%d findings)", r.findings)
+			}
+			t.addRow(fmt.Sprint(i+1), since(r.snmp), since(r.inferred), fmt.Sprint(r.suppressed),
+				fmt.Sprint(r.unsuppressed), clean)
+		}
+		t.note("paper §3.1: neither AMG leader knows a move happened; Central correlates the leave/join pair,")
+		t.note("and expected (Central-initiated) changes suppress external failure notifications")
+		return t, 0
+	},
+}
+
+// merged is one E8 trial's measure.
+type merged struct {
+	took    time.Duration // heal -> every data adapter in one committed view
+	highest bool          // and that view led by the highest address
+}
+
+// merge measures how long two independently formed AMGs take to merge
+// under the higher-IP leader once their partition heals. Every node's
+// data adapter sits on VLAN 11; before the farm starts, the last b move
+// to a private VLAN 900, and 15 s after the beacon phase they move back.
+// Cells are {a, b}.
+var merge = row[[2]int, merged]{
+	cells: [][2]int{{2, 2}, {4, 4}, {8, 8}, {16, 4}, {16, 16}},
+	quick: 2,
+	seeds: []int64{61},
+	plan: func(c [2]int, seed int64, m *merged) plan {
+		var data []transport.IP
+		vlan := func(v int) func(*trial) error {
+			return func(t *trial) error {
+				for _, ip := range data[c[0]:] {
+					sw, port, _ := t.Fabric.Locate(ip)
+					if err := sw.SetPortVLAN(port, v); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
+		cfg := withTb(3 * time.Second)
+		return plan{
+			spec: farm.Spec{Seed: seed, UniformNodes: c[0] + c[1], UniformAdapters: 2, NodesPerSwitch: c[0] + c[1], Core: cfg},
+			stages: []stage{
+				{at: func(t *trial) error {
+					for i := 0; i < c[0]+c[1]; i++ {
+						data = append(data, t.Nodes[fmt.Sprintf("node-%03d", i)].Adapters[1])
+					}
+					return vlan(900)(t)
+				}},
+				{run: cfg.BeaconPhase + 15*time.Second, at: vlan(11)},
+				{until: func(t *trial) bool {
+					ok, leader := oneGroup(t, data)
+					m.highest = leader == slices.Max(data)
+					return ok
+				}, every: 250 * time.Millisecond, limit: 5 * time.Minute},
+			},
+			end: func(t *trial) error { m.took = t.anchor - cfg.BeaconPhase - 15*time.Second; return nil },
+		}
+	},
+	table: func(cells [][2]int, ms [][]merged) (*Table, int) {
+		t := &Table{
+			ID:      "E8/merge",
+			Title:   "partition heal: time to one merged AMG",
+			Columns: []string{"sizes", "merge time(s)", "final leader is highest"},
+		}
+		for i, c := range cells {
+			ok := "yes"
+			if !ms[i][0].highest {
+				ok = "NO"
+			}
+			t.addRow(fmt.Sprintf("%d+%d", c[0], c[1]), secs2(ms[i][0].took), ok)
+		}
+		t.note("merging AMGs are led by the AMG leader with the highest IP address (paper §2.1)")
+		return t, 0
+	},
+}
+
+// loadResult is one E9 trial's measure: report-plane messages during
+// formation, then per minute in steady state and under churn.
+type loadResult struct {
+	formation     uint64
+	steady, churn float64
+}
+
+// centralLoad measures report-plane traffic during formation, in steady
+// state (the paper: zero) for a window, and for another window of churn:
+// a node killed every 10 s and restarted 5 s later, node-000 first. The
+// windows are a minute; cells are node counts, three adapters a node.
+var centralLoad = row[int, loadResult]{
+	cells: []int{10, 25, 50, 100},
+	quick: 2,
+	seeds: []int64{71},
+	plan: func(nodes int, seed int64, m *loadResult) plan {
+		const window = time.Minute
+		var churn strings.Builder
+		for i := 0; i < 6; i++ {
+			fmt.Fprintf(&churn, "@%ds kill node-%03d\n@%ds restart node-%03d\n", 10*i, i%nodes, 10*i+5, i%nodes)
+		}
+		churn.WriteString("settle 5s\n")
+		reports := func(t *trial) uint64 { n, _ := planes(t); return n }
+		var steady uint64
+		return plan{
+			spec: farm.Spec{Seed: seed + int64(nodes), UniformNodes: nodes, UniformAdapters: 3,
+				StartSkew: 2 * time.Second, Core: withTb(5 * time.Second)},
+			stages: []stage{
+				{stable: 5 * time.Minute, at: func(t *trial) error { m.formation = reports(t); return nil }},
+				{run: window, at: func(t *trial) error { steady = reports(t); return nil }, ops: churn.String()},
+			},
+			end: func(t *trial) error {
+				m.steady = float64(steady-m.formation) / window.Minutes()
+				m.churn = float64(reports(t)-steady) / window.Minutes()
+				return nil
+			},
+		}
+	},
+	table: func(cells []int, ms [][]loadResult) (*Table, int) {
+		t := &Table{
+			ID:      "E9/centralload",
+			Title:   "report-plane load at GulfStream Central (messages)",
+			Columns: []string{"nodes", "adapters", "formation msgs", "steady msgs/min", "churn msgs/min"},
+		}
+		for i, n := range cells {
+			r := ms[i][0]
+			t.addRow(fmt.Sprint(n), fmt.Sprint(3*n), fmt.Sprint(r.formation),
+				fmt.Sprintf("%.1f", r.steady), fmt.Sprintf("%.1f", r.churn))
+		}
+		t.note("paper §2.2: 'in the steady state, no network resources are used for group membership information';")
+		t.note("leaders forward only membership changes, so churn traffic scales with churn, not farm size")
+		return t, 0
+	},
+}
+
+// findings is one E10 trial's measure: the adapter whose VLAN the
+// database gets wrong, and Central's findings by kind ("" counts all).
+type findings struct {
+	wrong  transport.IP
+	byKind map[string]int
+}
+
+// verify seeds one inconsistency of each kind between the database and
+// the farm, and counts Central's discovered-vs-database findings by kind
+// (paper §2.2's inversion: discover first, then check the database): the
+// database expects the wrong VLAN for one adapter before the farm starts,
+// and once it is stable a node the database lists goes down for 30 s.
+// The cell names the two nodes.
+var verify = row[[2]string, findings]{
+	cells: [][2]string{{"acme-be-01", "globex-be-02"}},
+	seeds: []int64{81},
+	plan: func(c [2]string, seed int64, m *findings) plan {
+		return plan{
+			spec: twoDomains(seed),
+			stages: []stage{
+				{at: func(t *trial) error {
+					m.wrong = t.Nodes[c[0]].Adapters[1]
+					return t.DB.SetExpectedVLAN(m.wrong, 999)
+				}},
+				{stable: 3 * time.Minute, ops: "@0s kill " + c[1] + "\nsettle 30s"},
+			},
+			end: func(t *trial) error {
+				m.byKind = map[string]int{}
+				for _, f := range t.ActiveCentral().Verify() {
+					m.byKind[f.Kind.String()]++
+					m.byKind[""]++
+				}
+				return nil
+			},
+		}
+	},
+	table: func(cells [][2]string, ms [][]findings) (*Table, int) {
+		t := &Table{
+			ID:      "E10/verify",
+			Title:   "discovered-vs-database verification findings",
+			Columns: []string{"seeded inconsistency", "expected kind", "found"},
+		}
+		r, n := ms[0][0], ms[0][0].byKind
+		t.addRow("db expects vlan 999 for "+r.wrong.String(), "wrong-segment", fmt.Sprint(n["wrong-segment"]))
+		t.addRow("node "+cells[0][1]+" down (its adapters vanish)", "missing-adapter", fmt.Sprint(n["missing-adapter"]))
+		t.addRow("(control) everything else", "no findings", fmt.Sprintf("%d other", n[""]-n["wrong-segment"]-n["missing-adapter"]))
+		t.note("paper §2.2: inconsistencies are flagged and the affected adapters can be disabled until resolved")
+		return t, 0
+	},
 }

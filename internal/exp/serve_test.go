@@ -6,26 +6,12 @@ import (
 	"time"
 )
 
-func quickServe() ServeOptions {
-	o := DefaultServe()
-	o.FrontEnds = []int{2}
-	o.Delays = []time.Duration{0, 1 * time.Second}
-	return o
-}
-
 // One cell, run twice, must be bit-identical: the whole serving plane —
 // arrivals, routing, notification pipe — lives inside the deterministic
 // kernel.
 func TestServeCellDeterministic(t *testing.T) {
-	o := quickServe()
-	a, err := ServeCell(o, 2, "failure", 500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ServeCell(o, 2, "failure", 500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := churnCell{2, "failure", 500 * time.Millisecond}
+	a, b := trialOf(t, serveRow, c, 171), trialOf(t, serveRow, c, 171)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("cells diverged:\n  %+v\n  %+v", a, b)
 	}
@@ -36,20 +22,21 @@ func TestServeCellDeterministic(t *testing.T) {
 // the cost strictly increases with notification delay, and a
 // pre-announced move through a direct pipe is free.
 func TestServeSweepSanity(t *testing.T) {
-	o := quickServe()
-	points, err := ServeSweep(o)
-	if err != nil {
-		t.Fatal(err)
+	cells := churnCells([]int{2}, []string{"failure", "move"}, 0, time.Second)
+	ms := make([][]servePoint, len(cells))
+	for i, c := range cells {
+		ms[i] = []servePoint{trialOf(t, serveRow, c, 171)}
 	}
-	if bad := serveSanity(o, points); len(bad) != 0 {
+	if bad := serveSanity(cells, ms); len(bad) != 0 {
 		t.Fatalf("sanity violations: %v", bad)
 	}
-	for _, pt := range points {
-		if pt.Schedule == "move" && pt.DelayMs == 0 && pt.ErrorSeconds != 0 {
-			t.Fatalf("pre-announced move through a direct pipe cost %.3f error-seconds", pt.ErrorSeconds)
+	for i, c := range cells {
+		pt := ms[i][0]
+		if c.schedule == "move" && c.delay == 0 && pt.errorSeconds != 0 {
+			t.Fatalf("pre-announced move through a direct pipe cost %.3f error-seconds", pt.errorSeconds)
 		}
-		if pt.Requests == 0 || pt.PeakSessions == 0 {
-			t.Fatalf("cell served no traffic: %+v", pt)
+		if pt.requests == 0 || pt.peakSessions == 0 {
+			t.Fatalf("cell %+v served no traffic: %+v", c, pt)
 		}
 	}
 }

@@ -39,7 +39,7 @@ const (
 	// KBeaconHeard: a beacon from Peer arrived.
 	KBeaconHeard
 	// KFormed: the beacon phase ended with this adapter as the highest
-	// IP heard; Detail carries the formation attempt size.
+	// IP heard; Count carries the formation attempt size.
 	KFormed
 	// KPrepareSent: the leader opened (or retransmitted) a 2PC round.
 	KPrepareSent
@@ -139,6 +139,10 @@ const (
 	// KStarted: the adapter (re)started, ungrouped; Token is the daemon
 	// incarnation.
 	KStarted
+	// KDeathCommitted: a leader committed a round that removed Peer as a
+	// verified death (Group/Version/Token are the round's). Traced only
+	// when the removal commits: an isolation abort traces none.
+	KDeathCommitted
 
 	kindMax
 )
@@ -183,6 +187,7 @@ var kindNames = [...]string{
 	KServeClean:         "serve-clean",
 	KRxDropped:          "rx-dropped",
 	KStarted:            "started",
+	KDeathCommitted:     "death-committed",
 }
 
 func (k Kind) String() string {
