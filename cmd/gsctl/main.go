@@ -34,13 +34,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	gulfstream "repro"
 	"repro/internal/check"
+	"repro/internal/ordered"
 )
 
 func main() {
@@ -156,12 +156,7 @@ func repl(f *gulfstream.Farm, in io.Reader, out io.Writer) {
 				continue
 			}
 			groups := c.Groups()
-			leaders := make([]gulfstream.IP, 0, len(groups))
-			for l := range groups {
-				leaders = append(leaders, l)
-			}
-			sort.Slice(leaders, func(i, j int) bool { return leaders[i] < leaders[j] })
-			for _, l := range leaders {
+			for _, l := range ordered.Keys(groups) {
 				seg, _ := f.SegmentOf(l)
 				fmt.Fprintf(out, "  %v (%s): %v\n", l, seg, groups[l])
 			}
@@ -197,12 +192,7 @@ func repl(f *gulfstream.Farm, in io.Reader, out io.Writer) {
 				fmt.Fprintln(out, "no journals (start gsctl with -journal)")
 				continue
 			}
-			names := make([]string, 0, len(f.Journals))
-			for name := range f.Journals {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
+			for _, name := range ordered.Keys(f.Journals) {
 				j := f.Journals[name]
 				role := ""
 				if d := f.Daemons[name]; d != nil && d.Running() && d.HostingCentral() {
@@ -377,12 +367,7 @@ func cmdTimeline(f *gulfstream.Farm, out io.Writer, args []string) {
 // cmdHealth summarizes each node: daemon liveness, per-adapter committed
 // view, leadership, and who hosts Central.
 func cmdHealth(f *gulfstream.Farm, out io.Writer) {
-	names := make([]string, 0, len(f.Nodes))
-	for name := range f.Nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range ordered.Keys(f.Nodes) {
 		d := f.Daemons[name]
 		status := "up"
 		if !d.Running() {

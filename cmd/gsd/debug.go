@@ -227,7 +227,7 @@ func serveTopology(w http.ResponseWriter, r *http.Request, node string,
 			DeadNodes:      ctr.DeadNodes(),
 			Incidents:      ctr.Incidents(),
 		}
-		for leader, members := range ctr.Groups() {
+		for leader, members := range ctr.Groups() { // order-free: each leader writes its own entry
 			ms := make([]string, len(members))
 			for i, ip := range members {
 				ms[i] = ip.String()
@@ -337,7 +337,7 @@ func (fc *fabricControl) mount(mux *http.ServeMux, rt *transport.Runtime, ctr *c
 			}
 			table[ip] = scope
 		}
-		for _, sc := range fc.scoped {
+		for _, sc := range fc.scoped { // order-free: every endpoint gets the same table
 			sc.SetSegments(table)
 		}
 		ok(w)

@@ -243,7 +243,7 @@ func run() int {
 		log.Printf("gsd: %v", err)
 		return 1
 	}
-	for name, addr := range agents {
+	for name, addr := range agents { // order-free: registering fills a map
 		ctr.RegisterSwitchAgent(name, addr)
 	}
 	if *journalDir != "" {

@@ -63,14 +63,8 @@ func main() {
 	dataView, _ := f.Daemons["node-000"].View(f.Nodes["node-000"].Adapters[1])
 	leaderIP := dataView.Leader()
 	successor := dataView.Successor()
-	var leaderNode string
-	for name, info := range f.Nodes {
-		for _, ip := range info.Adapters {
-			if ip == leaderIP {
-				leaderNode = name
-			}
-		}
-	}
+	leader, _ := f.DB.Adapter(leaderIP)
+	leaderNode := leader.Node
 	fmt.Printf("\n== 2. AMG leader %v (node %s) crashes; committed successor is %v ==\n",
 		leaderIP, leaderNode, successor)
 	if err := f.KillNode(leaderNode); err != nil {
@@ -100,12 +94,7 @@ func main() {
 	f.RunFor(90 * time.Second)
 
 	// 4. Central's own node dies.
-	var hostName string
-	for name, d := range f.Daemons {
-		if d.Running() && d.HostingCentral() {
-			hostName = name
-		}
-	}
+	hostName := f.ActiveCentralNode()
 	fmt.Printf("\n== 4. GulfStream Central host %s crashes ==\n", hostName)
 	groupsBefore := central.GroupCount()
 	if err := f.KillNode(hostName); err != nil {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	gulfstream "repro"
+	"repro/internal/ordered"
 )
 
 func main() {
@@ -119,7 +120,7 @@ func printDataGroups(f *gulfstream.Farm, total int) {
 		}
 	}
 	fmt.Printf("data-segment AMGs (%d):\n", len(groups))
-	for leader, members := range groups {
-		fmt.Printf("  leader %v: %d members\n", leader, len(members))
+	for _, leader := range ordered.Keys(groups) {
+		fmt.Printf("  leader %v: %d members\n", leader, len(groups[leader]))
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	gulfstream "repro"
+	"repro/internal/ordered"
 )
 
 func main() {
@@ -47,10 +48,11 @@ func main() {
 
 	central := f.ActiveCentral()
 	fmt.Println("\ndiscovered Adapter Membership Groups (leader -> members):")
-	for leader, members := range central.Groups() {
+	groups := central.Groups()
+	for _, leader := range ordered.Keys(groups) {
 		seg, _ := f.SegmentOf(leader)
-		fmt.Printf("  %v (%s): %d members\n", leader, seg, len(members))
-		for _, m := range members {
+		fmt.Printf("  %v (%s): %d members\n", leader, seg, len(groups[leader]))
+		for _, m := range groups[leader] {
 			fmt.Printf("      %v\n", m)
 		}
 	}

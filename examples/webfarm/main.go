@@ -162,14 +162,12 @@ func main() {
 }
 
 func printAllocation(f *gulfstream.Farm) {
-	byDomain := map[string][]string{}
-	for name, info := range f.Nodes {
-		if info.Domain != "" {
-			byDomain[info.Domain] = append(byDomain[info.Domain], name)
-		}
+	servers := map[string]int{}
+	for _, info := range f.Nodes {
+		servers[info.Domain]++
 	}
 	for _, dom := range []string{"acme", "globex"} {
-		fmt.Printf("  %-7s %d servers\n", dom+":", len(byDomain[dom]))
+		fmt.Printf("  %-7s %d servers\n", dom+":", servers[dom])
 	}
 }
 

@@ -41,7 +41,7 @@ func New(version uint64, members []wire.Member) Membership {
 		byIP[m.IP] = m
 	}
 	out := make([]wire.Member, 0, len(byIP))
-	for _, m := range byIP {
+	for _, m := range byIP { // order-free: one member per address, sorted below
 		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].IP > out[j].IP })

@@ -14,12 +14,12 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/configdb"
 	"repro/internal/event"
 	"repro/internal/journal"
+	"repro/internal/ordered"
 	"repro/internal/snmp"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -185,10 +185,10 @@ func (c *Central) Activate(admin transport.Endpoint) {
 	// The regime-local tables are rebuilt from the view.
 	c.reporters = make(map[transport.IP]*reporter, len(c.st.Groups))
 	c.nodesSeen = make(map[string][]transport.IP)
-	for ip, a := range c.st.Adapters {
+	for ip, a := range c.st.Adapters { // order-free: noteSeen keeps each node's list sorted
 		c.noteSeen(a.Member.Node, ip)
 	}
-	for leader, g := range c.st.Groups {
+	for leader, g := range c.st.Groups { // order-free: one reporter per leader; noteSeen keeps each node's list sorted
 		c.reporters[leader] = &reporter{src: g.Src}
 		for _, m := range g.Members {
 			c.noteSeen(m.Node, m.IP)
@@ -331,7 +331,7 @@ func (c *Central) StableAt() time.Duration { return c.lastChange + c.cfg.Stabili
 // ascending. A group without members is left out.
 func (c *Central) Groups() map[transport.IP][]transport.IP {
 	out := make(map[transport.IP][]transport.IP, len(c.st.Groups))
-	for l, g := range c.st.Groups {
+	for l, g := range c.st.Groups { // order-free: each leader writes its own entry
 		if len(g.Members) == 0 {
 			continue
 		}
@@ -359,12 +359,7 @@ func (c *Central) NodeAlive(node string) bool { return !c.st.DeadNodes[node] }
 // DeadNodes lists the nodes Central currently believes dead, sorted —
 // the harness diffs this against a scenario's expected casualties.
 func (c *Central) DeadNodes() []string {
-	out := make([]string, 0, len(c.st.DeadNodes))
-	for n := range c.st.DeadNodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return ordered.Keys(c.st.DeadNodes)
 }
 
 // commit applies one transition to the view by folding its record. A
@@ -433,7 +428,7 @@ func descending(ms []wire.Member) []wire.Member {
 // map's.
 func expired(deadlines map[transport.IP]time.Duration, now time.Duration) []transport.IP {
 	var out []transport.IP
-	for ip, deadline := range deadlines {
+	for ip, deadline := range deadlines { // order-free: sorted below
 		if now > deadline {
 			out = append(out, ip)
 		}

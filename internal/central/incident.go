@@ -1,6 +1,8 @@
 package central
 
 import (
+	"maps"
+
 	"repro/internal/event"
 	"repro/internal/trace"
 )
@@ -80,7 +82,7 @@ func (c *Central) stampIncident(e *event.Event) {
 // expecting to move belongs to the node — a multi-adapter move closes on
 // the last adapter's NodeMoved, not the first.
 func (c *Central) nodeHasPendingMove(node string) bool {
-	for ip := range c.st.ExpectedMoves {
+	for ip := range c.st.ExpectedMoves { // order-free: an existence test
 		if a, ok := c.st.Adapters[ip]; ok && a.Member.Node == node {
 			return true
 		}
@@ -123,9 +125,5 @@ func (c *Central) traceNotify(e event.Event, subject string) {
 // Incidents snapshots the open incidents (subject -> id), for debug
 // surfaces and tests.
 func (c *Central) Incidents() map[string]uint64 {
-	out := make(map[string]uint64, len(c.incidents))
-	for n, id := range c.incidents {
-		out[n] = id
-	}
-	return out
+	return maps.Clone(c.incidents)
 }

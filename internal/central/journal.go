@@ -56,7 +56,7 @@ func (c *Central) verifyRestored() {
 	// jitter from the simulation's one random stream, so the order they
 	// are sent in decides every later event's timing.
 	var leaders []transport.IP
-	for leader, g := range c.st.Groups {
+	for leader, g := range c.st.Groups { // order-free: sorted below
 		if !g.Streamed {
 			leaders = append(leaders, leader)
 		}

@@ -3,11 +3,11 @@ package central
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/configdb"
 	"repro/internal/event"
 	"repro/internal/journal"
+	"repro/internal/ordered"
 	"repro/internal/snmp"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
@@ -97,11 +97,7 @@ func (c *Central) DiscoverWiring(done func(map[string][]transport.IP, error)) {
 		done(nil, fmt.Errorf("central: not active"))
 		return
 	}
-	names := make([]string, 0, len(c.switchAgents))
-	for n := range c.switchAgents {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := ordered.Keys(c.switchAgents)
 	if len(names) == 0 {
 		done(map[string][]transport.IP{}, nil)
 		return
@@ -117,8 +113,8 @@ func (c *Central) DiscoverWiring(done func(map[string][]transport.IP, error)) {
 		if firstErr == nil {
 			c.snmpWiring = result
 			c.snmpSwitchOf = make(map[transport.IP]string)
-			for sw, ips := range result {
-				for _, ip := range ips {
+			for _, sw := range names {
+				for _, ip := range result[sw] {
 					c.snmpSwitchOf[ip] = sw
 				}
 			}

@@ -2,6 +2,8 @@ package check
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -122,11 +124,7 @@ func (c *singleIncarnation) Name() string { return "single-incarnation" }
 
 func (c *singleIncarnation) Observe(ctx Context, rec trace.Record, report func(string)) {
 	if isAdapterReset(rec) {
-		for k := range c.views {
-			if k.g == rec.Self {
-				delete(c.views, k)
-			}
-		}
+		maps.DeleteFunc(c.views, func(k gvKey, _ string) bool { return k.g == rec.Self })
 		return
 	}
 	if rec.Kind != trace.KViewCommit {
@@ -195,11 +193,7 @@ func (c *twoPC) Observe(ctx Context, rec trace.Record, report func(string)) {
 				}
 			}
 		}
-		for k := range c.committed {
-			if k.g == rec.Self {
-				delete(c.committed, k)
-			}
-		}
+		maps.DeleteFunc(c.committed, func(k txnKey, _ bool) bool { return k.g == rec.Self })
 		return
 	}
 	k := txnKey{rec.Group, rec.Token}
@@ -434,11 +428,7 @@ func (c *noDeadInView) Name() string { return "no-dead-in-view" }
 
 func (c *noDeadInView) Observe(ctx Context, rec trace.Record, report func(string)) {
 	if isAdapterReset(rec) {
-		for k := range c.dead {
-			if k.self == rec.Self {
-				delete(c.dead, k)
-			}
-		}
+		maps.DeleteFunc(c.dead, func(k pairKey, _ bool) bool { return k.self == rec.Self })
 		return
 	}
 	switch rec.Kind {
@@ -458,16 +448,21 @@ func (c *noDeadInView) Observe(ctx Context, rec trace.Record, report func(string
 		if !ok {
 			return
 		}
-		for k := range c.dead {
+		var still []transport.IP
+		for k := range c.dead { // order-free: reported sorted below
 			if k.self != rec.Self {
 				continue
 			}
 			if v.Contains(k.peer) {
-				report(fmt.Sprintf("leader %v committed v%d still containing %v, which it declared dead",
-					rec.Self, rec.Version, k.peer))
+				still = append(still, k.peer)
 			} else {
 				delete(c.dead, k) // eviction completed
 			}
+		}
+		slices.Sort(still)
+		for _, peer := range still {
+			report(fmt.Sprintf("leader %v committed v%d still containing %v, which it declared dead",
+				rec.Self, rec.Version, peer))
 		}
 	}
 }

@@ -409,7 +409,7 @@ func (s Schedule) String() string {
 
 var opByName = func() map[string]OpKind {
 	m := make(map[string]OpKind, len(opNames))
-	for k, n := range opNames {
+	for k, n := range opNames { // order-free: op names are distinct
 		m[n] = k
 	}
 	return m

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/ordered"
 	"repro/internal/transport"
 )
 
@@ -105,7 +106,7 @@ func (db *DB) Node(name string) (NodeSpec, bool) {
 // Adapters lists all adapter specs in ascending IP order.
 func (db *DB) Adapters() []AdapterSpec {
 	out := make([]AdapterSpec, 0, len(db.adapters))
-	for _, a := range db.adapters {
+	for _, a := range db.adapters { // order-free: one spec per address, sorted below
 		out = append(out, *a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
@@ -115,7 +116,7 @@ func (db *DB) Adapters() []AdapterSpec {
 // Nodes lists all node specs in name order.
 func (db *DB) Nodes() []NodeSpec {
 	out := make([]NodeSpec, 0, len(db.nodes))
-	for _, n := range db.nodes {
+	for _, n := range db.nodes { // order-free: one spec per name, sorted below
 		out = append(out, *n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -132,14 +133,7 @@ func (db *DB) AdaptersOnSwitch(name string) []transport.IP {
 
 // Switches lists all switch names appearing in the wiring.
 func (db *DB) Switches() []string {
-	out := make([]string, 0, len(db.onSwitch))
-	for s := range db.onSwitch {
-		if s != "" {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return slices.DeleteFunc(ordered.Keys(db.onSwitch), func(s string) bool { return s == "" })
 }
 
 // SetExpectedVLAN updates an adapter's expected VLAN — Central calls this
@@ -280,13 +274,7 @@ func (db *DB) Verify(groups map[transport.IP][]transport.IP) []Mismatch {
 	seen := make(map[transport.IP]bool)
 	vlanGroups := make(map[int]int) // expected VLAN -> how many groups presume it
 
-	leaders := make([]transport.IP, 0, len(groups))
-	for l := range groups {
-		leaders = append(leaders, l)
-	}
-	sort.Slice(leaders, func(i, j int) bool { return leaders[i] < leaders[j] })
-
-	for _, leader := range leaders {
+	for _, leader := range ordered.Keys(groups) {
 		members := groups[leader]
 		// Majority expected VLAN among known members.
 		counts := map[int]int{}
@@ -323,7 +311,7 @@ func (db *DB) Verify(groups map[transport.IP][]transport.IP) []Mismatch {
 			out = append(out, Mismatch{Kind: MissingAdapter, Adapter: spec.IP, VLAN: spec.VLAN})
 		}
 	}
-	for vlan, n := range vlanGroups {
+	for vlan, n := range vlanGroups { // order-free: one finding per VLAN, sorted below
 		if n > 1 {
 			out = append(out, Mismatch{Kind: SplitVLAN, VLAN: vlan,
 				Detail: fmt.Sprintf("%d separate groups", n)})

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/ordered"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
 )
@@ -64,7 +65,7 @@ func (f *FarmSpec) GroundTruth(vlanOf func(transport.IP) int, dead map[string]bo
 			gt.Segments[seg] = append(gt.Segments[seg], a.IP.String())
 		}
 	}
-	for seg := range gt.Segments {
+	for seg := range gt.Segments { // order-free: each segment sorts its own list
 		sortIPStrings(gt.Segments[seg])
 	}
 	sort.Strings(gt.DeadNodes)
@@ -90,19 +91,14 @@ func (gt *GroundTruth) Diff(topo *TopologyDoc) []string {
 		used   bool
 	}
 	groups := make([]*discovered, 0, len(topo.Groups))
-	for leader, members := range topo.Groups {
-		ms := append([]string(nil), members...)
+	for _, leader := range ordered.Keys(topo.Groups) {
+		ms := append([]string(nil), topo.Groups[leader]...)
 		sortIPStrings(ms)
 		groups = append(groups, &discovered{leader: leader, key: strings.Join(ms, " ")})
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 
-	segs := make([]string, 0, len(gt.Segments))
-	for s := range gt.Segments {
-		segs = append(segs, s)
-	}
-	sort.Strings(segs)
-	for _, seg := range segs {
+	for _, seg := range ordered.Keys(gt.Segments) {
 		want := strings.Join(gt.Segments[seg], " ")
 		found := false
 		for _, g := range groups {
@@ -132,7 +128,7 @@ func (gt *GroundTruth) Diff(topo *TopologyDoc) []string {
 		}
 		delete(reported, n)
 	}
-	for n := range reported {
+	for _, n := range ordered.Keys(reported) {
 		out = append(out, fmt.Sprintf("Central reports %s dead but it is running", n))
 	}
 	return out

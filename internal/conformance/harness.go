@@ -6,12 +6,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"repro/internal/ordered"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -325,12 +325,7 @@ func (h *H) PlannedMove(node string, vlanByIndex map[int]int) error {
 		return fmt.Errorf("conformance: no active Central for move (last: %+v)", doc)
 	}
 	var pairs []string
-	idxs := make([]int, 0, len(vlanByIndex))
-	for i := range vlanByIndex {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
+	for _, i := range ordered.Keys(vlanByIndex) {
 		pairs = append(pairs, fmt.Sprintf("%d:%d", i, vlanByIndex[i]))
 	}
 	q := url.Values{"node": {node}, "set": {strings.Join(pairs, ",")}}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ordered"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
 )
@@ -156,8 +157,8 @@ func (lb *LoopbackFabric) pushSegments() {
 	lb.mu.Lock()
 	pairs := ""
 	stale := false
-	for ip, vlan := range lb.vlan {
-		scope, ok := lb.spec.Scope(vlan)
+	for _, ip := range ordered.Keys(lb.vlan) {
+		scope, ok := lb.spec.Scope(lb.vlan[ip])
 		if !ok {
 			stale = true
 			continue
@@ -168,7 +169,7 @@ func (lb *LoopbackFabric) pushSegments() {
 		pairs += fmt.Sprintf("%v:%v", ip, scope)
 	}
 	var targets []*Daemon
-	for _, d := range lb.live {
+	for _, d := range lb.live { // order-free: every daemon gets the same table
 		targets = append(targets, d)
 	}
 	lb.mu.Unlock()
@@ -297,7 +298,7 @@ func (lb *LoopbackFabric) applyPortVLAN(port, vlan int) {
 func (lb *LoopbackFabric) Close() error {
 	lb.mu.Lock()
 	var ds []*Daemon
-	for _, d := range lb.live {
+	for _, d := range lb.live { // order-free: the daemons stop in parallel
 		ds = append(ds, d)
 	}
 	lb.live = map[string]*Daemon{}

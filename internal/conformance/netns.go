@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ordered"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
 )
@@ -126,7 +127,7 @@ func (nf *NetnsFabric) Boot() error {
 	for _, v := range nf.vlan {
 		vlans[v] = true
 	}
-	for v := range vlans {
+	for _, v := range ordered.Keys(vlans) {
 		br := nf.brName(v)
 		if err := nf.sh("ip", "link", "add", br, "type", "bridge", "mcast_snooping", "0"); err != nil {
 			return err
@@ -373,7 +374,7 @@ func (nf *NetnsFabric) applyPortVLAN(port, vlan int) {
 	// a fresh domain).
 	nf.mu.Lock()
 	needBridge := true
-	for _, v := range nf.vlan {
+	for _, v := range nf.vlan { // order-free: an existence test
 		if v == vlan {
 			needBridge = false
 			break
@@ -395,7 +396,7 @@ func (nf *NetnsFabric) applyPortVLAN(port, vlan int) {
 func (nf *NetnsFabric) Close() error {
 	nf.mu.Lock()
 	var ds []*Daemon
-	for _, d := range nf.live {
+	for _, d := range nf.live { // order-free: the daemons stop in parallel
 		ds = append(ds, d)
 	}
 	nf.live = map[string]*Daemon{}
@@ -432,7 +433,7 @@ func (nf *NetnsFabric) Close() error {
 			vlans[v] = true
 		}
 		nf.mu.Unlock()
-		for v := range vlans {
+		for _, v := range ordered.Keys(vlans) {
 			_ = nf.sh("ip", "link", "del", nf.brName(v))
 		}
 		nf.up = false

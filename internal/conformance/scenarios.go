@@ -7,6 +7,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/configdb"
 	"repro/internal/netsim"
+	"repro/internal/ordered"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -119,7 +120,7 @@ func leaderKillSuite() Suite {
 				return err
 			}
 			victim := ""
-			for leader := range doc.Groups {
+			for _, leader := range ordered.Keys(doc.Groups) {
 				ip, ok := transport.ParseIP(leader)
 				if !ok {
 					continue

@@ -233,7 +233,7 @@ func (f *FarmSpec) Domains() map[string]int {
 			vlans[a.VLAN] = true
 		}
 	}
-	for v := range vlans {
+	for v := range vlans { // order-free: a segment name names one VLAN
 		if v != AdminVLAN {
 			out[switchsim.SegmentName(v)] = v
 		}

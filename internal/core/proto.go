@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/amg"
 	"repro/internal/detect"
+	"repro/internal/ordered"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -143,7 +144,7 @@ func (p *adapterProto) shutdown() {
 		p.detector.Stop()
 		p.detector = nil
 	}
-	for _, ps := range p.probes {
+	for _, ps := range p.probes { // order-free: stopping a timer schedules nothing
 		if ps.timer != nil {
 			ps.timer.Stop()
 		}
@@ -817,16 +818,20 @@ func (p *adapterProto) sendProbe(nonce uint64, ps *probeState) {
 }
 
 func (p *adapterProto) onProbeAck(m *wire.ProbeAck) {
-	for nonce, ps := range p.probes {
-		if ps.target == m.From {
-			if ps.timer != nil {
-				ps.timer.Stop()
-			}
-			delete(p.probes, nonce)
-			p.trace(&trace.Record{Kind: trace.KVerdictAlive, Peer: m.From,
-				Group: m.Leader, Version: m.Version, Token: nonce})
-			ps.verdict(probeResult{leader: m.Leader, version: m.Version})
+	// In the order the probes went out (nonces ascend): each verdict is
+	// traced and acted on, and an earlier one may end a later probe.
+	for _, nonce := range ordered.Keys(p.probes) {
+		ps := p.probes[nonce]
+		if ps == nil || ps.target != m.From {
+			continue
 		}
+		if ps.timer != nil {
+			ps.timer.Stop()
+		}
+		delete(p.probes, nonce)
+		p.trace(&trace.Record{Kind: trace.KVerdictAlive, Peer: m.From,
+			Group: m.Leader, Version: m.Version, Token: nonce})
+		ps.verdict(probeResult{leader: m.Leader, version: m.Version})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"slices"
 	"time"
 
@@ -68,7 +69,7 @@ func (l *leaderState) stop() {
 		l.stableTimer.Stop()
 		l.stableTimer = nil
 	}
-	for _, s := range l.suspicions {
+	for _, s := range l.suspicions { // order-free: cancel only stops a timer
 		s.cancel()
 	}
 	l.suspicions = make(map[transport.IP]*suspicionState)
@@ -319,7 +320,7 @@ func (r *twoPCRound) timeout() {
 		return
 	}
 	var silent []transport.IP
-	for ip := range r.waiting {
+	for ip := range r.waiting { // order-free: Without rebuilds through amg.New, which sorts
 		silent = append(silent, ip)
 	}
 	r.retarget(r.target.Without(silent...))
@@ -531,22 +532,14 @@ func (l *leaderState) refreshMember(ip transport.IP) {
 // viewCommitted runs after every commit while leading.
 func (l *leaderState) viewCommitted(v amg.Membership) {
 	// Drop suspicion state about departed members.
-	for ip, s := range l.suspicions {
+	for ip, s := range l.suspicions { // order-free: cancel only stops a timer
 		if !v.Contains(ip) {
 			s.cancel()
 			delete(l.suspicions, ip)
 		}
 	}
-	for ip := range l.refreshAt {
-		if !v.Contains(ip) {
-			delete(l.refreshAt, ip)
-		}
-	}
-	for ip := range l.evictAt {
-		if v.Contains(ip) {
-			delete(l.evictAt, ip)
-		}
-	}
+	maps.DeleteFunc(l.refreshAt, func(ip transport.IP, _ time.Duration) bool { return !v.Contains(ip) })
+	maps.DeleteFunc(l.evictAt, func(ip transport.IP, _ time.Duration) bool { return v.Contains(ip) })
 	if !l.reportedValid {
 		// First report of this leadership term waits until membership has
 		// been quiet for Ts (paper §4.1's stabilization term).

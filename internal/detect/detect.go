@@ -14,7 +14,9 @@ package detect
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/amg"
@@ -179,12 +181,13 @@ func (m *monitorSet) reset(ips []transport.IP, now time.Duration) {
 	for _, ip := range ips {
 		keep[ip] = true
 	}
-	for ip := range m.lastSeen {
-		if !keep[ip] {
-			delete(m.lastSeen, ip)
-			delete(m.suspected, ip)
+	maps.DeleteFunc(m.lastSeen, func(ip transport.IP, _ time.Duration) bool {
+		if keep[ip] {
+			return false
 		}
-	}
+		delete(m.suspected, ip)
+		return true
+	})
 	for _, ip := range ips {
 		m.watch(ip, now)
 	}
@@ -198,11 +201,11 @@ func (m *monitorSet) heard(ip transport.IP, now time.Duration) {
 	}
 }
 
-// overdue returns peers silent longer than limit whose last report (if
-// any) is at least reRaise old.
+// overdue returns, in ascending address order, peers silent longer than
+// limit whose last report (if any) is at least reRaise old.
 func (m *monitorSet) overdue(now, limit, reRaise time.Duration) []transport.IP {
 	var out []transport.IP
-	for ip, at := range m.lastSeen {
+	for ip, at := range m.lastSeen { // order-free: sorted below
 		if now-at <= limit {
 			continue
 		}
@@ -210,6 +213,9 @@ func (m *monitorSet) overdue(now, limit, reRaise time.Duration) []transport.IP {
 			continue
 		}
 		out = append(out, ip)
+	}
+	if len(out) > 1 {
+		slices.Sort(out)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -512,5 +513,19 @@ func TestMonitorSet(t *testing.T) {
 	m.heard(ip(9), 0)
 	if len(m.lastSeen) != 2 {
 		t.Fatal("heard added unknown peer")
+	}
+}
+
+// Peers that go silent in the same tick are suspected in ascending address
+// order, whatever order the map of silence clocks walks in: each report
+// sends a probe, and the order of sends decides later timing.
+func TestOverdueInAddressOrder(t *testing.T) {
+	want := []transport.IP{ip(3), ip(7), ip(9)}
+	for run := 0; run < 20; run++ {
+		m := newMonitorSet()
+		m.reset([]transport.IP{ip(9), ip(3), ip(7)}, 0)
+		if got := m.overdue(time.Minute, time.Second, time.Second); !slices.Equal(got, want) {
+			t.Fatalf("run %d: overdue = %v, want %v", run, got, want)
+		}
 	}
 }

@@ -172,7 +172,7 @@ func (r *randPing) Stop() {
 		r.ticker.Stop()
 		r.ticker = nil
 	}
-	for n, round := range r.waiting {
+	for n, round := range r.waiting { // order-free: stopping a timer schedules nothing
 		round.timer.Stop()
 		delete(r.waiting, n)
 	}
@@ -342,8 +342,7 @@ func (s *subgroupDetector) Handle(src transport.IP, m wire.Message) bool {
 		alive := uint32(1)
 		limit := time.Duration(s.p.MissThreshold) * s.p.Interval
 		now := s.env.Clock().Now()
-		for ip, at := range s.mon.lastSeen {
-			_ = ip
+		for _, at := range s.mon.lastSeen {
 			if now-at <= limit {
 				alive++
 			}

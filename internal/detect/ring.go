@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/amg"
@@ -94,11 +93,7 @@ func (r *ringDetector) tick() {
 	}
 	limit := time.Duration(r.p.MissThreshold) * r.p.Interval
 	now := r.env.Clock().Now()
-	over := r.mon.overdue(now, limit, limit)
-	if len(over) > 1 {
-		sort.Slice(over, func(i, j int) bool { return over[i] < over[j] })
-	}
-	for _, ip := range over {
+	for _, ip := range r.mon.overdue(now, limit, limit) {
 		r.mon.markSuspected(ip, now)
 		r.env.ReportSuspect(ip, wire.ReasonMissedHeartbeats)
 	}
@@ -177,11 +172,7 @@ func (a *allToAll) tick() {
 	}
 	limit := time.Duration(a.p.MissThreshold) * a.p.Interval
 	now := a.env.Clock().Now()
-	over := a.mon.overdue(now, limit, limit)
-	if len(over) > 1 {
-		sort.Slice(over, func(i, j int) bool { return over[i] < over[j] })
-	}
-	for _, ip := range over {
+	for _, ip := range a.mon.overdue(now, limit, limit) {
 		a.mon.markSuspected(ip, now)
 		a.env.ReportSuspect(ip, wire.ReasonMissedHeartbeats)
 	}

@@ -1,10 +1,13 @@
 package exp
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/check"
+	"repro/internal/farm"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -70,5 +73,44 @@ func TestTxnContextTellsTheVotesStory(t *testing.T) {
 	}
 	if txnContext(recs, check.Violation{Rec: recs[4]}) != "" {
 		t.Fatal("a violation without a txn got a txn context")
+	}
+}
+
+// TestChaosSeedsReplayExactly runs each partition+failover E15 seed twice
+// in one process. A seed must give one outcome: the same events fired, the
+// same discovered topology and the same violations, in the same order. A
+// walk over a map whose order reaches the protocol, the trace or the
+// checkers shows up here as two outcomes for one seed.
+func TestChaosSeedsReplayExactly(t *testing.T) {
+	type outcome struct {
+		fired, topology uint64
+		violations      []string
+	}
+	run := func(seed int64) outcome {
+		f, err := farm.Build(chaosSpec(seed, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine := check.NewEngine(f)
+		engine.Attach(f.Trace)
+		f.Start()
+		if _, ok := f.RunUntilStable(2 * time.Minute); !ok {
+			t.Fatalf("seed %d: initial stabilization failed", seed)
+		}
+		sched := check.Generate(seed, f.CheckTopology(), check.GenOpts{Rounds: 25, Partition: true, Failover: true})
+		sched.Run(f)
+		out := outcome{fired: f.Fired(), topology: TopologyHash(f)}
+		for _, v := range engine.Violations() {
+			out.violations = append(out.violations, v.Format())
+		}
+		return out
+	}
+	for seed := int64(2000); seed < 2004; seed++ {
+		first, second := run(seed), run(seed)
+		if first.fired != second.fired || first.topology != second.topology ||
+			!slices.Equal(first.violations, second.violations) {
+			t.Errorf("seed %d gave two outcomes:\n  fired %d, topology %016x, violations %q\n  fired %d, topology %016x, violations %q",
+				seed, first.fired, first.topology, first.violations, second.fired, second.topology, second.violations)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/journal"
 	"repro/internal/netsim"
+	"repro/internal/ordered"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -183,11 +184,7 @@ func ingestPoint(adapters int, seed int64) (ingestResult, error) {
 			victim[n] = true
 		}
 	}
-	victims := make([]int, 0, len(victim))
-	for n := range victim {
-		victims = append(victims, n)
-	}
-	slices.Sort(victims)
+	victims := ordered.Keys(victim)
 
 	member := func(a, n int) wire.Member {
 		return wire.Member{IP: ingestIP(a, n), Node: ingestNode(n), Index: uint8(a), Admin: a == 0}
@@ -280,8 +277,8 @@ func ingestPoint(adapters int, seed int64) (ingestResult, error) {
 	if len(got) != len(truth) {
 		return res, fmt.Errorf("exp: ingest %d: central tracks %d groups, the corpus has %d", adapters, len(got), len(truth))
 	}
-	for leader, want := range truth {
-		if !slices.Equal(got[leader], want) {
+	for _, leader := range ordered.Keys(truth) {
+		if want := truth[leader]; !slices.Equal(got[leader], want) {
 			return res, fmt.Errorf("exp: ingest %d: group %v is %v, want %v", adapters, leader, got[leader], want)
 		}
 	}

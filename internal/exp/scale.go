@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/central"
 	"repro/internal/core"
 	"repro/internal/farm"
+	"repro/internal/ordered"
 	"repro/internal/transport"
 )
 
@@ -109,17 +109,12 @@ func ScaleFarm(o ScaleOptions, adapters int, seed int64) (*farm.Farm, error) {
 // its sorted members, zero-separated — into h.
 func hashGroups(h hash.Hash64, c *central.Central) {
 	groups := c.Groups()
-	leaders := make([]transport.IP, 0, len(groups))
-	for l := range groups {
-		leaders = append(leaders, l)
-	}
-	slices.Sort(leaders)
 	var buf [4]byte
 	put := func(ip transport.IP) {
 		binary.BigEndian.PutUint32(buf[:], uint32(ip))
 		h.Write(buf[:])
 	}
-	for _, l := range leaders {
+	for _, l := range ordered.Keys(groups) {
 		put(l)
 		for _, m := range groups[l] {
 			put(m)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/amg"
 	"repro/internal/check"
+	"repro/internal/ordered"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
 )
@@ -136,8 +137,8 @@ func (f *Farm) ConvergenceFailures() []string {
 			set[v.String()] = true
 		}
 	}
-	for seg, views := range bySegment {
-		if len(views) != 1 {
+	for _, seg := range ordered.Keys(bySegment) {
+		if views := bySegment[seg]; len(views) != 1 {
 			out = append(out, fmt.Sprintf("segment %s did not converge to one view: %v", seg, views))
 		}
 	}

@@ -108,8 +108,11 @@ func (f *Farm) SurpriseMoveNode(node, toDomain string) error {
 		return err
 	}
 	f.traceFault(node, "surprise-move "+toDomain)
-	for idx, vlan := range moves {
-		ip := info.Adapters[idx]
+	for idx, ip := range info.Adapters {
+		vlan, move := moves[idx]
+		if !move {
+			continue
+		}
 		sw, port, ok := f.Fabric.Locate(ip)
 		if !ok {
 			return fmt.Errorf("farm: adapter %v is not wired", ip)

@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"time"
 
+	"repro/internal/ordered"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -125,11 +125,7 @@ func walkState(c *wire.Codec, s *State) {
 // it also sets the key, and m (which starts empty) receives the entry.
 // min is the fewest bytes one entry can take.
 func walkMap[K cmp.Ordered, V any](c *wire.Codec, m map[K]V, min int, entry func(*K, *V)) {
-	keys := make([]K, 0, len(m))
-	for k := range m { // order-free: sorted below
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
+	keys := ordered.Keys(m)
 	n := c.Count(len(keys), min)
 	for i := 0; i < n; i++ {
 		var k K

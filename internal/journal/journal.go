@@ -13,6 +13,7 @@ package journal
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -169,18 +170,10 @@ func (s *State) Clone() *State {
 		c.Groups[l] = &gg
 		c.members += len(g.Members)
 	}
-	for ip, a := range s.Adapters {
-		c.Adapters[ip] = a
-	}
-	for n, d := range s.DeadNodes {
-		c.DeadNodes[n] = d
-	}
-	for n, d := range s.DeadSwitches {
-		c.DeadSwitches[n] = d
-	}
-	for ip, d := range s.ExpectedMoves {
-		c.ExpectedMoves[ip] = d
-	}
+	maps.Copy(c.Adapters, s.Adapters)
+	maps.Copy(c.DeadNodes, s.DeadNodes)
+	maps.Copy(c.DeadSwitches, s.DeadSwitches)
+	maps.Copy(c.ExpectedMoves, s.ExpectedMoves)
 	return c
 }
 
@@ -197,43 +190,10 @@ func (rec Record) weight() int { return 1 + len(rec.Members) }
 // Equal compares two states structurally (snapshot+replay equivalence
 // tests rely on it).
 func (s *State) Equal(o *State) bool {
-	if len(s.Groups) != len(o.Groups) || len(s.Adapters) != len(o.Adapters) ||
-		len(s.DeadNodes) != len(o.DeadNodes) || len(s.DeadSwitches) != len(o.DeadSwitches) ||
-		len(s.ExpectedMoves) != len(o.ExpectedMoves) {
-		return false
-	}
-	for l, g := range s.Groups {
-		og := o.Groups[l]
-		if og == nil || og.Version != g.Version || og.Src != g.Src || len(og.Members) != len(g.Members) {
-			return false
-		}
-		for i := range g.Members {
-			if g.Members[i] != og.Members[i] {
-				return false
-			}
-		}
-	}
-	for ip, a := range s.Adapters {
-		if o.Adapters[ip] != a {
-			return false
-		}
-	}
-	for n := range s.DeadNodes {
-		if !o.DeadNodes[n] {
-			return false
-		}
-	}
-	for n := range s.DeadSwitches {
-		if !o.DeadSwitches[n] {
-			return false
-		}
-	}
-	for ip, d := range s.ExpectedMoves {
-		if o.ExpectedMoves[ip] != d {
-			return false
-		}
-	}
-	return true
+	return maps.EqualFunc(s.Groups, o.Groups, func(g, og *GroupState) bool {
+		return og.Version == g.Version && og.Src == g.Src && slices.Equal(og.Members, g.Members)
+	}) && maps.Equal(s.Adapters, o.Adapters) && maps.Equal(s.DeadNodes, o.DeadNodes) &&
+		maps.Equal(s.DeadSwitches, o.DeadSwitches) && maps.Equal(s.ExpectedMoves, o.ExpectedMoves)
 }
 
 // Fold applies one record to the state.
@@ -289,7 +249,7 @@ func (s *State) fold(rec Record, streamed bool) {
 		fresh := rec.Snap.Clone()
 		*s = *fresh
 		if streamed {
-			for _, g := range s.Groups {
+			for _, g := range s.Groups { // order-free: each group is marked on its own
 				g.Streamed = true
 			}
 		}

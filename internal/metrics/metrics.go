@@ -10,6 +10,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/ordered"
 	"repro/internal/transport"
 )
 
@@ -163,13 +165,8 @@ func (r *Registry) Rate(messages uint64, now time.Duration) float64 {
 func (r *Registry) Summary() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.byPlane))
-	for n := range r.byPlane {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, n := range names {
+	for _, n := range ordered.Keys(r.byPlane) {
 		c := r.byPlane[n]
 		fmt.Fprintf(&b, "%-12s %8d msgs %10d bytes %6d dropped\n", n, c.Messages, c.Bytes, c.Dropped)
 	}
@@ -199,11 +196,7 @@ func (r *Registry) CounterValue(name string) uint64 {
 func (r *Registry) Counters() map[string]uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]uint64, len(r.counters))
-	for k, v := range r.counters {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(r.counters)
 }
 
 // Set sets the named gauge.
@@ -217,11 +210,7 @@ func (r *Registry) Set(name string, v float64) {
 func (r *Registry) Gauges() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.gauges))
-	for k, v := range r.gauges {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(r.gauges)
 }
 
 // ObserveDuration adds one sample to the named histogram.
@@ -264,22 +253,22 @@ func (r *Registry) WriteProm(w io.Writer) {
 	defer r.mu.Unlock()
 
 	fmt.Fprintf(w, "# TYPE gulfstream_plane_messages_total counter\n")
-	for _, p := range sortedKeys(r.byPlane) {
+	for _, p := range ordered.Keys(r.byPlane) {
 		c := r.byPlane[p]
 		fmt.Fprintf(w, "gulfstream_plane_messages_total{plane=%q} %d\n", p, c.Messages)
 		fmt.Fprintf(w, "gulfstream_plane_bytes_total{plane=%q} %d\n", p, c.Bytes)
 		fmt.Fprintf(w, "gulfstream_plane_dropped_total{plane=%q} %d\n", p, c.Dropped)
 	}
-	for _, s := range sortedKeys(r.bySegment) {
+	for _, s := range ordered.Keys(r.bySegment) {
 		fmt.Fprintf(w, "gulfstream_segment_messages_total{segment=%q} %d\n", s, r.bySegment[s].Messages)
 	}
-	for _, name := range sortedKeys(r.counters) {
+	for _, name := range ordered.Keys(r.counters) {
 		fmt.Fprintf(w, "gulfstream_%s %d\n", name, r.counters[name])
 	}
-	for _, name := range sortedKeys(r.gauges) {
+	for _, name := range ordered.Keys(r.gauges) {
 		fmt.Fprintf(w, "gulfstream_%s %s\n", name, formatFloat(r.gauges[name]))
 	}
-	for _, name := range sortedKeys(r.hists) {
+	for _, name := range ordered.Keys(r.hists) {
 		h := r.hists[name]
 		var sum time.Duration
 		for _, q := range []float64{0.5, 0.95, 0.99} {
@@ -292,15 +281,6 @@ func (r *Registry) WriteProm(w io.Writer) {
 		fmt.Fprintf(w, "gulfstream_%s_seconds_sum %s\n", name, formatFloat(sum.Seconds()))
 		fmt.Fprintf(w, "gulfstream_%s_seconds_count %d\n", name, h.N())
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func formatFloat(v float64) string {

@@ -362,7 +362,7 @@ func (n *Network) dropMember(seg *segment, a *Adapter) {
 
 // rebuild reconstructs the whole cache from the resolver.
 func (n *Network) rebuild() {
-	for _, seg := range n.segments {
+	for _, seg := range n.segments { // order-free: each segment clears its own list
 		for i := range seg.members {
 			seg.members[i] = nil
 		}

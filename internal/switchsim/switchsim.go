@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/ordered"
 	"repro/internal/snmp"
 	"repro/internal/transport"
 )
@@ -105,11 +106,7 @@ func (s *Switch) ManagementIP() transport.IP { return s.mgmtIP }
 
 // Ports lists the switch's ports in number order.
 func (s *Switch) Ports() []*Port {
-	nums := make([]int, 0, len(s.ports))
-	for n := range s.ports {
-		nums = append(nums, n)
-	}
-	sort.Ints(nums)
+	nums := ordered.Keys(s.ports)
 	out := make([]*Port, len(nums))
 	for i, n := range nums {
 		out[i] = s.ports[n]

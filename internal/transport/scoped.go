@@ -81,7 +81,7 @@ func (s *ScopedEndpoint) Rescope(scope IP) {
 	old := s.scope
 	s.scope = scope
 	memberships := make([]Addr, 0, len(s.joined))
-	for a := range s.joined {
+	for a := range s.joined { // order-free: each membership is left and re-joined on its own
 		memberships = append(memberships, a)
 	}
 	s.mu.Unlock()

@@ -464,10 +464,10 @@ func (e *UDPEndpoint) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.closed = true
-	for _, c := range e.socks {
+	for _, c := range e.socks { // order-free: closing a socket touches no other
 		c.Close()
 	}
-	for _, c := range e.msocks {
+	for _, c := range e.msocks { // order-free: closing a socket touches no other
 		c.Close()
 	}
 	e.socks = map[uint16]*net.UDPConn{}
