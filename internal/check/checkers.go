@@ -2,72 +2,85 @@ package check
 
 import (
 	"fmt"
-	"maps"
 	"slices"
-	"sort"
-	"strings"
 
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// All returns one instance of every invariant checker, the default set
-// for chaos runs.
-func All() []Checker {
-	return []Checker{
-		NewMonotoneVersions(),
-		NewSingleIncarnation(),
-		NewTwoPC(),
-		NewEvictionEvidence(),
-		NewSuspicionEvidence(),
-		NewVerdictRequiresProbe(),
-		NewNoDeadInView(),
-		NewJournalConsistent(),
+// observe judges one record against the invariants, then folds it into
+// the model. Each invariant is a predicate over the model, named as its
+// violations are; on a record that several judge, they report in the
+// order listed here.
+func (e *Engine) observe(r *trace.Record) {
+	m := &e.model
+	switch r.Kind {
+	case trace.KStarted, trace.KOrphaned:
+		m.reset(r)
+	case trace.KViewJoin:
+		a := m.adapter(r.Self)
+		a.joins = append(a.joins, r.Peer)
+	case trace.KViewRemove:
+		a := m.adapter(r.Self)
+		a.removes = append(a.removes, r.Peer)
+	case trace.KViewCommit:
+		a := m.adapter(r.Self)
+		v := m.fold(a, r)
+		e.monotoneVersions(r, a)
+		e.singleIncarnation(r, v)
+		if r.Group == r.Self {
+			e.evictionEvidence(r, a, v)
+			e.noDeadInView(r, a, v)
+		}
+		m.install(a, r, v)
+	case trace.KPrepareRecv, trace.KAbortRecv, trace.KCommitSent, trace.KCommitRecv:
+		e.twoPhaseCommit(r)
+	case trace.KSuspicionRaised:
+		e.suspicionEvidence(r)
+	case trace.KProbeSent:
+		m.adapter(r.Self).probes[r.Token] = r.Peer
+	case trace.KVerdictDead, trace.KVerdictAlive:
+		a := m.adapter(r.Self)
+		if r.Kind == trace.KVerdictDead {
+			a.verdicts[r.Peer] = evidenceDeath
+			a.dead[r.Peer] = true
+		} else {
+			// Alive under a foreign lineage is departure evidence (the
+			// protocol removes movers without a death declaration). When
+			// the suspect turns out to be one of ours, KFalseAccusation
+			// follows immediately and voids this.
+			a.verdicts[r.Peer] = evidenceDepart
+			delete(a.dead, r.Peer)
+		}
+		e.verdictRequiresProbe(r, a)
+	case trace.KLeaderTakeover:
+		// A successor promotes itself only after verifying the old leader
+		// dead — or alive under another lineage (it defected). Either way
+		// the takeover commit legitimately drops it.
+		m.adapter(r.Self).verdicts[r.Peer] = evidenceDeath
+	case trace.KFalseAccusation:
+		a := m.adapter(r.Self)
+		delete(a.verdicts, r.Peer)
+		delete(a.dead, r.Peer)
+	case trace.KPrepareAck:
+		// The member voted on a live round: it is demonstrably alive, so
+		// a stale death verdict must not justify a future drop, and it is
+		// back from the dead as far as this leader is concerned. Departure
+		// evidence stays — the mover remains reachable and may well ack a
+		// round already in flight when the leader verified it under a
+		// foreign lineage, while the queued depart executes one or two
+		// commits later.
+		a := m.adapter(r.Self)
+		if a.verdicts[r.Peer] == evidenceDeath {
+			delete(a.verdicts, r.Peer)
+		}
+		delete(a.dead, r.Peer)
+	case trace.KRetarget:
+		m.adapter(r.Self).retarget = true
+	case trace.KReportApplied, trace.KJournalReplayed:
+		e.journalConsistent(r)
 	}
-}
-
-// gvKey identifies one group incarnation: lineage leader + view version.
-type gvKey struct {
-	g transport.IP
-	v uint64
-}
-
-// txnKey identifies one 2PC transaction: committing leader + round token.
-type txnKey struct {
-	g   transport.IP
-	tok uint64
-}
-
-// pairKey identifies an (observer, subject) adapter pair.
-type pairKey struct {
-	self transport.IP
-	peer transport.IP
-}
-
-// isAdapterReset reports whether rec ends the adapter's group lineage:
-// a (re)start (KStarted) or an orphaning (KOrphaned, which every eviction
-// also ends in). Nothing else is a reset. After either, the adapter's
-// version counter legitimately restarts and its open votes are void.
-func isAdapterReset(rec trace.Record) bool {
-	return rec.Kind == trace.KStarted || rec.Kind == trace.KOrphaned
-}
-
-// viewFingerprint renders the committed membership of the adapter that
-// just traced a KViewCommit (commitView installs the view before
-// tracing, so ViewOf sees it). Empty when the context can't resolve it.
-func viewFingerprint(ctx Context, self transport.IP) string {
-	v, ok := ctx.ViewOf(self)
-	if !ok {
-		return ""
-	}
-	ips := v.IPs()
-	ss := make([]string, len(ips))
-	for i, ip := range ips {
-		ss[i] = ip.String()
-	}
-	sort.Strings(ss)
-	return strings.Join(ss, ",")
 }
 
 // ---------------------------------------------------------------------------
@@ -75,274 +88,104 @@ func viewFingerprint(ctx Context, self transport.IP) string {
 // never installs a view older than one it already holds. The member-side
 // guards in onPrepare/onCommit are supposed to make regressions
 // structurally impossible; this watches them from the outside.
-
-type monotoneVersions struct {
-	last map[transport.IP]gvKey // adapter -> last committed incarnation
-}
-
-// NewMonotoneVersions builds the monotone-versions checker.
-func NewMonotoneVersions() Checker {
-	return &monotoneVersions{last: map[transport.IP]gvKey{}}
-}
-
-func (c *monotoneVersions) Name() string { return "monotone-versions" }
-
-func (c *monotoneVersions) Observe(ctx Context, rec trace.Record, report func(string)) {
-	if isAdapterReset(rec) {
-		delete(c.last, rec.Self)
-		return
+func (e *Engine) monotoneVersions(r *trace.Record, a *adapter) {
+	if a.held && a.group == r.Group && r.Version < a.version {
+		e.report("monotone-versions", r, fmt.Sprintf("adapter %v installed view v%d of lineage %v after already holding v%d",
+			r.Self, r.Version, r.Group, a.version))
 	}
-	if rec.Kind != trace.KViewCommit {
-		return
-	}
-	prev, ok := c.last[rec.Self]
-	if ok && prev.g == rec.Group && rec.Version < prev.v {
-		report(fmt.Sprintf("adapter %v installed view v%d of lineage %v after already holding v%d",
-			rec.Self, rec.Version, rec.Group, prev.v))
-	}
-	c.last[rec.Self] = gvKey{rec.Group, rec.Version}
 }
 
 // ---------------------------------------------------------------------------
 // single-incarnation: every adapter that commits incarnation (G, V) must
 // install the identical membership — a disagreement means two adapters
 // think they are in the same group version with different peers, the
-// split-brain a stale 2PC ack can cause. When the leader adapter G
-// resets (crash-restart reuses versions from 1), its lineage's recorded
-// incarnations are discarded.
-
-type singleIncarnation struct {
-	views map[gvKey]string // incarnation -> membership fingerprint
-}
-
-// NewSingleIncarnation builds the single-incarnation checker.
-func NewSingleIncarnation() Checker {
-	return &singleIncarnation{views: map[gvKey]string{}}
-}
-
-func (c *singleIncarnation) Name() string { return "single-incarnation" }
-
-func (c *singleIncarnation) Observe(ctx Context, rec trace.Record, report func(string)) {
-	if isAdapterReset(rec) {
-		maps.DeleteFunc(c.views, func(k gvKey, _ string) bool { return k.g == rec.Self })
-		return
+// split-brain a stale 2PC ack can cause. The digests decide; when the
+// leader G resets (crash-restart reuses versions from 1), the model
+// forgets its lineage's incarnations.
+func (e *Engine) singleIncarnation(r *trace.Record, v view) {
+	prev, ok := e.model.views[gvKey{r.Group, r.Version}]
+	if ok && prev.digest != v.digest {
+		e.report("single-incarnation", r, fmt.Sprintf("incarnation %v/v%d committed with divergent memberships: {%v} vs {%v} at %v",
+			r.Group, r.Version, prev, v, r.Self))
 	}
-	if rec.Kind != trace.KViewCommit {
-		return
-	}
-	fp := viewFingerprint(ctx, rec.Self)
-	if fp == "" {
-		return
-	}
-	k := gvKey{rec.Group, rec.Version}
-	if prev, ok := c.views[k]; ok {
-		if prev != fp {
-			report(fmt.Sprintf("incarnation %v/v%d committed with divergent memberships: {%s} vs {%s} at %v",
-				rec.Group, rec.Version, prev, fp, rec.Self))
-		}
-		return
-	}
-	c.views[k] = fp
 }
 
 // ---------------------------------------------------------------------------
 // two-phase-commit: a round token commits at most once, commits only at
 // adapters that voted for it (or were folded in by a leader's direct
 // refresh), and never lands after the same round aborted there.
-
-type twoPC struct {
-	committed map[txnKey]bool                  // leader committed this token
-	prepared  map[txnKey]map[transport.IP]bool // adapters holding a live (non-rejected) prepare
-	aborted   map[txnKey]map[transport.IP]bool // adapters that saw Abort for the token
-	installed map[txnKey]map[transport.IP]bool // adapters that installed the commit
-}
-
-// NewTwoPC builds the 2PC checker.
-func NewTwoPC() Checker {
-	return &twoPC{
-		committed: map[txnKey]bool{},
-		prepared:  map[txnKey]map[transport.IP]bool{},
-		aborted:   map[txnKey]map[transport.IP]bool{},
-		installed: map[txnKey]map[transport.IP]bool{},
+func (e *Engine) twoPhaseCommit(r *trace.Record) {
+	k := txnKey{r.Group, r.Token}
+	t := e.model.txns[k]
+	if t == nil {
+		t = &txn{votes: map[transport.IP]vote{}}
+		e.model.txns[k] = t
 	}
-}
-
-func (c *twoPC) Name() string { return "two-phase-commit" }
-
-func mark(m map[txnKey]map[transport.IP]bool, k txnKey, ip transport.IP) {
-	s := m[k]
-	if s == nil {
-		s = map[transport.IP]bool{}
-		m[k] = s
-	}
-	s[ip] = true
-}
-
-func (c *twoPC) Observe(ctx Context, rec trace.Record, report func(string)) {
-	if isAdapterReset(rec) {
-		// The adapter's lineage died: rounds led by it are over (a
-		// crash-restarted leader process restarts its token counter, so
-		// (leader, token) pairs legitimately repeat across incarnations),
-		// and its own votes/installs under other leaders are forgotten.
-		for _, m := range []map[txnKey]map[transport.IP]bool{c.prepared, c.aborted, c.installed} {
-			for k, set := range m {
-				if k.g == rec.Self {
-					delete(m, k)
-				} else {
-					delete(set, rec.Self)
-				}
-			}
-		}
-		maps.DeleteFunc(c.committed, func(k txnKey, _ bool) bool { return k.g == rec.Self })
-		return
-	}
-	k := txnKey{rec.Group, rec.Token}
-	switch rec.Kind {
+	switch r.Kind {
 	case trace.KPrepareRecv:
-		if rec.Detail == "rejected" {
-			delete(c.prepared[k], rec.Self)
+		if r.Detail == "rejected" {
+			t.votes[r.Self] &^= prepared
 		} else {
-			mark(c.prepared, k, rec.Self)
+			t.votes[r.Self] |= prepared
 		}
 	case trace.KAbortRecv:
-		mark(c.aborted, k, rec.Self)
-		delete(c.prepared[k], rec.Self)
+		t.votes[r.Self] = t.votes[r.Self]&^prepared | aborted
 	case trace.KCommitSent:
-		if rec.Self != rec.Group {
-			report(fmt.Sprintf("commit of txn %s sent by %v, which is not the round's leader",
-				rec.TxnID(), rec.Self))
+		if r.Self != r.Group {
+			e.report("two-phase-commit", r, fmt.Sprintf("commit of txn %s sent by %v, which is not the round's leader",
+				r.TxnID(), r.Self))
 		}
-		if rec.Token != 0 && c.committed[k] {
-			report(fmt.Sprintf("txn %s committed twice by its leader", rec.TxnID()))
+		if r.Token != 0 && t.committed {
+			e.report("two-phase-commit", r, fmt.Sprintf("txn %s committed twice by its leader", r.TxnID()))
 		}
-		c.committed[k] = true
+		t.committed = true
 	case trace.KCommitRecv:
 		// Token 0 is the leader's unilateral view refresh for a member
 		// that fell behind — not a voted round.
-		if rec.Token == 0 {
+		if r.Token == 0 {
 			return
 		}
-		if c.installed[k][rec.Self] {
-			report(fmt.Sprintf("adapter %v installed txn %s twice", rec.Self, rec.TxnID()))
+		got := t.votes[r.Self]
+		if got&installed != 0 {
+			e.report("two-phase-commit", r, fmt.Sprintf("adapter %v installed txn %s twice", r.Self, r.TxnID()))
 		}
-		if c.aborted[k][rec.Self] {
-			report(fmt.Sprintf("adapter %v installed txn %s after aborting it", rec.Self, rec.TxnID()))
+		if got&aborted != 0 {
+			e.report("two-phase-commit", r, fmt.Sprintf("adapter %v installed txn %s after aborting it", r.Self, r.TxnID()))
 		}
 		// "direct" commits adopt the view without a prepare (merge
 		// fold-in); everything else must have a live prepared state.
-		if rec.Detail != "direct" && !c.prepared[k][rec.Self] {
-			report(fmt.Sprintf("adapter %v installed txn %s without a matching prepare", rec.Self, rec.TxnID()))
+		if r.Detail != "direct" && got&prepared == 0 {
+			e.report("two-phase-commit", r, fmt.Sprintf("adapter %v installed txn %s without a matching prepare", r.Self, r.TxnID()))
 		}
-		mark(c.installed, k, rec.Self)
+		t.votes[r.Self] = got | installed
 	}
 }
 
 // ---------------------------------------------------------------------------
 // eviction-evidence: when a leader commits a view that drops a member,
 // the leader must hold evidence for the removal — a verification verdict
-// (KVerdictDead) for that member, or a 2PC retarget since its previous
-// commit (the member stayed silent through a voted round). A removal
-// with neither is the paper's §3 false-report flaw: acting on an
-// unverified suspicion. This is the checker that catches
-// Config.UnsafeSkipVerify.
-
-// evidenceKind distinguishes why a leader may drop a member.
-type evidenceKind uint8
-
-const (
-	evidenceDeath  evidenceKind = iota // verified dead (or takeover of a dead leader)
-	evidenceDepart                     // verified alive under a foreign lineage
-)
-
-type evictionEvidence struct {
-	prevView map[transport.IP][]transport.IP // leader adapter -> members of its last committed view
-	verdicts map[pairKey]evidenceKind        // (leader, member) -> unconsumed removal evidence
-	retarget map[transport.IP]bool           // leader -> retarget seen since last commit
-}
-
-// NewEvictionEvidence builds the eviction-evidence checker.
-func NewEvictionEvidence() Checker {
-	return &evictionEvidence{
-		prevView: map[transport.IP][]transport.IP{},
-		verdicts: map[pairKey]evidenceKind{},
-		retarget: map[transport.IP]bool{},
-	}
-}
-
-func (c *evictionEvidence) Name() string { return "eviction-evidence" }
-
-func (c *evictionEvidence) Observe(ctx Context, rec trace.Record, report func(string)) {
-	if isAdapterReset(rec) {
-		delete(c.prevView, rec.Self)
-		delete(c.retarget, rec.Self)
-		return
-	}
-	switch rec.Kind {
-	case trace.KVerdictDead:
-		c.verdicts[pairKey{rec.Self, rec.Peer}] = evidenceDeath
-	case trace.KLeaderTakeover:
-		// A successor promotes itself only after verifying the old
-		// leader dead — or alive under another lineage (it defected).
-		// Either way the takeover commit legitimately drops it.
-		c.verdicts[pairKey{rec.Self, rec.Peer}] = evidenceDeath
-	case trace.KVerdictAlive:
-		// Alive under a foreign lineage is departure evidence (the
-		// protocol removes movers without a death declaration). When the
-		// suspect turns out to be one of ours, KFalseAccusation follows
-		// immediately and voids this.
-		c.verdicts[pairKey{rec.Self, rec.Peer}] = evidenceDepart
-	case trace.KFalseAccusation:
-		delete(c.verdicts, pairKey{rec.Self, rec.Peer})
-	case trace.KPrepareAck:
-		// The member voted on a live round: it is demonstrably alive, so
-		// a stale death verdict must not justify a future drop. Departure
-		// evidence is different — the mover stays reachable and may well
-		// ack a round that was already in flight when the leader verified
-		// it under a foreign lineage, while the queued depart executes
-		// one or two commits later.
-		if c.verdicts[pairKey{rec.Self, rec.Peer}] == evidenceDeath {
-			delete(c.verdicts, pairKey{rec.Self, rec.Peer})
-		}
-	case trace.KRetarget:
-		c.retarget[rec.Self] = true
-	case trace.KViewCommit:
-		if rec.Group != rec.Self {
-			// A member's commit: its own prior view is superseded, not
-			// evidence of anything. Just refresh what it holds.
-			c.setView(ctx, rec.Self)
-			return
-		}
-		v, ok := ctx.ViewOf(rec.Self)
-		if !ok {
-			return
-		}
-		for _, m := range c.prevView[rec.Self] {
-			if v.Contains(m) || m == rec.Self {
+// (KVerdictDead, or KVerdictAlive under a foreign lineage) for that
+// member, or a 2PC retarget since its previous commit (the member stayed
+// silent through a voted round). A removal with neither is the paper's
+// §3 false-report flaw: acting on an unverified suspicion. This is the
+// predicate that catches Config.UnsafeSkipVerify. The drops are judged
+// against the view the leader held since its lineage last ended; the
+// retarget is collective evidence for every drop in the commit.
+func (e *Engine) evictionEvidence(r *trace.Record, a *adapter, v view) {
+	if a.held && a.view.known && v.known {
+		for _, m := range a.view.members {
+			if m == r.Self || v.has(m) {
 				continue
 			}
-			pk := pairKey{rec.Self, m}
-			_, hasVerdict := c.verdicts[pk]
-			switch {
-			case hasVerdict:
-				delete(c.verdicts, pk) // evidence consumed by the removal
-			case c.retarget[rec.Self]:
-				// The member sat silent through a voted round; the
-				// retarget is collective evidence for every drop in
-				// this commit.
-			default:
-				report(fmt.Sprintf("leader %v committed v%d dropping %v without a dead verdict or 2PC retarget",
-					rec.Self, rec.Version, m))
+			if _, ok := a.verdicts[m]; ok {
+				delete(a.verdicts, m) // evidence consumed by the removal
+			} else if !a.retarget {
+				e.report("eviction-evidence", r, fmt.Sprintf("leader %v committed v%d dropping %v without a dead verdict or 2PC retarget",
+					r.Self, r.Version, m))
 			}
 		}
-		delete(c.retarget, rec.Self)
-		c.prevView[rec.Self] = v.IPs()
 	}
-}
-
-func (c *evictionEvidence) setView(ctx Context, self transport.IP) {
-	if v, ok := ctx.ViewOf(self); ok {
-		c.prevView[self] = v.IPs()
-	}
+	a.retarget = false
 }
 
 // ---------------------------------------------------------------------------
@@ -350,63 +193,32 @@ func (c *evictionEvidence) setView(ctx Context, self transport.IP) {
 // one of the wire-protocol suspect reasons — and, per §3, is only traced
 // after the loopback self-test passed, so an unknown or empty reason
 // means a suspicion fabricated outside the detection path.
-
-type suspicionEvidence struct {
-	reasons map[string]bool
+func (e *Engine) suspicionEvidence(r *trace.Record) {
+	if !detectorReasons[r.Detail] {
+		e.report("suspicion-evidence", r, fmt.Sprintf("adapter %v raised suspicion of %v with no detector evidence (reason %q)",
+			r.Self, r.Peer, r.Detail))
+	}
 }
 
-// NewSuspicionEvidence builds the suspicion-evidence checker.
-func NewSuspicionEvidence() Checker {
-	return &suspicionEvidence{reasons: map[string]bool{
-		wire.ReasonMissedHeartbeats.String(): true,
-		wire.ReasonProbeTimeout.String():     true,
-		wire.ReasonPingTimeout.String():      true,
-		wire.ReasonSubgroupDead.String():     true,
-		wire.ReasonStaleView.String():        true,
-	}}
-}
-
-func (c *suspicionEvidence) Name() string { return "suspicion-evidence" }
-
-func (c *suspicionEvidence) Observe(ctx Context, rec trace.Record, report func(string)) {
-	if rec.Kind != trace.KSuspicionRaised {
-		return
-	}
-	if !c.reasons[rec.Detail] {
-		report(fmt.Sprintf("adapter %v raised suspicion of %v with no detector evidence (reason %q)",
-			rec.Self, rec.Peer, rec.Detail))
-	}
+var detectorReasons = map[string]bool{
+	wire.ReasonMissedHeartbeats.String(): true,
+	wire.ReasonProbeTimeout.String():     true,
+	wire.ReasonPingTimeout.String():      true,
+	wire.ReasonSubgroupDead.String():     true,
+	wire.ReasonStaleView.String():        true,
 }
 
 // ---------------------------------------------------------------------------
 // verdict-requires-probe: a leader may declare a suspect dead only after
-// actually probing it — every KVerdictDead must match an earlier
-// KProbeSent (same adapter, same nonce) aimed at that suspect.
-
-type verdictRequiresProbe struct {
-	probes map[txnKey]transport.IP // (prober, nonce) -> probed peer
-}
-
-// NewVerdictRequiresProbe builds the verdict-requires-probe checker.
-func NewVerdictRequiresProbe() Checker {
-	return &verdictRequiresProbe{probes: map[txnKey]transport.IP{}}
-}
-
-func (c *verdictRequiresProbe) Name() string { return "verdict-requires-probe" }
-
-func (c *verdictRequiresProbe) Observe(ctx Context, rec trace.Record, report func(string)) {
-	switch rec.Kind {
-	case trace.KProbeSent:
-		c.probes[txnKey{rec.Self, rec.Token}] = rec.Peer
-	case trace.KVerdictDead, trace.KVerdictAlive:
-		k := txnKey{rec.Self, rec.Token}
-		peer, ok := c.probes[k]
-		if !ok || peer != rec.Peer {
-			report(fmt.Sprintf("adapter %v reached a verdict on %v without a matching probe (nonce %d)",
-				rec.Self, rec.Peer, rec.Token))
-		}
-		delete(c.probes, k)
+// actually probing it — every verdict must match an earlier KProbeSent
+// (same adapter, same nonce) aimed at that suspect.
+func (e *Engine) verdictRequiresProbe(r *trace.Record, a *adapter) {
+	peer, ok := a.probes[r.Token]
+	if !ok || peer != r.Peer {
+		e.report("verdict-requires-probe", r, fmt.Sprintf("adapter %v reached a verdict on %v without a matching probe (nonce %d)",
+			r.Self, r.Peer, r.Token))
 	}
+	delete(a.probes, r.Token)
 }
 
 // ---------------------------------------------------------------------------
@@ -414,77 +226,47 @@ func (c *verdictRequiresProbe) Observe(ctx Context, rec trace.Record, report fun
 // no later view the leader commits may still contain it — unless the
 // member demonstrably came back (an alive verdict, a vote on a new
 // round, or its removal completing and a fresh join).
-
-type noDeadInView struct {
-	dead map[pairKey]bool // (leader, member) -> declared dead, not yet removed
-}
-
-// NewNoDeadInView builds the no-dead-in-view checker.
-func NewNoDeadInView() Checker {
-	return &noDeadInView{dead: map[pairKey]bool{}}
-}
-
-func (c *noDeadInView) Name() string { return "no-dead-in-view" }
-
-func (c *noDeadInView) Observe(ctx Context, rec trace.Record, report func(string)) {
-	if isAdapterReset(rec) {
-		maps.DeleteFunc(c.dead, func(k pairKey, _ bool) bool { return k.self == rec.Self })
+func (e *Engine) noDeadInView(r *trace.Record, a *adapter, v view) {
+	if !v.known {
 		return
 	}
-	switch rec.Kind {
-	case trace.KVerdictDead:
-		c.dead[pairKey{rec.Self, rec.Peer}] = true
-	case trace.KVerdictAlive, trace.KFalseAccusation:
-		delete(c.dead, pairKey{rec.Self, rec.Peer})
-	case trace.KPrepareAck:
-		// The member voted on a live round: it is back from the dead as
-		// far as this leader is concerned.
-		delete(c.dead, pairKey{rec.Self, rec.Peer})
-	case trace.KViewCommit:
-		if rec.Group != rec.Self {
-			return
-		}
-		v, ok := ctx.ViewOf(rec.Self)
-		if !ok {
-			return
-		}
-		var still []transport.IP
-		for k := range c.dead { // order-free: reported sorted below
-			if k.self != rec.Self {
-				continue
-			}
-			if v.Contains(k.peer) {
-				still = append(still, k.peer)
-			} else {
-				delete(c.dead, k) // eviction completed
-			}
-		}
-		slices.Sort(still)
-		for _, peer := range still {
-			report(fmt.Sprintf("leader %v committed v%d still containing %v, which it declared dead",
-				rec.Self, rec.Version, peer))
+	still := e.still[:0]
+	for peer := range a.dead { // order-free: reported sorted below
+		if v.has(peer) {
+			still = append(still, peer)
+		} else {
+			delete(a.dead, peer) // eviction completed
 		}
 	}
+	slices.Sort(still)
+	for _, peer := range still {
+		e.report("no-dead-in-view", r, fmt.Sprintf("leader %v committed v%d still containing %v, which it declared dead",
+			r.Self, r.Version, peer))
+	}
+	e.still = still
 }
 
 // ---------------------------------------------------------------------------
 // journal-consistent: whenever a Central applies a report or replays its
 // journal, replaying the journal's store (snapshot + log) into a fresh
 // state must reproduce exactly the live view — the durability guarantee
-// failover relies on, since a successor stands up from that replay.
-
-type journalConsistent struct{}
-
-// NewJournalConsistent builds the journal-consistency checker.
-func NewJournalConsistent() Checker { return journalConsistent{} }
-
-func (journalConsistent) Name() string { return "journal-consistent" }
-
-func (journalConsistent) Observe(ctx Context, rec trace.Record, report func(string)) {
-	if rec.Kind != trace.KReportApplied && rec.Kind != trace.KJournalReplayed {
+// failover relies on, since a successor stands up from that replay. The
+// one invariant the records cannot carry: it needs the live Central, so
+// it is judged only when the engine has a Context.
+func (e *Engine) journalConsistent(r *trace.Record) {
+	if e.ctx == nil {
 		return
 	}
-	if drift := ctx.JournalDrift(rec.Node); drift != "" {
-		report(fmt.Sprintf("central %s journal diverged from live state: %s", rec.Node, drift))
+	if drift := e.ctx.JournalDrift(r.Node); drift != "" {
+		e.report("journal-consistent", r, fmt.Sprintf("central %s journal diverged from live state: %s", r.Node, drift))
 	}
+}
+
+// Members returns the addresses of the view the adapter at ip holds in
+// the model, highest first, and false when the records do not determine
+// them.
+func (e *Engine) Members(ip transport.IP) ([]transport.IP, bool) {
+	a := e.model.adapter(ip)
+	e.model.resolve(a)
+	return a.view.members, a.view.known
 }

@@ -5,9 +5,10 @@
 //
 // It has three parts:
 //
-//   - an invariant Engine (this file and checkers.go): pluggable checkers
-//     fed live from the internal/trace flight recorder via a sink, each
-//     violation reported with the correlated 2PC transaction id
+//   - an invariant Engine (this file, model.go and checkers.go): one
+//     membership model folded from the internal/trace flight recorder's
+//     records alone, fed live via a sink or from a parsed dump, with
+//     each invariant a predicate over it and each violation reported with the correlated 2PC transaction id
 //     ("leader#token"), the simulated timestamp, and a bounded window of
 //     surrounding trace records;
 //   - a scenario engine (scenario.go): a small composable schedule DSL
@@ -29,21 +30,14 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/amg"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
-// Context is the live system state a checker may consult when a record
-// arrives. Because trace sinks run synchronously on the capture path —
-// and commitView installs the view before tracing KViewCommit — the
-// state visible here is exactly the state the record describes.
+// Context is the live system state an invariant may consult. Only the
+// journal's durability needs it: every other invariant is judged over
+// the model the engine folds from the records themselves.
 type Context interface {
-	// ViewOf returns the committed membership of the adapter at ip.
-	ViewOf(ip transport.IP) (amg.Membership, bool)
-	// SegmentOf resolves an adapter's current broadcast segment from
-	// scratch (the switch fabric's authoritative answer).
-	SegmentOf(ip transport.IP) (string, bool)
 	// JournalDrift describes how replaying the named node's journal store
 	// fails to reproduce its live Central view ("" when consistent, not
 	// journaling, or not a Central).
@@ -90,14 +84,6 @@ func (v Violation) Format() string {
 	return b.String()
 }
 
-// Checker is one pluggable invariant. Observe is called for every
-// captured trace record, in capture order, from a single goroutine (the
-// simulator is single-threaded); report files a violation against rec.
-type Checker interface {
-	Name() string
-	Observe(ctx Context, rec trace.Record, report func(msg string))
-}
-
 // windowSize bounds how many surrounding records a violation carries.
 const windowSize = 24
 
@@ -106,10 +92,12 @@ const windowSize = 24
 // are the diagnostic ones.
 const maxViolations = 64
 
-// Engine fans trace records out to its checkers and collects violations.
+// Engine judges trace records against the protocol invariants and
+// collects violations.
 type Engine struct {
-	ctx      Context
-	checkers []Checker
+	ctx   Context
+	model model
+	still []transport.IP // no-dead-in-view's scratch
 
 	window [windowSize]trace.Record
 	wn     int // records ever observed
@@ -118,31 +106,35 @@ type Engine struct {
 	dropped    int
 }
 
-// NewEngine builds an engine over ctx. With no checkers, All() is used.
-func NewEngine(ctx Context, checkers ...Checker) *Engine {
-	if len(checkers) == 0 {
-		checkers = All()
-	}
-	return &Engine{ctx: ctx, checkers: checkers}
+// NewEngine builds an engine. ctx is the live system the
+// journal-consistent invariant consults; with a nil ctx (a trace read
+// back from a dump) that invariant is not judged, and every other one
+// is.
+func NewEngine(ctx Context) *Engine {
+	return &Engine{ctx: ctx, model: model{
+		adapters: map[transport.IP]*adapter{},
+		views:    map[gvKey]view{},
+		sets:     map[trace.Digest][]transport.IP{},
+		txns:     map[txnKey]*txn{},
+	}}
 }
 
 // Attach registers the engine as a sink on the recorder. The recorder
 // must be enabled for records to flow.
 func (e *Engine) Attach(r *trace.Recorder) { r.AddSink(e.Observe) }
 
-// Observe feeds one record through every checker. It is the sink
+// Observe judges one record and folds it into the model. It is the sink
 // callback; it must not be called concurrently (the simulator never
-// does).
+// does), and records must arrive in capture order.
 func (e *Engine) Observe(rec trace.Record) {
-	e.window[e.wn%windowSize] = rec
+	r := &e.window[e.wn%windowSize]
+	*r = rec
 	e.wn++
-	for _, c := range e.checkers {
-		name := c.Name()
-		c.Observe(e.ctx, rec, func(msg string) { e.report(name, msg, rec) })
-	}
+	e.observe(r)
 }
 
-func (e *Engine) report(checker, msg string, rec trace.Record) {
+// report files a violation of the named invariant against rec.
+func (e *Engine) report(checker string, rec *trace.Record, msg string) {
 	if len(e.violations) >= maxViolations {
 		e.dropped++
 		return
@@ -150,7 +142,7 @@ func (e *Engine) report(checker, msg string, rec trace.Record) {
 	e.violations = append(e.violations, Violation{
 		Checker: checker,
 		Msg:     msg,
-		Rec:     rec,
+		Rec:     *rec,
 		Txn:     rec.TxnID(),
 		T:       rec.T,
 		Window:  e.windowCopy(),

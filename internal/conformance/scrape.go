@@ -117,9 +117,8 @@ func (s *Scraper) Start(every time.Duration) (stop func()) {
 }
 
 // Merged returns the clock-aligned, deterministically ordered
-// farm-wide stream. keep filters records (nil keeps everything —
-// beacons included, which the invariant engine needs for its
-// adapter-reset tracking; pass span.DefaultFilter for stitching).
+// farm-wide stream. keep filters records (nil keeps everything, as the
+// invariant engine takes it; pass span.DefaultFilter for stitching).
 func (s *Scraper) Merged(keep func(trace.Record) bool) []trace.Record {
 	if keep == nil {
 		keep = func(trace.Record) bool { return true }

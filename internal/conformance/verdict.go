@@ -5,24 +5,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/amg"
 	"repro/internal/check"
 	"repro/internal/span"
-	"repro/internal/transport"
 )
-
-// offlineContext is the check.Context for replaying scraped traces:
-// unlike the simulator's live context, the harness cannot consult a
-// daemon's committed view or the fabric's historical segment state at
-// the instant a record was captured, so the state-dependent checkers
-// no-op (each guards on the !ok path) and the purely trace-derived
-// invariants — monotone versions, 2PC, eviction evidence, suspicion
-// evidence, probe-before-verdict — carry the audit.
-type offlineContext struct{}
-
-func (offlineContext) ViewOf(transport.IP) (amg.Membership, bool) { return amg.Membership{}, false }
-func (offlineContext) SegmentOf(transport.IP) (string, bool)      { return "", false }
-func (offlineContext) JournalDrift(string) string                 { return "" }
 
 // Verdict is one suite's machine-checkable outcome, written to the
 // artifacts directory as verdict.json.
@@ -60,12 +45,12 @@ func evaluate(suite, fabric string, s *Scraper, topoSpec span.Topology,
 		TopologyDiff: []string{}, MismatchDiff: []string{},
 	}
 
-	// Stage 1: the invariant engine over the keep-all merge. Beacons
-	// stay in: the checkers' crash-restart reset tracking keys off the
-	// discovery-phase beacon records.
+	// Stage 1: the invariant engine over the keep-all merge. It folds its
+	// membership model from the records alone, so every invariant but
+	// journal-consistent (which needs a live Central) is judged.
 	all := s.Merged(nil)
 	v.Records = len(all)
-	engine := check.NewEngine(offlineContext{})
+	engine := check.NewEngine(nil)
 	for _, r := range all {
 		engine.Observe(r)
 	}

@@ -675,17 +675,34 @@ func (p *adapterProto) onAbort(m *wire.Abort) {
 	}
 }
 
-// commitView finalizes a membership view locally (both roles). The view
-// is installed before the KViewCommit record is captured so that trace
-// sinks (the invariant engine in internal/check) observe the committed
-// state when the record reaches them.
+// commitView finalizes a membership view locally (both roles); every
+// install comes through here, so the trace carries each view's content.
+// A leader of the view first traces its joins and removes against the
+// view it held; the KViewCommit, captured after the install (a sink that
+// reads the daemon sees the committed view), carries its members digest.
 func (p *adapterProto) commitView(v amg.Membership) {
+	tracing := p.d.tracer.Enabled()
+	if tracing && v.Leader() == p.self {
+		joined, left := v.Diff(p.view)
+		for _, m := range joined {
+			p.trace(&trace.Record{Kind: trace.KViewJoin, Peer: m.IP, Group: p.self, Version: v.Version})
+		}
+		for _, ip := range left {
+			p.trace(&trace.Record{Kind: trace.KViewRemove, Peer: ip, Group: p.self, Version: v.Version})
+		}
+	}
 	p.view = v
 	if v.Leader() == p.self && v.Version > p.ledFloor {
 		p.ledFloor = v.Version
 	}
-	p.trace(&trace.Record{Kind: trace.KViewCommit, Group: v.Leader(),
-		Version: v.Version, Count: uint32(v.Size())})
+	if tracing {
+		digest := trace.EmptyDigest
+		for _, m := range v.Members {
+			digest = digest.Add(m.IP)
+		}
+		p.trace(&trace.Record{Kind: trace.KViewCommit, Group: v.Leader(),
+			Version: v.Version, Count: uint32(v.Size()), Digest: digest})
+	}
 	p.lastGroupActivity = p.now()
 	p.firstSuspicionAt = 0 // a commit proves the leadership is working
 	if p.detector != nil {

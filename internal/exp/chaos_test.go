@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/farm"
+	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -112,5 +114,61 @@ func TestChaosSeedsReplayExactly(t *testing.T) {
 			t.Errorf("seed %d gave two outcomes:\n  fired %d, topology %016x, violations %q\n  fired %d, topology %016x, violations %q",
 				seed, first.fired, first.topology, first.violations, second.fired, second.topology, second.violations)
 		}
+	}
+}
+
+// TestOfflineVerdictMatchesLive judges E15's red golden seed twice: live,
+// as a chaos run does, and offline, from the run's trace dump read back
+// with trace.ParseDump into an engine with no live farm — the way the
+// conformance harness judges a real daemon's scraped trace. The model the
+// invariants are judged over is folded from the records alone, so both
+// must report the same violations.
+func TestOfflineVerdictMatchesLive(t *testing.T) {
+	const seed = 26
+	spec := chaosSpec(seed, false)
+	spec.TraceCapacity = 1 << 15 // the run traces about 11k records
+	f, err := farm.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := check.NewEngine(f)
+	engine.Attach(f.Trace)
+	f.Start()
+	if _, ok := f.RunUntilStable(2 * time.Minute); !ok {
+		t.Fatal("initial stabilization failed")
+	}
+	// The rest of chaosRun's setup, so the seed plays out as in E15.
+	f.AttachServe(serve.Config{Seed: seed, SessionsPerSec: 50}, nil).Start()
+	check.Generate(seed, f.CheckTopology(), check.GenOpts{Rounds: 25}).Run(f)
+
+	var dump bytes.Buffer
+	if err := f.Trace.WriteJSON(&dump); err != nil {
+		t.Fatal(err)
+	}
+	d, err := trace.ParseDump(dump.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Dropped != 0 {
+		t.Fatalf("the ring dropped %d of %d records; the dump must hold the whole run", d.Dropped, d.Total)
+	}
+	offline := check.NewEngine(nil)
+	for _, r := range d.Records {
+		offline.Observe(r)
+	}
+
+	lines := func(vs []check.Violation) []string {
+		var out []string
+		for _, v := range vs {
+			out = append(out, v.Checker+": "+v.Msg)
+		}
+		return out
+	}
+	live, off := lines(engine.Violations()), lines(offline.Violations())
+	if len(live) == 0 || !strings.HasPrefix(live[0], "eviction-evidence: ") {
+		t.Fatalf("seed %d no longer reproduces E15's eviction-evidence violation: %q", seed, live)
+	}
+	if !slices.Equal(live, off) {
+		t.Errorf("offline verdict differs from the live one:\n live    %q\n offline %q", live, off)
 	}
 }

@@ -93,6 +93,9 @@ func secs(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()) }
 // secs2 renders a duration as seconds with two decimals.
 func secs2(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
 
+// millis2 renders a duration in milliseconds with two decimals.
+func millis2(d time.Duration) string { return fmt.Sprintf("%.2f", durMs(d)) }
+
 // each runs fn(0) … fn(n-1) on up to NumCPU goroutines and returns their
 // errors joined, lowest index first. Every cell of a sweep is its own
 // farm on its own kernel, so results do not depend on the execution order.

@@ -323,7 +323,7 @@ func ingest(adapters []int) (*Table, error) {
 			r.total().Seconds()/base.total().Seconds()*float64(base.Adapters)/float64(r.Adapters), base.Adapters)
 	}
 	t.note("every column follows from the corpus rules alone (groups of %d, one node in %d failing), so it is the same", ingestGroupSize, ingestVictimShare)
-	t.note("on every host and at every seed; IngestPoint fails if any differs. Wall-clock per point is printed by")
+	t.note("on every host and at every seed; ingestPoint fails if any differs. Wall-clock per point is printed by")
 	t.note("gsbench after the table and tracked by bench/ (central_storm is the 8192-adapter point), not committed here")
 	return t, nil
 }

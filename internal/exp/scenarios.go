@@ -231,20 +231,20 @@ var move = row[string, moveResult]{
 		t := &Table{
 			ID:      "E7/move",
 			Title:   "central-initiated domain move (SNMP VLAN rewrite)",
-			Columns: []string{"trial", "snmp done(s)", "move inferred(s)", "suppressed fails", "unsuppressed fails", "verify clean"},
+			Columns: []string{"trial", "snmp done(ms)", "move inferred(s)", "suppressed fails", "unsuppressed fails", "verify clean"},
 		}
 		for i, r := range ms[0] {
-			since := func(at time.Duration) string {
+			since := func(at time.Duration, format func(time.Duration) string) string {
 				if at == 0 {
 					return "never"
 				}
-				return secs2(at - r.order)
+				return format(at - r.order)
 			}
 			clean := "yes"
 			if r.findings != 0 {
 				clean = fmt.Sprintf("no (%d findings)", r.findings)
 			}
-			t.addRow(fmt.Sprint(i+1), since(r.snmp), since(r.inferred), fmt.Sprint(r.suppressed),
+			t.addRow(fmt.Sprint(i+1), since(r.snmp, millis2), since(r.inferred, secs2), fmt.Sprint(r.suppressed),
 				fmt.Sprint(r.unsuppressed), clean)
 		}
 		t.note("paper §3.1: neither AMG leader knows a move happened; Central correlates the leave/join pair,")

@@ -12,8 +12,8 @@ import (
 )
 
 // The farm is both the thing the scenario engine injects faults into
-// (check.Target) and the live-state oracle the invariant checkers
-// consult (check.Context). Both are satisfied structurally so check
+// (check.Target) and the live Central whose journal the invariant engine
+// consults (check.Context). Both are satisfied structurally so check
 // never has to import farm.
 var (
 	_ check.Target  = (*Farm)(nil)

@@ -2,11 +2,14 @@ package farm
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/event"
+	"repro/internal/trace"
 )
 
 // Chaos test: a farm is subjected to a long seed-derived schedule of
@@ -141,4 +144,72 @@ func TestSeededBugCaught(t *testing.T) {
 	}
 	t.Logf("shrunk %d ops -> %d in %d runs; reproduction:\n%s",
 		len(sched.Ops), len(min.Ops), runs, min)
+}
+
+// TestModelMatchesLiveViews holds the invariant engine's membership
+// model, folded from the trace alone, to the live farm: at every
+// KViewCommit the members the model holds for the installing adapter
+// must be the ones its daemon just installed. Where the model cannot
+// tell, it says so, and in simulation that must never happen. One cold
+// start and four partition+failover chaos seeds between them install
+// views through formation, leader takeover, orphan singletons and direct
+// installs.
+func TestModelMatchesLiveViews(t *testing.T) {
+	seen := map[string]int{}
+	run := func(t *testing.T, spec Spec, chaos bool) {
+		f, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine := check.NewEngine(f)
+		engine.Attach(f.Trace)
+		var unknown []string
+		commits := 0
+		f.Trace.AddSink(func(r trace.Record) {
+			switch {
+			case r.Kind == trace.KFormed, r.Kind == trace.KLeaderTakeover, r.Kind == trace.KOrphaned:
+				seen[r.Kind.String()]++
+			case r.Kind == trace.KCommitRecv && r.Detail == "direct":
+				seen["direct install"]++
+			case r.Kind == trace.KViewCommit:
+				commits++
+				got, ok := engine.Members(r.Self)
+				if !ok {
+					unknown = append(unknown, r.String())
+					return
+				}
+				if live, _ := f.ViewOf(r.Self); !slices.Equal(got, live.IPs()) {
+					t.Errorf("%v: model holds %v, daemon installed %v", r, got, live.IPs())
+				}
+			}
+		})
+		f.Start()
+		if _, ok := f.RunUntilStable(2 * time.Minute); !ok {
+			t.Fatal("initial stabilization failed")
+		}
+		if chaos {
+			check.Generate(spec.Seed, f.CheckTopology(), check.GenOpts{Rounds: 25, Partition: true, Failover: true}).Run(f)
+		}
+		if len(unknown) > 0 {
+			t.Errorf("the model cannot tell the members at %d of %d view commits:\n%s",
+				len(unknown), commits, strings.Join(unknown, "\n"))
+		}
+		if commits == 0 {
+			t.Error("no view commits traced")
+		}
+	}
+	t.Run("cold-start", func(t *testing.T) {
+		spec := fastSpec(1)
+		spec.Domains = []DomainSpec{{Name: "acme", FrontEnds: 3, BackEnds: 5}}
+		spec.Trace = true
+		run(t, spec, false)
+	})
+	for seed := int64(2000); seed < 2004; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { run(t, chaosSpec(seed), true) })
+	}
+	for _, path := range []string{"formed", "leader-takeover", "orphaned", "direct install"} {
+		if seen[path] == 0 {
+			t.Errorf("no %s among the runs: that install path went unchecked", path)
+		}
+	}
 }

@@ -31,7 +31,7 @@ func FuzzParseDump(f *testing.F) {
 	f.Add(dump(
 		Record{T: 1500 * time.Millisecond, Kind: KBeaconSent, Node: "web-1", Self: transport.MakeIP(10, 71, 1, 11)},
 		Record{T: 2 * time.Second, Kind: KViewCommit, Node: "web-2", Self: transport.MakeIP(10, 71, 1, 12),
-			Group: leader, Version: 3, Count: 3},
+			Group: leader, Version: 3, Count: 3, Digest: EmptyDigest.Add(leader).Add(transport.MakeIP(10, 71, 1, 12))},
 		Record{T: 2500 * time.Millisecond, Kind: KPrepareSent, Node: "web-3", Self: leader,
 			Peer: transport.MakeIP(10, 71, 1, 11), Group: leader, Token: 7, Detail: "round 1"},
 	))

@@ -77,6 +77,7 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 		Version: j.Version,
 		Token:   j.Token,
 		Count:   j.Count,
+		Digest:  Digest(j.Digest),
 		Detail:  j.Detail,
 	}
 	return nil

@@ -18,7 +18,8 @@ func TestDumpRoundTrip(t *testing.T) {
 			Self: transport.MakeIP(10, 71, 1, 11)},
 		{T: 2 * time.Second, Kind: KViewCommit, Node: "web-2",
 			Self:  transport.MakeIP(10, 71, 1, 12),
-			Group: transport.MakeIP(10, 71, 1, 13), Version: 3, Count: 3},
+			Group: transport.MakeIP(10, 71, 1, 13), Version: 3, Count: 3,
+			Digest: EmptyDigest.Add(transport.MakeIP(10, 71, 1, 13)).Add(transport.MakeIP(10, 71, 1, 12))},
 		{T: 2500 * time.Millisecond, Kind: KPrepareSent, Node: "web-3",
 			Self: transport.MakeIP(10, 71, 1, 13), Peer: transport.MakeIP(10, 71, 1, 11),
 			Group: transport.MakeIP(10, 71, 1, 13), Token: 7, Detail: "round 1"},

@@ -56,7 +56,8 @@ const (
 	// KRetarget: a 2PC round restarted against a reduced membership.
 	KRetarget
 	// KViewCommit: an adapter finalized a membership view (both roles);
-	// Group+Version identify the committed incarnation.
+	// Group+Version identify the committed incarnation, Count is the view
+	// size and Digest its members digest.
 	KViewCommit
 	// KLeaderTakeover: the successor promoted itself after verifying the
 	// leader's death (Peer = the old leader).
@@ -143,6 +144,13 @@ const (
 	// verified death (Group/Version/Token are the round's). Traced only
 	// when the removal commits: an isolation abort traces none.
 	KDeathCommitted
+	// KViewJoin: a leader about to install a view of its own (Group/
+	// Version) adds Peer to the view it held. Traced per joiner, just
+	// before the install's KViewCommit.
+	KViewJoin
+	// KViewRemove: likewise, the install drops Peer (a verified death
+	// also gets a KDeathCommitted).
+	KViewRemove
 
 	kindMax
 )
@@ -188,6 +196,8 @@ var kindNames = [...]string{
 	KRxDropped:          "rx-dropped",
 	KStarted:            "started",
 	KDeathCommitted:     "death-committed",
+	KViewJoin:           "view-join",
+	KViewRemove:         "view-remove",
 }
 
 func (k Kind) String() string {
@@ -222,6 +232,10 @@ type Record struct {
 	// Group is the AMG lineage leader this record belongs to: for 2PC
 	// records the committing leader, for view records the view's leader.
 	Group transport.IP
+	// Count is a small numeric payload: the view size for KViewCommit,
+	// the formation-attempt size for KFormed, the reduced target size
+	// for KRetarget, restored groups for KJournalReplayed.
+	Count uint32
 	// Version is the group incarnation (committed or proposed view
 	// version) the record belongs to.
 	Version uint64
@@ -229,12 +243,28 @@ type Record struct {
 	// for membership-change records, the probe nonce for verification
 	// records, the report sequence number for reporting records.
 	Token uint64
-	// Count is a small numeric payload: the view size for KViewCommit,
-	// the formation-attempt size for KFormed, the reduced target size
-	// for KRetarget, restored groups for KJournalReplayed.
-	Count uint32
+	// Digest is the committed view's members digest on KViewCommit (zero
+	// elsewhere): two views with one digest hold the same addresses.
+	Digest Digest
 	// Detail is optional human-oriented context (reason, flags).
 	Detail string
+}
+
+// Digest is a view's members digest: 64-bit FNV-1a over the member
+// addresses, highest first (the order a view keeps them in, so neither
+// the protocol nor a reader of the trace sorts). Fold addresses into
+// EmptyDigest with Add.
+type Digest uint64
+
+// EmptyDigest is the digest of a view with no members.
+const EmptyDigest Digest = 14695981039346656037
+
+// Add folds the next (lower) member address into the digest.
+func (d Digest) Add(ip transport.IP) Digest {
+	for shift := 24; shift >= 0; shift -= 8 {
+		d = (d ^ Digest(byte(ip>>shift))) * 1099511628211
+	}
+	return d
 }
 
 // TxnID renders the record's 2PC transaction id ("leader#token"), empty
@@ -287,6 +317,7 @@ type recordJSON struct {
 	Version uint64  `json:"version,omitempty"`
 	Token   uint64  `json:"token,omitempty"`
 	Count   uint32  `json:"count,omitempty"`
+	Digest  uint64  `json:"digest,omitempty"`
 	Txn     string  `json:"txn,omitempty"`
 	Detail  string  `json:"detail,omitempty"`
 }
@@ -296,7 +327,7 @@ func (r Record) MarshalJSON() ([]byte, error) {
 	j := recordJSON{
 		Seq: r.Seq, T: r.T.Seconds(), Kind: r.Kind.String(),
 		Node: r.Node, Version: r.Version, Token: r.Token,
-		Count: r.Count, Txn: r.TxnID(), Detail: r.Detail,
+		Count: r.Count, Digest: uint64(r.Digest), Txn: r.TxnID(), Detail: r.Detail,
 	}
 	if r.Self != 0 {
 		j.Self = r.Self.String()
