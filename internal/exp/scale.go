@@ -164,19 +164,18 @@ func ScaleBFarm(o ScaleBOptions, adapters, shards int, seed int64) (*farm.Farm, 
 
 // coldRun is one measured cold start.
 type coldRun struct {
-	stable   time.Duration // simulated time to stability
-	wall     time.Duration // real time for the run
-	fired    uint64        // events executed
-	hash     uint64        // the topology hash
-	msgs     uint64        // messages sent, every plane
-	parallel bool          // windows ran on worker goroutines
+	stable time.Duration // simulated time to stability
+	wall   time.Duration // real time for the run
+	fired  uint64        // events executed
+	hash   uint64        // the topology hash
+	msgs   uint64        // messages sent, every plane
 }
 
 func (r coldRun) evps() float64 { return float64(r.fired) / r.wall.Seconds() }
 
 // coldStart runs a built farm until its zones' Centrals are all stable
 // (the active one's when zones is 0; the hash is then TopologyHash, not
-// TopologyHashAll) and stops the sharded kernel's workers.
+// TopologyHashAll).
 func coldStart(f *farm.Farm, zones int, timeout time.Duration) (coldRun, error) {
 	start := time.Now()
 	f.Start()
@@ -192,10 +191,7 @@ func coldStart(f *farm.Farm, zones int, timeout time.Duration) (coldRun, error) 
 		hash = TopologyHashAll
 	}
 	r := coldRun{stable: at, wall: time.Since(start), fired: f.Fired(), hash: hash(f),
-		msgs: f.Metrics.Total().Messages, parallel: f.Shards != nil && f.Shards.Parallel()}
-	if f.Shards != nil {
-		f.Shards.Stop()
-	}
+		msgs: f.Metrics.Total().Messages}
 	if !ok {
 		return r, fmt.Errorf("exp: cold start (seed %d) never stabilized", f.Spec.Seed)
 	}
@@ -327,12 +323,11 @@ func scaleB(o ScaleBOptions) (*Table, error) {
 			}
 			t.addRow(fmt.Sprint(a), fmt.Sprint(zones), fmt.Sprint(k), fmt.Sprintf("%.1f", cell.stable.Seconds()),
 				fmt.Sprint(cell.fired), fmt.Sprintf("%016x", cell.hash))
-			t.hostNote("%7d adapters, %d shards: par=%v  %.0f ev/s  speedup %.2f",
-				a, k, cell.parallel, cell.evps(), base.wall.Seconds()/cell.wall.Seconds())
+			t.hostNote("%7d adapters, %d shards: %.0f ev/s  speedup %.2f",
+				a, k, cell.evps(), base.wall.Seconds()/cell.wall.Seconds())
 		}
 	}
 	t.note("every shard count at one adapter count fired identical events and hashed to the identical topology (checked, not sampled)")
-	t.hostNote("speedup is wall-clock vs the first shard count; par=false means serial windows, so ~1 is the honest")
-	t.hostNote("single-core figure (host_cpus=%d gomaxprocs=%d)", runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	t.hostNote("speedup is wall-clock vs the first shard count; windows run on one goroutine, so it is the smaller heaps' gain")
 	return t, nil
 }

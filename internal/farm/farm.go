@@ -108,7 +108,11 @@ type Spec struct {
 	// Trace enables the protocol flight recorder: every daemon and
 	// Central records protocol state transitions into the shared
 	// Farm.Trace ring (records carry the node name, so one unified
-	// timeline covers the whole farm).
+	// timeline covers the whole farm). On a sharded farm the shards run
+	// each window one after another, so capture order (Seq) follows the
+	// shards within a window while each record's T is its own instant;
+	// the records are the same as an unsharded run's, not in the same
+	// order.
 	Trace bool
 	// TraceCapacity overrides the flight-recorder ring size
 	// (trace.DefaultCapacity when zero).
@@ -221,13 +225,8 @@ func Build(spec Spec) (*Farm, error) {
 			return nil, fmt.Errorf("farm: ZoneAdapters %d exceeds the zone VLAN block", spec.ZoneAdapters)
 		}
 	}
-	if spec.Shards > 1 {
-		if spec.Zones <= 0 {
-			return nil, fmt.Errorf("farm: sharded farms require the zoned shape (Zones > 0)")
-		}
-		if spec.Trace {
-			return nil, fmt.Errorf("farm: the flight recorder is not shard-safe; disable Trace for sharded runs")
-		}
+	if spec.Shards > 1 && spec.Zones <= 0 {
+		return nil, fmt.Errorf("farm: sharded farms require the zoned shape (Zones > 0)")
 	}
 	f := &Farm{
 		Spec:     spec,
@@ -253,12 +252,7 @@ func Build(spec Spec) (*Farm, error) {
 		backbone := switchsim.SegmentName(BackboneVLAN)
 		f.Net.SetSegmentProfile(backbone, f.linkProfile(backbone))
 	}
-	if f.Shards == nil {
-		// The metrics tap serializes every transmission through one mutex —
-		// harmless single-threaded, a scalability sink (and a cross-shard
-		// ordering hazard) under parallel windows.
-		f.Metrics.Attach(f.Net)
-	}
+	f.Metrics.Attach(f.Net)
 	f.Trace = trace.New(spec.TraceCapacity)
 	f.Trace.Enable(spec.Trace)
 	f.Trace.AddSink(metrics.ObserveTrace(f.Metrics))
@@ -266,7 +260,7 @@ func Build(spec Spec) (*Farm, error) {
 	if err := f.populate(); err != nil {
 		return nil, err
 	}
-	f.Net.Ensure() // resolve the segment cache before any (possibly parallel) window
+	f.Net.Ensure() // resolve the segment cache before the first window
 	return f, nil
 }
 

@@ -1,11 +1,15 @@
 package farm
 
 import (
+	"maps"
 	"testing"
 	"time"
 
+	"repro/internal/check"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/switchsim"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -52,10 +56,16 @@ func TestZonedFarmStabilizes(t *testing.T) {
 }
 
 // TestZonedShardedMatchesSingle is the kernel-determinism contract at farm
-// level: the same zoned spec run single-threaded and on a 2-shard kernel
-// fires the same events and converges to the same instant.
+// level: the same zoned spec run single-threaded and on a multi-shard
+// kernel fires the same events, converges to the same instant and puts the
+// same traffic through the metrics tap.
 func TestZonedShardedMatchesSingle(t *testing.T) {
-	run := func(shards int) (uint64, time.Duration) {
+	type result struct {
+		fired   uint64
+		at      time.Duration
+		traffic metrics.Counter
+	}
+	run := func(shards int) result {
 		f, err := Build(zonedSpec(7, shards))
 		if err != nil {
 			t.Fatal(err)
@@ -65,28 +75,57 @@ func TestZonedShardedMatchesSingle(t *testing.T) {
 		if !ok {
 			t.Fatalf("shards=%d did not stabilize", shards)
 		}
-		return f.Fired(), at
+		return result{f.Fired(), at, f.Metrics.Total()}
 	}
-	fired1, at1 := run(0)
+	want := run(0)
+	if want.traffic.Messages == 0 {
+		t.Fatal("metrics tap counted no traffic")
+	}
 	for _, k := range []int{2, 3} {
-		firedK, atK := run(k)
-		if firedK != fired1 || atK != at1 {
-			t.Fatalf("shards=%d diverged: fired=%d stableAt=%v, want fired=%d stableAt=%v",
-				k, firedK, atK, fired1, at1)
+		if got := run(k); got != want {
+			t.Fatalf("shards=%d diverged: %+v, want %+v", k, got, want)
 		}
 	}
 }
 
-// TestShardedSpecValidation: sharding requires the zoned shape and a
-// shard-safe configuration.
+// TestShardedFarmTraces: a sharded farm takes the flight recorder. Its
+// records judge clean and are the unsharded run's records; only their
+// capture order differs, because the shards run each window in turn.
+func TestShardedFarmTraces(t *testing.T) {
+	run := func(shards int) map[trace.Record]int {
+		s := zonedSpec(7, shards)
+		s.Trace = true
+		f, err := Build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := check.NewEngine(nil)
+		eng.Attach(f.Trace)
+		recs := make(map[trace.Record]int)
+		f.Trace.AddSink(func(r trace.Record) {
+			r.Seq = 0
+			recs[r]++
+		})
+		f.Start()
+		if _, ok := f.RunUntilAllStable(4, 90*time.Second); !ok {
+			t.Fatalf("shards=%d did not stabilize", shards)
+		}
+		if !eng.Ok() {
+			t.Fatalf("shards=%d: %d violations (+%d dropped), first %v",
+				shards, len(eng.Violations()), eng.Dropped(), eng.Violations()[0])
+		}
+		return recs
+	}
+	want, got := run(0), run(2)
+	if len(want) == 0 || !maps.Equal(got, want) {
+		t.Fatalf("shards=2 recorded %d distinct records, shards=0 %d; the multisets differ", len(got), len(want))
+	}
+}
+
+// TestShardedSpecValidation: sharding requires the zoned shape.
 func TestShardedSpecValidation(t *testing.T) {
 	if _, err := Build(Spec{Seed: 1, UniformNodes: 4, Shards: 2}); err == nil {
 		t.Error("sharded non-zoned spec should be rejected")
-	}
-	s := zonedSpec(1, 2)
-	s.Trace = true
-	if _, err := Build(s); err == nil {
-		t.Error("sharded spec with Trace should be rejected")
 	}
 }
 
@@ -97,7 +136,6 @@ func TestAfterOnShardedFarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Shards.Stop()
 	want := f.Now() + time.Second
 	firedAt := time.Duration(-1)
 	// Inside a window the farm-wide Now is the last barrier; the firing

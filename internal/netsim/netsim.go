@@ -149,10 +149,10 @@ func (s *segment) find(ip transport.IP) *Adapter {
 }
 
 // Network is the simulated fabric. It is driven entirely by the
-// scheduler's event loop. A legacy (single-lane) network is not safe for
-// concurrent use; a sharded network (NewSharded) is driven by the Shards
-// kernel and partitions all mutable delivery state into per-shard lanes so
-// window bodies can run in parallel — see shard.go.
+// scheduler's event loop and is not safe for concurrent use. A sharded
+// network (NewSharded) is driven by the Shards kernel and partitions all
+// mutable delivery state into per-shard lanes, so no shard's window
+// touches another's — see shard.go.
 type Network struct {
 	sched    *sim.Scheduler
 	resolver SegmentResolver
@@ -280,10 +280,10 @@ func (n *Network) invalidate() { n.dirty = true }
 
 // ensure refreshes the segment cache as the mode requires; every read of
 // segment state goes through it first. In a sharded network the cache may
-// only be rebuilt while the kernel is quiesced — senders on worker
-// goroutines read segment buckets concurrently, so a topology change
-// landing mid-window is a hard error (sharded runs are for static-topology
-// workloads; call Ensure from control code after any change).
+// only be rebuilt while the kernel is quiesced — every shard's window must
+// see the same segment buckets, so a topology change landing mid-window is
+// a hard error (sharded runs are for static-topology workloads; call
+// Ensure from control code after any change).
 func (n *Network) ensure() {
 	if n.dirty || (!n.incremental && n.resolver.Version() != n.cacheVersion) {
 		if n.sharded && n.sh.Running() {

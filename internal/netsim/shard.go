@@ -3,21 +3,21 @@
 // A sharded Network partitions its adapters into lanes, one per shard of a
 // sim.Shards kernel. Within a lookahead window every lane's events run
 // only against lane-local state; a transmission whose receiver lives on
-// another lane cannot be scheduled directly (the receiver's heap belongs
-// to another goroutine), so the sender queues a pooled bundle — payload
-// copy, receiver set, link profile, send instant — on a per-(src,dst) lane
-// queue. At the window barrier, with every shard parked, the bundles are
-// expanded into ordinary transmissions on the destination lane:
-// per-receiver latency and loss come from the same stateless hashes the
-// send path would have used, all arrivals bound for a lane are sorted in
-// (time, source lane, bundle order, receiver order) order and numbered in
-// that order from one block of the destination scheduler's sequence
-// numbers, and each bundle's share of them is posted as its arrival list.
-// The fixed sort order makes the destination's sequence numbering — and
-// therefore the whole run — independent of worker scheduling, and the
-// lookahead guarantees every arrival is still in the future. Bundles and
-// expansion scratch recycle, so steady-state cross-shard traffic allocates
-// nothing.
+// another lane cannot be scheduled directly (the receiver's shard may
+// already have run this window), so the sender queues a pooled bundle —
+// payload copy, receiver set, link profile, send instant — on a
+// per-(src,dst) lane queue. At the window barrier, with every shard
+// parked, the bundles are expanded into ordinary transmissions on the
+// destination lane: per-receiver latency and loss come from the same
+// stateless hashes the send path would have used, all arrivals bound for
+// a lane are sorted in (time, source lane, bundle order, receiver order)
+// order and numbered in that order from one block of the destination
+// scheduler's sequence numbers, and each bundle's share of them is posted
+// as its arrival list. The fixed sort order makes the destination's
+// sequence numbering — and therefore the whole run — independent of the
+// order the shards ran in, and the lookahead guarantees every arrival is
+// still in the future. Bundles and expansion scratch recycle, so
+// steady-state cross-shard traffic allocates nothing.
 package netsim
 
 import (
@@ -80,7 +80,7 @@ type bundle struct {
 
 // bundleQueue is the single-producer queue for one (src, dst) lane pair.
 // The source lane appends during its window; the barrier drains and
-// recycles. No locking: producer and consumer never run concurrently.
+// recycles.
 type bundleQueue struct {
 	pending []*bundle
 	free    []*bundle
@@ -156,7 +156,7 @@ func (a xdelivery) compare(b xdelivery) int {
 // flushCross is the network's barrier hook: expand every pending bundle
 // into a destination-lane transmission whose arrival list is its share of
 // the deterministic merge order, post those, then recycle the bundles.
-// It runs on the control goroutine with all shards parked.
+// It runs with all shards parked.
 func (n *Network) flushCross() {
 	for dsti := range n.lanes {
 		dl := n.lanes[dsti]

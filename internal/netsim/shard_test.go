@@ -21,7 +21,6 @@ type shardFixture struct {
 
 func newShardFixture(seed int64, k, hosts int, lookahead time.Duration, p LinkProfile) *shardFixture {
 	sh := sim.NewShards(seed, k, lookahead)
-	sh.SetParallel(false)
 	res := NewStaticResolver()
 	home := func(node string) int {
 		var i int

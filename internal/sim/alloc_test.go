@@ -136,7 +136,6 @@ func TestTimerStopAfterStopAndReuse(t *testing.T) {
 // once the pair queues, merge scratch and event pools are warm.
 func TestAllocShardedExchange(t *testing.T) {
 	sh := NewShards(1, 4, time.Millisecond)
-	sh.SetParallel(false) // workers park on channels; serial mode isolates the pools
 	fn := func(any) {}
 	var arg any = sh
 	step := func() {
@@ -200,7 +199,6 @@ func BenchmarkAfterCallFire(b *testing.B) {
 // kernel: 4 local fires, 2 cross-shard posts, barrier merge.
 func BenchmarkShardedWindow(b *testing.B) {
 	sh := NewShards(1, 4, time.Millisecond)
-	sh.SetParallel(false)
 	fn := func(any) {}
 	var arg any = sh
 	b.ReportAllocs()

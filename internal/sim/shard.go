@@ -1,29 +1,32 @@
-// Sharded parallel event kernel with conservative lookahead.
+// Sharded event kernel with conservative lookahead.
 //
 // Shards partitions a simulation into K independent Schedulers that
 // advance in lockstep windows of width L (the lookahead): within a window
 // [W, W+L) every shard executes only its own events, so shards never touch
-// each other's state and the window bodies can run on parallel goroutines.
-// Cross-shard interactions are expressed as posted events whose timestamps
-// are at least one lookahead in the future (in a network simulation, L is
-// the minimum cross-shard link latency, so every legal delivery satisfies
-// this by construction). Posted events accumulate in per-(src,dst) queues
-// during the window and are merged into the destination heaps at the
-// window barrier in (time, source shard, post order) order — a fixed total
-// order, so a run's result is independent of both the number of worker
-// goroutines and whether the windows execute serially or in parallel.
+// each other's state. Cross-shard interactions are expressed as posted
+// events whose timestamps are at least one lookahead in the future (in a
+// network simulation, L is the minimum cross-shard link latency, so every
+// legal delivery satisfies this by construction). Posted events accumulate
+// in per-(src,dst) queues during the window and are merged into the
+// destination heaps at the window barrier in (time, source shard, post
+// order) order — a fixed total order, so the order in which the shards run
+// their windows cannot change a run.
+//
+// Every window runs on the goroutine that called RunUntil, RunFor or Run,
+// one shard after another. K small heaps are cheaper to drive than one
+// large one; a worker goroutine per shard, measured against this loop on
+// a 2-vCPU host, did not pay for its CPU (DESIGN.md §13).
 //
 // A shard count of 1 bypasses the window machinery entirely: Shards(1) is
 // the plain single-threaded Scheduler, bit for bit, and shard 0 always
 // keeps the root RNG seed so the degenerate kernel replays existing
 // recorded runs unchanged. See DESIGN.md §13.
+
 package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -60,7 +63,7 @@ type xentry struct {
 }
 
 // xqueue is the single-producer queue for one (src, dst) shard pair. The
-// source shard appends during window execution; the barrier (all workers
+// source shard appends during window execution; the barrier (every shard
 // parked) drains it. The backing array is reused, so steady-state posting
 // allocates nothing.
 type xqueue struct {
@@ -94,20 +97,8 @@ func (m *xmergeList) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-// wcmd tells a worker to run its shard up to end; inclusive selects the
-// boundary drain (events at exactly end run, RunUntil semantics) instead
-// of the exclusive window body.
-type wcmd struct {
-	end       time.Duration
-	inclusive bool
-}
-
-// Shards is the sharded kernel. It is driven from a single control
-// goroutine (the RunUntil/RunFor caller); during a window each shard's
-// events run either on that goroutine (serial mode) or on the shard's
-// dedicated worker goroutine (parallel mode). The two modes produce
-// identical simulations — windows make shards independent — so parallel
-// execution is purely a wall-clock optimization.
+// Shards is the sharded kernel. It starts no goroutine: every window,
+// barrier and merge runs on the RunUntil/RunFor/Run caller's goroutine.
 type Shards struct {
 	shards    []*Scheduler
 	lookahead time.Duration
@@ -116,10 +107,7 @@ type Shards struct {
 	pairs     [][]xqueue    // [src][dst] cross-shard queues
 	hooks     []func()      // barrier hooks (run quiesced, before the merge)
 	merge     xmergeList    // barrier scratch, reused
-	parallel  bool
-	running   atomic.Bool // a window is executing (workers live)
-	run       []chan wcmd
-	done      chan int
+	running   bool          // a window is executing
 	halted    bool
 }
 
@@ -133,10 +121,7 @@ func NewShards(seed int64, n int, lookahead time.Duration) *Shards {
 	if n > 1 && lookahead <= 0 {
 		panic("sim: NewShards needs a positive lookahead for n > 1")
 	}
-	sh := &Shards{
-		lookahead: lookahead,
-		parallel:  n > 1 && runtime.GOMAXPROCS(0) > 1,
-	}
+	sh := &Shards{lookahead: lookahead}
 	for i := 0; i < n; i++ {
 		sh.shards = append(sh.shards, NewScheduler(ShardSeed(seed, i)))
 	}
@@ -157,26 +142,16 @@ func (sh *Shards) Shard(i int) *Scheduler { return sh.shards[i] }
 // Lookahead returns the window width.
 func (sh *Shards) Lookahead() time.Duration { return sh.lookahead }
 
-// SetParallel selects worker-goroutine (true) or serial (false) window
-// execution. The simulation result is identical either way; serial mode
-// avoids synchronization overhead on single-core hosts, parallel mode is
-// the point of the exercise everywhere else. The default is parallel when
-// GOMAXPROCS > 1 and more than one shard exists.
-func (sh *Shards) SetParallel(p bool) { sh.parallel = p && len(sh.shards) > 1 }
-
-// Parallel reports the current execution mode.
-func (sh *Shards) Parallel() bool { return sh.parallel }
-
-// Running reports whether a window is currently executing (worker
-// goroutines live). Shared read-mostly structures may only be rebuilt
-// while this is false.
-func (sh *Shards) Running() bool { return sh.running.Load() }
+// Running reports whether a window is currently executing. Structures
+// every shard reads may only be rebuilt while this is false: a rebuild
+// mid-window would show the shards that already ran a different state
+// than the ones still to run.
+func (sh *Shards) Running() bool { return sh.running }
 
 // OnBarrier registers fn to run at every window barrier, after all shards
-// have parked and before the kernel's own cross-event merge. Hooks run on
-// the control goroutine with the kernel quiesced — the place to exchange
-// higher-level cross-shard state (netsim flushes its delivery bundles
-// here).
+// have parked and before the kernel's own cross-event merge. Hooks run
+// with the kernel quiesced — the place to exchange higher-level
+// cross-shard state (netsim flushes its delivery bundles here).
 func (sh *Shards) OnBarrier(fn func()) { sh.hooks = append(sh.hooks, fn) }
 
 // Now returns the committed global time: every shard has executed all its
@@ -248,26 +223,15 @@ func (sh *Shards) earliest() (time.Duration, bool) {
 // inclusive for the boundary drain) and runs the barrier.
 func (sh *Shards) runSpan(end time.Duration, inclusive bool) {
 	sh.windowEnd = end
-	sh.running.Store(true)
-	if sh.parallel {
-		sh.startWorkers()
-		cmd := wcmd{end: end, inclusive: inclusive}
-		for _, ch := range sh.run {
-			ch <- cmd
-		}
-		for range sh.run {
-			<-sh.done
-		}
-	} else {
-		for _, s := range sh.shards {
-			if inclusive {
-				s.RunUntil(end)
-			} else {
-				s.runWindow(end)
-			}
+	sh.running = true
+	for _, s := range sh.shards {
+		if inclusive {
+			s.RunUntil(end)
+		} else {
+			s.runWindow(end)
 		}
 	}
-	sh.running.Store(false)
+	sh.running = false
 	// Barrier: all shards parked at end. Higher-level exchanges first,
 	// then the kernel's own cross-event merge.
 	for _, fn := range sh.hooks {
@@ -276,30 +240,6 @@ func (sh *Shards) runSpan(end time.Duration, inclusive bool) {
 	sh.exchange()
 	sh.now = end
 	sh.windowEnd = 0
-}
-
-// startWorkers lazily spawns one persistent goroutine per shard.
-func (sh *Shards) startWorkers() {
-	if sh.run != nil {
-		return
-	}
-	sh.run = make([]chan wcmd, len(sh.shards))
-	sh.done = make(chan int, len(sh.shards))
-	for i := range sh.shards {
-		ch := make(chan wcmd)
-		sh.run[i] = ch
-		go func(s *Scheduler, ch chan wcmd, done chan int) {
-			for cmd := range ch {
-				if cmd.inclusive {
-					s.RunUntil(cmd.end)
-				} else {
-					s.runWindow(cmd.end)
-				}
-				done <- 0
-			}
-			done <- 0 // exited: Stop waits for this
-		}(sh.shards[i], ch, sh.done)
-	}
 }
 
 // exchange merges every pending cross-shard event into its destination
@@ -399,25 +339,12 @@ func (sh *Shards) Run() {
 // callback — windows are the atomic unit of sharded execution.
 func (sh *Shards) Halt() { sh.halted = true }
 
-// Stop terminates the worker goroutines and returns once they have
-// exited, so a stopped kernel's shards are no longer reachable from a
-// running goroutine. The kernel remains usable in serial mode; workers
-// respawn on the next parallel window.
-func (sh *Shards) Stop() {
-	if sh.run == nil {
-		return
-	}
-	for _, ch := range sh.run {
-		close(ch)
-	}
-	for range sh.run {
-		<-sh.done
-	}
-	sh.run, sh.done = nil, nil
-}
+// Stop does nothing: the kernel holds no goroutine or other resource to
+// release. It is kept so existing callers still compile.
+func (sh *Shards) Stop() {}
 
 // String describes the kernel state, for debugging.
 func (sh *Shards) String() string {
-	return fmt.Sprintf("sim.Shards{n=%d now=%v pending=%d fired=%d lookahead=%v parallel=%v}",
-		len(sh.shards), sh.Now(), sh.Pending(), sh.Fired(), sh.lookahead, sh.parallel)
+	return fmt.Sprintf("sim.Shards{n=%d now=%v pending=%d fired=%d lookahead=%v}",
+		len(sh.shards), sh.Now(), sh.Pending(), sh.Fired(), sh.lookahead)
 }

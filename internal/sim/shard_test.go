@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -44,10 +45,9 @@ func runShardMsg(arg any) {
 // sends rounds messages to its neighbor with a pair-specific delay of at
 // least one lookahead. It returns (fired, per-node ordered hash folded in
 // node order, per-node commutative sum folded commutatively).
-func runSyntheticRing(k int, parallel bool, nodes, rounds int) (uint64, uint64, uint64) {
+func runSyntheticRing(k, nodes, rounds int) (uint64, uint64, uint64) {
 	const lookahead = time.Millisecond
 	sh := NewShards(42, k, lookahead)
-	sh.SetParallel(parallel)
 	ns := make([]*shardNode, nodes)
 	for i := range ns {
 		ns[i] = &shardNode{id: i, shard: i % k}
@@ -125,24 +125,19 @@ func TestShardsDegenerateMatchesScheduler(t *testing.T) {
 }
 
 // TestShardsCrossShardDeterminism checks the two determinism contracts:
-// the same shard count replays exactly (ordered hash, serial vs parallel
-// vs repeat), and different shard counts agree on event count and
-// per-node message history (commutative hash).
+// the same shard count replays exactly (ordered hash), and different shard
+// counts agree on event count and per-node message history (commutative
+// hash).
 func TestShardsCrossShardDeterminism(t *testing.T) {
 	const nodes, rounds = 24, 8
-	baseFired, _, baseSummed := runSyntheticRing(1, false, nodes, rounds)
+	baseFired, _, baseSummed := runSyntheticRing(1, nodes, rounds)
 	for _, k := range []int{2, 4, 8} {
-		fired, ordered, summed := runSyntheticRing(k, false, nodes, rounds)
+		fired, ordered, summed := runSyntheticRing(k, nodes, rounds)
 		if fired != baseFired || summed != baseSummed {
 			t.Fatalf("k=%d diverged from k=1: fired %d vs %d, summed %x vs %x",
 				k, fired, baseFired, summed, baseSummed)
 		}
-		firedP, orderedP, summedP := runSyntheticRing(k, true, nodes, rounds)
-		if firedP != fired || orderedP != ordered || summedP != summed {
-			t.Fatalf("k=%d parallel diverged from serial: fired %d vs %d, ordered %x vs %x",
-				k, firedP, fired, orderedP, ordered)
-		}
-		fired2, ordered2, _ := runSyntheticRing(k, true, nodes, rounds)
+		fired2, ordered2, _ := runSyntheticRing(k, nodes, rounds)
 		if fired2 != fired || ordered2 != ordered {
 			t.Fatalf("k=%d replay diverged: fired %d vs %d, ordered %x vs %x",
 				k, fired2, fired, ordered2, ordered)
@@ -197,11 +192,24 @@ func TestShardSeedStreams(t *testing.T) {
 	}
 }
 
+// TestShardsStartNoGoroutine: windows run on the caller's goroutine, so a
+// multi-shard run leaves the goroutine count where it found it.
+func TestShardsStartNoGoroutine(t *testing.T) {
+	sh := NewShards(4, 4, time.Millisecond)
+	for i := 0; i < 4; i++ {
+		sh.Shard(i).AfterFunc(time.Duration(i+1)*time.Millisecond, func() {})
+	}
+	before := runtime.NumGoroutine()
+	sh.RunFor(10 * time.Millisecond)
+	if after := runtime.NumGoroutine(); after != before || sh.Fired() != 4 {
+		t.Fatalf("goroutines %d -> %d, fired %d; want unchanged and 4", before, after, sh.Fired())
+	}
+}
+
 // TestShardsPostLookaheadPanics checks the conservative-lookahead guard: a
 // cross-shard post inside the current window must panic, not reorder.
 func TestShardsPostLookaheadPanics(t *testing.T) {
 	sh := NewShards(1, 2, time.Millisecond)
-	sh.SetParallel(false)
 	sh.Shard(0).AfterFunc(10*time.Millisecond, func() {
 		// The window containing this event ends at or before now+lookahead;
 		// posting for "now" is inside it.
@@ -220,7 +228,6 @@ func TestShardsPostLookaheadPanics(t *testing.T) {
 // matching Scheduler.RunUntil so callers can poll between calls.
 func TestShardsBoundaryDrain(t *testing.T) {
 	sh := NewShards(3, 2, time.Millisecond)
-	sh.SetParallel(false)
 	var got []string
 	sh.Shard(1).AfterFunc(10*time.Millisecond, func() {
 		got = append(got, "boundary")
@@ -242,7 +249,6 @@ func TestShardsBoundaryDrain(t *testing.T) {
 // windows and may post cross-shard work for future instants.
 func TestShardsBarrierHook(t *testing.T) {
 	sh := NewShards(5, 2, time.Millisecond)
-	sh.SetParallel(false)
 	fired := 0
 	posted := false
 	sh.OnBarrier(func() {
@@ -265,7 +271,6 @@ func TestShardsBarrierHook(t *testing.T) {
 // instead of spinning empty windows (and still runs the far event).
 func TestShardsIdleGapJump(t *testing.T) {
 	sh := NewShards(6, 4, time.Microsecond)
-	sh.SetParallel(false)
 	ran := false
 	sh.Shard(3).AfterFunc(5*time.Second, func() { ran = true })
 	sh.RunUntil(10 * time.Second)

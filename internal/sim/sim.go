@@ -11,6 +11,12 @@
 // handles. Events that differ only in when they fire and for whom — the
 // receivers of one packet — are queued as one ArrivalList behind a single
 // heap entry. See DESIGN.md §9.
+//
+// Shards splits one simulation over K such schedulers that advance in
+// lookahead windows and exchange cross-shard events at window barriers in
+// a fixed order, so any K replays the one-shard run. The package starts no
+// goroutine: every window of every shard runs on the caller's goroutine.
+// See shard.go and DESIGN.md §13.
 package sim
 
 import (
