@@ -115,40 +115,31 @@ func runSuite(suite Suite, bin, fabricKind, art string, poll time.Duration,
 
 	res := Result{Suite: suite.Name, Fabric: fabricKind}
 	var spec *FarmSpec
-	var fabric Fabric
+	var sub substrate
 	switch fabricKind {
 	case "", "loopback":
-		res.Fabric = "loopback"
-		spec = DefaultFarm()
-		if suite.Prepare != nil {
-			suite.Prepare(spec)
-		}
-		fabric = NewLoopbackFabric(spec, bin, art, logf)
+		spec, sub = DefaultFarm(), loopback{}
 	case "netns":
-		spec = NetnsFarm()
-		if suite.Prepare != nil {
-			suite.Prepare(spec)
-		}
-		nf, err := NewNetnsFabric(spec, bin, art, logf)
+		ns, err := newNetns()
 		if err != nil {
 			res.Err = err.Error()
 			return res
 		}
-		fabric = nf
+		spec, sub = NetnsFarm(), ns
 	default:
 		res.Err = fmt.Sprintf("unknown fabric %q", fabricKind)
 		return res
 	}
-
-	h := &H{
-		Spec: spec, F: fabric, S: NewScraper(), Art: art, logf: logf,
-		dead: map[string]bool{},
+	res.Fabric = sub.kind()
+	if suite.Prepare != nil {
+		suite.Prepare(spec)
 	}
-	fabric.OnStart(func(d *Daemon) { h.S.Track(d) })
 
-	if err := fabric.Boot(); err != nil {
+	h := &H{Spec: spec, S: NewScraper(), Art: art, logf: logf, dead: map[string]bool{}}
+	h.F = newFabric(spec, sub, bin, art, logf, h.S.Track)
+	if err := h.F.Boot(); err != nil {
 		res.Err = "boot: " + err.Error()
-		fabric.Close()
+		h.F.Close()
 		return res
 	}
 	stopPoll := h.S.Start(poll)
@@ -159,7 +150,7 @@ func runSuite(suite Suite, bin, fabricKind, art string, poll time.Duration,
 	finalTopo, topoErr := h.Topology(true)
 	stopPoll()
 	h.S.Poll() // final drain while every surviving daemon still runs
-	closeErr := fabric.Close()
+	closeErr := h.F.Close()
 
 	gt := h.GroundTruth()
 	verdict := evaluate(suite.Name, res.Fabric, h.S, spec, finalTopo, gt)
@@ -204,7 +195,7 @@ func (v *Verdict) summary() string {
 // H is the live handle a suite body drives the farm through.
 type H struct {
 	Spec *FarmSpec
-	F    Fabric
+	F    *Fabric
 	S    *Scraper
 	Art  string
 

@@ -38,7 +38,7 @@ type injectedRecord struct {
 }
 
 // NewScraper returns an empty scraper; register incarnations with
-// Track (typically via Fabric.OnStart).
+// Track (the fabric calls it for every daemon it starts).
 func NewScraper() *Scraper { return &Scraper{} }
 
 // Track registers a daemon incarnation as a trace source.

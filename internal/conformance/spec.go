@@ -7,7 +7,10 @@
 // deterministic simulator uses — plus a declarative ground-truth diff
 // of Central's discovered topology.
 //
-// Two fabrics implement the segment emulation:
+// One lifecycle (Fabric, fabric.go) boots, kills, restarts and stops
+// the daemons, keeps the VLAN each adapter is plugged into, and runs
+// the harness-side switch agent. Two substrates differ only in how a
+// segment is wired:
 //
 //   - loopback (loopback.go): every adapter is a 127.x address on the
 //     host loopback interface; VLAN membership is emulated by rewriting
@@ -19,8 +22,8 @@
 //     re-plug between bridges — real kernel broadcast domains. Needs
 //     root and iproute2; this is the nightly fabric.
 //
-// Both present the same Fabric interface, so every scenario suite runs
-// unchanged on either.
+// Every scenario suite drives the one Fabric, so it runs unchanged on
+// either.
 package conformance
 
 import (

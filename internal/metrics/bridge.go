@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,13 +12,16 @@ import (
 
 // ObserveTrace returns a flight-recorder sink that folds protocol trace
 // records into registry instruments: per-kind event counters, 2PC round
-// latency (first Prepare to Commit per transaction), group-size gauges,
+// latency (first Prepare to Commit per round), group-size gauges,
 // leader churn, and suspicion / false-accusation counts. Install it with
 // Recorder.AddSink; both the simulator farm and gsd use it so the same
 // instrumentation works in virtual and wall-clock time.
 func ObserveTrace(r *Registry) func(trace.Record) {
+	// A leader runs one round at a time, and a retarget re-mints the
+	// round's token, so the open round is keyed by leader and follows
+	// KRetarget to its new token.
 	var mu sync.Mutex
-	open := make(map[txnKey]time.Duration)
+	open := make(map[transport.IP]openRound)
 	return func(rec trace.Record) {
 		switch rec.Kind {
 		case trace.KBeaconSent:
@@ -28,23 +30,23 @@ func ObserveTrace(r *Registry) func(trace.Record) {
 			r.Inc("groups_formed_total")
 		case trace.KPrepareSent:
 			mu.Lock()
-			k := txnKey{rec.Group, rec.Token}
-			if _, seen := open[k]; !seen {
-				if len(open) > 4096 { // bound abandoned rounds
-					delete(open, oldest(open))
-				}
-				open[k] = rec.T
+			if o, ok := open[rec.Group]; !ok || o.token != rec.Token {
+				open[rec.Group] = openRound{rec.Token, rec.T}
 				r.Inc("twopc_rounds_total")
 			}
 			mu.Unlock()
 		case trace.KRetarget:
+			mu.Lock()
+			if o, ok := open[rec.Group]; ok {
+				open[rec.Group] = openRound{rec.Token, o.t0}
+			}
+			mu.Unlock()
 			r.Inc("twopc_retargets_total")
 		case trace.KCommitSent:
 			mu.Lock()
-			k := txnKey{rec.Group, rec.Token}
-			if t0, ok := open[k]; ok {
-				delete(open, k)
-				r.ObserveDuration("twopc_round", rec.T-t0)
+			if o, ok := open[rec.Group]; ok && o.token == rec.Token {
+				delete(open, rec.Group)
+				r.ObserveDuration("twopc_round", rec.T-o.t0)
 			}
 			mu.Unlock()
 			r.Inc("twopc_commits_total")
@@ -95,23 +97,9 @@ func ObserveTrace(r *Registry) func(trace.Record) {
 	}
 }
 
-// txnKey names one 2PC round: its leader and token.
-type txnKey struct {
-	leader transport.IP
-	token  uint64
-}
-
-// oldest picks the open round whose first Prepare came earliest, the
-// lowest (leader, token) among equals: never the map's order, which would
-// let each run pick at random whose latency is lost.
-func oldest(open map[txnKey]time.Duration) txnKey {
-	var min txnKey
-	var minT time.Duration
-	first := true
-	for k, t0 := range open {
-		if first || cmp.Or(cmp.Compare(t0, minT), cmp.Compare(k.leader, min.leader), cmp.Compare(k.token, min.token)) < 0 {
-			min, minT, first = k, t0, false
-		}
-	}
-	return min
+// openRound is a leader's round in flight: its current token and its
+// first Prepare.
+type openRound struct {
+	token uint64
+	t0    time.Duration
 }

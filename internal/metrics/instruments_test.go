@@ -187,32 +187,29 @@ func TestObserveTraceBridge(t *testing.T) {
 	}
 }
 
-// TestObserveTraceEvictsOldestRound: past 4 096 open 2PC rounds the sink
-// drops one per new round, and which one must not depend on map order.
-// 4 200 rounds open a millisecond apart and all commit at once; every run
-// must drop the 103 oldest, so the histogram comes out the same each time.
-func TestObserveTraceEvictsOldestRound(t *testing.T) {
-	const rounds = 4200
-	end := time.Hour
-	var first HistogramStats
-	for run := 0; run < 20; run++ {
-		r := NewRegistry()
-		sink := ObserveTrace(r)
-		leader := transport.MakeIP(10, 1, 0, 9)
-		for i := 0; i < rounds; i++ {
-			sink(trace.Record{Kind: trace.KPrepareSent, Group: leader, Token: uint64(i), T: time.Duration(i) * time.Millisecond})
-		}
-		for i := 0; i < rounds; i++ {
-			sink(trace.Record{Kind: trace.KCommitSent, Group: leader, Token: uint64(i), T: end})
-		}
-		h := r.Histogram("twopc_round")
-		if run == 0 {
-			first = h
-			if h.N != 4097 || h.Max != end-103*time.Millisecond {
-				t.Fatalf("twopc_round = %+v, want 4097 samples, the oldest 103 rounds dropped", h)
-			}
-		} else if h != first {
-			t.Fatalf("run %d: twopc_round = %+v, run 0 gave %+v", run, h, first)
-		}
+// TestObserveTraceRetargetKeepsRound: a retarget re-mints the round's
+// token, and the Prepare under the new token is the same round, so one
+// round is counted and its latency runs from the first Prepare.
+func TestObserveTraceRetargetKeepsRound(t *testing.T) {
+	r := NewRegistry()
+	sink := ObserveTrace(r)
+	leader := transport.MakeIP(10, 1, 0, 9)
+	for _, rec := range []trace.Record{
+		{Kind: trace.KPrepareSent, Group: leader, Token: 7, T: 1 * time.Second},
+		{Kind: trace.KPrepareSent, Group: leader, Token: 7, T: 1100 * time.Millisecond, Detail: "resend"},
+		{Kind: trace.KRetarget, Group: leader, Token: 8, T: 1200 * time.Millisecond},
+		{Kind: trace.KPrepareSent, Group: leader, Token: 8, T: 1200 * time.Millisecond},
+		{Kind: trace.KCommitSent, Group: leader, Token: 8, T: 1400 * time.Millisecond},
+	} {
+		sink(rec)
+	}
+	if got := r.CounterValue("twopc_rounds_total"); got != 1 {
+		t.Errorf("twopc_rounds_total = %d, want 1", got)
+	}
+	if got := r.CounterValue("twopc_retargets_total"); got != 1 {
+		t.Errorf("twopc_retargets_total = %d, want 1", got)
+	}
+	if h := r.Histogram("twopc_round"); h.N != 1 || h.Max != 400*time.Millisecond {
+		t.Errorf("twopc_round = %+v, want one 400ms sample from the first Prepare", h)
 	}
 }

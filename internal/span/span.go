@@ -11,8 +11,9 @@
 //   - Central's incident id (event.Event.Incident, mirrored into
 //     KNotifySent/KIncidentClosed records and the balancer's
 //     KServeBackendDown/Up records);
-//   - the 2PC transaction id (Group = committing leader, Token = round
-//     token) linking prepare → commit;
+//   - the leader and time linking prepare → commit: the first commit
+//     the prepare's leader sends after it (not the round token, which a
+//     retarget re-mints mid-round);
 //   - the group incarnation (Group + Version) linking commit → view
 //     commit → report apply.
 //

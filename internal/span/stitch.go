@@ -24,9 +24,11 @@ const forever = time.Duration(1<<63 - 1)
 // Collector.Records). Incident spans are keyed by Central's incident id
 // (one span per KNotifySent correlator); leader-change spans are
 // stitched directly from KLeaderTakeover records. topo may be nil when
-// no detection records are expected (pure Central dumps).
+// no detection records are expected (pure Central dumps). records must
+// be non-decreasing in T, as Collector.Records returns them: each stage
+// is looked up by its correlator and a binary search on T.
 func Stitch(records []trace.Record, topo Topology) []*Span {
-	st := &stitcher{recs: records, topo: topo}
+	st := newStitcher(records, topo)
 	spans := st.incidents()
 	spans = append(spans, st.leaderChanges()...)
 	sort.SliceStable(spans, func(i, j int) bool {
@@ -52,42 +54,95 @@ func Stitch(records []trace.Record, topo Topology) []*Span {
 type stitcher struct {
 	recs []trace.Record
 	topo Topology
+	// Per-(kind, correlator) lists of indexes into recs, in chronology
+	// order: each milestone lookup searches one list, not the records.
+	byIP  map[ipKey][]int
+	byTok map[tokKey][]int
+	byStr map[strKey][]int
 }
 
-// find returns the first record in [from, to] matching pred, in merged
-// chronology order.
-func (s *stitcher) find(from, to time.Duration, pred func(*trace.Record) bool) *trace.Record {
-	for i := range s.recs {
-		r := &s.recs[i]
-		if r.T < from {
-			continue
+type ipKey struct {
+	kind trace.Kind
+	ip   transport.IP
+}
+
+type tokKey struct {
+	kind trace.Kind
+	tok  uint64
+}
+
+type strKey struct {
+	kind trace.Kind
+	s    string
+}
+
+// newStitcher indexes, in one pass, every record a milestone lookup can
+// hit, under the correlator that lookup asks by.
+func newStitcher(records []trace.Record, topo Topology) *stitcher {
+	s := &stitcher{recs: records, topo: topo,
+		byIP: map[ipKey][]int{}, byTok: map[tokKey][]int{}, byStr: map[strKey][]int{}}
+	ip := func(r *trace.Record, addr transport.IP, i int) {
+		k := ipKey{r.Kind, addr}
+		s.byIP[k] = append(s.byIP[k], i)
+	}
+	str := func(r *trace.Record, v string, i int) {
+		k := strKey{r.Kind, v}
+		s.byStr[k] = append(s.byStr[k], i)
+	}
+	for i := range records {
+		switch r := &records[i]; r.Kind {
+		case trace.KFaultInjected:
+			str(r, r.Node, i)
+		case trace.KSuspicionRaised, trace.KProbeSent, trace.KVerdictDead:
+			ip(r, r.Peer, i)
+		case trace.KPrepareSent, trace.KCommitSent, trace.KReportApplied:
+			ip(r, r.Group, i)
+		case trace.KViewCommit:
+			ip(r, r.Group, i)
+			str(r, r.Node, i)
+		case trace.KServeBackendDown, trace.KServeBackendUp:
+			k := tokKey{r.Kind, r.Token}
+			s.byTok[k] = append(s.byTok[k], i)
+		case trace.KServeClean:
+			str(r, r.Detail, i)
+		case trace.KLeaderTakeover:
+			ip(r, r.Self, i)
 		}
+	}
+	return s
+}
+
+// first returns the index of the first record of list (indexes in
+// chronology order) in [from, to] that ok accepts (nil accepts any),
+// or -1.
+func (s *stitcher) first(list []int, from, to time.Duration, ok func(*trace.Record) bool) int {
+	for i := sort.Search(len(list), func(i int) bool { return s.recs[list[i]].T >= from }); i < len(list); i++ {
+		r := &s.recs[list[i]]
 		if r.T > to {
-			return nil
+			break
 		}
-		if pred(r) {
-			return r
+		if ok == nil || ok(r) {
+			return list[i]
 		}
+	}
+	return -1
+}
+
+// find is first as a record, nil when there is none.
+func (s *stitcher) find(list []int, from, to time.Duration, ok func(*trace.Record) bool) *trace.Record {
+	if i := s.first(list, from, to, ok); i >= 0 {
+		return &s.recs[i]
 	}
 	return nil
 }
 
-// findLast returns the last record in [from, to] matching pred.
-func (s *stitcher) findLast(from, to time.Duration, pred func(*trace.Record) bool) *trace.Record {
-	var hit *trace.Record
-	for i := range s.recs {
-		r := &s.recs[i]
-		if r.T < from {
-			continue
-		}
-		if r.T > to {
-			break
-		}
-		if pred(r) {
-			hit = r
-		}
+// findLast returns the last record of list in [from, to].
+func (s *stitcher) findLast(list []int, from, to time.Duration) *trace.Record {
+	i := sort.Search(len(list), func(i int) bool { return s.recs[list[i]].T > to })
+	if i > 0 && s.recs[list[i-1]].T >= from {
+		return &s.recs[list[i-1]]
 	}
-	return hit
+	return nil
 }
 
 func ms(stage Stage, r *trace.Record) Milestone {
@@ -207,9 +262,7 @@ func (s *stitcher) failureSpan(agg *incidentAgg, floor time.Duration) *Span {
 
 	// Ground truth: the harness fault that caused it all, when recorded.
 	from := floor
-	if fault := s.findLast(floor, open, func(r *trace.Record) bool {
-		return r.Kind == trace.KFaultInjected && r.Node == subject
-	}); fault != nil {
+	if fault := s.findLast(s.byStr[strKey{trace.KFaultInjected, subject}], floor, open); fault != nil {
 		sp.Milestones = append(sp.Milestones, ms(StFault, fault))
 		from = fault.T
 	}
@@ -225,23 +278,22 @@ func (s *stitcher) failureSpan(agg *incidentAgg, floor time.Duration) *Span {
 	if s.topo != nil {
 		adapters = s.topo.AdaptersOf(subject)
 	}
-	isSubjectAdapter := func(ip transport.IP) bool {
-		for _, a := range adapters {
-			if a == ip {
-				return true
-			}
-		}
-		return false
-	}
 	var best []Milestone
 	tried := map[transport.IP]bool{}
 	for {
-		susp := s.find(from, open, func(r *trace.Record) bool {
-			return r.Kind == trace.KSuspicionRaised && isSubjectAdapter(r.Peer) && !tried[r.Peer]
-		})
-		if susp == nil {
+		next := -1
+		for _, a := range adapters {
+			if tried[a] {
+				continue
+			}
+			if i := s.first(s.byIP[ipKey{trace.KSuspicionRaised, a}], from, open, nil); i >= 0 && (next < 0 || i < next) {
+				next = i
+			}
+		}
+		if next < 0 {
 			break
 		}
+		susp := &s.recs[next]
 		tried[susp.Peer] = true
 		if chain := s.detectionChain(susp, open); len(chain) > len(best) {
 			best = chain
@@ -253,15 +305,11 @@ func (s *stitcher) failureSpan(agg *incidentAgg, floor time.Duration) *Span {
 	sp.Milestones = append(sp.Milestones, ms(StNotify, agg.notifies[0]))
 	expected := []Stage{StSuspicion, StProbe, StVerdict, StPrepare, StCommit,
 		StView, StReport, StNotify}
-	if reroute := s.find(open, forever, func(r *trace.Record) bool {
-		return r.Kind == trace.KServeBackendDown && r.Token == agg.id
-	}); reroute != nil {
+	if reroute := s.find(s.byTok[tokKey{trace.KServeBackendDown, agg.id}], open, forever, nil); reroute != nil {
 		sp.Milestones = append(sp.Milestones, ms(StReroute, reroute))
 		sp.Domain = firstField(reroute.Detail)
 		expected = append(expected, StReroute, StClean)
-		if clean := s.find(reroute.T, forever, func(r *trace.Record) bool {
-			return r.Kind == trace.KServeClean && r.Detail == sp.Domain
-		}); clean != nil {
+		if clean := s.find(s.byStr[strKey{trace.KServeClean, sp.Domain}], reroute.T, forever, nil); clean != nil {
 			sp.Milestones = append(sp.Milestones, ms(StClean, clean))
 		}
 	}
@@ -275,17 +323,13 @@ func (s *stitcher) failureSpan(agg *incidentAgg, floor time.Duration) *Span {
 func (s *stitcher) detectionChain(susp *trace.Record, to time.Duration) []Milestone {
 	out := []Milestone{ms(StSuspicion, susp)}
 	suspect, cur := susp.Peer, susp.T
-	if probe := s.find(cur, to, func(r *trace.Record) bool {
-		return r.Kind == trace.KProbeSent && r.Peer == suspect
-	}); probe != nil {
+	if probe := s.find(s.byIP[ipKey{trace.KProbeSent, suspect}], cur, to, nil); probe != nil {
 		out = append(out, ms(StProbe, probe))
 		cur = probe.T
 	}
 	// Verdict, then the eviction 2PC the verifier runs as leader: its
 	// prepare carries Group == the verifying adapter (Self).
-	verdict := s.find(cur, to, func(r *trace.Record) bool {
-		return r.Kind == trace.KVerdictDead && r.Peer == suspect
-	})
+	verdict := s.find(s.byIP[ipKey{trace.KVerdictDead, suspect}], cur, to, nil)
 	if verdict == nil {
 		return out
 	}
@@ -297,31 +341,25 @@ func (s *stitcher) detectionChain(susp *trace.Record, to time.Duration) []Milest
 // milestones led by the given adapter, starting no earlier than from.
 func (s *stitcher) commitChain(leader transport.IP, from, to time.Duration) []Milestone {
 	var out []Milestone
-	prepare := s.find(from, to, func(r *trace.Record) bool {
-		return r.Kind == trace.KPrepareSent && r.Group == leader
-	})
+	prepare := s.find(s.byIP[ipKey{trace.KPrepareSent, leader}], from, to, nil)
 	if prepare == nil {
 		return out
 	}
 	out = append(out, ms(StPrepare, prepare))
-	commit := s.find(prepare.T, to, func(r *trace.Record) bool {
-		return r.Kind == trace.KCommitSent && r.Group == prepare.Group
-	})
+	commit := s.find(s.byIP[ipKey{trace.KCommitSent, prepare.Group}], prepare.T, to, nil)
 	if commit == nil {
 		return out
 	}
 	out = append(out, ms(StCommit, commit))
-	view := s.find(commit.T, to, func(r *trace.Record) bool {
-		return r.Kind == trace.KViewCommit && r.Group == commit.Group &&
-			r.Version == commit.Version
+	view := s.find(s.byIP[ipKey{trace.KViewCommit, commit.Group}], commit.T, to, func(r *trace.Record) bool {
+		return r.Version == commit.Version
 	})
 	if view == nil {
 		return out
 	}
 	out = append(out, ms(StView, view))
-	if report := s.find(view.T, to, func(r *trace.Record) bool {
-		return r.Kind == trace.KReportApplied && r.Group == commit.Group &&
-			r.Version >= commit.Version
+	if report := s.find(s.byIP[ipKey{trace.KReportApplied, commit.Group}], view.T, to, func(r *trace.Record) bool {
+		return r.Version >= commit.Version
 	}); report != nil {
 		out = append(out, ms(StReport, report))
 	}
@@ -339,22 +377,17 @@ func (s *stitcher) moveSpan(agg *incidentAgg) *Span {
 
 	expected := []Stage{StNotify, StView, StReport, StMoveDone}
 	var reroute *trace.Record
-	if reroute = s.find(open, forever, func(r *trace.Record) bool {
-		return r.Kind == trace.KServeBackendDown && r.Token == agg.id
-	}); reroute != nil {
+	if reroute = s.find(s.byTok[tokKey{trace.KServeBackendDown, agg.id}], open, forever, nil); reroute != nil {
 		sp.Milestones = append(sp.Milestones, ms(StReroute, reroute))
 		sp.Domain = firstField(reroute.Detail)
 		expected = append(expected, StReroute, StRestore)
 	}
 	// The subject's first view commit after the drain is the rejoin into
 	// its new domain's group.
-	if view := s.find(open, forever, func(r *trace.Record) bool {
-		return r.Kind == trace.KViewCommit && r.Node == subject
-	}); view != nil {
+	if view := s.find(s.byStr[strKey{trace.KViewCommit, subject}], open, forever, nil); view != nil {
 		sp.Milestones = append(sp.Milestones, ms(StView, view))
-		if report := s.find(view.T, forever, func(r *trace.Record) bool {
-			return r.Kind == trace.KReportApplied && r.Group == view.Group &&
-				r.Version >= view.Version
+		if report := s.find(s.byIP[ipKey{trace.KReportApplied, view.Group}], view.T, forever, func(r *trace.Record) bool {
+			return r.Version >= view.Version
 		}); report != nil {
 			sp.Milestones = append(sp.Milestones, ms(StReport, report))
 		}
@@ -365,13 +398,9 @@ func (s *stitcher) moveSpan(agg *incidentAgg) *Span {
 			break
 		}
 	}
-	if restore := s.find(open, forever, func(r *trace.Record) bool {
-		return r.Kind == trace.KServeBackendUp && r.Token == agg.id
-	}); restore != nil {
+	if restore := s.find(s.byTok[tokKey{trace.KServeBackendUp, agg.id}], open, forever, nil); restore != nil {
 		sp.Milestones = append(sp.Milestones, ms(StRestore, restore))
-		if clean := s.find(restore.T, forever, func(r *trace.Record) bool {
-			return r.Kind == trace.KServeClean && r.Detail == sp.Domain
-		}); clean != nil {
+		if clean := s.find(s.byStr[strKey{trace.KServeClean, sp.Domain}], restore.T, forever, nil); clean != nil {
 			sp.Milestones = append(sp.Milestones, ms(StClean, clean))
 		}
 	}
@@ -408,12 +437,9 @@ func (s *stitcher) leaderChanges() []*Span {
 		}
 		// Bound the chain by this adapter's next takeover, if any.
 		to := forever
-		for j := i + 1; j < len(s.recs); j++ {
-			n := &s.recs[j]
-			if n.Kind == trace.KLeaderTakeover && n.Self == r.Self {
-				to = n.T
-				break
-			}
+		mine := s.byIP[ipKey{trace.KLeaderTakeover, r.Self}]
+		if j := sort.SearchInts(mine, i); j+1 < len(mine) {
+			to = s.recs[mine[j+1]].T
 		}
 		sp := &Span{Kind: KindLeaderChange, Subject: r.Node}
 		sp.Milestones = append(sp.Milestones, ms(StTakeover, r))
