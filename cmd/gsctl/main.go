@@ -13,10 +13,12 @@
 // injected at the current instant: kill <node>, restart <node>,
 // fail <adapter> <fail-recv|fail-send|fail-stop|healthy> [for <d>],
 // switch-off <switch> [for <d>], move <node> to <domain>,
+// surprise <node> to <domain> (a re-plug behind Central's back),
 // partition <segment> [for <d>], drop <segment> <loss> [for <d>],
-// failover [for <d>]. "play <file>" reads a whole schedule in the same
-// language ("@60s kill acme-be-01" ... "settle 80s"), injects each op at
-// its time from now and runs through the settle period.
+// failover [for <d>] (bare, the Central host stays down). "play <file>"
+// reads a whole schedule in the same language ("@60s kill acme-be-01"
+// ... "settle 80s"), injects each op at its time from now and runs
+// through the settle period.
 // With -journal every node keeps a state journal; the journal command
 // shows each node's replay position and who the warm standby is.
 // The flight recorder is on by default: "trace [n]" shows the last n
@@ -115,9 +117,9 @@ func repl(f *gulfstream.Farm, in io.Reader, out io.Writer) {
 			fmt.Fprintln(out, "verify | journal | metrics | trace [n|txns|json|<filter>] |")
 			fmt.Fprintln(out, "timeline [ref|incident] | health | quit")
 			fmt.Fprintln(out, "faults, injected now: kill <node> | restart <node> | move <node> to <domain> |")
-			fmt.Fprintln(out, "fail <adapter> <fail-recv|fail-send|fail-stop|healthy> [for <d>] |")
+			fmt.Fprintln(out, "surprise <node> to <domain> | fail <adapter> <fail-recv|fail-send|fail-stop|healthy> [for <d>] |")
 			fmt.Fprintln(out, "switch-off <sw> [for <d>] | partition <segment> [for <d>] |")
-			fmt.Fprintln(out, "drop <segment> <loss> [for <d>] | failover [for <d>]")
+			fmt.Fprintln(out, "drop <segment> <loss> [for <d>] | failover [for <d>] (bare: the Central host stays down)")
 		case "run":
 			secs := 10.0
 			if len(args) > 1 {

@@ -26,6 +26,8 @@ func FuzzScheduleParse(f *testing.F) {
 	f.Add("switch-off sw-00 for 5s")
 	f.Add("move acme-be-01 to globex")
 	f.Add("drop vlan-101 0.5")
+	f.Add("surprise web-1 to vlan-102")
+	f.Add("failover")
 	f.Add("@1s")
 	f.Fuzz(func(t *testing.T, text string) {
 		if op, err := ParseOp(text); err == nil {

@@ -32,9 +32,13 @@ const (
 	OpKillSwitch
 	// OpMoveDomain asks Central to move a node to another domain.
 	OpMoveDomain
-	// OpFailover kills whichever node hosts the active Central, then
-	// restarts it after For.
+	// OpFailover kills whichever node hosts the active Central, and
+	// restarts it after For when For is set.
 	OpFailover
+	// OpSurprise rewires a node's ports to another domain on the
+	// switches, behind Central's back (paper §3.1): the configuration
+	// database keeps the old domain.
+	OpSurprise
 )
 
 var opNames = map[OpKind]string{
@@ -46,6 +50,7 @@ var opNames = map[OpKind]string{
 	OpKillSwitch:  "switch-off",
 	OpMoveDomain:  "move",
 	OpFailover:    "failover",
+	OpSurprise:    "surprise",
 }
 
 func (k OpKind) String() string {
@@ -90,7 +95,8 @@ const DefaultSettle = 3 * time.Minute
 
 // Target is the system under test, as the scenario engine sees it.
 // *farm.Farm satisfies it structurally (check must not import farm:
-// farm's tests import check).
+// farm's tests import check), and so does the real-daemon harness handle,
+// *conformance.H, on the wall clock.
 type Target interface {
 	Now() time.Duration
 	After(d time.Duration, fn func())
@@ -101,6 +107,7 @@ type Target interface {
 	KillSwitch(name string) error
 	RestoreSwitch(name string) error
 	MoveNodeToDomain(node, toDomain string, done func(error)) error
+	SurpriseMoveNode(node, toDomain string) error
 	SetSegmentLoss(segment string, loss float64)
 	ActiveCentralNode() string
 }
@@ -163,6 +170,8 @@ func Apply(tg Target, op Op) error {
 		}
 	case OpMoveDomain:
 		return tg.MoveNodeToDomain(op.Node, op.Target, nil)
+	case OpSurprise:
+		return tg.SurpriseMoveNode(op.Node, op.Target)
 	case OpFailover:
 		node := tg.ActiveCentralNode()
 		if node == "" {
@@ -171,11 +180,9 @@ func Apply(tg Target, op Op) error {
 		if err := tg.KillNode(node); err != nil {
 			return err
 		}
-		d := op.For
-		if d == 0 {
-			d = 30 * time.Second
+		if op.For > 0 {
+			tg.After(op.For, func() { _ = tg.RestartNode(node) })
 		}
-		tg.After(d, func() { _ = tg.RestartNode(node) })
 	}
 	return nil
 }
@@ -332,7 +339,7 @@ func (s Schedule) Disturbed(topo Topology) map[string]bool {
 	}
 	for _, op := range s.Ops {
 		switch op.Kind {
-		case OpKillNode, OpRestartNode, OpMoveDomain:
+		case OpKillNode, OpRestartNode, OpMoveDomain, OpSurprise:
 			out[op.Node] = true
 		case OpFailAdapter:
 			for _, n := range topo.Nodes {
@@ -373,7 +380,9 @@ func (s Schedule) Disturbed(topo Topology) map[string]bool {
 //	@11s drop vlan-102 0.35 for 20s
 //	@12s switch-off sw-01 for 8s
 //	@15s move acme-fe-001 to globex
+//	@18s surprise acme-be-002 to globex
 //	@20s failover for 30s
+//	@40s failover
 //	settle 3m
 //
 // Parse reads the same format back; String∘Parse is the identity.
@@ -391,7 +400,7 @@ func (s Schedule) String() string {
 			fmt.Fprintf(&b, " %s", op.Target)
 		case OpDropProfile:
 			fmt.Fprintf(&b, " %s %s", op.Target, strconv.FormatFloat(op.Loss, 'g', -1, 64))
-		case OpMoveDomain:
+		case OpMoveDomain, OpSurprise:
 			fmt.Fprintf(&b, " %s to %s", op.Node, op.Target)
 		}
 		if op.For > 0 {
@@ -529,9 +538,9 @@ func ParseOp(line string) (Op, error) {
 			return op, fmt.Errorf("bad loss rate %q", args[1])
 		}
 		op.Target, op.Loss = args[0], loss
-	case OpMoveDomain:
+	case OpMoveDomain, OpSurprise:
 		if len(args) != 3 || args[1] != "to" {
-			return op, fmt.Errorf("move wants '<node> to <domain>'")
+			return op, fmt.Errorf("%s wants '<node> to <domain>'", kind)
 		}
 		op.Node, op.Target = args[0], args[2]
 	case OpFailover:

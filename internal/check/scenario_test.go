@@ -68,8 +68,10 @@ func TestScheduleDSLRoundTrip(t *testing.T) {
 				Loss: 0.35, For: 20 * time.Second},
 			{At: 12 * time.Second, Kind: OpKillSwitch, Target: "sw-01", For: 8 * time.Second},
 			{At: 15 * time.Second, Kind: OpMoveDomain, Node: "acme-fe-01", Target: "globex"},
+			{At: 18 * time.Second, Kind: OpSurprise, Node: "acme-fe-01", Target: "acme"},
 			{At: 20 * time.Second, Kind: OpFailover, For: 30 * time.Second},
 			{At: 25 * time.Second, Kind: OpRestartNode, Node: "acme-be-01"},
+			{At: 60 * time.Second, Kind: OpFailover},
 		},
 	}
 	text := orig.String()
@@ -107,6 +109,8 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"@2s drop vlan-1 1.7",
 		"@2s move node globex",
 		"@2s failover extra-arg",
+		"@2s surprise node",
+		"@2s surprise node into globex",
 		"seed twelve",
 		"settle -3s",
 	} {
@@ -179,6 +183,10 @@ func (s *scriptedTarget) MoveNodeToDomain(node, to string, done func(error)) err
 	s.log("move %s to %s", node, to)
 	return nil
 }
+func (s *scriptedTarget) SurpriseMoveNode(node, to string) error {
+	s.log("surprise %s to %s", node, to)
+	return nil
+}
 func (s *scriptedTarget) SetSegmentLoss(segment string, loss float64) {
 	s.log("loss %s %g", segment, loss)
 }
@@ -210,5 +218,42 @@ func TestRunAppliesAndReversesOps(t *testing.T) {
 	// Horizon (3s+4s) + settle (5s) = 12s.
 	if tg.now != 12*time.Second {
 		t.Fatalf("final time %v, want 12s", tg.now)
+	}
+}
+
+// A bare failover is a plain kill of the Central host: Op.For of zero
+// means the operation is not reversed, so no restart is scheduled.
+func TestBareFailoverSchedulesNoRestart(t *testing.T) {
+	tg := &scriptedTarget{central: "mgmt-00"}
+	op, err := ParseOp("failover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Apply(tg, op); err != nil {
+		t.Fatal(err)
+	}
+	if len(tg.timers) != 0 {
+		t.Fatalf("bare failover scheduled %d reversals", len(tg.timers))
+	}
+	tg.RunFor(24 * time.Hour)
+	if want := []string{"0s kill mgmt-00"}; !reflect.DeepEqual(tg.applied, want) {
+		t.Fatalf("applied ops:\n got %v\nwant %v", tg.applied, want)
+	}
+}
+
+func TestSurpriseGoesToTheTarget(t *testing.T) {
+	tg := &scriptedTarget{}
+	op, err := ParseOp("surprise web-1 to vlan-102")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Apply(tg, op); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"0s surprise web-1 to vlan-102"}; !reflect.DeepEqual(tg.applied, want) {
+		t.Fatalf("applied ops:\n got %v\nwant %v", tg.applied, want)
+	}
+	if d := (Schedule{Ops: []Op{op}}).Disturbed(testTopology()); !d["web-1"] || len(d) != 1 {
+		t.Fatalf("surprise disturbs %v, want only web-1", d)
 	}
 }

@@ -2,7 +2,11 @@ package conformance
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
+
+	"repro/internal/check"
 )
 
 // TestLoopbackSmoke boots a real five-daemon farm on the loopback
@@ -49,4 +53,81 @@ func TestFindSuites(t *testing.T) {
 	if _, err := FindSuites([]string{"no-such-suite"}); err == nil {
 		t.Fatal("unknown suite accepted")
 	}
+}
+
+// TestSuitesParse holds every suite step to the check DSL without
+// starting a process: on both farm specs, the text a step builds from
+// the spec parses, survives String∘Parse, and names only the spec's
+// nodes, adapters and data segments; every step waits for a known state.
+func TestSuitesParse(t *testing.T) {
+	for _, fabric := range []struct {
+		name string
+		spec func() *FarmSpec
+	}{{"loopback", DefaultFarm}, {"netns", NetnsFarm}} {
+		for _, suite := range Suites() {
+			spec := fabric.spec()
+			if suite.Prepare != nil {
+				suite.Prepare(spec)
+			}
+			for i, step := range suite.Steps {
+				where := fmt.Sprintf("%s %s step %d", fabric.name, suite.Name, i+1)
+				if step.Until == nil && step.Wait != settled && step.Wait != converged {
+					t.Errorf("%s: waits for %q, which is neither a state nor a named condition", where, step.Wait)
+				}
+				if step.Ops == nil {
+					continue
+				}
+				sched, err := check.Parse(step.Ops(spec))
+				if err != nil {
+					t.Errorf("%s: %v", where, err)
+					continue
+				}
+				roundTrips(t, where, sched)
+				for _, op := range sched.Ops {
+					if bad := foreignName(spec, op); bad != "" {
+						t.Errorf("%s: %s names %s", where, op.Kind, bad)
+					}
+				}
+			}
+		}
+	}
+	// The two ops only live steps play in the shipped suites.
+	for _, line := range []string{"surprise web-1 to vlan-102", "failover"} {
+		op, err := check.ParseOp(line)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		roundTrips(t, line, check.Schedule{Ops: []check.Op{op}})
+	}
+}
+
+func roundTrips(t *testing.T, where string, sched check.Schedule) {
+	t.Helper()
+	back, err := check.Parse(sched.String())
+	if sched.Settle == 0 {
+		sched.Settle = check.DefaultSettle // String writes the default out
+	}
+	if err != nil || !reflect.DeepEqual(back, sched) {
+		t.Errorf("%s: String∘Parse changed the schedule (%v):\n%s", where, err, sched)
+	}
+}
+
+// foreignName returns what an op names outside the spec ("" if nothing).
+func foreignName(spec *FarmSpec, op check.Op) string {
+	if op.Node != "" {
+		if _, ok := spec.Node(op.Node); !ok {
+			return "node " + op.Node
+		}
+	}
+	if op.Kind == check.OpFailAdapter {
+		if _, _, ok := spec.Adapter(op.Adapter); !ok {
+			return "adapter " + op.Adapter.String()
+		}
+	}
+	if op.Target != "" {
+		if _, ok := spec.Domains()[op.Target]; !ok || op.Kind == check.OpKillSwitch {
+			return "target " + op.Target
+		}
+	}
+	return ""
 }

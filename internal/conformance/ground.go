@@ -1,7 +1,9 @@
 package conformance
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,18 +45,31 @@ type GroundTruth struct {
 
 // GroundTruth assembles the current reality from the fabric's live
 // per-adapter VLAN view (vlanOf returns 0 for "still on the spec
-// VLAN"), the set of dead nodes, and the planted verification
-// expectations.
+// VLAN"), the set of dead nodes, and the VLANs planned moves put
+// adapters on. The expected verdicts follow from comparing that reality
+// with what the database believes: the spec's planted lies, updated by
+// the planned moves Central made. A live adapter off the VLAN the
+// database gives it is wrong-segment, an adapter the database omits is
+// unknown-adapter, and a dead node's or a ghost's adapter is
+// missing-adapter.
 func (f *FarmSpec) GroundTruth(vlanOf func(transport.IP) int, dead map[string]bool,
-	expectMismatch []string) *GroundTruth {
+	planned map[transport.IP]int) *GroundTruth {
 
 	gt := &GroundTruth{Segments: map[string][]string{}, DeadNodes: []string{}}
+	var wrong, missing, unknown []string
 	for _, n := range f.Nodes {
-		if dead[n.Name] {
+		down := dead[n.Name]
+		if down {
 			gt.DeadNodes = append(gt.DeadNodes, n.Name)
-			continue
 		}
 		for _, a := range n.Adapters {
+			ip := a.IP.String()
+			if down {
+				if !f.DBOmit[a.IP] {
+					missing = append(missing, "missing-adapter "+ip)
+				}
+				continue
+			}
 			vlan := a.VLAN
 			if vlanOf != nil {
 				if v := vlanOf(a.IP); v != 0 {
@@ -62,14 +77,23 @@ func (f *FarmSpec) GroundTruth(vlanOf func(transport.IP) int, dead map[string]bo
 				}
 			}
 			seg := switchsim.SegmentName(vlan)
-			gt.Segments[seg] = append(gt.Segments[seg], a.IP.String())
+			gt.Segments[seg] = append(gt.Segments[seg], ip)
+			switch {
+			case f.DBOmit[a.IP]:
+				unknown = append(unknown, "unknown-adapter "+ip)
+			case vlan != cmp.Or(planned[a.IP], f.DBWrongVLAN[a.IP], a.VLAN):
+				wrong = append(wrong, "wrong-segment "+ip)
+			}
 		}
+	}
+	for _, g := range f.DBGhosts {
+		missing = append(missing, "missing-adapter "+g.IP.String())
 	}
 	for seg := range gt.Segments { // order-free: each segment sorts its own list
 		sortIPStrings(gt.Segments[seg])
 	}
 	sort.Strings(gt.DeadNodes)
-	gt.ExpectedMismatches = append(gt.ExpectedMismatches, expectMismatch...)
+	gt.ExpectedMismatches = slices.Concat(wrong, missing, unknown)
 	return gt
 }
 

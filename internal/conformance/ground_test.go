@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,5 +129,50 @@ func TestFarmSpecConfigDBLies(t *testing.T) {
 	}
 	if _, ok := db.Adapter(ghost); !ok {
 		t.Fatalf("ghost adapter missing from db")
+	}
+}
+
+// The configdb-mismatch suite's planted lies alone derive the four
+// verdicts verification raises against them, in this order.
+func TestGroundTruthDerivesPlantedVerdicts(t *testing.T) {
+	suites, err := FindSuites([]string{"configdb-mismatch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := DefaultFarm()
+	suites[0].Prepare(f)
+	want := []string{
+		"wrong-segment " + f.DataIP("web-2").String(),
+		"missing-adapter " + (f.AdminIP("web-1") + 8).String(),
+		"missing-adapter " + (f.DataIP("web-1") + 8).String(),
+		"unknown-adapter " + f.DataIP("web-4").String(),
+	}
+	if got := f.GroundTruth(nil, nil, nil).ExpectedMismatches; !slices.Equal(got, want) {
+		t.Fatalf("derived verdicts:\n got %q\nwant %q", got, want)
+	}
+}
+
+// A move behind Central's back leaves the database stale, so the moved
+// adapter is wrong-segment; the same move made by Central is not, and a
+// dead node's adapters are missing.
+func TestGroundTruthDerivesMoveVerdicts(t *testing.T) {
+	f := DefaultFarm()
+	moved := f.DataIP("web-1")
+	onto102 := func(ip transport.IP) int {
+		if ip == moved {
+			return 102
+		}
+		return 0
+	}
+	if got, want := f.GroundTruth(onto102, nil, nil).ExpectedMismatches, []string{"wrong-segment " + moved.String()}; !slices.Equal(got, want) {
+		t.Fatalf("surprise move: got %q, want %q", got, want)
+	}
+	if got := f.GroundTruth(onto102, nil, map[transport.IP]int{moved: 102}).ExpectedMismatches; len(got) != 0 {
+		t.Fatalf("planned move: got %q, want none", got)
+	}
+	got := f.GroundTruth(nil, map[string]bool{"web-3": true}, nil).ExpectedMismatches
+	want := []string{"missing-adapter " + f.AdminIP("web-3").String(), "missing-adapter " + f.DataIP("web-3").String()}
+	if !slices.Equal(got, want) {
+		t.Fatalf("dead node: got %q, want %q", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
@@ -8,23 +9,48 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
+	"repro/internal/check"
+	"repro/internal/netsim"
 	"repro/internal/ordered"
+	"repro/internal/switchsim"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
 // Suite is one named conformance scenario: an optional spec mutation
-// applied before boot (planting configdb lies), and a body driving the
-// live farm. The harness handles boot, scraping, teardown, and the
-// verdict pipeline around it.
+// applied before boot (planting configdb lies), and the steps that drive
+// the live farm. The harness handles boot, scraping, teardown, and the
+// verdict pipeline around them.
 type Suite struct {
 	Name    string
 	Desc    string
 	Prepare func(*FarmSpec)
-	Run     func(*H) error
+	Steps   []Step
+}
+
+// The states a step waits for. Both need the active Central stable and
+// its topology equal to the ground truth; converged also needs every
+// incident closed (a dead node legitimately keeps one open).
+const (
+	settled   = "settled"
+	converged = "converged"
+)
+
+// Step waits for the farm to reach a state, then plays check-DSL text
+// through check.Apply, each op at its offset from the instant the wait
+// ended, and runs on to the last op plus the text's settle period (none
+// without a settle line). A held fault reverts on its own timer.
+type Step struct {
+	// Wait is settled, converged, or the name of Until. Every wait also
+	// holds until each planned move has landed on the fabric.
+	Wait  string
+	Until func(*H) bool
+	// Ops builds the text from the farm spec; Live, when set instead,
+	// builds it from the live farm.
+	Ops  func(*FarmSpec) string
+	Live func(*H) (string, error)
 }
 
 // Options configures a harness run.
@@ -135,7 +161,8 @@ func runSuite(suite Suite, bin, fabricKind, art string, poll time.Duration,
 		suite.Prepare(spec)
 	}
 
-	h := &H{Spec: spec, S: NewScraper(), Art: art, logf: logf, dead: map[string]bool{}}
+	h := &H{Spec: spec, S: NewScraper(), logf: logf, start: time.Now(),
+		dead: map[string]bool{}, planned: map[transport.IP]int{}, pending: map[transport.IP]int{}}
 	h.F = newFabric(spec, sub, bin, art, logf, h.S.Track)
 	if err := h.F.Boot(); err != nil {
 		res.Err = "boot: " + err.Error()
@@ -144,7 +171,12 @@ func runSuite(suite Suite, bin, fabricKind, art string, poll time.Duration,
 	}
 	stopPoll := h.S.Start(poll)
 
-	runErr := suite.Run(h)
+	runErr := h.run(suite.Steps)
+	h.mu.Lock()
+	for _, t := range h.timers {
+		t.Stop()
+	}
+	h.mu.Unlock()
 
 	// Final topology snapshot (with verification) before teardown.
 	finalTopo, topoErr := h.Topology(true)
@@ -192,47 +224,138 @@ func (v *Verdict) summary() string {
 	return strings.Join(parts, "; ")
 }
 
-// H is the live handle a suite body drives the farm through.
+// H is the live handle the suites drive the farm through. It is the
+// check.Target their ops go into, on the wall clock, and it keeps the
+// ground truth (dead nodes, planned moves) as it injects.
 type H struct {
 	Spec *FarmSpec
 	F    *Fabric
 	S    *Scraper
-	Art  string
 
-	logf func(string, ...any)
+	logf  func(string, ...any)
+	start time.Time
 
-	mu             sync.Mutex
-	dead           map[string]bool
-	expectMismatch []string
+	mu      sync.Mutex
+	dead    map[string]bool
+	planned map[transport.IP]int // adapter -> VLAN a planned move put it on
+	pending map[transport.IP]int // planned moves not yet seen on the fabric
+	timers  []*time.Timer
 }
 
-// Logf logs a progress line into the harness output.
-func (h *H) Logf(format string, args ...any) { h.logf(format, args...) }
+var _ check.Target = (*H)(nil)
 
-// ExpectMismatch declares configdb verification verdicts (substrings)
-// the final verification must raise.
-func (h *H) ExpectMismatch(subs ...string) {
+// run plays the suite's steps in order.
+func (h *H) run(steps []Step) error {
+	for i, s := range steps {
+		err := h.wait(s)
+		text := ""
+		switch {
+		case err != nil:
+		case s.Live != nil:
+			text, err = s.Live(h)
+		case s.Ops != nil:
+			text = s.Ops(h.Spec)
+		}
+		if err == nil {
+			err = h.play(text)
+		}
+		if err != nil {
+			return fmt.Errorf("step %d: %w", i+1, err)
+		}
+	}
+	return nil
+}
+
+// play applies check-DSL text to the farm, each op at its offset from
+// now, and returns at the last op plus the text's settle period.
+func (h *H) play(text string) error {
+	sched, err := check.Parse(text)
+	if err != nil {
+		return err
+	}
+	if len(sched.Ops) > 0 {
+		h.logf("suite: playing %s", strings.ReplaceAll(strings.TrimSpace(text), "\n", "; "))
+	}
+	start := time.Now()
+	var last time.Duration
+	for _, op := range sched.Ops {
+		time.Sleep(time.Until(start.Add(op.At)))
+		if err := check.Apply(h, op); err != nil {
+			return fmt.Errorf("@%v %s: %w", op.At, op.Kind, err)
+		}
+		last = op.At
+	}
+	time.Sleep(time.Until(start.Add(last + sched.Settle)))
+	return nil
+}
+
+// wait polls until the step's state holds, failing after
+// convergeTimeout with the last reason it did not.
+func (h *H) wait(s Step) error {
+	deadline := time.Now().Add(convergeTimeout)
+	for {
+		why := h.unmet(s)
+		if why == "" {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("conformance: waited %v for %s: %s", convergeTimeout, s.Wait, why)
+		}
+		time.Sleep(500 * time.Millisecond)
+	}
+}
+
+// unmet says why the step's state does not hold yet ("" once it does).
+func (h *H) unmet(s Step) string {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.expectMismatch = append(h.expectMismatch, subs...)
+	for _, ip := range ordered.Keys(h.pending) {
+		if v := h.pending[ip]; h.F.VLANOf(ip) != v {
+			h.mu.Unlock()
+			return fmt.Sprintf("planned move of %v to %s has not landed", ip, switchsim.SegmentName(v))
+		}
+		delete(h.pending, ip)
+	}
+	h.mu.Unlock()
+	switch {
+	case s.Until != nil && s.Until(h):
+		return ""
+	case s.Until != nil:
+		return "not yet"
+	}
+	doc, err := h.Topology(false)
+	switch {
+	case err != nil:
+		return err.Error()
+	case !doc.Stable:
+		return fmt.Sprintf("Central on %s not stable yet", doc.Node)
+	case s.Wait == converged && len(doc.Incidents) > 0:
+		return fmt.Sprintf("open incidents: %v", doc.Incidents)
+	}
+	return strings.Join(h.GroundTruth().Diff(doc), "; ")
 }
 
 // GroundTruth snapshots the declared reality right now.
 func (h *H) GroundTruth() *GroundTruth {
 	h.mu.Lock()
-	dead := make(map[string]bool, len(h.dead))
-	for n, v := range h.dead {
-		if v {
-			dead[n] = true
-		}
-	}
-	expect := append([]string(nil), h.expectMismatch...)
-	h.mu.Unlock()
-	return h.Spec.GroundTruth(h.F.VLANOf, dead, expect)
+	defer h.mu.Unlock()
+	return h.Spec.GroundTruth(h.F.VLANOf, h.dead, h.planned)
 }
 
-// KillNode drains the victim's trace feed, SIGKILLs it, and marks it
-// dead in the ground truth.
+// Now implements check.Target: wall time since the farm booted.
+func (h *H) Now() time.Duration { return time.Since(h.start) }
+
+// After implements check.Target; teardown stops what has not fired.
+func (h *H) After(d time.Duration, fn func()) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.timers = append(h.timers, time.AfterFunc(d, fn))
+}
+
+// RunFor implements check.Target: real time passes, real daemons run.
+func (h *H) RunFor(d time.Duration) { time.Sleep(d) }
+
+// KillNode implements check.Target: it drains the victim's trace feed,
+// SIGKILLs it, and marks it dead in the ground truth.
 func (h *H) KillNode(node string) error {
 	h.S.Poll()
 	if err := h.F.KillNode(node); err != nil {
@@ -245,7 +368,8 @@ func (h *H) KillNode(node string) error {
 	return nil
 }
 
-// RestartNode boots a fresh incarnation and clears the dead mark.
+// RestartNode implements check.Target: a fresh incarnation, no longer
+// dead in the ground truth.
 func (h *H) RestartNode(node string) error {
 	if err := h.F.RestartNode(node); err != nil {
 		return err
@@ -257,77 +381,119 @@ func (h *H) RestartNode(node string) error {
 	return nil
 }
 
-// PauseNode SIGSTOPs a node — the process freeze the loopback fabric
-// uses as a recoverable fail-stop.
-func (h *H) PauseNode(node string) error {
-	d, ok := h.F.Live(node)
-	if !ok {
-		return fmt.Errorf("conformance: %s is not running", node)
-	}
-	h.S.Poll()
-	if err := d.Signal(syscall.SIGSTOP); err != nil {
-		return err
-	}
-	h.S.Inject(trace.KFaultInjected, node, "harness: pause (SIGSTOP)")
-	return nil
+// FailAdapter implements check.Target; the netsim mode names are the
+// fabric fault-mode vocabulary by construction.
+func (h *H) FailAdapter(ip transport.IP, mode netsim.FailureMode) error {
+	return h.fault(ip, mode.String(), 0)
 }
 
-// ResumeNode SIGCONTs a paused node.
-func (h *H) ResumeNode(node string) error {
-	d, ok := h.F.Live(node)
-	if !ok {
-		return fmt.Errorf("conformance: %s is not running", node)
+// SetSegmentLoss implements check.Target: a uniform loss rate on every
+// adapter now on the segment (negative restores). Partition is loss 1.
+func (h *H) SetSegmentLoss(segment string, loss float64) {
+	for _, n := range h.Spec.Nodes {
+		for _, a := range n.Adapters {
+			if switchsim.SegmentName(h.F.VLANOf(a.IP)) != segment {
+				continue
+			}
+			if err := h.fault(a.IP, "", max(loss, 0)); err != nil {
+				h.logf("chaos: segment loss on %v: %v", a.IP, err)
+			}
+		}
 	}
-	if err := d.Signal(syscall.SIGCONT); err != nil {
-		return err
-	}
-	h.S.Inject(trace.KFaultInjected, node, "harness: resume (SIGCONT)")
-	return nil
 }
 
-// FailAdapter injects an adapter failure mode through the fabric.
-func (h *H) FailAdapter(ip transport.IP, mode string, lossIn, lossOut float64) error {
-	if err := h.F.FailAdapter(ip, mode, lossIn, lossOut); err != nil {
+// fault puts one adapter into a failure mode with a loss rate each way.
+func (h *H) fault(ip transport.IP, mode string, loss float64) error {
+	if err := h.F.FailAdapter(ip, mode, loss, loss); err != nil {
 		return err
 	}
 	node, _, _ := h.Spec.Adapter(ip)
 	h.S.Inject(trace.KFaultInjected, node,
-		fmt.Sprintf("harness: adapter %v -> %s in=%.2f out=%.2f", ip, mode, lossIn, lossOut))
+		fmt.Sprintf("harness: adapter %v -> %s in=%.2f out=%.2f", ip, mode, loss, loss))
 	return nil
 }
 
-// SurpriseMove re-plugs an adapter behind Central's back.
-func (h *H) SurpriseMove(ip transport.IP, vlan int) error {
-	if err := h.F.RescopeAdapter(ip, vlan); err != nil {
+var errSwitchOutage = errors.New("conformance: the farm's one emulated switch carries the harness itself; no switch outages")
+
+// KillSwitch implements check.Target; no suite can play it.
+func (h *H) KillSwitch(string) error { return errSwitchOutage }
+
+// RestoreSwitch implements check.Target; no suite can play it.
+func (h *H) RestoreSwitch(string) error { return errSwitchOutage }
+
+// MoveNodeToDomain implements check.Target: the active Central moves the
+// node's data adapters onto the domain's VLAN through the switch agent,
+// the paper's §2.2 dynamic reconfiguration. It returns once Central has
+// the switch's acknowledgement; the fabric re-plugs after that, which
+// every later wait holds for.
+func (h *H) MoveNodeToDomain(node, toDomain string, done func(error)) error {
+	data, vlan, err := h.dataAdapters(node, toDomain)
+	if err != nil {
 		return err
 	}
-	node, _, _ := h.Spec.Adapter(ip)
-	h.S.Inject(trace.KFaultInjected, node,
-		fmt.Sprintf("harness: surprise move %v -> vlan %d", ip, vlan))
-	return nil
-}
-
-// PlannedMove asks the active Central to relocate a node's adapters
-// (index -> new VLAN) through the switch agent, as the paper's §2.2
-// dynamic reconfiguration.
-func (h *H) PlannedMove(node string, vlanByIndex map[int]int) error {
 	central, doc := h.activeCentral()
 	if central == nil {
 		return fmt.Errorf("conformance: no active Central for move (last: %+v)", doc)
 	}
 	var pairs []string
-	for _, i := range ordered.Keys(vlanByIndex) {
-		pairs = append(pairs, fmt.Sprintf("%d:%d", i, vlanByIndex[i]))
+	for _, a := range data {
+		pairs = append(pairs, fmt.Sprintf("%d:%d", a.Index, vlan))
 	}
-	q := url.Values{"node": {node}, "set": {strings.Join(pairs, ",")}}
-	h.S.Inject(trace.KFaultInjected, node,
-		fmt.Sprintf("harness: planned move set=%s via %s", strings.Join(pairs, ","), central.Node))
-	return httpCommand(central.DebugURL()+"/fabricctl/move?"+q.Encode(), httpMoveTimeout)
+	set := strings.Join(pairs, ",")
+	h.S.Inject(trace.KFaultInjected, node, fmt.Sprintf("harness: planned move set=%s via %s", set, central.Node))
+	q := url.Values{"node": {node}, "set": {set}}
+	err = httpCommand(central.DebugURL()+"/fabricctl/move?"+q.Encode(), httpMoveTimeout)
+	if err == nil {
+		h.mu.Lock()
+		for _, a := range data {
+			h.planned[a.IP], h.pending[a.IP] = vlan, vlan
+		}
+		h.mu.Unlock()
+	}
+	if done != nil {
+		done(err)
+	}
+	return err
 }
 
-// ActiveCentral names the node hosting the active Central ("" if none
-// is reachable).
-func (h *H) ActiveCentral() string {
+// SurpriseMoveNode implements check.Target: the node's data adapters are
+// re-plugged onto the domain's VLAN behind Central's back.
+func (h *H) SurpriseMoveNode(node, toDomain string) error {
+	data, vlan, err := h.dataAdapters(node, toDomain)
+	if err != nil {
+		return err
+	}
+	for _, a := range data {
+		if err := h.F.RescopeAdapter(a.IP, vlan); err != nil {
+			return err
+		}
+	}
+	h.S.Inject(trace.KFaultInjected, node, "harness: surprise move to "+toDomain)
+	return nil
+}
+
+// dataAdapters resolves a node's data adapters and a domain's VLAN.
+func (h *H) dataAdapters(node, domain string) ([]AdapterSpec, int, error) {
+	vlan, ok := h.Spec.Domains()[domain]
+	if !ok {
+		return nil, 0, fmt.Errorf("conformance: unknown domain %q", domain)
+	}
+	spec, ok := h.Spec.Node(node)
+	if !ok {
+		return nil, 0, fmt.Errorf("conformance: unknown node %q", node)
+	}
+	var data []AdapterSpec
+	for _, a := range spec.Adapters {
+		if a.Index != 0 {
+			data = append(data, a)
+		}
+	}
+	return data, vlan, nil
+}
+
+// ActiveCentralNode implements check.Target: the node hosting the active
+// Central ("" if none is reachable).
+func (h *H) ActiveCentralNode() string {
 	d, _ := h.activeCentral()
 	if d == nil {
 		return ""
@@ -368,64 +534,4 @@ func (h *H) Topology(verify bool) (*TopologyDoc, error) {
 		return nil, err
 	}
 	return &doc, nil
-}
-
-// WaitSettled polls until the active Central is stable and its
-// discovered topology matches the ground truth (open incidents are
-// allowed — a dead node legitimately keeps one open). Returns the last
-// divergence on timeout.
-func (h *H) WaitSettled(timeout time.Duration) error {
-	return h.waitTopology(timeout, false)
-}
-
-// WaitConverged is WaitSettled plus "every incident closed" — the
-// quiescent end state suites finish on.
-func (h *H) WaitConverged(timeout time.Duration) error {
-	return h.waitTopology(timeout, true)
-}
-
-func (h *H) waitTopology(timeout time.Duration, needClosed bool) error {
-	deadline := time.Now().Add(timeout)
-	lastWhy := "no active Central reachable"
-	for {
-		doc, err := h.Topology(false)
-		switch {
-		case err != nil:
-			lastWhy = err.Error()
-		case !doc.Stable:
-			lastWhy = fmt.Sprintf("Central on %s not stable yet", doc.Node)
-		case needClosed && len(doc.Incidents) > 0:
-			lastWhy = fmt.Sprintf("open incidents: %v", doc.Incidents)
-		default:
-			if diff := h.GroundTruth().Diff(doc); len(diff) > 0 {
-				lastWhy = strings.Join(diff, "; ")
-			} else {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("conformance: not converged after %v: %s", timeout, lastWhy)
-		}
-		time.Sleep(500 * time.Millisecond)
-	}
-}
-
-// WaitFor polls an arbitrary condition.
-func (h *H) WaitFor(what string, timeout time.Duration, cond func() (bool, error)) error {
-	deadline := time.Now().Add(timeout)
-	var lastErr error
-	for {
-		ok, err := cond()
-		if ok {
-			return nil
-		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			if lastErr != nil {
-				return fmt.Errorf("conformance: timed out waiting for %s: %v", what, lastErr)
-			}
-			return fmt.Errorf("conformance: timed out waiting for %s", what)
-		}
-		time.Sleep(500 * time.Millisecond)
-	}
 }

@@ -145,15 +145,6 @@ func (f *FarmSpec) Node(name string) (*NodeSpec, bool) {
 	return nil, false
 }
 
-// NodeNames lists the farm's nodes in spec order.
-func (f *FarmSpec) NodeNames() []string {
-	out := make([]string, len(f.Nodes))
-	for i, n := range f.Nodes {
-		out[i] = n.Name
-	}
-	return out
-}
-
 // Adapter resolves an adapter IP to its owning node and spec.
 func (f *FarmSpec) Adapter(ip transport.IP) (node string, a AdapterSpec, ok bool) {
 	for _, n := range f.Nodes {

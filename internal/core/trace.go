@@ -14,9 +14,6 @@ import (
 // unconditionally.
 func (d *Daemon) SetTracer(r *trace.Recorder) { d.tracer = r }
 
-// Tracer returns the installed flight recorder (possibly nil).
-func (d *Daemon) Tracer() *trace.Recorder { return d.tracer }
-
 // trace stamps a record with this daemon's clock and node name and
 // captures it. It takes a pointer so the Record literal at each call
 // site stays on the caller's stack and hot paths don't pay a struct

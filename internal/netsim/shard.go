@@ -57,9 +57,6 @@ func NewSharded(sh *sim.Shards, resolver SegmentResolver, home func(node string)
 	return n
 }
 
-// Sharded reports whether the network runs on a multi-shard kernel.
-func (n *Network) Sharded() bool { return n.sharded }
-
 // Lane returns the adapter's home shard index.
 func (a *Adapter) Lane() int { return a.ln.id }
 

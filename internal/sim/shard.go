@@ -139,9 +139,6 @@ func (sh *Shards) N() int { return len(sh.shards) }
 // use it freely (it is theirs); other shards must not touch it.
 func (sh *Shards) Shard(i int) *Scheduler { return sh.shards[i] }
 
-// Lookahead returns the window width.
-func (sh *Shards) Lookahead() time.Duration { return sh.lookahead }
-
 // Running reports whether a window is currently executing. Structures
 // every shard reads may only be rebuilt while this is false: a rebuild
 // mid-window would show the shards that already ran a different state

@@ -33,39 +33,3 @@ func TestKindNamesExhaustiveAndUnique(t *testing.T) {
 		seen[name] = k
 	}
 }
-
-// AutoDump must trigger for kinds >= 64: the trigger set used to be a
-// single uint64, so any kind past the first word could never fire.
-func TestAutoDumpHighKind(t *testing.T) {
-	const high = Kind(200) // well past one uint64's worth of kinds
-	r := New(16)
-	var got []Record
-	r.AutoDump(func(trigger Record, recent []Record) {
-		got = append(got, trigger)
-	}, high)
-
-	r.Record(Record{Kind: KBeaconSent, Node: "a"}) // not in the trigger set
-	if len(got) != 0 {
-		t.Fatalf("dump fired for an unarmed kind: %v", got)
-	}
-	r.Record(Record{Kind: high, Node: "a"})
-	if len(got) != 1 || got[0].Kind != high {
-		t.Fatalf("dump did not fire for kind %d: got %v", high, got)
-	}
-}
-
-// The dump trigger must also fire for the newest declared kinds (the
-// ones the uint64 mask was about to outgrow) and keep working for low
-// kinds after the widening.
-func TestAutoDumpMixedKinds(t *testing.T) {
-	r := New(16)
-	fired := 0
-	r.AutoDump(func(Record, []Record) { fired++ }, KOrphaned, KServeClean, Kind(130))
-	r.Record(Record{Kind: KOrphaned})
-	r.Record(Record{Kind: KServeClean})
-	r.Record(Record{Kind: Kind(130)})
-	r.Record(Record{Kind: KBeaconSent})
-	if fired != 3 {
-		t.Fatalf("fired %d times, want 3", fired)
-	}
-}

@@ -207,13 +207,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// FailureKinds are the transitions that indicate something went wrong —
-// the default trigger set for the recorder's automatic dump.
-func FailureKinds() []Kind {
-	return []Kind{KOrphaned, KEvicted, KLoopbackFailed, KVerdictDead,
-		KFalseAccusation, KLeaderTakeover, KCentralDeactivated}
-}
-
 // Record is one protocol state transition. All fields are fixed-size or
 // pre-existing strings, so capturing a record never allocates.
 type Record struct {
@@ -352,18 +345,7 @@ type Recorder struct {
 	buf   []Record // ring storage, len == capacity
 	total uint64   // records ever captured; buf index = (seq-1) % cap
 	sinks []func(Record)
-
-	dumpMask kindSet // bitset of Kinds triggering auto-dump
-	dumpFn   func(trigger Record, recent []Record)
 }
-
-// kindSet is a bitset over the whole Kind space. Kind is uint8, so four
-// words cover every possible value — a single uint64 mask silently
-// ignored kinds >= 64, which the kind table has since outgrown.
-type kindSet [4]uint64
-
-func (s *kindSet) add(k Kind)      { s[k>>6] |= 1 << (k & 63) }
-func (s *kindSet) has(k Kind) bool { return s[k>>6]&(1<<(k&63)) != 0 }
 
 // DefaultCapacity is the ring size used when New gets cap <= 0.
 const DefaultCapacity = 8192
@@ -433,27 +415,6 @@ func (r *Recorder) AddSink(fn func(Record)) {
 	r.mu.Unlock()
 }
 
-// AutoDump arms the automatic dump: when a record of one of the given
-// kinds (FailureKinds() if none are named) is captured, fn receives the
-// trigger and a snapshot of the ring at that instant. fn runs on the
-// capture path — keep it cheap or hand off.
-func (r *Recorder) AutoDump(fn func(trigger Record, recent []Record), kinds ...Kind) {
-	if r == nil {
-		return
-	}
-	if len(kinds) == 0 {
-		kinds = FailureKinds()
-	}
-	var mask kindSet
-	for _, k := range kinds {
-		mask.add(k)
-	}
-	r.mu.Lock()
-	r.dumpMask = mask
-	r.dumpFn = fn
-	r.mu.Unlock()
-}
-
 // Record captures one transition. The caller fills every field except
 // Seq, which the recorder assigns.
 func (r *Recorder) Record(rec Record) {
@@ -465,23 +426,19 @@ func (r *Recorder) Record(rec Record) {
 	rec.Seq = r.total
 	r.buf[(rec.Seq-1)%uint64(len(r.buf))] = rec
 	sinks := r.sinks
-	var dump func(Record, []Record)
-	var recent []Record
-	if r.dumpFn != nil && r.dumpMask.has(rec.Kind) {
-		dump = r.dumpFn
-		recent = r.snapshotLocked()
-	}
 	r.mu.Unlock()
 	for _, fn := range sinks {
 		fn(rec)
 	}
-	if dump != nil {
-		dump(rec, recent)
-	}
 }
 
-// snapshotLocked copies the retained records oldest-first. Caller holds mu.
-func (r *Recorder) snapshotLocked() []Record {
+// Snapshot copies the retained records, oldest first.
+func (r *Recorder) Snapshot() []Record {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	n := r.total
 	capN := uint64(len(r.buf))
 	if n > capN {
@@ -493,16 +450,6 @@ func (r *Recorder) snapshotLocked() []Record {
 		out = append(out, r.buf[(start+i)%capN])
 	}
 	return out
-}
-
-// Snapshot copies the retained records, oldest first.
-func (r *Recorder) Snapshot() []Record {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.snapshotLocked()
 }
 
 // Filter returns the retained records matching pred, oldest first.

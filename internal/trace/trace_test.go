@@ -78,7 +78,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Record(Record{Kind: KOrphaned})
 	r.Enable(true)
 	r.AddSink(func(Record) {})
-	r.AutoDump(nil)
 	if r.Snapshot() != nil || r.Total() != 0 || r.Cap() != 0 || r.Enabled() {
 		t.Error("nil recorder should be inert")
 	}
@@ -93,43 +92,6 @@ func TestSinksObserveEveryRecord(t *testing.T) {
 	}
 	if len(got) != 3 || got[0] != KBeaconSent || got[2] != KCommitSent {
 		t.Errorf("sink saw %v", got)
-	}
-}
-
-func TestAutoDumpFiresOnFailureKinds(t *testing.T) {
-	r := New(8)
-	var trigger Record
-	var recent []Record
-	fired := 0
-	r.AutoDump(func(tr Record, snap []Record) {
-		fired++
-		trigger, recent = tr, snap
-	})
-	r.Record(Record{Kind: KBeaconSent})
-	r.Record(Record{Kind: KViewCommit})
-	if fired != 0 {
-		t.Fatalf("auto-dump fired on benign kinds")
-	}
-	r.Record(Record{Kind: KOrphaned, Node: "web-01"})
-	if fired != 1 {
-		t.Fatalf("auto-dump fired %d times, want 1", fired)
-	}
-	if trigger.Kind != KOrphaned || trigger.Node != "web-01" {
-		t.Errorf("trigger = %+v", trigger)
-	}
-	if len(recent) != 3 {
-		t.Errorf("dump snapshot has %d records, want 3", len(recent))
-	}
-}
-
-func TestAutoDumpCustomKinds(t *testing.T) {
-	r := New(8)
-	fired := 0
-	r.AutoDump(func(Record, []Record) { fired++ }, KCommitSent)
-	r.Record(Record{Kind: KOrphaned}) // failure kind, but not selected
-	r.Record(Record{Kind: KCommitSent})
-	if fired != 1 {
-		t.Errorf("auto-dump fired %d times, want 1 (KCommitSent only)", fired)
 	}
 }
 
