@@ -80,14 +80,6 @@ func (g Membership) IndexOf(ip transport.IP) int {
 // Contains reports membership.
 func (g Membership) Contains(ip transport.IP) bool { return g.IndexOf(ip) >= 0 }
 
-// Member returns the record for ip.
-func (g Membership) Member(ip transport.IP) (wire.Member, bool) {
-	if i := g.IndexOf(ip); i >= 0 {
-		return g.Members[i], true
-	}
-	return wire.Member{}, false
-}
-
 // RightOf returns ip's clockwise ring neighbor (the one ip heartbeats to).
 // In a singleton group it returns ip itself; callers skip self-beats.
 func (g Membership) RightOf(ip transport.IP) transport.IP {
@@ -212,19 +204,6 @@ func (g Membership) Subgroups(size int) [][]wire.Member {
 		out = append(out, g.Members[i:end])
 	}
 	return out
-}
-
-// SubgroupOf returns the index of the subgroup containing ip under the
-// given subgroup size, or -1.
-func (g Membership) SubgroupOf(ip transport.IP, size int) int {
-	i := g.IndexOf(ip)
-	if i < 0 {
-		return -1
-	}
-	if size < 2 {
-		return 0
-	}
-	return i / size
 }
 
 // String renders "v<version>{ip ip ...}".

@@ -151,12 +151,6 @@ func TestSubgroups(t *testing.T) {
 	if subs[0][0].IP != ip(7) || subs[2][0].IP != ip(1) {
 		t.Fatal("subgroups not rank-contiguous")
 	}
-	if g.SubgroupOf(ip(7), 3) != 0 || g.SubgroupOf(ip(1), 3) != 2 {
-		t.Fatal("SubgroupOf wrong")
-	}
-	if g.SubgroupOf(ip(99), 3) != -1 {
-		t.Fatal("SubgroupOf nonmember")
-	}
 	if n := len(g.Subgroups(0)); n != 1 {
 		t.Fatalf("size<2 must give one subgroup, got %d", n)
 	}
@@ -246,4 +240,12 @@ func BenchmarkIndexOf256(b *testing.B) {
 			b.Fatal("missing")
 		}
 	}
+}
+
+// Member returns the record for ip.
+func (g Membership) Member(ip transport.IP) (wire.Member, bool) {
+	if i := g.IndexOf(ip); i >= 0 {
+		return g.Members[i], true
+	}
+	return wire.Member{}, false
 }

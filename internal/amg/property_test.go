@@ -56,14 +56,6 @@ func TestPropertySubgroupsPartition(t *testing.T) {
 				return false
 			}
 		}
-		// SubgroupOf agrees with the partition.
-		for i, sub := range subs {
-			for _, m := range sub {
-				if g.SubgroupOf(m.IP, size) != i {
-					return false
-				}
-			}
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -89,6 +89,8 @@ func (c *Central) adminAdapterFor(ip transport.IP) (transport.IP, bool) {
 // SNMP." Once discovered, switch-failure correlation no longer depends on
 // the configuration database. done receives the wiring (switch name ->
 // adapters) and the first error, after all switches have been walked.
+//
+// api: ROADMAP item 23 decides whether Central walks the wiring.
 func (c *Central) DiscoverWiring(done func(map[string][]transport.IP, error)) {
 	if done == nil {
 		done = func(map[string][]transport.IP, error) {}

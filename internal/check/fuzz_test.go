@@ -29,6 +29,7 @@ func FuzzScheduleParse(f *testing.F) {
 	f.Add("surprise web-1 to vlan-102")
 	f.Add("failover")
 	f.Add("@1s")
+	f.Add("seed 3\n@5s restart acme-be-00\nkill acme-be-00\nsettle 1m\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		if op, err := ParseOp(text); err == nil {
 			one := Schedule{Ops: []Op{op}}

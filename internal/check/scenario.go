@@ -432,7 +432,8 @@ var modeByName = map[string]netsim.FailureMode{
 }
 
 // Parse reads the text DSL produced by String. Blank lines and lines
-// starting with '#' are ignored.
+// starting with '#' are ignored; every line but a seed or settle line is
+// an op line for ParseOp, so a line without an @ time is an op at 0s.
 func Parse(text string) (Schedule, error) {
 	var s Schedule
 	for ln, line := range strings.Split(text, "\n") {
@@ -460,22 +461,20 @@ func Parse(text string) (Schedule, error) {
 				return s, fmt.Errorf("line %d: bad settle duration %q", ln+1, f[1])
 			}
 			s.Settle = d
-		case strings.HasPrefix(f[0], "@"):
+		default:
 			op, err := ParseOp(line)
 			if err != nil {
 				return s, fmt.Errorf("line %d: %v", ln+1, err)
 			}
 			s.Ops = append(s.Ops, op)
-		default:
-			return s, fmt.Errorf("line %d: unrecognized directive %q", ln+1, f[0])
 		}
 	}
 	return s, nil
 }
 
 // ParseOp reads one op line of the DSL, "[@<time>] <operation> <args>
-// [for <hold>]". A line without the time prefix is an op for Apply: its
-// At is zero.
+// [for <hold>]". A line without the time prefix has At zero: an op for
+// Apply, or one at 0s in a schedule.
 func ParseOp(line string) (Op, error) {
 	var op Op
 	f := strings.Fields(line)

@@ -120,6 +120,41 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestOneOpGrammar: a schedule line and a console line are one grammar.
+// For every op kind, with and without the @ time, Parse and ParseOp read
+// the same Op, and a bare line is an op at 0s.
+func TestOneOpGrammar(t *testing.T) {
+	lines := map[OpKind]string{
+		OpKillNode:    "kill web-2",
+		OpRestartNode: "restart web-2",
+		OpFailAdapter: "fail 10.0.0.11 fail-recv for 10s",
+		OpPartition:   "partition vlan-101 for 8s",
+		OpDropProfile: "drop vlan-102 0.35",
+		OpKillSwitch:  "switch-off sw-01 for 8s",
+		OpMoveDomain:  "move acme-fe-01 to globex",
+		OpSurprise:    "surprise acme-fe-01 to acme",
+		OpFailover:    "failover for 30s",
+	}
+	if len(lines) != len(opNames) {
+		t.Fatalf("the table covers %d of %d op kinds", len(lines), len(opNames))
+	}
+	for kind, line := range lines {
+		for _, at := range []string{"", "@0s ", "@7s "} {
+			op, err := ParseOp(at + line)
+			if err != nil || op.Kind != kind {
+				t.Fatalf("ParseOp(%q) = %+v, %v", at+line, op, err)
+			}
+			s, err := Parse(at + line)
+			if err != nil || len(s.Ops) != 1 || !reflect.DeepEqual(s.Ops[0], op) {
+				t.Fatalf("Parse(%q) = %+v, %v; ParseOp read %+v", at+line, s.Ops, err, op)
+			}
+			if want := map[string]time.Duration{"@7s ": 7 * time.Second}[at]; op.At != want {
+				t.Fatalf("%q: At = %v, want %v", at+line, op.At, want)
+			}
+		}
+	}
+}
+
 func TestParseIgnoresCommentsAndBlanks(t *testing.T) {
 	s, err := Parse("# a comment\n\nseed 7\n@2s kill n1\n\n# another\nsettle 1m\n")
 	if err != nil {

@@ -77,9 +77,6 @@ func newFabric(spec *FarmSpec, sub substrate, bin, art string, logf func(string,
 	return f
 }
 
-// Kind names the fabric ("loopback", "netns").
-func (f *Fabric) Kind() string { return f.sub.kind() }
-
 // Boot writes the configdb, wires the segments, starts the switch agent,
 // then every node. On error the caller still owes a Close.
 func (f *Fabric) Boot() error {

@@ -118,14 +118,6 @@ func (d *Daemon) Alive() bool {
 	return !d.done
 }
 
-// Signal delivers a signal to the process (SIGSTOP/SIGCONT pauses).
-func (d *Daemon) Signal(sig syscall.Signal) error {
-	if !d.Alive() {
-		return fmt.Errorf("conformance: %s already exited", d.Source())
-	}
-	return d.cmd.Process.Signal(sig)
-}
-
 // Kill SIGKILLs the process and reaps it — the fail-stop crash.
 func (d *Daemon) Kill() {
 	d.mu.Lock()

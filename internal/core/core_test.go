@@ -557,8 +557,8 @@ func TestReportsReachCentral(t *testing.T) {
 		if d.AdminIP() == leader && !d.HostingCentral() {
 			t.Fatal("leader daemon does not report hosting central")
 		}
-		if d.CentralIP() != leader {
-			t.Fatalf("daemon %s thinks central is %v", d.Node(), d.CentralIP())
+		if d.centralIP != leader {
+			t.Fatalf("daemon %s thinks central is %v", d.node, d.centralIP)
 		}
 	}
 }
@@ -631,8 +631,8 @@ func TestCentralFailover(t *testing.T) {
 		if !d.Running() {
 			continue
 		}
-		if d.CentralIP() != successor {
-			t.Fatalf("daemon %s central = %v, want successor %v", d.Node(), d.CentralIP(), successor)
+		if d.centralIP != successor {
+			t.Fatalf("daemon %s central = %v, want successor %v", d.node, d.centralIP, successor)
 		}
 		if d.AdminIP() == successor && !d.HostingCentral() {
 			t.Fatal("successor is not hosting central")

@@ -90,18 +90,12 @@ func NewDaemon(cfg Config, node string, clock transport.Clock, rng *rand.Rand, e
 	return d, nil
 }
 
-// Node returns the node's name.
-func (d *Daemon) Node() string { return d.node }
-
 // SetCentral installs the Central implementation this daemon hosts when
 // elected. Must be called before Start.
 func (d *Daemon) SetCentral(c CentralHook) { d.central = c }
 
 // Clock exposes the daemon's time source.
 func (d *Daemon) Clock() transport.Clock { return d.clock }
-
-// Config returns the active configuration.
-func (d *Daemon) Config() Config { return d.cfg }
 
 // AdminIP returns the administrative adapter's address.
 func (d *Daemon) AdminIP() transport.IP {
@@ -166,12 +160,6 @@ func (d *Daemon) Leading() []transport.IP {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// CentralIP returns the daemon's current notion of where GulfStream
-// Central lives (the administrative AMG leader).
-func (d *Daemon) CentralIP() transport.IP {
-	return d.centralIP
 }
 
 // HostingCentral reports whether this daemon is GulfStream Central.

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
@@ -118,8 +119,8 @@ func TestChaosSeedsReplayExactly(t *testing.T) {
 }
 
 // TestOfflineVerdictMatchesLive judges E15's red golden seed twice: live,
-// as a chaos run does, and offline, from the run's trace dump read back
-// with trace.ParseDump into an engine with no live farm — the way the
+// as a chaos run does, and offline, from the run's trace dump decoded back
+// into a trace.Dump and fed to an engine with no live farm — the way the
 // conformance harness judges a real daemon's scraped trace. The model the
 // invariants are judged over is folded from the records alone, so both
 // must report the same violations.
@@ -145,8 +146,8 @@ func TestOfflineVerdictMatchesLive(t *testing.T) {
 	if err := f.Trace.WriteJSON(&dump); err != nil {
 		t.Fatal(err)
 	}
-	d, err := trace.ParseDump(dump.Bytes())
-	if err != nil {
+	var d trace.Dump
+	if err := json.Unmarshal(dump.Bytes(), &d); err != nil {
 		t.Fatal(err)
 	}
 	if d.Dropped != 0 {

@@ -36,7 +36,7 @@ func TestConcurrentObserveSummary(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			_ = r.Summary()
 			_ = r.Total()
-			_ = r.Counters()
+			_ = r.CounterValue("suspicions_total")
 			_ = r.Histogram("twopc_round")
 			r.WriteProm(&strings.Builder{})
 		}
@@ -177,7 +177,7 @@ func TestObserveTraceBridge(t *testing.T) {
 	if h.N != 1 || h.Max != 250*time.Millisecond {
 		t.Errorf("twopc_round = %+v, want one 250ms sample", h)
 	}
-	if got := r.Gauges()[`group_size{leader="10.1.0.9"}`]; got != 5 {
+	if got := r.gauges[`group_size{leader="10.1.0.9"}`]; got != 5 {
 		t.Errorf("group_size gauge = %v, want 5", got)
 	}
 	var b strings.Builder

@@ -10,7 +10,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -138,16 +137,6 @@ func (r *Registry) PlaneCounter(plane string) Counter {
 	return Counter{}
 }
 
-// SegmentCounter returns the counter for a segment (zero if unseen).
-func (r *Registry) SegmentCounter(seg string) Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c := r.bySegment[seg]; c != nil {
-		return *c
-	}
-	return Counter{}
-}
-
 // Rate converts a message count to messages/second over the window ending
 // at now.
 func (r *Registry) Rate(messages uint64, now time.Duration) float64 {
@@ -192,25 +181,11 @@ func (r *Registry) CounterValue(name string) uint64 {
 	return r.counters[name]
 }
 
-// Counters snapshots every named counter.
-func (r *Registry) Counters() map[string]uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return maps.Clone(r.counters)
-}
-
 // Set sets the named gauge.
 func (r *Registry) Set(name string, v float64) {
 	r.mu.Lock()
 	r.gauges[name] = v
 	r.mu.Unlock()
-}
-
-// Gauges snapshots every named gauge.
-func (r *Registry) Gauges() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return maps.Clone(r.gauges)
 }
 
 // ObserveDuration adds one sample to the named histogram.
@@ -352,13 +327,4 @@ func (l *Latencies) Max() time.Duration {
 	}
 	l.sortSamples()
 	return l.samples[len(l.samples)-1]
-}
-
-// Min returns the smallest sample.
-func (l *Latencies) Min() time.Duration {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	l.sortSamples()
-	return l.samples[0]
 }

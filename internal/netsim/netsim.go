@@ -203,9 +203,6 @@ func New(sched *sim.Scheduler, resolver SegmentResolver) *Network {
 	return n
 }
 
-// Scheduler returns the scheduler driving this network.
-func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
-
 // SetDefaultProfile sets the link profile used by segments without an
 // override.
 func (n *Network) SetDefaultProfile(p LinkProfile) { n.defaultProfile = p }
@@ -237,11 +234,7 @@ func (n *Network) AddAdapter(ip transport.IP, node string) *Adapter {
 	if _, dup := n.adapters[ip]; dup {
 		panic(fmt.Sprintf("netsim: duplicate adapter %v", ip))
 	}
-	a := &Adapter{
-		net:  n,
-		ip:   ip,
-		node: node,
-	}
+	a := &Adapter{net: n, ip: ip}
 	a.ln = n.lanes[0]
 	if n.sharded {
 		a.ln = n.lanes[n.home(node)]
@@ -262,9 +255,6 @@ func (n *Network) AddAdapter(ip transport.IP, node string) *Adapter {
 	}
 	return a
 }
-
-// Adapter returns the adapter with the given address, or nil.
-func (n *Network) Adapter(ip transport.IP) *Adapter { return n.adapters[ip] }
 
 // Adapters returns all adapters in ascending IP order.
 func (n *Network) Adapters() []*Adapter {
@@ -605,7 +595,6 @@ type Adapter struct {
 	net  *Network
 	ln   *lane // home lane: the shard whose windows run this adapter
 	ip   transport.IP
-	node string
 	mode FailureMode
 	seg  *segment // current bucket; nil while disconnected or cache dirty
 	// planes holds handlers for the well-known ports (hit on every
@@ -622,9 +611,6 @@ var (
 
 // LocalIP returns the adapter's address.
 func (a *Adapter) LocalIP() transport.IP { return a.ip }
-
-// Node returns the owning node's identifier.
-func (a *Adapter) Node() string { return a.node }
 
 // Mode returns the adapter's current failure mode.
 func (a *Adapter) Mode() FailureMode { return a.mode }
@@ -828,12 +814,6 @@ func NewStaticResolver() *StaticResolver {
 // Attach maps an adapter to a segment (replacing any previous mapping).
 func (r *StaticResolver) Attach(ip transport.IP, segment string) {
 	r.seg[ip] = segment
-	r.version++
-}
-
-// Detach removes an adapter's connectivity entirely.
-func (r *StaticResolver) Detach(ip transport.IP) {
-	delete(r.seg, ip)
 	r.version++
 }
 

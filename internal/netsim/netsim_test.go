@@ -363,3 +363,9 @@ func BenchmarkMulticastFanout64(b *testing.B) {
 		f.sched.Run()
 	}
 }
+
+// Detach removes an adapter's connectivity entirely.
+func (r *StaticResolver) Detach(ip transport.IP) {
+	delete(r.seg, ip)
+	r.version++
+}

@@ -53,7 +53,7 @@ func (m *fabricModel) checkAll(t *testing.T, fab *switchsim.Fabric, n *Network, 
 	// Loopback must agree with connectivity for every adapter.
 	for _, ip := range m.ips {
 		_, connected := fab.SegmentOf(ip)
-		if up := n.Adapter(ip).Loopback(); up != connected {
+		if up := n.adapters[ip].Loopback(); up != connected {
 			t.Fatalf("step %d (%s): adapter %v loopback = %v, resolver says %v", step, op, ip, up, connected)
 		}
 	}

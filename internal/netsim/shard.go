@@ -57,9 +57,6 @@ func NewSharded(sh *sim.Shards, resolver SegmentResolver, home func(node string)
 	return n
 }
 
-// Lane returns the adapter's home shard index.
-func (a *Adapter) Lane() int { return a.ln.id }
-
 // bundle is one pooled cross-shard transmission in flight between a lane
 // pair: the sender's payload (private reused copy), the receivers on the
 // destination lane, and everything needed to resolve per-receiver latency

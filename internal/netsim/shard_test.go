@@ -46,7 +46,7 @@ func TestShardedUnicastCross(t *testing.T) {
 	p := LinkProfile{Latency: 2 * time.Millisecond, Spread: 500 * time.Microsecond}
 	f := newShardFixture(1, 2, 2, time.Millisecond, p)
 	a, b := f.adapters[0], f.adapters[1]
-	if a.Lane() == b.Lane() {
+	if a.ln == b.ln {
 		t.Fatal("fixture should split hosts across lanes")
 	}
 	var gotAt time.Duration

@@ -34,8 +34,7 @@ type Balancer struct {
 	// pulled; absence means in rotation.
 	down map[string]string
 
-	notifications uint64
-	maxLag        time.Duration
+	maxLag time.Duration
 }
 
 // domainTable is one domain's backend set, kept sorted for deterministic
@@ -83,7 +82,6 @@ func NewBalancer(cfg Config, clock transport.Clock, dir Directory,
 // Apply consumes one notification. It is the pipe's delivery target; the
 // simulator never calls it concurrently.
 func (b *Balancer) Apply(e event.Event) {
-	b.notifications++
 	if lag := b.clock.Now() - e.Time; lag >= 0 {
 		if lag > b.maxLag {
 			b.maxLag = lag
@@ -194,30 +192,12 @@ func (b *Balancer) healthy(dom string, dst []string) []string {
 	return dst
 }
 
-// Route picks one backend for a single domain request, rotating
-// deterministically across the healthy set. ok is false when no backend
-// is in rotation.
-func (b *Balancer) Route(domain string) (node string, ok bool) {
-	t := b.tables[domain]
-	if t == nil || len(t.backends) == 0 {
-		return "", false
-	}
-	n := len(t.backends)
-	for i := 0; i < n; i++ {
-		cand := t.backends[(t.rr+i)%n]
-		if _, isDown := b.down[cand]; !isDown {
-			t.rr = (t.rr + i + 1) % n
-			return cand, true
-		}
-	}
-	return "", false
-}
-
 // Assign splits a batch of n requests across the domain's healthy
 // backends — the counted-cohort fast path: one Share per backend instead
-// of one Route call per request. The split is even with the remainder
-// rotated round-robin, so repeated batches spread exactly like repeated
-// Route calls. A nil result means no backend is in rotation.
+// of one routing decision per request. The split is even with the
+// remainder rotated round-robin, so repeated batches of one request each
+// rotate across the healthy backends. A nil result means no backend is in
+// rotation.
 func (b *Balancer) Assign(domain string, n int64) []Share {
 	if n <= 0 {
 		return nil
@@ -267,13 +247,6 @@ func (b *Balancer) Audit(oracle Oracle) []string {
 
 // Healthy returns the domain's in-rotation backends (sorted).
 func (b *Balancer) Healthy(domain string) []string { return b.healthy(domain, nil) }
-
-// DownReason reports why a backend is out of rotation ("" when it is
-// in rotation).
-func (b *Balancer) DownReason(node string) string { return b.down[node] }
-
-// Notifications counts events the balancer has consumed.
-func (b *Balancer) Notifications() uint64 { return b.notifications }
 
 // MaxLag is the largest publication-to-delivery lag observed.
 func (b *Balancer) MaxLag() time.Duration { return b.maxLag }

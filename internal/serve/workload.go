@@ -119,9 +119,6 @@ func (w *Workload) Stop() {
 	}
 }
 
-// Running reports whether the workload is ticking.
-func (w *Workload) Running() bool { return w.running }
-
 func (w *Workload) tick() {
 	if !w.running {
 		return
@@ -230,14 +227,4 @@ func (w *Workload) ResetStats() {
 	for _, d := range w.domains {
 		d.stats = DomainStats{Domain: d.name, PeakSessions: d.active}
 	}
-}
-
-// ActiveSessions reports the domain's current in-flight session count.
-func (w *Workload) ActiveSessions(domain string) int64 {
-	for _, d := range w.domains {
-		if d.name == domain {
-			return d.active
-		}
-	}
-	return 0
 }

@@ -220,3 +220,13 @@ func TestWorkloadScalesToMillionsOfSessions(t *testing.T) {
 		t.Fatalf("60 simulated seconds with %d peak sessions took %v", peak, elapsed)
 	}
 }
+
+// ActiveSessions reports the domain's current in-flight session count.
+func (w *Workload) ActiveSessions(domain string) int64 {
+	for _, d := range w.domains {
+		if d.name == domain {
+			return d.active
+		}
+	}
+	return 0
+}

@@ -25,28 +25,6 @@ func TestAllocSchedule(t *testing.T) {
 	}
 }
 
-// TestAllocAfterCall: the arg-style callback path allocates nothing — no
-// closure, pooled event, and a pointer arg already in an interface.
-func TestAllocAfterCall(t *testing.T) {
-	s := NewScheduler(1)
-	type payload struct{ n int }
-	fn := func(arg any) { arg.(*payload).n++ }
-	p := &payload{}
-	var arg any = p // pre-boxed so the measured loop pays no conversion
-	s.AfterCall(0, fn, arg)
-	s.Run()
-	got := testing.AllocsPerRun(200, func() {
-		s.AfterCall(time.Millisecond, fn, arg)
-		s.Run()
-	})
-	if got != 0 {
-		t.Errorf("AfterCall+fire: %.1f allocs/op, want 0", got)
-	}
-	if p.n == 0 {
-		t.Fatal("callback never ran")
-	}
-}
-
 // TestAllocTimerResetLoop: a periodic timer rescheduling itself from its
 // own callback (the fixed-interval fast path) runs allocation-free.
 func TestAllocTimerResetLoop(t *testing.T) {
@@ -130,50 +108,6 @@ func TestTimerStopAfterStopAndReuse(t *testing.T) {
 	}
 }
 
-// TestAllocShardedExchange extends the steady-state guarantee to the
-// sharded kernel: cross-shard Post, the barrier merge, the PostAt
-// injection and the window loop itself must all recycle — zero allocs/op
-// once the pair queues, merge scratch and event pools are warm.
-func TestAllocShardedExchange(t *testing.T) {
-	sh := NewShards(1, 4, time.Millisecond)
-	fn := func(any) {}
-	var arg any = sh
-	step := func() {
-		// Two crossing posts per window plus local work on each shard.
-		at := sh.Now() + 2*time.Millisecond
-		sh.Post(0, 2, at, fn, arg)
-		sh.Post(3, 1, at, fn, arg)
-		for i := 0; i < 4; i++ {
-			sh.Shard(i).AfterCall(time.Millisecond, fn, arg)
-		}
-		sh.RunFor(2 * time.Millisecond)
-	}
-	for i := 0; i < 8; i++ {
-		step() // warm pair queues, merge scratch, per-shard free lists
-	}
-	got := testing.AllocsPerRun(200, step)
-	if got != 0 {
-		t.Errorf("sharded post+exchange+fire: %.1f allocs/op, want 0", got)
-	}
-}
-
-// TestAllocPostAt: barrier-time injection recycles pooled events like any
-// other schedule.
-func TestAllocPostAt(t *testing.T) {
-	s := NewScheduler(1)
-	fn := func(any) {}
-	var arg any = s
-	s.PostAt(0, fn, arg)
-	s.Run()
-	got := testing.AllocsPerRun(200, func() {
-		s.PostAt(s.Now()+time.Millisecond, fn, arg)
-		s.Run()
-	})
-	if got != 0 {
-		t.Errorf("PostAt+fire: %.1f allocs/op, want 0", got)
-	}
-}
-
 func BenchmarkScheduleFire(b *testing.B) {
 	s := NewScheduler(1)
 	fn := func() {}
@@ -181,34 +115,5 @@ func BenchmarkScheduleFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Schedule(time.Millisecond, fn)
 		s.Run()
-	}
-}
-
-func BenchmarkAfterCallFire(b *testing.B) {
-	s := NewScheduler(1)
-	fn := func(any) {}
-	var arg any = s
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.AfterCall(time.Millisecond, fn, arg)
-		s.Run()
-	}
-}
-
-// BenchmarkShardedWindow measures one full window cycle on a 4-shard
-// kernel: 4 local fires, 2 cross-shard posts, barrier merge.
-func BenchmarkShardedWindow(b *testing.B) {
-	sh := NewShards(1, 4, time.Millisecond)
-	fn := func(any) {}
-	var arg any = sh
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		at := sh.Now() + 2*time.Millisecond
-		sh.Post(0, 2, at, fn, arg)
-		sh.Post(3, 1, at, fn, arg)
-		for j := 0; j < 4; j++ {
-			sh.Shard(j).AfterCall(time.Millisecond, fn, arg)
-		}
-		sh.RunFor(2 * time.Millisecond)
 	}
 }

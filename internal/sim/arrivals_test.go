@@ -8,14 +8,15 @@ import (
 	"time"
 )
 
-// Arrival lists against the reference they replace: one AfterCall per
+// Arrival lists against the reference they replace: one Schedule per
 // arrival. Two schedulers run the same random script — batches of arrivals
 // with colliding instants, handlers that post further batches, schedule
-// plain events, stop and reset timers and halt the loop, and a driver that
-// alternates RunUntil, runWindow, Step and Run with bounds that fall inside
-// lists — one posting every batch as an ArrivalList, the other scheduling
-// each arrival by itself in the same order. Everything observable must
-// agree at every checkpoint: the firing log, the clock, Fired and Pending.
+// plain events and stop and reset timers, and a driver that alternates
+// RunUntil, runWindow, Step and bursts of steps with bounds that fall
+// inside lists — one posting every batch as an ArrivalList, the other
+// scheduling each arrival by itself in the same order. Everything
+// observable must agree at every checkpoint: the firing log, the clock,
+// Fired and Pending.
 
 type firing struct {
 	at  time.Duration
@@ -57,7 +58,8 @@ func (w *world) batch(n int) {
 	if !w.lists {
 		for i := 0; i < n; i++ {
 			w.nextID++
-			w.s.AfterCall(w.offset(), func(arg any) { w.fire(arg.(int)) }, w.nextID)
+			id := w.nextID
+			w.s.Schedule(w.offset(), func() { w.fire(id) })
 		}
 		return
 	}
@@ -101,8 +103,6 @@ func (w *world) fire(id int) {
 		w.timers[w.rng.Intn(len(w.timers))].Stop()
 	case 4, 5:
 		w.timers[w.rng.Intn(len(w.timers))].Reset(w.offset())
-	case 6:
-		w.s.Halt()
 	}
 }
 
@@ -123,7 +123,8 @@ func (w *world) drive() {
 	case 3:
 		w.s.RunFor(3 * tick)
 	case 4:
-		w.s.Run() // until a handler halts it, or dry
+		for n := w.rng.Intn(64); n > 0 && w.s.Step(); n-- {
+		}
 	}
 }
 

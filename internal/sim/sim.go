@@ -13,10 +13,10 @@
 // heap entry. See DESIGN.md §9.
 //
 // Shards splits one simulation over K such schedulers that advance in
-// lookahead windows and exchange cross-shard events at window barriers in
-// a fixed order, so any K replays the one-shard run. The package starts no
-// goroutine: every window of every shard runs on the caller's goroutine.
-// See shard.go and DESIGN.md §13.
+// lookahead windows and exchange what crosses shards at window barriers
+// in a fixed order, so any K replays the one-shard run. The package
+// starts no goroutine: every window of every shard runs on the caller's
+// goroutine. See shard.go and DESIGN.md §13.
 package sim
 
 import (
@@ -38,8 +38,6 @@ type event struct {
 	gen   uint64
 	index int // heap index; -1 when not queued
 	fn    func()
-	fnc   func(any) // arg-style callback; avoids a closure allocation
-	arg   any
 	list  *ArrivalList // non-nil: the event fires the list's arrivals in turn
 }
 
@@ -63,7 +61,6 @@ type Scheduler struct {
 	inList int         // arrivals queued behind the head of their list
 	rng    *rand.Rand
 	fired  uint64
-	halted bool
 }
 
 // NewScheduler returns a scheduler whose clock starts at zero and whose
@@ -116,7 +113,7 @@ func (s *Scheduler) alloc(d time.Duration) *event {
 // generation so stale Timer handles can never touch it again.
 func (s *Scheduler) release(ev *event) {
 	ev.gen++
-	ev.fn, ev.fnc, ev.arg, ev.list = nil, nil, nil, nil
+	ev.fn, ev.list = nil, nil
 	s.free = append(s.free, ev)
 }
 
@@ -304,20 +301,6 @@ func (s *Scheduler) Schedule(d time.Duration, fn func()) {
 	s.push(ev)
 }
 
-// AfterCall schedules fn(arg) at d from now. Passing the argument
-// explicitly rather than closing over it lets hot callers schedule with
-// zero allocations: fn is typically a package-level function and arg a
-// pooled pointer, neither of which needs a heap-allocated closure.
-func (s *Scheduler) AfterCall(d time.Duration, fn func(any), arg any) {
-	if fn == nil {
-		panic("sim: AfterCall with nil function")
-	}
-	ev := s.alloc(d)
-	ev.fnc = fn
-	ev.arg = arg
-	s.push(ev)
-}
-
 // At schedules fn at absolute virtual time at. Times in the past run
 // immediately (at the current instant).
 func (s *Scheduler) At(at time.Duration, fn func()) *Timer {
@@ -358,7 +341,7 @@ type ArrivalList struct {
 // ReserveSeq reserves n consecutive sequence numbers and returns the first.
 // Numbering a list's arrivals from the block in the order the caller would
 // have scheduled them one by one gives every arrival the sequence number
-// that per-arrival AfterCall (or PostAt) calls would have given it — so
+// that scheduling each arrival by itself would have given it — so
 // batching changes where events are stored and nothing about their order.
 func (s *Scheduler) ReserveSeq(n int) uint64 {
 	base := s.seq
@@ -385,7 +368,7 @@ func (s *Scheduler) PostArrivals(l *ArrivalList) {
 // stepList fires the next arrival of the list at the root of the heap. The
 // entry is re-keyed (or, after the last arrival, removed) before the
 // callback runs, so the callback sees a consistent queue and may schedule,
-// cancel or halt like any other.
+// or cancel like any other.
 func (s *Scheduler) stepList(ev *event, l *ArrivalList) {
 	a := &l.Arrivals[l.next]
 	l.next++
@@ -417,31 +400,25 @@ func (s *Scheduler) Step() bool {
 	}
 	ev := s.popMin()
 	s.now = ev.at
-	fn, fnc, arg := ev.fn, ev.fnc, ev.arg
+	fn := ev.fn
 	// Recycle before running: the callback may schedule (reusing this very
 	// event, under a new generation) or Stop its own timer (a no-op now).
 	s.release(ev)
 	s.fired++
-	if fn != nil {
-		fn()
-	} else if fnc != nil {
-		fnc(arg)
-	}
+	fn()
 	return true
 }
 
 // Run executes events until the queue is empty.
 func (s *Scheduler) Run() {
-	s.halted = false
-	for !s.halted && s.Step() {
+	for s.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to deadline. Events scheduled at exactly the deadline do run.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
-	s.halted = false
-	for !s.halted && len(s.queue) > 0 && s.queue[0].at <= deadline {
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
 		s.Step()
 	}
 	if s.now < deadline {
@@ -456,7 +433,7 @@ func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 // advances the clock to end. This is the body of one conservative-lookahead
 // window (see shard.go): the exclusive bound means every shard stops at the
 // same instant, and events at exactly the window boundary wait for the
-// cross-shard merge that happens there.
+// barrier that happens there.
 func (s *Scheduler) runWindow(end time.Duration) {
 	for len(s.queue) > 0 && s.queue[0].at < end {
 		s.Step()
@@ -465,37 +442,6 @@ func (s *Scheduler) runWindow(end time.Duration) {
 		s.now = end
 	}
 }
-
-// PostAt schedules fn(arg) at absolute virtual time at — the injection
-// point for cross-shard events merged at a window barrier. The event is
-// pooled like every other schedule. Times in the past are a contract
-// violation (a barrier only injects events at or after the barrier
-// instant), so PostAt panics rather than warping them forward.
-func (s *Scheduler) PostAt(at time.Duration, fn func(any), arg any) {
-	if fn == nil {
-		panic("sim: PostAt with nil function")
-	}
-	if at < s.now {
-		panic(fmt.Sprintf("sim: PostAt %v before current time %v", at, s.now))
-	}
-	ev := s.alloc(at - s.now)
-	ev.fnc = fn
-	ev.arg = arg
-	s.push(ev)
-}
-
-// RunWhile executes events while cond() is true and events remain. It is
-// the primitive behind "run until the farm is stable" style loops; cond is
-// evaluated before each event.
-func (s *Scheduler) RunWhile(cond func() bool) {
-	s.halted = false
-	for !s.halted && len(s.queue) > 0 && cond() {
-		s.Step()
-	}
-}
-
-// Halt stops Run/RunUntil/RunWhile after the current event returns.
-func (s *Scheduler) Halt() { s.halted = true }
 
 // String describes the scheduler state, for debugging.
 func (s *Scheduler) String() string {

@@ -149,40 +149,6 @@ func TestAtSchedulesAbsolute(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	s := NewScheduler(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.AfterFunc(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	// Run again resumes.
-	s.Run()
-	if count != 10 {
-		t.Fatalf("count after resume = %d, want 10", count)
-	}
-}
-
-func TestRunWhile(t *testing.T) {
-	s := NewScheduler(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.AfterFunc(time.Duration(i)*time.Second, func() { count++ })
-	}
-	s.RunWhile(func() bool { return count < 4 })
-	if count != 4 {
-		t.Fatalf("count = %d, want 4", count)
-	}
-}
-
 func TestDeterministicReplay(t *testing.T) {
 	run := func(seed int64) []time.Duration {
 		s := NewScheduler(seed)

@@ -142,22 +142,6 @@ func (m *MapMIB) Define(oid OID, v Value, writable bool) {
 	m.writable[key] = writable
 }
 
-// Undefine removes an object.
-func (m *MapMIB) Undefine(oid OID) {
-	key := oid.String()
-	if _, exists := m.vals[key]; !exists {
-		return
-	}
-	delete(m.vals, key)
-	delete(m.writable, key)
-	for i, o := range m.oids {
-		if o.Compare(oid) == 0 {
-			m.oids = append(m.oids[:i], m.oids[i+1:]...)
-			break
-		}
-	}
-}
-
 // Update changes an existing object's value without touching writability,
 // bypassing validation (for the device updating its own state).
 func (m *MapMIB) Update(oid OID, v Value) error {
@@ -207,13 +191,4 @@ func (m *MapMIB) Set(oid OID, v Value) error {
 		m.OnSet(oid, v)
 	}
 	return nil
-}
-
-// Walk visits every object at or below prefix in order.
-func (m *MapMIB) Walk(prefix OID, fn func(OID, Value)) {
-	for _, o := range m.oids {
-		if o.HasPrefix(prefix) {
-			fn(o, m.vals[o.String()])
-		}
-	}
 }

@@ -217,7 +217,7 @@ func TestTimeoutWhenAgentUnreachable(t *testing.T) {
 	}
 }
 
-func TestMapMIBUndefineAndUpdate(t *testing.T) {
+func TestMapMIBUpdate(t *testing.T) {
 	m := NewMapMIB()
 	oid := MustOID("1.3.6.1.4.1.2.7.1")
 	m.Define(oid, Integer(1), false)
@@ -227,11 +227,7 @@ func TestMapMIBUndefineAndUpdate(t *testing.T) {
 	if v, _ := m.Get(oid); !v.Equal(Integer(2)) {
 		t.Fatal("Update did not apply")
 	}
-	m.Undefine(oid)
-	if _, err := m.Get(oid); !errors.Is(err, ErrNoSuchName) {
-		t.Fatal("Undefine did not remove")
-	}
-	if err := m.Update(oid, Integer(3)); !errors.Is(err, ErrNoSuchName) {
+	if err := m.Update(MustOID("1.3.6.1.4.1.2.7.2"), Integer(3)); !errors.Is(err, ErrNoSuchName) {
 		t.Fatal("Update on missing OID must fail")
 	}
 }
@@ -251,14 +247,17 @@ func TestMapMIBNextOrder(t *testing.T) {
 	}
 }
 
-func TestMapMIBWalk(t *testing.T) {
-	m := NewMapMIB()
-	m.Define(MustOID("1.3.1.1"), Integer(1), false)
-	m.Define(MustOID("1.3.1.2"), Integer(2), false)
-	m.Define(MustOID("1.3.2.1"), Integer(3), false)
-	var seen []string
-	m.Walk(MustOID("1.3.1"), func(oid OID, _ Value) { seen = append(seen, oid.String()) })
-	if len(seen) != 2 || seen[0] != "1.3.1.1" || seen[1] != "1.3.1.2" {
-		t.Fatalf("Walk saw %v", seen)
-	}
+// Get fetches one object.
+func (c *Client) Get(agent transport.Addr, oid OID, done func(Value, error)) {
+	c.Request(agent, Get, []VarBind{{OID: oid, Value: Null}}, func(m *Message, err error) {
+		if err != nil {
+			done(Null, err)
+			return
+		}
+		if len(m.Bindings) != 1 {
+			done(Null, ErrBadEncoding)
+			return
+		}
+		done(m.Bindings[0].Value, nil)
+	})
 }

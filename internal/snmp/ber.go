@@ -333,21 +333,6 @@ func (v Value) String() string {
 	}
 }
 
-// Equal reports deep value equality.
-func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind {
-		return false
-	}
-	switch v.Kind {
-	case KindInteger:
-		return v.Int == o.Int
-	case KindOctetString:
-		return string(v.Str) == string(o.Str)
-	default:
-		return true
-	}
-}
-
 func appendValue(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case KindInteger:
@@ -408,7 +393,7 @@ func (t PDUType) tag() byte {
 // SNMP error-status codes (the subset agents here produce).
 const (
 	ErrStatusNoError     = 0
-	ErrStatusTooBig      = 1
+	ErrStatusTooBig      = 1 // api: RFC 1157 numbers the statuses; the table stays whole
 	ErrStatusNoSuchName  = 2
 	ErrStatusBadValue    = 3
 	ErrStatusGenErr      = 5

@@ -324,3 +324,18 @@ func BenchmarkUnmarshalMessage(b *testing.B) {
 		}
 	}
 }
+
+// Equal reports deep value equality.
+func (v Value) Equal(o Value) bool {
+	if v.Kind != o.Kind {
+		return false
+	}
+	switch v.Kind {
+	case KindInteger:
+		return v.Int == o.Int
+	case KindOctetString:
+		return string(v.Str) == string(o.Str)
+	default:
+		return true
+	}
+}

@@ -115,21 +115,6 @@ func (cl *call) send() {
 	})
 }
 
-// Get fetches one object.
-func (c *Client) Get(agent transport.Addr, oid OID, done func(Value, error)) {
-	c.Request(agent, Get, []VarBind{{OID: oid, Value: Null}}, func(m *Message, err error) {
-		if err != nil {
-			done(Null, err)
-			return
-		}
-		if len(m.Bindings) != 1 {
-			done(Null, ErrBadEncoding)
-			return
-		}
-		done(m.Bindings[0].Value, nil)
-	})
-}
-
 // Set writes one object.
 func (c *Client) Set(agent transport.Addr, oid OID, v Value, done func(error)) {
 	c.Request(agent, Set, []VarBind{{OID: oid, Value: v}}, func(_ *Message, err error) {

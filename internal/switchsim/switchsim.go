@@ -168,9 +168,6 @@ func (s *Switch) SetPortUp(n int, up bool) error {
 	return nil
 }
 
-// MIB exposes the switch's management view, for attaching an SNMP agent.
-func (s *Switch) MIB() snmp.MIB { return s.mib }
-
 // AttachAgent binds an SNMP agent serving this switch's MIB to the given
 // management endpoint (an adapter on the administrative VLAN).
 func (s *Switch) AttachAgent(ep transport.Endpoint, community string) *snmp.Agent {

@@ -154,7 +154,7 @@ func TestMIBReflectsState(t *testing.T) {
 	f := NewFabric()
 	sw := f.AddSwitch("core-1")
 	sw.Connect(5, ip(0, 5), 300)
-	mib := sw.MIB()
+	mib := sw.mib
 
 	if v, err := mib.Get(OIDSysName); err != nil || v.String() != "core-1" {
 		t.Fatalf("sysName = %v %v", v, err)
@@ -179,7 +179,7 @@ func TestMIBSetMovesVLAN(t *testing.T) {
 	f := NewFabric()
 	sw := f.AddSwitch("sw0")
 	sw.Connect(1, ip(0, 1), 100)
-	if err := sw.MIB().Set(OIDPortVLAN(1), snmp.Integer(250)); err != nil {
+	if err := sw.mib.Set(OIDPortVLAN(1), snmp.Integer(250)); err != nil {
 		t.Fatal(err)
 	}
 	if seg, _ := f.SegmentOf(ip(0, 1)); seg != "vlan-250" {
@@ -194,16 +194,16 @@ func TestMIBSetValidation(t *testing.T) {
 	f := NewFabric()
 	sw := f.AddSwitch("sw0")
 	sw.Connect(1, ip(0, 1), 100)
-	if err := sw.MIB().Set(OIDPortVLAN(1), snmp.Integer(0)); err == nil {
+	if err := sw.mib.Set(OIDPortVLAN(1), snmp.Integer(0)); err == nil {
 		t.Fatal("VLAN 0 accepted")
 	}
-	if err := sw.MIB().Set(OIDPortVLAN(1), snmp.OctetString("ten")); err == nil {
+	if err := sw.mib.Set(OIDPortVLAN(1), snmp.OctetString("ten")); err == nil {
 		t.Fatal("string VLAN accepted")
 	}
-	if err := sw.MIB().Set(OIDPortStatus(1), snmp.Integer(7)); err == nil {
+	if err := sw.mib.Set(OIDPortStatus(1), snmp.Integer(7)); err == nil {
 		t.Fatal("bogus status accepted")
 	}
-	if err := sw.MIB().Set(OIDPortAdapter(1), snmp.OctetString("x")); err == nil {
+	if err := sw.mib.Set(OIDPortAdapter(1), snmp.OctetString("x")); err == nil {
 		t.Fatal("read-only adapter binding accepted a write")
 	}
 }
@@ -212,7 +212,7 @@ func TestMIBSetPortStatus(t *testing.T) {
 	f := NewFabric()
 	sw := f.AddSwitch("sw0")
 	sw.Connect(1, ip(0, 1), 100)
-	if err := sw.MIB().Set(OIDPortStatus(1), snmp.Integer(PortDown)); err != nil {
+	if err := sw.mib.Set(OIDPortStatus(1), snmp.Integer(PortDown)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := f.SegmentOf(ip(0, 1)); ok {

@@ -10,8 +10,9 @@ import (
 	"repro/internal/transport"
 )
 
-// FuzzParseDump feeds arbitrary documents to the reader the conformance
-// harness scrapes every daemon's /trace through. The corpus holds a
+// FuzzParseDump feeds arbitrary documents to the decoding the conformance
+// harness scrapes every daemon's /trace through: json.Unmarshal into a
+// Dump. The corpus holds a
 // recorder's real dump plus every prefix of a one-record dump (a torn
 // scrape); any document that parses must re-encode to one that parses to
 // the same dump.
@@ -41,16 +42,15 @@ func FuzzParseDump(f *testing.F) {
 		f.Add(torn[:i])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := ParseDump(data)
-		if err != nil {
+		var d, again Dump
+		if err := json.Unmarshal(data, &d); err != nil {
 			return // rejected input is fine; panics are not
 		}
-		enc, err := json.Marshal(d)
+		enc, err := json.Marshal(&d)
 		if err != nil {
 			t.Fatalf("parsed dump does not re-encode: %v", err)
 		}
-		again, err := ParseDump(enc)
-		if err != nil {
+		if err := json.Unmarshal(enc, &again); err != nil {
 			t.Fatalf("re-encoding does not parse: %v\n%s", err, enc)
 		}
 		if !reflect.DeepEqual(d, again) {

@@ -83,19 +83,10 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Dump is a parsed WriteJSON document.
+// Dump is one WriteJSON document; json.Unmarshal reads it back.
 type Dump struct {
 	Total   uint64   `json:"total"`
 	Dropped uint64   `json:"dropped"`
 	Cap     int      `json:"capacity"`
 	Records []Record `json:"records"`
-}
-
-// ParseDump decodes one WriteJSON document.
-func ParseDump(data []byte) (*Dump, error) {
-	var d Dump
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }

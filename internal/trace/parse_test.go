@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -34,9 +35,9 @@ func TestDumpRoundTrip(t *testing.T) {
 	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	d, err := ParseDump(buf.Bytes())
-	if err != nil {
-		t.Fatalf("ParseDump: %v", err)
+	var d Dump
+	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
+		t.Fatalf("decode dump: %v", err)
 	}
 	if d.Total != 4 || d.Dropped != 0 || d.Cap != 16 {
 		t.Fatalf("envelope = total %d dropped %d cap %d", d.Total, d.Dropped, d.Cap)

@@ -2,15 +2,9 @@ package gulfstream
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -21,57 +15,16 @@ import (
 // order-free by form (see orderFree) or carry an `// order-free: <why>`
 // comment on its `for` line or the line above. A walk whose order matters
 // ranges over ordered.Keys instead. -v logs the counts per package.
-//
-// Packages are type-checked from source against the gc export data of
-// their dependencies, which one `go list -export` builds.
 func TestMapWalksAreOrderFree(t *testing.T) {
-	out, err := exec.Command("go", "list", "-export", "-deps",
-		"-f", "{{.ImportPath}}\t{{.Export}}\t{{.Standard}}\t{{.Dir}}\t{{join .GoFiles \",\"}}", "./...").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exports := map[string]string{}
-	var local [][]string // import path, directory from here, file names
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		f := strings.Split(line, "\t")
-		exports[f[0]] = f[1]
-		if f[2] == "false" {
-			dir, err := filepath.Rel(wd, f[3])
-			if err != nil {
-				t.Fatal(err)
-			}
-			local = append(local, []string{f[0], dir, f[4]})
-		}
-	}
-	slices.SortFunc(local, func(a, b []string) int { return strings.Compare(a[0], b[0]) })
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})
 	var total [3]int // loops, order-free by form, annotated
-	for _, p := range local {
-		var files []*ast.File
-		for _, name := range strings.Split(p[2], ",") {
-			f, err := parser.ParseFile(fset, filepath.Join(p[1], name), nil, parser.ParseComments)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
-		if _, err := (&types.Config{Importer: imp}).Check(p[0], fset, files, info); err != nil {
-			t.Fatalf("type-check %s: %v", p[0], err)
-		}
+	for _, p := range loadModule(t, fset, ".", false) {
 		var n [3]int
-		for _, f := range files {
+		for _, f := range p.files {
 			notes := annotatedLines(fset, f)
 			ast.Inspect(f, func(nd ast.Node) bool {
 				rs, ok := nd.(*ast.RangeStmt)
-				if !ok || !isMap(info.TypeOf(rs.X)) {
+				if !ok || !isMap(p.info.TypeOf(rs.X)) {
 					return true
 				}
 				n[0]++
@@ -79,7 +32,7 @@ func TestMapWalksAreOrderFree(t *testing.T) {
 				switch {
 				case notes[pos.Line] || notes[pos.Line-1]:
 					n[2]++
-				case orderFree(info, rs):
+				case orderFree(p.info, rs):
 					n[1]++
 				default:
 					t.Errorf("%s: range over a map is neither order-free by form nor annotated `// order-free: <why>`", pos)
@@ -88,7 +41,7 @@ func TestMapWalksAreOrderFree(t *testing.T) {
 			})
 		}
 		if n[0] > 0 {
-			t.Logf("%-32s loops %3d  by form %3d  annotated %3d", p[0], n[0], n[1], n[2])
+			t.Logf("%-32s loops %3d  by form %3d  annotated %3d", p.path, n[0], n[1], n[2])
 		}
 		for i := range n {
 			total[i] += n[i]
