@@ -195,53 +195,15 @@ func writeUDPProm(w io.Writer, rt *transport.Runtime, udp []*transport.UDPEndpoi
 	fmt.Fprintf(w, "# TYPE gulfstream_runtime_queue_depth gauge\ngulfstream_runtime_queue_depth %d\n", rt.QueueDepth())
 }
 
-// topologyDoc is the /topology document: Central's current belief about
-// the farm, assembled on the protocol event loop. The conformance
-// harness diffs Groups against its declared ground truth and, with
-// ?verify=1, collects the configdb mismatch verdicts.
-type topologyDoc struct {
-	Node           string              `json:"node"`
-	HostingCentral bool                `json:"hosting_central"`
-	Active         bool                `json:"active"`
-	Stable         bool                `json:"stable"`
-	Groups         map[string][]string `json:"groups"`
-	DeadNodes      []string            `json:"dead_nodes,omitempty"`
-	Incidents      map[string]uint64   `json:"incidents,omitempty"`
-	Mismatches     []string            `json:"mismatches,omitempty"`
-}
-
 // serveTopology snapshots Central's discovered topology. The collection
-// runs as one event-loop turn so the document is internally consistent.
+// runs as one event-loop turn so the document is internally consistent;
+// ?verify=1 adds the configdb mismatch verdicts.
 func serveTopology(w http.ResponseWriter, r *http.Request, node string,
 	rt *transport.Runtime, d *core.Daemon, ctr *central.Central) {
 
 	verify := r.URL.Query().Get("verify") != ""
-	done := make(chan *topologyDoc, 1)
-	rt.Post(func() {
-		doc := &topologyDoc{
-			Node:           node,
-			HostingCentral: d.HostingCentral(),
-			Active:         ctr.Active(),
-			Stable:         ctr.Stable(),
-			Groups:         map[string][]string{},
-			DeadNodes:      ctr.DeadNodes(),
-			Incidents:      ctr.Incidents(),
-		}
-		for leader, members := range ctr.Groups() { // order-free: each leader writes its own entry
-			ms := make([]string, len(members))
-			for i, ip := range members {
-				ms[i] = ip.String()
-			}
-			doc.Groups[leader.String()] = ms
-		}
-		if verify {
-			doc.Mismatches = []string{}
-			for _, m := range ctr.Verify() {
-				doc.Mismatches = append(doc.Mismatches, m.String())
-			}
-		}
-		done <- doc
-	})
+	done := make(chan *central.Topology, 1)
+	rt.Post(func() { done <- ctr.Topology(node, d.HostingCentral(), verify) })
 	select {
 	case doc := <-done:
 		enc := json.NewEncoder(w)

@@ -50,32 +50,6 @@ import (
 	"repro/internal/transport"
 )
 
-// readyInfo is the machine-readable readiness line written to -ready-fd
-// once the daemon has started: the orchestrator's signal that sockets are
-// bound and the protocol clock is running. StartUnixNS is the wall-clock
-// epoch of the daemon's trace timestamps, letting an external merger
-// align flight-recorder streams from many processes.
-type readyInfo struct {
-	Node        string   `json:"node"`
-	PID         int      `json:"pid"`
-	StartUnixNS int64    `json:"start_unix_ns"`
-	Adapters    []string `json:"adapters"`
-	DebugAddr   string   `json:"debug_addr,omitempty"`
-}
-
-// fastProfile compresses every protocol timer for single-host conformance
-// farms — the same values the in-repo UDP end-to-end test converges with.
-func fastProfile(cfg *core.Config) {
-	cfg.BeaconPhase = 2 * time.Second
-	cfg.BeaconInterval = 300 * time.Millisecond
-	cfg.LeaderBeaconInterval = 500 * time.Millisecond
-	cfg.StableWait = 500 * time.Millisecond
-	cfg.DeferTimeout = 3 * time.Second
-	cfg.DetectorParams.Interval = 300 * time.Millisecond
-	cfg.OrphanTimeout = 5 * time.Second
-	cfg.ConsensusWindow = 600 * time.Millisecond
-}
-
 // parseAdapters parses the -adapters list. Each element is `ip` or
 // `ip@scopegroup`; any scoped element wraps its endpoint in a
 // transport.ScopedEndpoint pinned to that multicast group. raw holds the
@@ -154,14 +128,15 @@ func main() {
 }
 
 func run() int {
+	cfg := core.DefaultConfig()
 	var (
 		node       = flag.String("node", "", "node name (required)")
 		adapters   = flag.String("adapters", "", "comma-separated adapter IPv4 addresses, each `ip` or `ip@scopegroup`; first is administrative (required)")
 		fast       = flag.Bool("fast", false, "compressed protocol timers for single-host conformance farms")
-		tb         = flag.Duration("tb", 5*time.Second, "beacon phase Tb")
-		ts         = flag.Duration("ts", 5*time.Second, "leader quiet wait Ts")
+		tb         = flag.Duration("tb", cfg.BeaconPhase, "beacon phase Tb")
+		ts         = flag.Duration("ts", cfg.StableWait, "leader quiet wait Ts")
 		tgsc       = flag.Duration("tgsc", 15*time.Second, "Central stabilization wait Tgsc")
-		th         = flag.Duration("th", time.Second, "heartbeat interval Th")
+		th         = flag.Duration("th", cfg.DetectorParams.Interval, "heartbeat interval Th")
 		miss       = flag.Int("miss", 3, "missed-heartbeat sensitivity k")
 		detName    = flag.String("detector", "biring", "failure detector: ring|biring|all-to-all|randping|subgroup")
 		dbPath     = flag.String("configdb", "", "expected-topology JSON for Central verification (optional)")
@@ -186,30 +161,26 @@ func run() int {
 		return 1
 	}
 
-	cfg := core.DefaultConfig()
 	// Reports are deduped by Central per reporter via sequence numbers; a
 	// restarted process must not reuse its previous life's numbering or
 	// its first reports are swallowed as duplicates. Boot time makes the
 	// sequence space monotonic across restarts.
 	cfg.ReportEpoch = uint64(time.Now().UnixNano())
 	if *fast {
-		fastProfile(&cfg)
-		// Explicit timer flags still win over the profile.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "tb":
-				cfg.BeaconPhase = *tb
-			case "ts":
-				cfg.StableWait = *ts
-			case "th":
-				cfg.DetectorParams.Interval = *th
-			}
-		})
-	} else {
-		cfg.BeaconPhase = *tb
-		cfg.StableWait = *ts
-		cfg.DetectorParams.Interval = *th
+		cfg.Fast()
 	}
+	// Explicit timer flags win over the profile; unset, they hold the
+	// defaults cfg started from.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "tb":
+			cfg.BeaconPhase = *tb
+		case "ts":
+			cfg.StableWait = *ts
+		case "th":
+			cfg.DetectorParams.Interval = *th
+		}
+	})
 	cfg.Detector = kind
 	cfg.Consensus = kind == detect.BiRing
 	cfg.DetectorParams.MissThreshold = *miss
@@ -353,7 +324,7 @@ func writeReady(fd int, node string, rt *transport.Runtime, eps []transport.Endp
 		return
 	}
 	defer f.Close()
-	info := readyInfo{
+	info := transport.Ready{
 		Node:        node,
 		PID:         os.Getpid(),
 		StartUnixNS: rt.Start().UnixNano(),

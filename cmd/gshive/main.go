@@ -1,13 +1,16 @@
-// Command gshive is the conformance-harness orchestrator: it boots
-// farms of real gsd daemons on real UDP sockets, drives named chaos
-// scenario suites against them through an emulated switching fabric,
-// and holds the scraped farm-wide trace to the protocol invariants.
+// Command gshive is the conformance-harness orchestrator: it drives
+// named chaos scenario suites against a five-node farm and holds the
+// farm-wide trace to the protocol invariants. The farm is real gsd
+// daemons on real UDP sockets behind an emulated switching fabric
+// (loopback or netns), or the same farm in the simulator (sim), played
+// in virtual time.
 //
 //	gshive list
-//	gshive run [-fabric loopback|netns] [-suite all|name,...] [-artifacts dir] [-bin path]
+//	gshive run [-fabric loopback|netns|sim] [-suite all|name,...] [-artifacts dir] [-bin path]
 //
 // Artifacts per suite: verdict.json, merged-trace.jsonl, topology.json,
-// ground-truth.json, plus every daemon incarnation's log and journal.
+// ground-truth.json, plus, on real daemons, every incarnation's log and
+// journal.
 package main
 
 import (
@@ -16,7 +19,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/conformance"
 )
@@ -43,16 +45,15 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   gshive list
-  gshive run [-fabric loopback|netns] [-suite all|name,...] [-artifacts dir] [-bin path] [-poll dur]`)
+  gshive run [-fabric loopback|netns|sim] [-suite all|name,...] [-artifacts dir] [-bin path]`)
 }
 
 func runCmd(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	fabric := fs.String("fabric", "loopback", "fabric: loopback (unprivileged) or netns (root)")
+	fabric := fs.String("fabric", "loopback", "fabric: loopback (unprivileged), netns (root), or sim (the simulator, virtual time)")
 	suite := fs.String("suite", "all", "comma-separated suite names, or all")
 	artifacts := fs.String("artifacts", "", "artifacts directory (default: temp dir)")
-	bin := fs.String("bin", "", "gsd binary (default: build into artifacts dir)")
-	poll := fs.Duration("poll", 500*time.Millisecond, "trace scrape cadence")
+	bin := fs.String("bin", "", "gsd binary (default: build into artifacts dir; unused by sim)")
 	fs.Parse(args)
 
 	suites, err := conformance.FindSuites(strings.Split(*suite, ","))
@@ -64,7 +65,6 @@ func runCmd(args []string) {
 		Fabric:    *fabric,
 		Artifacts: *artifacts,
 		Logf:      log.Printf,
-		PollEvery: *poll,
 	})
 	if err != nil {
 		log.Fatal(err)

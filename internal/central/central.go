@@ -362,6 +362,49 @@ func (c *Central) DeadNodes() []string {
 	return ordered.Keys(c.st.DeadNodes)
 }
 
+// Topology is Central's current belief about the farm as one document:
+// gsd serves it on /topology, and the conformance harness diffs it
+// against its ground truth on real daemons and in the simulator alike.
+type Topology struct {
+	Node           string              `json:"node"`
+	HostingCentral bool                `json:"hosting_central"`
+	Active         bool                `json:"active"`
+	Stable         bool                `json:"stable"`
+	Groups         map[string][]string `json:"groups"` // leader IP -> member IPs
+	DeadNodes      []string            `json:"dead_nodes,omitempty"`
+	Incidents      map[string]uint64   `json:"incidents,omitempty"`
+	Mismatches     []string            `json:"mismatches,omitempty"`
+}
+
+// Topology snapshots the document for this instance on node, whose
+// daemon hosts Central or not; verify adds the configdb verification
+// verdicts (Verify, events and all).
+func (c *Central) Topology(node string, hosting, verify bool) *Topology {
+	doc := &Topology{
+		Node:           node,
+		HostingCentral: hosting,
+		Active:         c.Active(),
+		Stable:         c.Stable(),
+		Groups:         map[string][]string{},
+		DeadNodes:      c.DeadNodes(),
+		Incidents:      c.Incidents(),
+	}
+	for leader, members := range c.Groups() { // order-free: each leader writes its own entry
+		ms := make([]string, len(members))
+		for i, ip := range members {
+			ms[i] = ip.String()
+		}
+		doc.Groups[leader.String()] = ms
+	}
+	if verify {
+		doc.Mismatches = []string{}
+		for _, m := range c.Verify() {
+			doc.Mismatches = append(doc.Mismatches, m.String())
+		}
+	}
+	return doc
+}
+
 // commit applies one transition to the view by folding its record. A
 // journaling Central's journal does the folding, into the same state,
 // after stamping and persisting the record, which then goes to the

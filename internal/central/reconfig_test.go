@@ -61,7 +61,7 @@ func newReconfigFixture(t *testing.T) *reconfigFixture {
 	cfg.StabilizeWait = 5 * time.Second
 	c := New(cfg, clock{sched}, bus, db)
 	c.RegisterSwitchAgent("sw-x", transport.Addr{IP: mgmt.LocalIP(), Port: transport.PortSNMP})
-	sw.AttachAgent(mgmt, cfg.Community)
+	sw.AttachAgent(mgmt, cfg.Community, transport.PortSNMP)
 	c.Activate(centralEP)
 
 	f := &reconfigFixture{

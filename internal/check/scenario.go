@@ -194,7 +194,7 @@ func Apply(tg Target, op Op) error {
 // generator to aim faults without importing the farm package.
 type NodeTopo struct {
 	Name     string
-	Role     string // "admin", "frontend", "backend", "uniform"
+	Role     string // "admin", "frontend", "backend", "uniform", "zone"
 	Domain   string
 	Adapters []transport.IP
 	Switch   string

@@ -3,70 +3,47 @@ package conformance
 import (
 	"fmt"
 
-	"repro/internal/snmp"
+	"repro/internal/configdb"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
 )
 
-// switchAgent is the harness-side SNMP management agent for the
-// emulated switch. It serves the same enterprise MIB layout as
-// internal/switchsim, so a hosted Central performs planned moves
-// exactly as in the paper — an SNMP SET on the port's VLAN object —
-// and the write hook re-plugs the wired adapter through the fabric.
-// It listens on an unprivileged port (FarmSpec.SwitchPort) because the
-// harness is not root on the loopback fabric.
-type switchAgent struct {
-	rt *transport.Runtime
-	ep *transport.UDPEndpoint
-}
-
-// startSwitchAgent binds the agent on spec.SwitchIP:spec.SwitchPort.
-// apply is invoked (on its own goroutine — the SNMP reply must not
-// wait for the rewiring) for every accepted port-VLAN SET.
-func startSwitchAgent(spec *FarmSpec, apply func(port, vlan int)) (*switchAgent, error) {
+// startSwitchAgent starts the harness-side SNMP management agent for the
+// layout's one switch, on the switch's management address, and returns
+// its stop function. The switch is the simulator's (switchsim), wired
+// from the layout, so a hosted Central performs planned moves exactly as
+// in the paper and in simulation — an SNMP SET on the port's VLAN object.
+// apply is invoked (on its own goroutine — the SNMP reply must not wait
+// for the rewiring) for every adapter whose port a SET changed, with the
+// port's VLAN. The agent listens on an unprivileged port
+// (FarmSpec.SwitchPort) because the harness is not root on the loopback
+// fabric.
+func startSwitchAgent(spec *FarmSpec, apply func(a configdb.AdapterSpec, vlan int)) (stop func(), err error) {
 	rt := transport.NewRuntime()
 	rt.RunAsync() // drain socket reads; without this the agent never replies
-	ep, err := transport.NewUDPEndpoint(rt, spec.SwitchIP)
+	sw := spec.Switches[0]
+	ep, err := transport.NewUDPEndpoint(rt, sw.IP)
 	if err != nil {
 		rt.Close()
-		return nil, fmt.Errorf("conformance: switch agent on %v: %w", spec.SwitchIP, err)
+		return nil, fmt.Errorf("conformance: switch agent on %v: %w", sw.IP, err)
 	}
-
-	mib := snmp.NewMapMIB()
-	mib.Define(switchsim.OIDSysName, snmp.OctetString(spec.SwitchName), false)
-	nports := 0
+	fabric := switchsim.NewFabric()
+	s := fabric.AddSwitch(sw.Name)
 	for _, n := range spec.Nodes {
 		for _, a := range n.Adapters {
-			mib.Define(switchsim.OIDPortVLAN(a.Port), snmp.Integer(int64(a.VLAN)), true)
-			mib.Define(switchsim.OIDPortStatus(a.Port), snmp.Integer(switchsim.PortUp), false)
-			mib.Define(switchsim.OIDPortAdapter(a.Port), snmp.OctetString(a.IP.String()), false)
-			nports++
+			s.Connect(a.Port, a.IP, a.VLAN)
 		}
 	}
-	mib.Define(switchsim.OIDNumPorts, snmp.Integer(int64(nports)), false)
-	mib.Validate = func(oid snmp.OID, v snmp.Value) error {
-		if oid.HasPrefix(switchsim.OIDPortVLANTable()) {
-			if v.Kind != snmp.KindInteger || v.Int < 1 || v.Int > 4094 {
-				return fmt.Errorf("%w: VLAN id %v", snmp.ErrBadValue, v)
-			}
-		}
-		return nil
-	}
-	mib.OnSet = func(oid snmp.OID, v snmp.Value) {
-		vlanTable := switchsim.OIDPortVLANTable()
-		if oid.HasPrefix(vlanTable) && len(oid) == len(vlanTable)+1 && v.Kind == snmp.KindInteger {
-			go apply(int(oid[len(oid)-1]), int(v.Int))
-		}
-	}
-
-	snmp.NewAgentOn(ep, spec.Community, mib, spec.SwitchPort)
-	return &switchAgent{rt: rt, ep: ep}, nil
-}
-
-// close shuts the agent down. The endpoint must close before the
-// runtime: Runtime.Close waits for the read loops, which only exit
-// when their sockets do.
-func (a *switchAgent) close() {
-	a.ep.Close()
-	a.rt.Close()
+	fabric.Notify(func(ip transport.IP) {
+		a, _ := spec.Adapter(ip)
+		vlan, _ := fabric.VLANOf(ip)
+		go apply(a, vlan)
+	}, nil)
+	s.AttachAgent(ep, spec.Community, spec.SwitchPort)
+	return func() {
+		// The endpoint must close before the runtime: Runtime.Close waits
+		// for the read loops, which only exit when their sockets do.
+		ep.Close()
+		rt.Close()
+	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/configdb"
 	"repro/internal/snmp"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
@@ -16,13 +17,13 @@ import (
 func TestSwitchAgentAnswersOverRealUDP(t *testing.T) {
 	spec := DefaultFarm()
 	applied := make(chan [2]int, 1)
-	agent, err := startSwitchAgent(spec, func(port, vlan int) {
-		applied <- [2]int{port, vlan}
+	stop, err := startSwitchAgent(spec, func(a configdb.AdapterSpec, vlan int) {
+		applied <- [2]int{a.Port, vlan}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer agent.close()
+	defer stop()
 
 	rt := transport.NewRuntime()
 	defer rt.Close()
@@ -33,14 +34,14 @@ func TestSwitchAgentAnswersOverRealUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inner.Close()
-	scope, _ := spec.Scope(1)
+	scope := spec.Segments[1]
 	ep := transport.NewScopedEndpoint(inner, scope)
 
 	dataPort := spec.Nodes[0].Adapters[1].Port
 	done := make(chan error, 1)
 	rt.Post(func() {
 		cl := snmp.NewClient(ep, rt, spec.Community, 7410)
-		agentAddr := transport.Addr{IP: spec.SwitchIP, Port: spec.SwitchPort}
+		agentAddr := transport.Addr{IP: spec.Switches[0].IP, Port: spec.SwitchPort}
 		cl.Set(agentAddr, switchsim.OIDPortVLAN(dataPort), snmp.Integer(102), func(err error) {
 			done <- err
 		})

@@ -1,18 +1,26 @@
 package conformance
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/check"
+	"repro/internal/farm"
 )
 
 // TestLoopbackSmoke boots a real five-daemon farm on the loopback
 // fabric and runs the cold-start and configdb-mismatch suites end to
 // end: real processes, real UDP, real SNMP, invariant-checked traces.
-// The remaining suites run via cmd/gshive (CI smoke job and nightly).
+// All eight suites play in the simulator in TestSuitesInSimulation; on
+// real daemons the other six run via cmd/gshive (the CI conformance job,
+// and nightly on netns).
 func TestLoopbackSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process farm boot; skipped in -short")
@@ -120,14 +128,55 @@ func foreignName(spec *FarmSpec, op check.Op) string {
 		}
 	}
 	if op.Kind == check.OpFailAdapter {
-		if _, _, ok := spec.Adapter(op.Adapter); !ok {
+		if _, ok := spec.Adapter(op.Adapter); !ok {
 			return "adapter " + op.Adapter.String()
 		}
 	}
 	if op.Target != "" {
-		if _, ok := spec.Domains()[op.Target]; !ok || op.Kind == check.OpKillSwitch {
+		named := slices.ContainsFunc(spec.Domains, func(d farm.DomainLayout) bool { return d.Name == op.Target })
+		if !named || op.Kind == check.OpKillSwitch {
 			return "target " + op.Target
 		}
 	}
 	return ""
+}
+
+// TestSuitesInSimulation plays every suite in the simulator world on both
+// farm specs, twice each in one process: each run must pass, and the two
+// runs of a suite must write the same verdict.json after the same number
+// of fired events.
+func TestSuitesInSimulation(t *testing.T) {
+	start := time.Now()
+	for _, fabric := range []struct {
+		name string
+		spec func() *FarmSpec
+	}{{"loopback", DefaultFarm}, {"netns", NetnsFarm}} {
+		for _, suite := range Suites() {
+			var verdicts [2][]byte
+			var fired [2]uint64
+			for run := range verdicts {
+				art := t.TempDir()
+				var w *simWorld
+				res := runSuite(suite, fabric.spec(), "sim", func(spec *FarmSpec) (world, error) {
+					sw, err := newSim(spec)
+					w, _ = sw.(*simWorld)
+					return sw, err
+				}, art, func(string, ...any) {})
+				if !res.Passed {
+					detail, _ := json.MarshalIndent(res.Verdict, "", "  ")
+					t.Errorf("%s farm, suite %s, run %d: %s\nverdict: %s", fabric.name, suite.Name, run+1, res.Err, detail)
+				}
+				b, err := os.ReadFile(filepath.Join(art, "verdict.json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				verdicts[run], fired[run] = b, w.Fired()
+			}
+			if !bytes.Equal(verdicts[0], verdicts[1]) || fired[0] != fired[1] {
+				t.Errorf("%s farm, suite %s: two runs differ: fired %d vs %d, verdicts\n%s\n%s",
+					fabric.name, suite.Name, fired[0], fired[1], verdicts[0], verdicts[1])
+			}
+		}
+	}
+	t.Logf("32 simulated suite runs in %v", time.Since(start))
 }

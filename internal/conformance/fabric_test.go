@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/farm"
 )
 
 // TestCommandLine pins the gsd command line the lifecycle builds for
@@ -16,8 +18,8 @@ import (
 func TestCommandLine(t *testing.T) {
 	lb := DefaultFarm()
 	loopbackWant := strings.NewReplacer(
-		"{B}", strconv.Itoa(int(byte(lb.SwitchIP>>16))),
-		"{G}", strconv.Itoa(int(byte(lb.Segments[AdminVLAN]>>16))),
+		"{B}", strconv.Itoa(int(byte(lb.Switches[0].IP>>16))),
+		"{G}", strconv.Itoa(int(byte(lb.Segments[farm.AdminVLAN]>>16))),
 	)
 	for _, c := range []struct {
 		name string
@@ -28,7 +30,7 @@ func TestCommandLine(t *testing.T) {
 		{"loopback", lb, loopback{}, []string{"/bin/gsd", "-node", "web-1", "-adapters", "127.{B}.0.11@239.{G}.2.1,127.{B}.1.11@239.{G}.2.101", "-fast", "-seed", "1001", "-configdb", "/art/configdb.json", "-community", "farm-admin", "-switches", "sw-1=127.{B}.0.254:10161", "-journal-dir", "/art/journal/web-1", "-debug-addr", "127.{B}.0.11:0", "-fabric-ctl", "-trace-cap", "16384", "-ready-fd", "3"}},
 		{"netns", NetnsFarm(), &netns{prefix: "gs42"}, []string{"ip", "netns", "exec", "gs42-web-1", "/bin/gsd", "-node", "web-1", "-adapters", "10.70.0.11,10.71.0.11", "-fast", "-seed", "1001", "-configdb", "/art/configdb.json", "-community", "farm-admin", "-switches", "sw-1=10.70.0.254:10161", "-journal-dir", "/art/journal/web-1", "-debug-addr", "10.70.0.11:0", "-fabric-ctl", "-trace-cap", "16384", "-ready-fd", "3"}},
 	} {
-		f := newFabric(c.spec, c.sub, "/bin/gsd", "/art", nil, nil)
+		f := newFabric(c.spec, c.sub, "/bin/gsd", "/art", nil)
 		f.dbPath = "/art/configdb.json" // Boot's choice, without writing it
 		got, err := f.command("web-1", 1)
 		if err != nil {

@@ -7,23 +7,11 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/central"
 	"repro/internal/ordered"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
 )
-
-// TopologyDoc mirrors the gsd /topology JSON document: the hosting
-// Central's current belief about the farm.
-type TopologyDoc struct {
-	Node           string              `json:"node"`
-	HostingCentral bool                `json:"hosting_central"`
-	Active         bool                `json:"active"`
-	Stable         bool                `json:"stable"`
-	Groups         map[string][]string `json:"groups"` // leader IP -> member IPs
-	DeadNodes      []string            `json:"dead_nodes"`
-	Incidents      map[string]uint64   `json:"incidents"`
-	Mismatches     []string            `json:"mismatches"`
-}
 
 // GroundTruth is the B.O.D.Y.-style declarative statement of what the
 // farm actually looks like right now: which adapters share each
@@ -102,13 +90,14 @@ func (f *FarmSpec) GroundTruth(vlanOf func(transport.IP) int, dead map[string]bo
 // discovered topology is exactly the declared reality. Group leader
 // identity is not part of the contract (any member may lead); the
 // member sets are.
-func (gt *GroundTruth) Diff(topo *TopologyDoc) []string {
+func (gt *GroundTruth) Diff(topo *central.Topology) []string {
 	var out []string
 	if topo == nil {
 		return []string{"no topology document (no active Central reachable)"}
 	}
 
-	// Index discovered groups by their sorted member-set fingerprint.
+	// Index discovered groups by their member-set fingerprint (Central
+	// lists members ascending, as the ground truth does).
 	type discovered struct {
 		leader string
 		key    string
@@ -116,9 +105,7 @@ func (gt *GroundTruth) Diff(topo *TopologyDoc) []string {
 	}
 	groups := make([]*discovered, 0, len(topo.Groups))
 	for _, leader := range ordered.Keys(topo.Groups) {
-		ms := append([]string(nil), topo.Groups[leader]...)
-		sortIPStrings(ms)
-		groups = append(groups, &discovered{leader: leader, key: strings.Join(ms, " ")})
+		groups = append(groups, &discovered{leader: leader, key: strings.Join(topo.Groups[leader], " ")})
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/central"
 	"repro/internal/configdb"
+	"repro/internal/farm"
 	"repro/internal/transport"
 )
 
@@ -26,7 +28,7 @@ func TestGroundTruthDiffClean(t *testing.T) {
 	if len(gt.Segments) != 3 {
 		t.Fatalf("want 3 segments, got %v", gt.Segments)
 	}
-	topo := &TopologyDoc{Stable: true, Groups: groupsFromTruth(gt)}
+	topo := &central.Topology{Stable: true, Groups: groupsFromTruth(gt)}
 	if diff := gt.Diff(topo); len(diff) != 0 {
 		t.Fatalf("clean topology diffed: %v", diff)
 	}
@@ -36,11 +38,11 @@ func TestGroundTruthDiffDeadNode(t *testing.T) {
 	f := DefaultFarm()
 	gt := f.GroundTruth(nil, map[string]bool{"web-2": true}, nil)
 	for _, ip := range gt.Segments["vlan-101"] {
-		if ip == f.DataIP("web-2").String() {
+		if ip == adapterIP(f, "web-2", 1).String() {
 			t.Fatalf("dead node's adapter %s still in ground truth", ip)
 		}
 	}
-	topo := &TopologyDoc{Groups: groupsFromTruth(gt)}
+	topo := &central.Topology{Groups: groupsFromTruth(gt)}
 	diff := gt.Diff(topo)
 	if len(diff) != 1 || !strings.Contains(diff[0], "web-2") {
 		t.Fatalf("want one missing-dead-node complaint, got %v", diff)
@@ -58,7 +60,7 @@ func TestGroundTruthDiffDeadNode(t *testing.T) {
 
 func TestGroundTruthDiffMovedAdapter(t *testing.T) {
 	f := DefaultFarm()
-	moved := f.DataIP("web-1") // starts on VLAN 101
+	moved := adapterIP(f, "web-1", 1) // starts on VLAN 101
 	vlanOf := func(ip transport.IP) int {
 		if ip == moved {
 			return 102
@@ -84,7 +86,7 @@ func TestGroundTruthDiffMovedAdapter(t *testing.T) {
 	// A Central still believing the pre-move reality must diff on both
 	// affected segments.
 	stale := f.GroundTruth(nil, nil, nil)
-	diff := gt.Diff(&TopologyDoc{Groups: groupsFromTruth(stale)})
+	diff := gt.Diff(&central.Topology{Groups: groupsFromTruth(stale)})
 	if len(diff) != 4 { // 2 unmatched segments + 2 orphan groups
 		t.Fatalf("want 4 divergences, got %v", diff)
 	}
@@ -107,14 +109,14 @@ func TestGroundTruthDiffMismatches(t *testing.T) {
 
 func TestFarmSpecConfigDBLies(t *testing.T) {
 	f := DefaultFarm()
-	wrong := f.DataIP("web-2")
-	omit := f.DataIP("web-4")
-	ghost := f.AdminIP("web-1") + 8
+	wrong := adapterIP(f, "web-2", 1)
+	omit := adapterIP(f, "web-4", 1)
+	ghost := adapterIP(f, "web-1", 0) + 8
 	f.DBWrongVLAN = map[transport.IP]int{wrong: 102}
 	f.DBOmit = map[transport.IP]bool{omit: true}
 	f.DBGhosts = append(f.DBGhosts, configdb.AdapterSpec{
-		IP: ghost, Node: "web-9", Index: 0, VLAN: AdminVLAN,
-		Switch: f.SwitchName, Port: 9,
+		IP: ghost, Node: "web-9", Index: 0, VLAN: farm.AdminVLAN,
+		Switch: f.Switches[0].Name, Port: 9,
 	})
 
 	db, err := f.ConfigDB()
@@ -142,10 +144,10 @@ func TestGroundTruthDerivesPlantedVerdicts(t *testing.T) {
 	f := DefaultFarm()
 	suites[0].Prepare(f)
 	want := []string{
-		"wrong-segment " + f.DataIP("web-2").String(),
-		"missing-adapter " + (f.AdminIP("web-1") + 8).String(),
-		"missing-adapter " + (f.DataIP("web-1") + 8).String(),
-		"unknown-adapter " + f.DataIP("web-4").String(),
+		"wrong-segment " + adapterIP(f, "web-2", 1).String(),
+		"missing-adapter " + (adapterIP(f, "web-1", 0) + 8).String(),
+		"missing-adapter " + (adapterIP(f, "web-1", 1) + 8).String(),
+		"unknown-adapter " + adapterIP(f, "web-4", 1).String(),
 	}
 	if got := f.GroundTruth(nil, nil, nil).ExpectedMismatches; !slices.Equal(got, want) {
 		t.Fatalf("derived verdicts:\n got %q\nwant %q", got, want)
@@ -157,7 +159,7 @@ func TestGroundTruthDerivesPlantedVerdicts(t *testing.T) {
 // dead node's adapters are missing.
 func TestGroundTruthDerivesMoveVerdicts(t *testing.T) {
 	f := DefaultFarm()
-	moved := f.DataIP("web-1")
+	moved := adapterIP(f, "web-1", 1)
 	onto102 := func(ip transport.IP) int {
 		if ip == moved {
 			return 102
@@ -171,7 +173,7 @@ func TestGroundTruthDerivesMoveVerdicts(t *testing.T) {
 		t.Fatalf("planned move: got %q, want none", got)
 	}
 	got := f.GroundTruth(nil, map[string]bool{"web-3": true}, nil).ExpectedMismatches
-	want := []string{"missing-adapter " + f.AdminIP("web-3").String(), "missing-adapter " + f.DataIP("web-3").String()}
+	want := []string{"missing-adapter " + adapterIP(f, "web-3", 0).String(), "missing-adapter " + adapterIP(f, "web-3", 1).String()}
 	if !slices.Equal(got, want) {
 		t.Fatalf("dead node: got %q, want %q", got, want)
 	}

@@ -1,9 +1,8 @@
 package conformance
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
-	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,8 +10,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/central"
 	"repro/internal/check"
-	"repro/internal/netsim"
 	"repro/internal/ordered"
 	"repro/internal/switchsim"
 	"repro/internal/trace"
@@ -21,8 +20,8 @@ import (
 
 // Suite is one named conformance scenario: an optional spec mutation
 // applied before boot (planting configdb lies), and the steps that drive
-// the live farm. The harness handles boot, scraping, teardown, and the
-// verdict pipeline around them.
+// the live farm. The harness handles boot, observation, teardown, and
+// the verdict pipeline around them.
 type Suite struct {
 	Name    string
 	Desc    string
@@ -57,14 +56,13 @@ type Step struct {
 type Options struct {
 	// Bin is the gsd binary; empty builds it into the artifacts dir.
 	Bin string
-	// Fabric selects "loopback" (default) or "netns".
+	// Fabric selects "loopback" (default), "netns", or "sim" (the
+	// simulator, in virtual time; no gsd binary).
 	Fabric string
 	// Artifacts is the output directory (default: a temp dir).
 	Artifacts string
 	// Logf receives progress lines (default: discard).
 	Logf func(string, ...any)
-	// PollEvery is the background scrape cadence (default 500ms).
-	PollEvery time.Duration
 }
 
 // Result is one suite's outcome.
@@ -106,22 +104,38 @@ func Run(suites []Suite, opts Options) ([]Result, error) {
 		return nil, err
 	}
 	bin := opts.Bin
-	if bin == "" {
+	if bin == "" && opts.Fabric != "sim" {
 		var err error
 		if bin, err = BuildGSD(opts.Artifacts); err != nil {
 			return nil, err
 		}
-	}
-	poll := opts.PollEvery
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
 	}
 
 	var results []Result
 	for _, suite := range suites {
 		start := time.Now()
 		logf("=== suite %s (%s)", suite.Name, suite.Desc)
-		res := runSuite(suite, bin, opts.Fabric, filepath.Join(opts.Artifacts, suite.Name), poll, logf)
+		art := filepath.Join(opts.Artifacts, suite.Name)
+		spec := DefaultFarm()
+		if opts.Fabric == "netns" {
+			spec = NetnsFarm()
+		}
+		boot := func(spec *FarmSpec) (world, error) {
+			switch opts.Fabric {
+			case "", "loopback":
+				return bootProcesses(spec, loopback{}, bin, art, logf)
+			case "netns":
+				ns, err := newNetns()
+				if err != nil {
+					return nil, err
+				}
+				return bootProcesses(spec, ns, bin, art, logf)
+			case "sim":
+				return newSim(spec)
+			}
+			return nil, fmt.Errorf("unknown fabric %q", opts.Fabric)
+		}
+		res := runSuite(suite, spec, cmp.Or(opts.Fabric, "loopback"), boot, art, logf)
 		res.Seconds = time.Since(start).Seconds()
 		if res.Passed {
 			logf("--- PASS %s (%.1fs)", suite.Name, res.Seconds)
@@ -136,58 +150,50 @@ func Run(suites []Suite, opts Options) ([]Result, error) {
 	return results, nil
 }
 
-func runSuite(suite Suite, bin, fabricKind, art string, poll time.Duration,
+// world is where a suite's farm runs: real gsd processes (Fabric) or the
+// simulator (simWorld). H drives it as a check.Target on the world's own
+// clock, so the same loop sleeps on the wall clock or advances virtual
+// time.
+type world interface {
+	check.Target
+	// Topology reads the active Central's topology document, with or
+	// without configdb verification.
+	Topology(verify bool) (*central.Topology, error)
+	// Records returns the farm-wide trace so far, in one chronology.
+	Records() []trace.Record
+	// VLANOf reports the VLAN an adapter is plugged into now.
+	VLANOf(ip transport.IP) int
+	// close tears the farm down after the final topology read. It reports
+	// how many trace sources fed Records, and what the trace lacks.
+	close() (sources int, warnings []string, err error)
+}
+
+// runSuite boots the suite's farm in a world, plays the steps, and
+// judges the outcome.
+func runSuite(suite Suite, spec *FarmSpec, fabric string, boot func(*FarmSpec) (world, error), art string,
 	logf func(string, ...any)) Result {
 
-	res := Result{Suite: suite.Name, Fabric: fabricKind}
-	var spec *FarmSpec
-	var sub substrate
-	switch fabricKind {
-	case "", "loopback":
-		spec, sub = DefaultFarm(), loopback{}
-	case "netns":
-		ns, err := newNetns()
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		spec, sub = NetnsFarm(), ns
-	default:
-		res.Err = fmt.Sprintf("unknown fabric %q", fabricKind)
-		return res
-	}
-	res.Fabric = sub.kind()
+	res := Result{Suite: suite.Name, Fabric: fabric}
 	if suite.Prepare != nil {
 		suite.Prepare(spec)
 	}
-
-	h := &H{Spec: spec, S: NewScraper(), logf: logf, start: time.Now(),
-		dead: map[string]bool{}, planned: map[transport.IP]int{}, pending: map[transport.IP]int{}}
-	h.F = newFabric(spec, sub, bin, art, logf, h.S.Track)
-	if err := h.F.Boot(); err != nil {
+	w, err := boot(spec)
+	if err != nil {
 		res.Err = "boot: " + err.Error()
-		h.F.Close()
 		return res
 	}
-	stopPoll := h.S.Start(poll)
-
+	h := &H{world: w, Spec: spec, logf: logf,
+		dead: map[string]bool{}, planned: map[transport.IP]int{}, pending: map[transport.IP]int{}}
 	runErr := h.run(suite.Steps)
-	h.mu.Lock()
-	for _, t := range h.timers {
-		t.Stop()
-	}
-	h.mu.Unlock()
-
-	// Final topology snapshot (with verification) before teardown.
-	finalTopo, topoErr := h.Topology(true)
-	stopPoll()
-	h.S.Poll() // final drain while every surviving daemon still runs
-	closeErr := h.F.Close()
+	finalTopo, topoErr := w.Topology(true)
+	sources, warnings, closeErr := w.close()
+	records := w.Records()
 
 	gt := h.GroundTruth()
-	verdict := evaluate(suite.Name, res.Fabric, h.S, spec, finalTopo, gt)
+	verdict := evaluate(suite.Name, res.Fabric, records, spec, finalTopo, gt)
+	verdict.Sources, verdict.Warnings = sources, warnings
 	res.Verdict = verdict
-	if err := writeArtifacts(art, verdict, h.S, finalTopo, gt); err != nil {
+	if err := writeArtifacts(art, verdict, records, finalTopo, gt); err != nil {
 		logf("suite %s: artifacts: %v", suite.Name, err)
 	}
 
@@ -224,22 +230,18 @@ func (v *Verdict) summary() string {
 	return strings.Join(parts, "; ")
 }
 
-// H is the live handle the suites drive the farm through. It is the
-// check.Target their ops go into, on the wall clock, and it keeps the
-// ground truth (dead nodes, planned moves) as it injects.
+// H is the handle the suites drive the farm through, in either world. It
+// is the world's check.Target with the ground truth kept beside it: the
+// nodes it killed, and the VLANs its planned moves put adapters on.
 type H struct {
+	world
 	Spec *FarmSpec
-	F    *Fabric
-	S    *Scraper
-
-	logf  func(string, ...any)
-	start time.Time
+	logf func(string, ...any)
 
 	mu      sync.Mutex
 	dead    map[string]bool
 	planned map[transport.IP]int // adapter -> VLAN a planned move put it on
 	pending map[transport.IP]int // planned moves not yet seen on the fabric
-	timers  []*time.Timer
 }
 
 var _ check.Target = (*H)(nil)
@@ -276,32 +278,39 @@ func (h *H) play(text string) error {
 	if len(sched.Ops) > 0 {
 		h.logf("suite: playing %s", strings.ReplaceAll(strings.TrimSpace(text), "\n", "; "))
 	}
-	start := time.Now()
+	start := h.Now()
 	var last time.Duration
 	for _, op := range sched.Ops {
-		time.Sleep(time.Until(start.Add(op.At)))
+		h.runUntil(start + op.At)
 		if err := check.Apply(h, op); err != nil {
 			return fmt.Errorf("@%v %s: %w", op.At, op.Kind, err)
 		}
 		last = op.At
 	}
-	time.Sleep(time.Until(start.Add(last + sched.Settle)))
+	h.runUntil(start + last + sched.Settle)
 	return nil
+}
+
+// runUntil lets the world run up to instant t of its clock.
+func (h *H) runUntil(t time.Duration) {
+	if d := t - h.Now(); d > 0 {
+		h.RunFor(d)
+	}
 }
 
 // wait polls until the step's state holds, failing after
 // convergeTimeout with the last reason it did not.
 func (h *H) wait(s Step) error {
-	deadline := time.Now().Add(convergeTimeout)
+	deadline := h.Now() + convergeTimeout
 	for {
 		why := h.unmet(s)
 		if why == "" {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if h.Now() > deadline {
 			return fmt.Errorf("conformance: waited %v for %s: %s", convergeTimeout, s.Wait, why)
 		}
-		time.Sleep(500 * time.Millisecond)
+		h.RunFor(500 * time.Millisecond)
 	}
 }
 
@@ -309,7 +318,7 @@ func (h *H) wait(s Step) error {
 func (h *H) unmet(s Step) string {
 	h.mu.Lock()
 	for _, ip := range ordered.Keys(h.pending) {
-		if v := h.pending[ip]; h.F.VLANOf(ip) != v {
+		if v := h.pending[ip]; h.VLANOf(ip) != v {
 			h.mu.Unlock()
 			return fmt.Sprintf("planned move of %v to %s has not landed", ip, switchsim.SegmentName(v))
 		}
@@ -338,30 +347,15 @@ func (h *H) unmet(s Step) string {
 func (h *H) GroundTruth() *GroundTruth {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.Spec.GroundTruth(h.F.VLANOf, h.dead, h.planned)
+	return h.Spec.GroundTruth(h.VLANOf, h.dead, h.planned)
 }
 
-// Now implements check.Target: wall time since the farm booted.
-func (h *H) Now() time.Duration { return time.Since(h.start) }
-
-// After implements check.Target; teardown stops what has not fired.
-func (h *H) After(d time.Duration, fn func()) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.timers = append(h.timers, time.AfterFunc(d, fn))
-}
-
-// RunFor implements check.Target: real time passes, real daemons run.
-func (h *H) RunFor(d time.Duration) { time.Sleep(d) }
-
-// KillNode implements check.Target: it drains the victim's trace feed,
-// SIGKILLs it, and marks it dead in the ground truth.
+// KillNode implements check.Target, marking the node dead in the ground
+// truth.
 func (h *H) KillNode(node string) error {
-	h.S.Poll()
-	if err := h.F.KillNode(node); err != nil {
+	if err := h.world.KillNode(node); err != nil {
 		return err
 	}
-	h.S.Inject(trace.KFaultInjected, node, "harness: kill (SIGKILL)")
 	h.mu.Lock()
 	h.dead[node] = true
 	h.mu.Unlock()
@@ -371,167 +365,34 @@ func (h *H) KillNode(node string) error {
 // RestartNode implements check.Target: a fresh incarnation, no longer
 // dead in the ground truth.
 func (h *H) RestartNode(node string) error {
-	if err := h.F.RestartNode(node); err != nil {
+	if err := h.world.RestartNode(node); err != nil {
 		return err
 	}
-	h.S.Inject(trace.KFaultInjected, node, "harness: restart")
 	h.mu.Lock()
 	delete(h.dead, node)
 	h.mu.Unlock()
 	return nil
 }
 
-// FailAdapter implements check.Target; the netsim mode names are the
-// fabric fault-mode vocabulary by construction.
-func (h *H) FailAdapter(ip transport.IP, mode netsim.FailureMode) error {
-	return h.fault(ip, mode.String(), 0)
-}
-
-// SetSegmentLoss implements check.Target: a uniform loss rate on every
-// adapter now on the segment (negative restores). Partition is loss 1.
-func (h *H) SetSegmentLoss(segment string, loss float64) {
-	for _, n := range h.Spec.Nodes {
-		for _, a := range n.Adapters {
-			if switchsim.SegmentName(h.F.VLANOf(a.IP)) != segment {
-				continue
-			}
-			if err := h.fault(a.IP, "", max(loss, 0)); err != nil {
-				h.logf("chaos: segment loss on %v: %v", a.IP, err)
-			}
-		}
-	}
-}
-
-// fault puts one adapter into a failure mode with a loss rate each way.
-func (h *H) fault(ip transport.IP, mode string, loss float64) error {
-	if err := h.F.FailAdapter(ip, mode, loss, loss); err != nil {
-		return err
-	}
-	node, _, _ := h.Spec.Adapter(ip)
-	h.S.Inject(trace.KFaultInjected, node,
-		fmt.Sprintf("harness: adapter %v -> %s in=%.2f out=%.2f", ip, mode, loss, loss))
-	return nil
-}
-
-var errSwitchOutage = errors.New("conformance: the farm's one emulated switch carries the harness itself; no switch outages")
-
-// KillSwitch implements check.Target; no suite can play it.
-func (h *H) KillSwitch(string) error { return errSwitchOutage }
-
-// RestoreSwitch implements check.Target; no suite can play it.
-func (h *H) RestoreSwitch(string) error { return errSwitchOutage }
-
 // MoveNodeToDomain implements check.Target: the active Central moves the
-// node's data adapters onto the domain's VLAN through the switch agent,
-// the paper's §2.2 dynamic reconfiguration. It returns once Central has
-// the switch's acknowledgement; the fabric re-plugs after that, which
-// every later wait holds for.
+// node's adapters onto the domain's VLANs through the switch agent, the
+// paper's §2.2 dynamic reconfiguration. Once the world has ordered the
+// move, every later wait holds until it has landed on the fabric.
 func (h *H) MoveNodeToDomain(node, toDomain string, done func(error)) error {
-	data, vlan, err := h.dataAdapters(node, toDomain)
+	moves, err := h.Spec.Moves(node, toDomain)
 	if err != nil {
 		return err
 	}
-	central, doc := h.activeCentral()
-	if central == nil {
-		return fmt.Errorf("conformance: no active Central for move (last: %+v)", doc)
+	if err := h.world.MoveNodeToDomain(node, toDomain, done); err != nil {
+		return err
 	}
-	var pairs []string
-	for _, a := range data {
-		pairs = append(pairs, fmt.Sprintf("%d:%d", a.Index, vlan))
-	}
-	set := strings.Join(pairs, ",")
-	h.S.Inject(trace.KFaultInjected, node, fmt.Sprintf("harness: planned move set=%s via %s", set, central.Node))
-	q := url.Values{"node": {node}, "set": {set}}
-	err = httpCommand(central.DebugURL()+"/fabricctl/move?"+q.Encode(), httpMoveTimeout)
-	if err == nil {
-		h.mu.Lock()
-		for _, a := range data {
+	n, _ := h.Spec.Node(node)
+	h.mu.Lock()
+	for _, a := range n.Adapters {
+		if vlan, ok := moves[a.Index]; ok {
 			h.planned[a.IP], h.pending[a.IP] = vlan, vlan
 		}
-		h.mu.Unlock()
 	}
-	if done != nil {
-		done(err)
-	}
-	return err
-}
-
-// SurpriseMoveNode implements check.Target: the node's data adapters are
-// re-plugged onto the domain's VLAN behind Central's back.
-func (h *H) SurpriseMoveNode(node, toDomain string) error {
-	data, vlan, err := h.dataAdapters(node, toDomain)
-	if err != nil {
-		return err
-	}
-	for _, a := range data {
-		if err := h.F.RescopeAdapter(a.IP, vlan); err != nil {
-			return err
-		}
-	}
-	h.S.Inject(trace.KFaultInjected, node, "harness: surprise move to "+toDomain)
+	h.mu.Unlock()
 	return nil
-}
-
-// dataAdapters resolves a node's data adapters and a domain's VLAN.
-func (h *H) dataAdapters(node, domain string) ([]AdapterSpec, int, error) {
-	vlan, ok := h.Spec.Domains()[domain]
-	if !ok {
-		return nil, 0, fmt.Errorf("conformance: unknown domain %q", domain)
-	}
-	spec, ok := h.Spec.Node(node)
-	if !ok {
-		return nil, 0, fmt.Errorf("conformance: unknown node %q", node)
-	}
-	var data []AdapterSpec
-	for _, a := range spec.Adapters {
-		if a.Index != 0 {
-			data = append(data, a)
-		}
-	}
-	return data, vlan, nil
-}
-
-// ActiveCentralNode implements check.Target: the node hosting the active
-// Central ("" if none is reachable).
-func (h *H) ActiveCentralNode() string {
-	d, _ := h.activeCentral()
-	if d == nil {
-		return ""
-	}
-	return d.Node
-}
-
-// activeCentral polls every live daemon's /topology for the active
-// Central instance.
-func (h *H) activeCentral() (*Daemon, *TopologyDoc) {
-	var last *TopologyDoc
-	for _, d := range h.F.LiveDaemons() {
-		var doc TopologyDoc
-		if err := httpGetJSON(d.DebugURL()+"/topology", &doc, httpTimeout); err != nil {
-			continue
-		}
-		last = &doc
-		if doc.HostingCentral && doc.Active {
-			return d, &doc
-		}
-	}
-	return nil, last
-}
-
-// Topology fetches the active Central's topology document, optionally
-// running configdb verification.
-func (h *H) Topology(verify bool) (*TopologyDoc, error) {
-	d, _ := h.activeCentral()
-	if d == nil {
-		return nil, fmt.Errorf("conformance: no active Central reachable")
-	}
-	u := d.DebugURL() + "/topology"
-	if verify {
-		u += "?verify=1"
-	}
-	var doc TopologyDoc
-	if err := httpGetJSON(u, &doc, httpTimeout); err != nil {
-		return nil, err
-	}
-	return &doc, nil
 }

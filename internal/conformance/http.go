@@ -16,8 +16,9 @@ const (
 	httpMoveTimeout = 45 * time.Second
 )
 
-// httpGetJSON fetches url and decodes the JSON body into v.
-func httpGetJSON(url string, v any, timeout time.Duration) error {
+// httpGet fetches url, requires a 200, and decodes the JSON body into v
+// (a nil v discards it).
+func httpGet(url string, v any, timeout time.Duration) error {
 	client := &http.Client{Timeout: timeout}
 	resp, err := client.Get(url)
 	if err != nil {
@@ -29,29 +30,10 @@ func httpGetJSON(url string, v any, timeout time.Duration) error {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, truncate(body, 200))
+		return fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, body[:min(len(body), 200)])
+	}
+	if v == nil {
+		return nil
 	}
 	return json.Unmarshal(body, v)
-}
-
-// httpCommand fetches url and requires a 200; the body is discarded.
-func httpCommand(url string, timeout time.Duration) error {
-	client := &http.Client{Timeout: timeout}
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, truncate(body, 200))
-	}
-	return nil
-}
-
-func truncate(b []byte, n int) string {
-	if len(b) > n {
-		b = b[:n]
-	}
-	return string(b)
 }

@@ -5,6 +5,7 @@ import (
 	"net/url"
 	"strconv"
 
+	"repro/internal/configdb"
 	"repro/internal/ordered"
 )
 
@@ -15,15 +16,14 @@ import (
 // fabric CI runs on every change.
 type loopback struct{}
 
-func (loopback) kind() string         { return "loopback" }
 func (loopback) exec(string) []string { return nil }
 func (loopback) up(*Fabric) error     { return nil }
 func (loopback) down(*Fabric)         {}
 func (loopback) wired(f *Fabric)      { pushSegments(f) }
 
 // adapterArg scopes the adapter to its segment's multicast group.
-func (loopback) adapterArg(f *Fabric, a AdapterSpec, vlan int) (string, error) {
-	scope, ok := f.spec.Scope(vlan)
+func (loopback) adapterArg(f *Fabric, a configdb.AdapterSpec, vlan int) (string, error) {
+	scope, ok := f.spec.Segments[vlan]
 	if !ok {
 		return "", fmt.Errorf("conformance: no scope group for VLAN %d", vlan)
 	}
@@ -41,7 +41,7 @@ func pushSegments(f *Fabric) {
 	pairs := ""
 	stale := false
 	for _, ip := range ordered.Keys(f.vlan) {
-		scope, ok := f.spec.Scope(f.vlan[ip])
+		scope, ok := f.spec.Segments[f.vlan[ip]]
 		if !ok {
 			stale = true
 			continue
@@ -61,36 +61,36 @@ func pushSegments(f *Fabric) {
 	}
 	q := url.Values{"map": {pairs}}
 	for _, d := range targets {
-		if err := httpCommand(d.DebugURL()+"/fabricctl/segments?"+q.Encode(), httpTimeout); err != nil {
+		if err := httpGet(d.DebugURL()+"/fabricctl/segments?"+q.Encode(), nil, httpTimeout); err != nil {
 			f.logf("fabric: segment push to %s failed: %v", d.Source(), err)
 		}
 	}
 }
 
 // fail sets the owning daemon's /fabricctl socket-level fault filter.
-func (loopback) fail(f *Fabric, node string, a AdapterSpec, mode string, lossIn, lossOut float64) error {
-	d, running := f.Live(node)
+func (loopback) fail(f *Fabric, a configdb.AdapterSpec, mode string, lossIn, lossOut float64) error {
+	d, running := f.Live(a.Node)
 	if !running {
-		return fmt.Errorf("conformance: %s is not running", node)
+		return fmt.Errorf("conformance: %s is not running", a.Node)
 	}
 	q := url.Values{"adapter": {a.IP.String()}, "mode": {mode},
 		"loss_in":  {strconv.FormatFloat(lossIn, 'f', -1, 64)},
 		"loss_out": {strconv.FormatFloat(lossOut, 'f', -1, 64)}}
-	return httpCommand(d.DebugURL()+"/fabricctl/fault?"+q.Encode(), httpTimeout)
+	return httpGet(d.DebugURL()+"/fabricctl/fault?"+q.Encode(), nil, httpTimeout)
 }
 
 // replug re-points the adapter's multicast scope inside its running
 // daemon; a stopped daemon picks the scope up from its next command
 // line.
-func (loopback) replug(f *Fabric, node string, a AdapterSpec, vlan int) error {
-	scope, ok := f.spec.Scope(vlan)
+func (loopback) replug(f *Fabric, a configdb.AdapterSpec, vlan int) error {
+	scope, ok := f.spec.Segments[vlan]
 	if !ok {
 		return fmt.Errorf("conformance: no scope group for VLAN %d", vlan)
 	}
-	d, running := f.Live(node)
+	d, running := f.Live(a.Node)
 	if !running {
 		return nil
 	}
 	q := url.Values{"adapter": {a.IP.String()}, "group": {scope.String()}}
-	return httpCommand(d.DebugURL()+"/fabricctl/rescope?"+q.Encode(), httpTimeout)
+	return httpGet(d.DebugURL()+"/fabricctl/rescope?"+q.Encode(), nil, httpTimeout)
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/configdb"
+	"repro/internal/farm"
 	"repro/internal/ordered"
 	"repro/internal/transport"
 )
@@ -38,10 +40,8 @@ func newNetns() (*netns, error) {
 	return &netns{prefix: fmt.Sprintf("gs%d", os.Getpid()%1000), bridges: map[int]bool{}}, nil
 }
 
-func (*netns) kind() string { return "netns" }
-
 // adapterArg: real broadcast domains need no scoping.
-func (*netns) adapterArg(_ *Fabric, a AdapterSpec, _ int) (string, error) {
+func (*netns) adapterArg(_ *Fabric, a configdb.AdapterSpec, _ int) (string, error) {
 	return a.IP.String(), nil
 }
 
@@ -114,7 +114,7 @@ func (n *netns) up(f *Fabric) error {
 	if err := sh("ip", "link", "add", n.hostVeth(), "type", "veth", "peer", "name", n.hostVethPeer()); err != nil {
 		return err
 	}
-	if err := sh("ip", "link", "set", n.hostVethPeer(), "master", n.brName(AdminVLAN)); err != nil {
+	if err := sh("ip", "link", "set", n.hostVethPeer(), "master", n.brName(farm.AdminVLAN)); err != nil {
 		return err
 	}
 	for _, link := range []string{n.hostVeth(), n.hostVethPeer()} {
@@ -122,7 +122,7 @@ func (n *netns) up(f *Fabric) error {
 			return err
 		}
 	}
-	if err := sh("ip", "addr", "add", f.spec.SwitchIP.String()+"/24", "dev", n.hostVeth()); err != nil {
+	if err := sh("ip", "addr", "add", f.spec.Switches[0].IP.String()+"/24", "dev", n.hostVeth()); err != nil {
 		return err
 	}
 
@@ -179,8 +179,8 @@ func (n *netns) down(f *Fabric) {
 // egress), fail-send drops everything the node transmits
 // (namespace-side egress). Partial rates use the same qdiscs with the
 // given percentages.
-func (n *netns) fail(_ *Fabric, node string, a AdapterSpec, mode string, lossIn, lossOut float64) error {
-	root, inner := n.vethRoot(a.Port), vethInner(a.Index)
+func (n *netns) fail(_ *Fabric, a configdb.AdapterSpec, mode string, lossIn, lossOut float64) error {
+	node, root, inner := a.Node, n.vethRoot(a.Port), vethInner(a.Index)
 
 	// Reset everything first; each mode reapplies what it needs.
 	_ = sh("tc", "qdisc", "del", "dev", root, "root")
@@ -223,7 +223,7 @@ func (n *netns) fail(_ *Fabric, node string, a AdapterSpec, mode string, lossIn,
 // replug moves the root-side veth into the VLAN's bridge, creating the
 // bridge when the VLAN has none yet (the first adapter in a fresh
 // domain).
-func (n *netns) replug(_ *Fabric, _ string, a AdapterSpec, vlan int) error {
+func (n *netns) replug(_ *Fabric, a configdb.AdapterSpec, vlan int) error {
 	if err := n.bridge(vlan); err != nil {
 		return err
 	}

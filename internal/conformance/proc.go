@@ -9,29 +9,27 @@ import (
 	"sync"
 	"syscall"
 	"time"
-)
 
-// ReadyInfo is the one-line JSON readiness message gsd writes on its
-// -ready-fd descriptor once the protocol clock is running.
-type ReadyInfo struct {
-	Node        string   `json:"node"`
-	PID         int      `json:"pid"`
-	StartUnixNS int64    `json:"start_unix_ns"`
-	Adapters    []string `json:"adapters"`
-	DebugAddr   string   `json:"debug_addr"`
-}
+	"repro/internal/trace"
+	"repro/internal/transport"
+)
 
 // readyTimeout bounds how long a daemon may take to report readiness.
 const readyTimeout = 20 * time.Second
 
 // Daemon is one incarnation of a gsd process under harness control.
-// A restarted node gets a fresh Daemon with Gen+1; the scraper keeps
-// every incarnation's trace stream as a separate source.
+// A restarted node gets a fresh Daemon with Gen+1; every incarnation's
+// trace stream is a separate source of the farm trace.
 type Daemon struct {
 	Node  string
 	Gen   int
-	Ready ReadyInfo
+	Ready transport.Ready
 	Log   string // per-daemon log file path
+
+	// What the fabric scraped of its trace, under the fabric's lock.
+	recs    []trace.Record
+	lastSeq uint64
+	gapped  bool
 
 	cmd  *exec.Cmd
 	mu   sync.Mutex

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/configdb"
+	"repro/internal/farm"
 	"repro/internal/ordered"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -58,9 +59,9 @@ func Suites() []Suite {
 				}
 				for _, leader := range ordered.Keys(doc.Groups) {
 					ip, _ := transport.ParseIP(leader)
-					node, a, ok := h.Spec.Adapter(ip)
-					if ok && a.Index == 1 && h.F.VLANOf(ip) == 101 && node != h.ActiveCentralNode() {
-						victim = node
+					a, ok := h.Spec.Adapter(ip)
+					if ok && a.Index == 1 && h.VLANOf(ip) == 101 && a.Node != h.ActiveCentralNode() {
+						victim = a.Node
 						return "@0s kill " + victim, nil
 					}
 				}
@@ -110,8 +111,7 @@ func Suites() []Suite {
 			{Wait: "Central back on its first host", Until: func(h *H) bool { return h.ActiveCentralNode() == host }},
 			{Wait: converged},
 			{Wait: "journal replay on the restarted host", Until: func(h *H) bool {
-				h.S.Poll()
-				for _, r := range h.S.Merged(nil) {
+				for _, r := range h.Records() {
 					if r.Kind == trace.KJournalReplayed && r.Node == host {
 						return true
 					}
@@ -126,12 +126,13 @@ func Suites() []Suite {
 		Name: "configdb-mismatch",
 		Desc: "planted database lies: wrong-segment, missing-adapter, unknown-adapter",
 		Prepare: func(f *FarmSpec) {
-			f.DBWrongVLAN = map[transport.IP]int{f.DataIP("web-2"): 102}
-			f.DBOmit = map[transport.IP]bool{f.DataIP("web-4"): true}
+			f.DBWrongVLAN = map[transport.IP]int{adapterIP(f, "web-2", 1): 102}
+			f.DBOmit = map[transport.IP]bool{adapterIP(f, "web-4", 1): true}
 			// The ghost reuses the admin/data subnets at host .19.
+			sw := f.Switches[0].Name
 			f.DBGhosts = []configdb.AdapterSpec{
-				{IP: f.AdminIP("web-1") + 8, Node: "web-9", Index: 0, VLAN: AdminVLAN, Switch: f.SwitchName, Port: 9},
-				{IP: f.DataIP("web-1") + 8, Node: "web-9", Index: 1, VLAN: 101, Switch: f.SwitchName, Port: 19},
+				{IP: adapterIP(f, "web-1", 0) + 8, Node: "web-9", Index: 0, VLAN: farm.AdminVLAN, Switch: sw, Port: 9},
+				{IP: adapterIP(f, "web-1", 1) + 8, Node: "web-9", Index: 1, VLAN: 101, Switch: sw, Port: 19},
 			}
 		},
 		Steps: []Step{{Wait: converged}},
@@ -143,11 +144,18 @@ func Suites() []Suite {
 		Steps: []Step{
 			{Wait: converged, Ops: func(f *FarmSpec) string {
 				return fmt.Sprintf("@2s fail %v fail-recv for 10s\n@15s kill web-2\n@25s restart web-2\n"+
-					"@30s drop vlan-101 0.2 for 8s\nsettle 23s\n", f.DataIP("web-1"))
+					"@30s drop vlan-101 0.2 for 8s\nsettle 23s\n", adapterIP(f, "web-1", 1))
 			}},
 			{Wait: converged},
 		},
 	}}
+}
+
+// adapterIP is the address of a spec node's adapter by index (0 is the
+// admin adapter, 1 the data adapter).
+func adapterIP(f *FarmSpec, node string, index int) transport.IP {
+	n, _ := f.Node(node)
+	return n.Adapters[index].IP
 }
 
 // SuiteNames lists the shipped suite names in run order.

@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 
+	"repro/internal/central"
 	"repro/internal/check"
 	"repro/internal/span"
+	"repro/internal/trace"
 )
 
 // Verdict is one suite's machine-checkable outcome, written to the
@@ -28,38 +31,38 @@ type Verdict struct {
 	// MismatchDiff compares configdb verification verdicts against the
 	// planted expectations.
 	MismatchDiff []string `json:"mismatch_diff"`
-	// Warnings are non-fatal scrape anomalies.
+	// Warnings are non-fatal trace anomalies (scrape gaps).
 	Warnings []string `json:"warnings,omitempty"`
 
 	Passed bool `json:"passed"`
 }
 
-// evaluate runs the three verdict stages over the scraped farm trace
-// and the final topology document.
-func evaluate(suite, fabric string, s *Scraper, topoSpec span.Topology,
-	finalTopo *TopologyDoc, gt *GroundTruth) *Verdict {
+// evaluate runs the three verdict stages over the farm trace and the
+// final topology document, the same in either world.
+func evaluate(suite, fabric string, records []trace.Record, topoSpec span.Topology,
+	finalTopo *central.Topology, gt *GroundTruth) *Verdict {
 
 	v := &Verdict{
-		Suite: suite, Fabric: fabric, Sources: s.Sources(),
+		Suite: suite, Fabric: fabric, Records: len(records),
 		Violations: []string{}, AuditFindings: []string{},
 		TopologyDiff: []string{}, MismatchDiff: []string{},
 	}
 
-	// Stage 1: the invariant engine over the keep-all merge. It folds its
+	// Stage 1: the invariant engine over every record. It folds its
 	// membership model from the records alone, so every invariant but
 	// journal-consistent (which needs a live Central) is judged.
-	all := s.Merged(nil)
-	v.Records = len(all)
 	engine := check.NewEngine(nil)
-	for _, r := range all {
+	for _, r := range records {
 		engine.Observe(r)
 	}
 	for _, viol := range engine.Violations() {
 		v.Violations = append(v.Violations, viol.Format())
 	}
 
-	// Stage 2: incident-span closure audit over the stitching merge.
-	v.AuditFindings = append(v.AuditFindings, span.Audit(s.Merged(span.DefaultFilter), topoSpec)...)
+	// Stage 2: incident-span closure audit over the records stitching
+	// reads.
+	stitched := slices.DeleteFunc(slices.Clone(records), func(r trace.Record) bool { return !span.DefaultFilter(r) })
+	v.AuditFindings = append(v.AuditFindings, span.Audit(stitched, topoSpec)...)
 
 	// Stage 3: discovered topology vs declared ground truth, including
 	// the configdb verification verdicts.
@@ -70,7 +73,6 @@ func evaluate(suite, fabric string, s *Scraper, topoSpec span.Topology,
 	}
 	v.MismatchDiff = append(v.MismatchDiff, gt.DiffMismatches(mismatches)...)
 
-	v.Warnings = s.Warnings()
 	v.Passed = len(v.Violations) == 0 && len(v.AuditFindings) == 0 &&
 		len(v.TopologyDiff) == 0 && len(v.MismatchDiff) == 0
 	return v
@@ -78,7 +80,7 @@ func evaluate(suite, fabric string, s *Scraper, topoSpec span.Topology,
 
 // writeArtifacts persists the verdict, the merged trace, the final
 // topology, and the ground truth under dir.
-func writeArtifacts(dir string, v *Verdict, s *Scraper, finalTopo *TopologyDoc, gt *GroundTruth) error {
+func writeArtifacts(dir string, v *Verdict, records []trace.Record, finalTopo *central.Topology, gt *GroundTruth) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -99,7 +101,7 @@ func writeArtifacts(dir string, v *Verdict, s *Scraper, finalTopo *TopologyDoc, 
 	}
 	defer f.Close()
 	enc := json.NewEncoder(f)
-	for _, r := range s.Merged(nil) {
+	for _, r := range records {
 		if err := enc.Encode(r); err != nil {
 			return err
 		}

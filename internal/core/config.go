@@ -118,6 +118,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// Fast compresses every protocol timer for single-host conformance
+// farms: gsd's -fast profile, the timers the conformance harness's
+// simulated world runs the same suites with, and the UDP end-to-end
+// test's.
+func (c *Config) Fast() {
+	c.BeaconPhase = 2 * time.Second
+	c.BeaconInterval = 300 * time.Millisecond
+	c.LeaderBeaconInterval = 500 * time.Millisecond
+	c.StableWait = 500 * time.Millisecond
+	c.DeferTimeout = 3 * time.Second
+	c.DetectorParams.Interval = 300 * time.Millisecond
+	c.OrphanTimeout = 5 * time.Second
+	c.ConsensusWindow = 600 * time.Millisecond
+}
+
 // Validate rejects unusable parameter combinations.
 func (c Config) Validate() error {
 	switch {

@@ -31,14 +31,7 @@ func TestUDPDaemonsFormGroup(t *testing.T) {
 	defer rt.Close()
 
 	cfg := DefaultConfig()
-	cfg.BeaconPhase = 2 * time.Second
-	cfg.BeaconInterval = 300 * time.Millisecond
-	cfg.LeaderBeaconInterval = 500 * time.Millisecond
-	cfg.StableWait = 500 * time.Millisecond
-	cfg.DeferTimeout = 3 * time.Second
-	cfg.DetectorParams.Interval = 300 * time.Millisecond
-	cfg.OrphanTimeout = 5 * time.Second
-	cfg.ConsensusWindow = 600 * time.Millisecond
+	cfg.Fast()
 
 	ips := []transport.IP{
 		transport.MakeIP(127, 0, 0, 1),

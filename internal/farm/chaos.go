@@ -78,14 +78,7 @@ func (f *Farm) JournalDrift(node string) string {
 func (f *Farm) CheckTopology() check.Topology {
 	var topo check.Topology
 	for _, name := range f.order {
-		info := f.Nodes[name]
-		topo.Nodes = append(topo.Nodes, check.NodeTopo{
-			Name:     name,
-			Role:     info.Role,
-			Domain:   info.Domain,
-			Adapters: append([]transport.IP(nil), info.Adapters...),
-			Switch:   info.Switch,
-		})
+		topo.Nodes = append(topo.Nodes, *f.Nodes[name])
 	}
 	for _, sw := range f.Fabric.Switches() {
 		topo.Switches = append(topo.Switches, sw.Name())

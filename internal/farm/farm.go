@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/central"
+	"repro/internal/check"
 	"repro/internal/configdb"
 	"repro/internal/core"
 	"repro/internal/event"
@@ -117,16 +118,15 @@ type Spec struct {
 	// TraceCapacity overrides the flight-recorder ring size
 	// (trace.DefaultCapacity when zero).
 	TraceCapacity int
+
+	// Layout is the farm to build as given when no shape above is set:
+	// explicit nodes, adapters, switches and domains.
+	Layout *Layout
 }
 
-// NodeInfo describes one built node.
-type NodeInfo struct {
-	Name     string
-	Role     string // "admin", "frontend", "backend", "uniform"
-	Domain   string
-	Adapters []transport.IP // by adapter index
-	Switch   string
-}
+// NodeInfo describes one built node, as the scenario generator sees it;
+// its Domain follows planned moves.
+type NodeInfo = check.NodeTopo
 
 // Farm is a built, runnable simulated farm.
 type Farm struct {
@@ -158,6 +158,7 @@ type Farm struct {
 	// Journals holds each node's journal when Spec.Journal is set.
 	Journals map[string]*journal.Journal
 
+	layout   *Layout
 	adapters map[transport.IP]*netsim.Adapter
 	owner    map[transport.IP]string // adapter -> owning node
 	order    []string                // node build order (deterministic)
@@ -257,6 +258,10 @@ func Build(spec Spec) (*Farm, error) {
 	f.Trace.Enable(spec.Trace)
 	f.Trace.AddSink(metrics.ObserveTrace(f.Metrics))
 
+	var err error
+	if f.layout, err = layout(spec); err != nil {
+		return nil, err
+	}
 	if err := f.populate(); err != nil {
 		return nil, err
 	}
@@ -296,28 +301,6 @@ func (f *Farm) Fired() uint64 {
 	return f.Sched.Fired()
 }
 
-// builder is the allocation state one Build shares across its zones.
-type builder struct {
-	f        *Farm
-	ordinals map[int]int    // per-class ordinals for IP allocation
-	ports    map[string]int // per-switch port counters
-}
-
-// nextIP allocates 10.<class>.<hi>.<lo> for the next adapter of a VLAN
-// class.
-func (b *builder) nextIP(class int) transport.IP {
-	ordinal := b.ordinals[class]
-	b.ordinals[class]++
-	return transport.MakeIP(10, byte(class), byte(ordinal/200), byte(ordinal%200+1))
-}
-
-func (b *builder) wire(sw string, ip transport.IP, vlan int) int {
-	b.ports[sw]++
-	port := b.ports[sw]
-	b.f.Fabric.Switch(sw).Connect(port, ip, vlan)
-	return port
-}
-
 // zone is one management domain of a farm: the nodes behind one admin
 // VLAN, which form their own AMGs, elect their own leader and host their
 // own Central against their own configdb and bus, reconfiguring their own
@@ -327,191 +310,119 @@ func (b *builder) wire(sw string, ip transport.IP, vlan int) int {
 // z living wholly on shard z mod K — nodes, switches and segments — so the
 // backbone is the only cross-shard traffic.
 type zone struct {
-	db        *configdb.DB
-	bus       *event.Bus
-	adminVLAN int
-	switches  []string // nodes are dealt over these round-robin
-	nodes     int      // dealt so far
-	shard     int
+	index    int
+	db       *configdb.DB
+	bus      *event.Bus
+	switches []SwitchLayout
+	shard    int
 	// rng is the stream every daemon of the zone shares. Nil gives each
 	// daemon a stream derived from the seed and its place in the build
 	// order, which keeps runtime draws identical under every shard count.
 	rng *rand.Rand
 }
 
-// addZone provisions a zone's database, bus and switches: enough switches
-// for its nodes, each trunked (VLANs are fabric-wide) and carrying a
-// management adapter with its SNMP agent on the zone's admin VLAN.
-func (b *builder) addZone(prefix string, adminVLAN, nodes, shard int, rng *rand.Rand) *zone {
-	f := b.f
-	z := &zone{
-		db:        configdb.New(),
-		bus:       event.NewBus(f.Spec.RecordEvents),
-		adminVLAN: adminVLAN,
-		shard:     shard,
-		rng:       rng,
-	}
-	nSwitches := (nodes + f.Spec.NodesPerSwitch - 1) / f.Spec.NodesPerSwitch
-	for i := 0; i < nSwitches; i++ {
-		name := fmt.Sprintf("%ssw-%02d", prefix, i)
-		// shardOf must be set before AddAdapter: the sharded network homes
-		// the adapter by its node's shard. Shard 0 is the absent entry.
-		if shard != 0 {
-			f.shardOf[name] = shard
-		}
-		f.Fabric.AddSwitch(name)
-		mgmt := b.nextIP(9)
-		a := f.Net.AddAdapter(mgmt, name)
-		b.wire(name, mgmt, adminVLAN)
-		f.Fabric.Switch(name).AttachAgent(a, f.Spec.Central.Community)
-		z.switches = append(z.switches, name)
-	}
-	return z
-}
-
-// addNode builds one node in z: an adapter per VLAN (the first is the
-// admin adapter), their database records, and the node's daemon and
-// Central.
-func (b *builder) addNode(z *zone, name, role, domain string, vlans []int) error {
-	f := b.f
-	if z.shard != 0 {
-		f.shardOf[name] = z.shard
-	}
-	sw := z.switches[z.nodes%len(z.switches)]
-	z.nodes++
-	info := &NodeInfo{Name: name, Role: role, Domain: domain, Switch: sw}
-	var eps []transport.Endpoint
-	for idx, vlan := range vlans {
-		class := 1
-		if idx > 0 {
-			class = vlan % 97 // spreads VLANs over IP classes deterministically
-			if class <= 1 {
-				class += 2
+// populate builds the laid-out farm zone by zone: a zone's switches, then
+// its nodes.
+func (f *Farm) populate() error {
+	var z *zone
+	sw := 0
+	for i := range f.layout.Nodes {
+		n := &f.layout.Nodes[i]
+		if z == nil || n.Zone != z.index {
+			z = f.addZone(n.Zone, &sw)
+			if f.Spec.Zones > 0 {
+				f.DBs = append(f.DBs, z.db)
+				f.Buses = append(f.Buses, z.bus)
+			}
+			if f.DB == nil {
+				f.DB, f.Bus = z.db, z.bus
 			}
 		}
-		ip := b.nextIP(class)
-		a := f.Net.AddAdapter(ip, name)
-		port := b.wire(sw, ip, vlan)
-		info.Adapters = append(info.Adapters, ip)
-		eps = append(eps, a)
-		f.adapters[ip] = a
-		f.owner[ip] = name
-		if err := z.db.AddAdapter(configdb.AdapterSpec{
-			IP: ip, Node: name, Index: idx, VLAN: vlan, Switch: sw, Port: port,
-		}); err != nil {
+		if err := f.addNode(z, n); err != nil {
 			return err
 		}
 	}
-	// AddAdapter already created the node record with empty metadata;
-	// fill in its domain and role.
-	node := z.db.AddNode(name, domain, role)
-	node.Domain = domain
-	node.Role = role
+	return nil
+}
+
+// addZone provisions a zone's database and bus, and builds its switches
+// (the layout's from *next on that belong to it): each trunked (VLANs are
+// fabric-wide) and carrying its management adapter with the SNMP agent.
+func (f *Farm) addZone(index int, next *int) *zone {
+	z := &zone{
+		index: index,
+		db:    configdb.New(),
+		bus:   event.NewBus(f.Spec.RecordEvents),
+		shard: index % max(1, f.Spec.Shards),
+	}
+	if f.Spec.Zones == 0 {
+		z.rng = f.Sched.Rand()
+	}
+	switches, first := f.layout.Switches, *next
+	for ; *next < len(switches) && switches[*next].Zone == index; *next++ {
+		s := &switches[*next]
+		// shardOf must be set before AddAdapter: the sharded network homes
+		// the adapter by its node's shard. Shard 0 is the absent entry.
+		if z.shard != 0 {
+			f.shardOf[s.Name] = z.shard
+		}
+		sw := f.Fabric.AddSwitch(s.Name)
+		a := f.Net.AddAdapter(s.IP, s.Name)
+		sw.Connect(s.Port, s.IP, s.VLAN)
+		sw.AttachAgent(a, f.Spec.Central.Community, transport.PortSNMP)
+	}
+	z.switches = switches[first:*next]
+	return z
+}
+
+// addNode builds one node in z: its adapters, wired as laid out, their
+// database records, and the node's daemon and Central.
+func (f *Farm) addNode(z *zone, n *NodeLayout) error {
+	if len(n.Adapters) == 0 {
+		return fmt.Errorf("farm: node %q has no adapters", n.Name)
+	}
+	if z.shard != 0 {
+		f.shardOf[n.Name] = z.shard
+	}
+	info := &NodeInfo{Name: n.Name, Role: n.Role, Domain: n.Domain, Switch: n.Adapters[0].Switch,
+		Adapters: make([]transport.IP, len(n.Adapters))}
+	eps := make([]transport.Endpoint, len(n.Adapters))
+	for i, a := range n.Adapters {
+		ep := f.Net.AddAdapter(a.IP, n.Name)
+		f.Fabric.Switch(a.Switch).Connect(a.Port, a.IP, a.VLAN)
+		info.Adapters[i], eps[i] = a.IP, ep
+		f.adapters[a.IP] = ep
+		f.owner[a.IP] = n.Name
+	}
+	if err := n.Record(z.db); err != nil {
+		return err
+	}
 
 	rng := z.rng
 	if rng == nil {
 		seed := int64(sim.Splitmix64(uint64(f.Spec.Seed) ^ sim.Splitmix64(uint64(0x10000+len(f.order)))))
 		rng = rand.New(rand.NewSource(seed))
 	}
-	d, err := core.NewDaemon(f.Spec.Core, name, f.clockFor(name), rng, eps)
+	d, err := core.NewDaemon(f.Spec.Core, n.Name, f.clockFor(n.Name), rng, eps)
 	if err != nil {
 		return err
 	}
-	c := central.New(f.Spec.Central, f.clockFor(name), z.bus, z.db)
-	for _, swName := range z.switches {
-		swt := f.Fabric.Switch(swName)
-		c.RegisterSwitchAgent(swName, transport.Addr{IP: swt.ManagementIP(), Port: transport.PortSNMP})
+	c := central.New(f.Spec.Central, f.clockFor(n.Name), z.bus, z.db)
+	for _, s := range z.switches {
+		c.RegisterSwitchAgent(s.Name, transport.Addr{IP: s.IP, Port: transport.PortSNMP})
 	}
 	if f.Spec.Journal {
 		j := journal.NewMem()
 		c.SetJournal(j)
-		f.Journals[name] = j
+		f.Journals[n.Name] = j
 	}
 	d.SetCentral(c)
 	d.SetTracer(f.Trace)
-	c.SetTracer(f.Trace, name)
-	f.Nodes[name] = info
-	f.Daemons[name] = d
-	f.Centrals[name] = c
-	f.order = append(f.order, name)
-	return nil
-}
-
-// populate lays the spec's shape out as zones and nodes.
-func (f *Farm) populate() error {
-	b := &builder{f: f, ordinals: make(map[int]int), ports: make(map[string]int)}
-	spec := f.Spec
-	if spec.Zones > 0 {
-		for zi := 0; zi < spec.Zones; zi++ {
-			prefix := fmt.Sprintf("z%03d-", zi)
-			z := b.addZone(prefix, zoneAdminVLAN(zi), spec.ZoneNodes, zi%max(1, spec.Shards), nil)
-			f.DBs = append(f.DBs, z.db)
-			f.Buses = append(f.Buses, z.bus)
-			domain := fmt.Sprintf("zone-%03d", zi)
-			for i := 0; i < spec.ZoneNodes; i++ {
-				vlans := []int{z.adminVLAN}
-				for a := 1; a < spec.ZoneAdapters; a++ {
-					vlans = append(vlans, z.adminVLAN+a)
-				}
-				if i == 0 {
-					// Gateway: the extra backbone adapter rides at a non-admin
-					// index, so backbone leadership never hosts a zone Central.
-					vlans = append(vlans, BackboneVLAN)
-				}
-				if err := b.addNode(z, fmt.Sprintf("%sn%03d", prefix, i), "zone", domain, vlans); err != nil {
-					return err
-				}
-			}
-		}
-		f.DB, f.Bus = f.DBs[0], f.Buses[0]
-		return nil
-	}
-
-	totalNodes := spec.AdminNodes + spec.UniformNodes
-	for _, d := range spec.Domains {
-		totalNodes += d.FrontEnds + d.BackEnds
-	}
-	if totalNodes == 0 {
-		return fmt.Errorf("farm: spec builds zero nodes")
-	}
-	z := b.addZone("", AdminVLAN, totalNodes, 0, f.Sched.Rand())
-	f.DB, f.Bus = z.db, z.bus
-	// Administrative nodes: single admin adapter.
-	for i := 0; i < spec.AdminNodes; i++ {
-		if err := b.addNode(z, fmt.Sprintf("mgmt-%02d", i), "admin", "", []int{AdminVLAN}); err != nil {
-			return err
-		}
-	}
-	// Uniform testbed nodes.
-	for i := 0; i < spec.UniformNodes; i++ {
-		k := spec.UniformAdapters
-		if k <= 0 {
-			k = 3
-		}
-		vlans := []int{AdminVLAN}
-		for a := 1; a < k; a++ {
-			vlans = append(vlans, 10+a)
-		}
-		if err := b.addNode(z, fmt.Sprintf("node-%03d", i), "uniform", "", vlans); err != nil {
-			return err
-		}
-	}
-	// Domain nodes.
-	for di, dom := range spec.Domains {
-		for i := 0; i < dom.FrontEnds; i++ {
-			// Admin (circle), dispatcher-facing (triangle), internal (square).
-			if err := b.addNode(z, fmt.Sprintf("%s-fe-%02d", dom.Name, i), "frontend", dom.Name,
-				[]int{AdminVLAN, FrontVLAN(di), BackVLAN(di)}); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < dom.BackEnds; i++ {
-			if err := b.addNode(z, fmt.Sprintf("%s-be-%02d", dom.Name, i), "backend", dom.Name,
-				[]int{AdminVLAN, BackVLAN(di)}); err != nil {
-				return err
-			}
-		}
-	}
+	c.SetTracer(f.Trace, n.Name)
+	f.Nodes[n.Name] = info
+	f.Daemons[n.Name] = d
+	f.Centrals[n.Name] = c
+	f.order = append(f.order, n.Name)
 	return nil
 }
 
@@ -708,28 +619,6 @@ func (f *Farm) powerSwitch(name string, up bool) error {
 	return nil
 }
 
-// domainMoves works out a domain move by the Figure 2 layout: the node's
-// non-admin adapters, by index, and the target domain's VLAN each is
-// re-wired to (front VLAN for a front-end's adapter 1, back VLAN for its
-// adapter 2 and for a back-end's adapter 1).
-func (f *Farm) domainMoves(node, toDomain string) (*NodeInfo, map[int]int, error) {
-	di := f.domainIndex(toDomain)
-	if di < 0 {
-		return nil, nil, fmt.Errorf("farm: unknown domain %q", toDomain)
-	}
-	info, ok := f.Nodes[node]
-	if !ok {
-		return nil, nil, fmt.Errorf("farm: unknown node %q", node)
-	}
-	switch info.Role {
-	case "frontend":
-		return info, map[int]int{1: FrontVLAN(di), 2: BackVLAN(di)}, nil
-	case "backend":
-		return info, map[int]int{1: BackVLAN(di)}, nil
-	}
-	return nil, nil, fmt.Errorf("farm: node %q (role %s) is not movable", node, info.Role)
-}
-
 // MoveNodeToDomain asks the active Central to relocate a domain node: its
 // non-admin adapters are re-VLANed to the target domain's segments.
 func (f *Farm) MoveNodeToDomain(node, toDomain string, done func(error)) error {
@@ -737,13 +626,13 @@ func (f *Farm) MoveNodeToDomain(node, toDomain string, done func(error)) error {
 	if c == nil {
 		return fmt.Errorf("farm: no active central")
 	}
-	info, moves, err := f.domainMoves(node, toDomain)
+	moves, err := f.layout.Moves(node, toDomain)
 	if err != nil {
 		return err
 	}
 	c.MoveNode(node, moves, func(err error) {
 		if err == nil {
-			info.Domain = toDomain
+			f.Nodes[node].Domain = toDomain
 			_ = f.DB.SetNodeDomain(node, toDomain)
 		}
 		if done != nil {

@@ -17,8 +17,8 @@ import (
 // Domains lists the farm's security domains in spec order
 // (serve.Directory).
 func (f *Farm) Domains() []string {
-	out := make([]string, 0, len(f.Spec.Domains))
-	for _, d := range f.Spec.Domains {
+	out := make([]string, 0, len(f.layout.Domains))
+	for _, d := range f.layout.Domains {
 		out = append(out, d.Name)
 	}
 	return out
@@ -53,8 +53,8 @@ func (f *Farm) DomainOf(node string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	for i, d := range f.Spec.Domains {
-		if seg == switchsim.SegmentName(FrontVLAN(i)) {
+	for _, d := range f.layout.Domains {
+		if seg == switchsim.SegmentName(d.VLANs[0]) {
 			return d.Name, true
 		}
 	}
@@ -78,21 +78,12 @@ func (f *Farm) Serves(node, domain string) bool {
 	if f.adapters[front].Mode() != netsim.Healthy {
 		return false
 	}
-	di := f.domainIndex(domain)
-	if di < 0 {
+	d := f.layout.domain(domain)
+	if d == nil {
 		return false
 	}
 	seg, ok := f.Fabric.SegmentOf(front)
-	return ok && seg == switchsim.SegmentName(FrontVLAN(di))
-}
-
-func (f *Farm) domainIndex(domain string) int {
-	for i, d := range f.Spec.Domains {
-		if d.Name == domain {
-			return i
-		}
-	}
-	return -1
+	return ok && seg == switchsim.SegmentName(d.VLANs[0])
 }
 
 // SurpriseMoveNode rewires the node's ports to the target domain's VLANs
@@ -103,12 +94,12 @@ func (f *Farm) domainIndex(domain string) int {
 // until all that lands, the serving plane keeps routing to a node that
 // is gone.
 func (f *Farm) SurpriseMoveNode(node, toDomain string) error {
-	info, moves, err := f.domainMoves(node, toDomain)
+	moves, err := f.layout.Moves(node, toDomain)
 	if err != nil {
 		return err
 	}
 	f.traceFault(node, "surprise-move "+toDomain)
-	for idx, ip := range info.Adapters {
+	for idx, ip := range f.Nodes[node].Adapters {
 		vlan, move := moves[idx]
 		if !move {
 			continue

@@ -491,6 +491,13 @@ func (j *Journal) Drift() string {
 // Close closes the underlying store.
 func (j *Journal) Close() error { return j.store.Close() }
 
+// Reopen opens a fresh journal over the same store, as a restarted
+// process reopens its journal directory: only what the store holds
+// survives.
+func (j *Journal) Reopen() (*Journal, error) {
+	return New(j.store, Options{SnapEvery: j.snapEvery})
+}
+
 // MemStore is the in-memory Store: the simulator's backend and the warm
 // standby's default.
 type MemStore struct {

@@ -51,18 +51,13 @@ type Agent struct {
 	port      uint16
 }
 
-// NewAgent binds an agent to ep's SNMP port, answering requests carrying
-// the given community string. Requests with the wrong community are
-// silently dropped (classic SNMP behaviour).
-func NewAgent(ep transport.Endpoint, community string, mib MIB) *Agent {
-	return NewAgentOn(ep, community, mib, transport.PortSNMP)
-}
-
-// NewAgentOn is NewAgent on an explicit UDP port. The well-known SNMP
-// port is privileged on real hosts, so unprivileged harnesses (CI) run
-// their emulated switch agents high and point Central at the full
-// address — the client already targets whatever port the agent Addr
-// carries.
+// NewAgentOn binds an agent to ep's UDP port, answering requests
+// carrying the given community string. Requests with the wrong community
+// are silently dropped (classic SNMP behaviour). A simulated switch
+// listens on transport.PortSNMP; the well-known port is privileged on
+// real hosts, so unprivileged harnesses (CI) run their emulated switch
+// agents high and point Central at the full address — the client
+// already targets whatever port the agent Addr carries.
 func NewAgentOn(ep transport.Endpoint, community string, mib MIB, port uint16) *Agent {
 	a := &Agent{ep: ep, mib: mib, community: community, port: port}
 	ep.Bind(port, a.handle)

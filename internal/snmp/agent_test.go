@@ -34,7 +34,7 @@ func newSNMPFixture(t *testing.T, loss float64) *snmpFixture {
 	mib.Define(MustOID("1.3.6.1.4.1.2.1.1"), Integer(100), true)
 	mib.Define(MustOID("1.3.6.1.4.1.2.1.2"), Integer(200), false)
 	mib.Define(MustOID("1.3.6.1.4.1.2.2.1"), OctetString("port-1"), false)
-	NewAgent(agentEP, "farm-admin", mib)
+	NewAgentOn(agentEP, "farm-admin", mib, transport.PortSNMP)
 
 	cl := NewClient(clientEP, schedClock{sched}, "farm-admin", 40000)
 	return &snmpFixture{

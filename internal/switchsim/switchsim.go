@@ -52,9 +52,6 @@ func OIDPortAdapter(p int) snmp.OID { return oidPortAdapterBase.Append(uint32(p)
 // for GETNEXT walks.
 func OIDPortAdapterTable() snmp.OID { return oidPortAdapterBase.Append() }
 
-// OIDPortVLANTable is the prefix of the port->VLAN table.
-func OIDPortVLANTable() snmp.OID { return oidPortVLANBase.Append() }
-
 // Port status values.
 const (
 	PortUp   = 1
@@ -76,7 +73,6 @@ type Switch struct {
 	ports  map[int]*Port
 	up     bool
 	mib    *snmp.MapMIB
-	mgmtIP transport.IP
 }
 
 // Name returns the switch's name.
@@ -99,10 +95,6 @@ func (s *Switch) SetUp(up bool) {
 		s.fabric.changed(p.Adapter)
 	}
 }
-
-// ManagementIP returns the address of the switch's management adapter
-// (zero if none was attached).
-func (s *Switch) ManagementIP() transport.IP { return s.mgmtIP }
 
 // Ports lists the switch's ports in number order.
 func (s *Switch) Ports() []*Port {
@@ -169,10 +161,11 @@ func (s *Switch) SetPortUp(n int, up bool) error {
 }
 
 // AttachAgent binds an SNMP agent serving this switch's MIB to the given
-// management endpoint (an adapter on the administrative VLAN).
-func (s *Switch) AttachAgent(ep transport.Endpoint, community string) *snmp.Agent {
-	s.mgmtIP = ep.LocalIP()
-	return snmp.NewAgent(ep, community, s.mib)
+// management endpoint (an adapter on the administrative VLAN) at a UDP
+// port: transport.PortSNMP in the simulator, an unprivileged one on a
+// real host.
+func (s *Switch) AttachAgent(ep transport.Endpoint, community string, port uint16) *snmp.Agent {
+	return snmp.NewAgentOn(ep, community, s.mib, port)
 }
 
 func (s *Switch) defineMIBPort(p *Port) {

@@ -240,7 +240,7 @@ func TestSNMPReconfigurationEndToEnd(t *testing.T) {
 	sw.Connect(3, a.LocalIP(), 100)
 	sw.Connect(4, b.LocalIP(), 100)
 
-	sw.AttachAgent(mgmt, "farm-admin")
+	sw.AttachAgent(mgmt, "farm-admin", transport.PortSNMP)
 	client := snmp.NewClient(central, clock{sched}, "farm-admin", 40000)
 
 	heard := 0
@@ -289,7 +289,7 @@ func TestAgentWalkOverPorts(t *testing.T) {
 	sw.Connect(1, central.LocalIP(), 1)
 	sw.Connect(2, mgmt.LocalIP(), 1)
 	sw.Connect(3, ip(2, 1), 100)
-	sw.AttachAgent(mgmt, "farm-admin")
+	sw.AttachAgent(mgmt, "farm-admin", transport.PortSNMP)
 	client := snmp.NewClient(central, clock{sched}, "farm-admin", 40000)
 
 	var vbs []snmp.VarBind

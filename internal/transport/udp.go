@@ -69,6 +69,18 @@ func (r *Runtime) Now() time.Duration { return time.Since(r.start) }
 // onto one farm-wide clock.
 func (r *Runtime) Start() time.Time { return r.start }
 
+// Ready is the one-line JSON readiness message a daemon writes once its
+// Runtime runs (gsd -ready-fd): the orchestrator's signal that sockets
+// are bound and the protocol clock is running. StartUnixNS is Start, the
+// epoch of the daemon's trace timestamps.
+type Ready struct {
+	Node        string   `json:"node"`
+	PID         int      `json:"pid"`
+	StartUnixNS int64    `json:"start_unix_ns"`
+	Adapters    []string `json:"adapters"`
+	DebugAddr   string   `json:"debug_addr,omitempty"`
+}
+
 // QueueDepth is the number of events waiting for the loop.
 func (r *Runtime) QueueDepth() int { return len(r.events) }
 
