@@ -214,9 +214,7 @@ func run() int {
 		log.Printf("gsd: %v", err)
 		return 1
 	}
-	for name, addr := range agents { // order-free: registering fills a map
-		ctr.RegisterSwitchAgent(name, addr)
-	}
+	ctr.SetSwitchAgents(agents)
 	if *journalDir != "" {
 		store, err := journal.NewFileStore(*journalDir, journal.FileOptions{})
 		if err != nil {

@@ -104,7 +104,8 @@ type Central struct {
 	limbo      map[transport.IP]time.Duration
 	sweepTimer transport.Timer
 
-	// switchAgents maps switch name -> SNMP agent address.
+	// switchAgents maps switch name -> SNMP agent address. Central only
+	// reads it, so Centrals that manage the same switches share one.
 	switchAgents map[string]transport.Addr
 	// snmpWiring holds switch->adapters wiring learned by walking the
 	// switches' own port tables (DiscoverWiring) — the paper's §3 future
@@ -148,10 +149,12 @@ func New(cfg Config, clock transport.Clock, bus *event.Bus, db *configdb.DB) *Ce
 	}
 }
 
-// RegisterSwitchAgent tells Central where a switch's management agent
-// lives on the administrative network.
-func (c *Central) RegisterSwitchAgent(name string, addr transport.Addr) {
-	c.switchAgents[name] = addr
+// SetSwitchAgents tells Central where the switches' management agents
+// live on the administrative network: switch name -> agent address.
+// Central keeps the table and never writes it, so the Centrals of one
+// zone can share it; the caller must not change it afterwards.
+func (c *Central) SetSwitchAgents(agents map[string]transport.Addr) {
+	c.switchAgents = agents
 }
 
 // Activate implements core.CentralHook.

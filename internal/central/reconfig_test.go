@@ -60,7 +60,7 @@ func newReconfigFixture(t *testing.T) *reconfigFixture {
 	cfg := DefaultConfig()
 	cfg.StabilizeWait = 5 * time.Second
 	c := New(cfg, clock{sched}, bus, db)
-	c.RegisterSwitchAgent("sw-x", transport.Addr{IP: mgmt.LocalIP(), Port: transport.PortSNMP})
+	c.SetSwitchAgents(map[string]transport.Addr{"sw-x": {IP: mgmt.LocalIP(), Port: transport.PortSNMP}})
 	sw.AttachAgent(mgmt, cfg.Community, transport.PortSNMP)
 	c.Activate(centralEP)
 
@@ -192,9 +192,10 @@ func TestRegisterAndGroupCount(t *testing.T) {
 	if f.c.GroupCount() != 2 {
 		t.Fatalf("GroupCount = %d", f.c.GroupCount())
 	}
-	f.c.RegisterSwitchAgent("sw-y", transport.Addr{IP: ip(9, 7), Port: 161})
-	if _, ok := f.c.switchAgents["sw-y"]; !ok {
-		t.Fatal("RegisterSwitchAgent did not register")
+	agents := map[string]transport.Addr{"sw-y": {IP: ip(9, 7), Port: 161}}
+	f.c.SetSwitchAgents(agents)
+	if _, ok := f.c.switchAgents["sw-y"]; !ok || len(f.c.switchAgents) != 1 {
+		t.Fatal("SetSwitchAgents did not install the table")
 	}
 }
 

@@ -526,12 +526,6 @@ func (p *adapterProto) sendMember(dst transport.IP, m wire.Message) {
 	pkt.Free()
 }
 
-// sendMemberFan unicasts one pre-encoded packet to dst — the 2PC fan-out
-// path, where encoding once per round instead of once per member matters.
-func (p *adapterProto) sendMemberFan(dst transport.IP, pkt *wire.Packet) {
-	_ = p.ep.Unicast(transport.PortMember, transport.Addr{IP: dst, Port: transport.PortMember}, pkt.Bytes())
-}
-
 func (p *adapterProto) sendHeartbeatPlane(dst transport.IP, m wire.Message) {
 	pkt := wire.NewPacket(m)
 	_ = p.ep.Unicast(transport.PortHeartbeat, transport.Addr{IP: dst, Port: transport.PortHeartbeat}, pkt.Bytes())

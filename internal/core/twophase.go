@@ -43,6 +43,11 @@ type leaderState struct {
 	fresh bool
 
 	refreshAt map[transport.IP]time.Duration
+
+	// fan is the destination scratch of the Prepare and Commit fan-outs.
+	// It belongs to the leader, not the package: trials run on parallel
+	// goroutines.
+	fan []transport.IP
 }
 
 func newLeaderState(p *adapterProto) *leaderState {
@@ -247,18 +252,26 @@ func (r *twoPCRound) send() {
 	}
 	p.trace(&trace.Record{Kind: trace.KPrepareSent, Group: p.self,
 		Version: r.target.Version, Token: r.token, Count: uint32(len(r.target.Members))})
-	// Encode once, fan the same packet out to every member: the Prepare
-	// carries the full member list, so per-member encoding would be O(N²)
-	// bytes per round.
 	prep := &wire.Prepare{Leader: p.self, Version: r.target.Version, Token: r.token, Op: r.op, Members: r.target.Members}
-	pkt := wire.NewPacket(prep)
+	fan := r.l.fan[:0]
 	for _, m := range r.target.Members {
 		if m.IP != p.self {
-			p.sendMemberFan(m.IP, pkt)
+			fan = append(fan, m.IP)
 		}
 	}
-	pkt.Free()
+	r.l.sendFan(fan, prep)
 	r.timer = p.clock().AfterFunc(p.d.cfg.CommitTimeout, r.timeout)
+}
+
+// sendFan encodes m once and sends the packet to every member in fan as
+// one fan-out: a Prepare or Commit carries the full member list, so a
+// per-member encoding or payload copy would be O(N²) bytes per round.
+// fan is the leader's scratch, kept for the next round.
+func (l *leaderState) sendFan(fan []transport.IP, m wire.Message) {
+	l.fan = fan
+	pkt := wire.NewPacket(m)
+	_ = transport.UnicastFan(l.p.ep, transport.PortMember, transport.PortMember, fan, pkt.Bytes())
+	pkt.Free()
 }
 
 // onPrepareAck is routed here by the adapter's member-plane handler.
@@ -305,17 +318,16 @@ func (r *twoPCRound) timeout() {
 		p.trace(&trace.Record{Kind: trace.KPrepareSent, Group: p.self,
 			Version: r.target.Version, Token: r.token,
 			Count: uint32(len(r.target.Members)), Detail: "resend"})
-		prep := &wire.Prepare{Leader: p.self, Version: r.target.Version, Token: r.token, Op: r.op, Members: r.target.Members}
-		pkt := wire.NewPacket(prep)
 		// Resend in ascending IP order: iterating the waiting map directly
 		// would consume the shared RNG (loss/latency draws) in map order and
 		// break run-for-run determinism.
+		fan := r.l.fan[:0]
 		for _, m := range r.target.Members {
 			if r.waiting[m.IP] {
-				p.sendMemberFan(m.IP, pkt)
+				fan = append(fan, m.IP)
 			}
 		}
-		pkt.Free()
+		r.l.sendFan(fan, &wire.Prepare{Leader: p.self, Version: r.target.Version, Token: r.token, Op: r.op, Members: r.target.Members})
 		r.timer = p.clock().AfterFunc(p.d.cfg.CommitTimeout, r.timeout)
 		return
 	}
@@ -381,14 +393,13 @@ func (r *twoPCRound) commit() {
 	r.l.round = nil
 	p.trace(&trace.Record{Kind: trace.KCommitSent, Group: p.self,
 		Version: r.target.Version, Token: r.token, Count: uint32(len(r.target.Members))})
-	c := &wire.Commit{Leader: p.self, Version: r.target.Version, Token: r.token, Members: r.target.Members}
-	pkt := wire.NewPacket(c)
+	fan := r.l.fan[:0]
 	for _, m := range r.target.Members {
 		if m.IP != p.self {
-			p.sendMemberFan(m.IP, pkt)
+			fan = append(fan, m.IP)
 		}
 	}
-	pkt.Free()
+	r.l.sendFan(fan, &wire.Commit{Leader: p.self, Version: r.target.Version, Token: r.token, Members: r.target.Members})
 	for _, ip := range r.deaths {
 		if !r.target.Contains(ip) {
 			p.trace(&trace.Record{Kind: trace.KDeathCommitted, Peer: ip, Group: p.self,

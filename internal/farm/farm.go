@@ -310,11 +310,13 @@ func (f *Farm) Fired() uint64 {
 // z living wholly on shard z mod K — nodes, switches and segments — so the
 // backbone is the only cross-shard traffic.
 type zone struct {
-	index    int
-	db       *configdb.DB
-	bus      *event.Bus
-	switches []SwitchLayout
-	shard    int
+	index int
+	db    *configdb.DB
+	bus   *event.Bus
+	// agents maps each switch of the zone to its SNMP agent: one read-only
+	// table that every Central of the zone shares.
+	agents map[string]transport.Addr
+	shard  int
 	// rng is the stream every daemon of the zone shares. Nil gives each
 	// daemon a stream derived from the seed and its place in the build
 	// order, which keeps runtime draws identical under every shard count.
@@ -347,18 +349,20 @@ func (f *Farm) populate() error {
 
 // addZone provisions a zone's database and bus, and builds its switches
 // (the layout's from *next on that belong to it): each trunked (VLANs are
-// fabric-wide) and carrying its management adapter with the SNMP agent.
+// fabric-wide) and carrying its management adapter with the SNMP agent,
+// listed in the zone's agent table.
 func (f *Farm) addZone(index int, next *int) *zone {
 	z := &zone{
-		index: index,
-		db:    configdb.New(),
-		bus:   event.NewBus(f.Spec.RecordEvents),
-		shard: index % max(1, f.Spec.Shards),
+		index:  index,
+		db:     configdb.New(),
+		bus:    event.NewBus(f.Spec.RecordEvents),
+		shard:  index % max(1, f.Spec.Shards),
+		agents: make(map[string]transport.Addr),
 	}
 	if f.Spec.Zones == 0 {
 		z.rng = f.Sched.Rand()
 	}
-	switches, first := f.layout.Switches, *next
+	switches := f.layout.Switches
 	for ; *next < len(switches) && switches[*next].Zone == index; *next++ {
 		s := &switches[*next]
 		// shardOf must be set before AddAdapter: the sharded network homes
@@ -370,8 +374,8 @@ func (f *Farm) addZone(index int, next *int) *zone {
 		a := f.Net.AddAdapter(s.IP, s.Name)
 		sw.Connect(s.Port, s.IP, s.VLAN)
 		sw.AttachAgent(a, f.Spec.Central.Community, transport.PortSNMP)
+		z.agents[s.Name] = transport.Addr{IP: s.IP, Port: transport.PortSNMP}
 	}
-	z.switches = switches[first:*next]
 	return z
 }
 
@@ -408,9 +412,7 @@ func (f *Farm) addNode(z *zone, n *NodeLayout) error {
 		return err
 	}
 	c := central.New(f.Spec.Central, f.clockFor(n.Name), z.bus, z.db)
-	for _, s := range z.switches {
-		c.RegisterSwitchAgent(s.Name, transport.Addr{IP: s.IP, Port: transport.PortSNMP})
-	}
+	c.SetSwitchAgents(z.agents)
 	if f.Spec.Journal {
 		j := journal.NewMem()
 		c.SetJournal(j)

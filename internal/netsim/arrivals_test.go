@@ -15,31 +15,37 @@ import (
 // sequence numbers moved onto one reserved block. The latency shapes are
 // the ones that bend a distribution sort — everything in one instant, two
 // far-apart clusters, fewer distinct instants than arrivals, one outlier —
-// as well as the even spread it is built for.
+// as well as the even spread it is built for. Each shape declares the
+// range its draws fall in, as a send declares its link's to expect.
 func TestPostSortsLikeAStableSort(t *testing.T) {
 	f := newFixture(1)
 	dst := f.adapter(1, "s1")
 	ln := f.net.lanes[0]
 	rng := rand.New(rand.NewSource(1))
-	shapes := map[string]func() time.Duration{
-		"even":     func() time.Duration { return 200_000 + time.Duration(rng.Int63n(300_000)) },
-		"instant":  func() time.Duration { return 200_000 },
-		"coarse":   func() time.Duration { return time.Duration(rng.Intn(7)) * 1000 },
-		"clusters": func() time.Duration { return time.Duration(rng.Intn(2))*time.Hour + time.Duration(rng.Intn(50)) },
-		"outlier": func() time.Duration {
+	type shape struct {
+		span time.Duration // draws fall in [0, span]
+		draw func() time.Duration
+	}
+	shapes := map[string]shape{
+		"even":     {500_000, func() time.Duration { return 200_000 + time.Duration(rng.Int63n(300_000)) }},
+		"instant":  {200_000, func() time.Duration { return 200_000 }},
+		"coarse":   {6000, func() time.Duration { return time.Duration(rng.Intn(7)) * 1000 }},
+		"clusters": {time.Hour + 49, func() time.Duration { return time.Duration(rng.Intn(2))*time.Hour + time.Duration(rng.Intn(50)) }},
+		"outlier": {time.Hour, func() time.Duration {
 			if rng.Intn(100) == 0 {
 				return time.Hour
 			}
 			return time.Duration(rng.Intn(1000))
-		},
+		}},
 	}
-	for name, draw := range shapes {
+	for name, sh := range shapes {
 		for _, n := range []int{1, 2, 3, 17, 499, 1200} {
-			tx := ln.newTx(transport.Addr{}, transport.Addr{}, nil, false)
+			tx := ln.newTx(transport.Addr{}, transport.Addr{}, toSelf, nil)
+			tx.expect(f.sched.Now(), sh.span, n)
 			var want []sim.Arrival
 			for k := 0; k < n; k++ {
-				at := f.sched.Now() + draw()
-				tx.add(at, uint64(k), dst)
+				at := f.sched.Now() + sh.draw()
+				tx.add(at, dst)
 				want = append(want, sim.Arrival{At: at, Seq: uint64(k), Dst: dst})
 			}
 			slices.SortStableFunc(want, func(a, b sim.Arrival) int { return int(a.At - b.At) })

@@ -24,6 +24,7 @@ package netsim
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -136,6 +137,52 @@ type segment struct {
 	members  []*Adapter // ascending IP
 	profile  LinkProfile
 	override bool // profile explicitly set; otherwise the network default applies
+	// tables caches Multicast's receiver lists, one per group it was asked
+	// for; any change of members or subscriptions empties it (invalidate).
+	tables []groupTable
+}
+
+// receiver is one entry of a send's receiver list: the address and home
+// lane a send reads, beside the adapter it hands to the arrival but never
+// dereferences — so the send loop touches only the list.
+type receiver struct {
+	ip   transport.IP
+	lane int32
+	a    *Adapter
+}
+
+func receiverOf(a *Adapter) receiver { return receiver{ip: a.ip, lane: int32(a.ln.id), a: a} }
+
+// groupTable is one group's receiver list on a segment: the members
+// subscribed to group, in ascending IP order, or every member when the
+// segment floods (RecvFilter, subscriptions checked at arrival).
+type groupTable struct {
+	group transport.Addr
+	flood bool
+	rx    []receiver
+}
+
+// invalidate drops the segment's receiver tables; the next Multicast to
+// each group rebuilds its own. The entries' lists are kept for reuse.
+func (s *segment) invalidate() { s.tables = s.tables[:0] }
+
+// receivers returns the segment's receiver list for group, building it
+// from the members on first use after an invalidation.
+func (s *segment) receivers(group transport.Addr, flood bool) []receiver {
+	for i := range s.tables {
+		if t := &s.tables[i]; t.group == group && t.flood == flood {
+			return t.rx
+		}
+	}
+	s.tables = slices.Grow(s.tables, 1)[:len(s.tables)+1]
+	t := &s.tables[len(s.tables)-1]
+	t.group, t.flood, t.rx = group, flood, t.rx[:0]
+	for _, m := range s.members {
+		if flood || m.inGroup(group) {
+			t.rx = append(t.rx, receiverOf(m))
+		}
+	}
+	return t.rx
 }
 
 // find locates the member with the given address, or nil.
@@ -336,6 +383,7 @@ func (n *Network) insertMember(seg *segment, a *Adapter) {
 	copy(ms[i+1:], ms[i:])
 	ms[i] = a
 	seg.members = ms
+	seg.invalidate()
 	a.seg = seg
 }
 
@@ -346,17 +394,19 @@ func (n *Network) dropMember(seg *segment, a *Adapter) {
 		copy(ms[i:], ms[i+1:])
 		ms[len(ms)-1] = nil
 		seg.members = ms[:len(ms)-1]
+		seg.invalidate()
 	}
 	a.seg = nil
 }
 
 // rebuild reconstructs the whole cache from the resolver.
 func (n *Network) rebuild() {
-	for _, seg := range n.segments { // order-free: each segment clears its own list
+	for _, seg := range n.segments { // order-free: each segment clears its own lists
 		for i := range seg.members {
 			seg.members[i] = nil
 		}
 		seg.members = seg.members[:0]
+		seg.invalidate()
 	}
 	for _, ip := range n.order {
 		a := n.adapters[ip]
@@ -403,24 +453,54 @@ func pairSpread(p LinkProfile, src, dst transport.IP) time.Duration {
 
 // latency computes one delivery latency. The legacy (single-lane) network
 // draws jitter from the scheduler's RNG exactly as it always has — the
-// draw sequence of recorded runs is part of the replay contract. A sharded
-// network has no global RNG to share, so jitter becomes a stateless hash
-// of (pair, send instant): deterministic under any shard count.
-func (n *Network) latency(p LinkProfile, src, dst transport.IP, at time.Duration) time.Duration {
-	d := p.Latency + pairSpread(p, src, dst)
+// draw sequence of recorded runs is part of the replay contract; jit keeps
+// the draw's rejection bound, so a send computes it once for all its
+// receivers. A sharded network has no global RNG to share, so jitter
+// becomes a stateless hash of (pair, send instant): deterministic under
+// any shard count, and jit goes unused.
+func (n *Network) latency(p *LinkProfile, jit *int63n, src, dst transport.IP, at time.Duration) time.Duration {
+	d := p.Latency + pairSpread(*p, src, dst)
 	if p.Jitter > 0 {
 		if n.sharded {
 			d += time.Duration(pairHash(src, dst, uint64(at)*0x9e3779b97f4a7c15) % uint64(p.Jitter))
 		} else {
-			d += time.Duration(n.sched.Rand().Int63n(int64(p.Jitter)))
+			d += time.Duration(jit.draw(n.sched.Rand(), int64(p.Jitter)))
 		}
 	}
 	return d
 }
 
+// int63n is rand.Int63n with the rejection bound kept between draws: draw
+// consumes the same source values and returns the same number Int63n(n)
+// would, and computes the bound — a 64-bit modulus — only when n differs
+// from the previous draw's. The zero value is ready for use.
+type int63n struct {
+	n, max int64 // max < 0: n is a power of two, drawn by masking
+}
+
+func (j *int63n) draw(r *rand.Rand, n int64) int64 {
+	if n != j.n {
+		if n <= 0 {
+			panic("netsim: jitter draw over an empty range")
+		}
+		j.n, j.max = n, -1
+		if n&(n-1) != 0 {
+			j.max = int64((1 << 63) - 1 - (1<<63)%uint64(n))
+		}
+	}
+	if j.max < 0 {
+		return r.Int63() & (n - 1)
+	}
+	v := r.Int63()
+	for v > j.max {
+		v = r.Int63()
+	}
+	return v % n
+}
+
 // lost decides one per-receiver drop. Same split as latency: RNG draw on
 // the legacy path, stateless (pair, send instant) hash when sharded.
-func (n *Network) lost(p LinkProfile, src, dst transport.IP, at time.Duration) bool {
+func (n *Network) lost(p *LinkProfile, src, dst transport.IP, at time.Duration) bool {
 	if p.Loss <= 0 {
 		return false
 	}
@@ -450,30 +530,50 @@ type lane struct {
 
 	// out[dst] queues bundles for other lanes (sharded only; see shard.go).
 	out []bundleQueue
-	// mcb scratch: per-destination-lane bundle of the multicast currently
-	// being sent, nil between sends.
-	mcb []*bundle
+	// open[dst] is the bundle for lane dst of the send being built, nil
+	// between sends.
+	open []*bundle
+	// send is the builder of the lane's send in progress.
+	send sendBuilder
 }
+
+// addressing is how a transmission's receivers see its destination.
+type addressing uint8
+
+const (
+	// toSelf: a unicast or a unicast fan; each receiver sees dst = {its
+	// own IP, the port}.
+	toSelf addressing = iota
+	// toGroup: a multicast whose sender picked the subscribed receivers.
+	toGroup
+	// toGroupFiltered: a multicast flooded to the segment (RecvFilter);
+	// each receiver's subscription is checked at arrival.
+	toGroupFiltered
+)
 
 // transmission is one pooled packet in flight on a lane: the single copy
 // of the payload every receiver shares, the addressing the handlers see,
 // and the arrival list — one entry per receiver, one heap entry in all —
-// that delivers it. filter defers the multicast subscription check to
-// arrival time (RecvFilter segments). A unicast is a transmission with one
-// arrival.
+// that delivers it. A unicast is a transmission with one arrival.
 type transmission struct {
-	ln     *lane
-	src    transport.Addr
-	to     transport.Addr
-	b      []byte
-	filter bool
-	list   sim.ArrivalList
+	ln   *lane
+	src  transport.Addr
+	to   transport.Addr // the group, or for toSelf the port
+	mode addressing
+	b    []byte
+	list sim.ArrivalList
+	// The distribution sort's key: arrival a lands in slice
+	// (a.At-lo)>>shift, whose tally add keeps in lane.count[slice+1] —
+	// when sorting, that is: a send to one receiver has nothing to sort.
+	lo      time.Duration
+	shift   uint
+	sorting bool
 }
 
 // newTx takes a transmission from the lane's pool and fills it with a
 // private copy of payload — the single copy a transmission pays per lane —
 // and an empty arrival list.
-func (ln *lane) newTx(src, to transport.Addr, payload []byte, filter bool) *transmission {
+func (ln *lane) newTx(src, to transport.Addr, mode addressing, payload []byte) *transmission {
 	var tx *transmission
 	if k := len(ln.freeTx); k > 0 {
 		tx = ln.freeTx[k-1]
@@ -483,7 +583,7 @@ func (ln *lane) newTx(src, to transport.Addr, payload []byte, filter bool) *tran
 		tx = &transmission{ln: ln}
 		tx.list.Fire, tx.list.Arg = arrive, tx
 	}
-	tx.src, tx.to, tx.filter = src, to, filter
+	tx.src, tx.to, tx.mode = src, to, mode
 	tx.b = append(tx.b[:0], payload...)
 	tx.list.Arrivals = tx.list.Arrivals[:0]
 	return tx
@@ -497,11 +597,15 @@ func (ln *lane) newTx(src, to transport.Addr, payload []byte, filter bool) *tran
 // shard-locally.
 func arrive(arg, dst any, last bool) {
 	tx, a := arg.(*transmission), dst.(*Adapter)
-	if a.canReceive() && !(tx.filter && !a.inGroup(tx.to)) {
-		if h := a.handler(tx.to.Port); h != nil {
+	to := tx.to
+	if tx.mode == toSelf {
+		to.IP = a.ip
+	}
+	if a.canReceive() && (tx.mode != toGroupFiltered || a.inGroup(to)) {
+		if h := a.handler(to.Port); h != nil {
 			// The handler may use tx.b only for the duration of this call;
 			// the buffer is recycled as soon as the last receiver ran.
-			h(tx.src, tx.to, tx.b)
+			h(tx.src, to, tx.b)
 		}
 	}
 	if last {
@@ -509,17 +613,41 @@ func arrive(arg, dst any, last bool) {
 	}
 }
 
-// add appends one receiver's arrival. Callers number arrivals in the order
-// they add them, so a tie on the arrival instant goes to the receiver
-// scheduled first — the order one scheduler event per receiver would have
-// fired in.
-func (tx *transmission) add(at time.Duration, seq uint64, dst *Adapter) {
-	tx.list.Arrivals = append(tx.list.Arrivals, sim.Arrival{At: at, Seq: seq, Dst: dst})
+// expect readies the distribution sort for up to n arrivals in
+// [lo, lo+span]: slices of width 2^shift, a power of two that cuts the
+// range into at most 2n of them (and at least n/2 when span ≥ n), and
+// their tallies cleared.
+// A send knows its range before the first draw — its link's base latency
+// plus the spread and jitter bounds — so add tallies as it goes and post
+// only scatters.
+func (tx *transmission) expect(lo, span time.Duration, n int) {
+	tx.sorting = n > 1
+	if !tx.sorting {
+		return
+	}
+	tx.lo = lo
+	// span < 2^s and 2^(l-1) <= n < 2^l, so span>>(s-l) < 2^l <= 2n: the
+	// width without dividing.
+	tx.shift = uint(max(bits.Len64(uint64(span))-bits.Len(uint(n)), 0))
+	k := int(span>>tx.shift) + 2 // slices, plus one: count[s+1] tallies slice s
+	ln := tx.ln
+	ln.count = slices.Grow(ln.count[:0], k)[:k]
+	clear(ln.count)
 }
 
-// post sorts the arrivals added since newTx — numbered 0, 1, 2, … in send
-// order — into firing order, moves their sequence numbers onto a block
-// reserved from the lane's scheduler, and queues the list.
+// add appends one receiver's arrival, at an instant inside the range
+// given to expect. Arrivals are numbered in the order they are added, so a
+// tie on the arrival instant goes to the receiver scheduled first — the
+// order one scheduler event per receiver would have fired in.
+func (tx *transmission) add(at time.Duration, dst *Adapter) {
+	if tx.sorting {
+		tx.ln.count[(at-tx.lo)>>tx.shift+1]++
+	}
+	tx.list.Arrivals = append(tx.list.Arrivals, sim.Arrival{At: at, Seq: uint64(len(tx.list.Arrivals)), Dst: dst})
+}
+
+// post sorts the arrivals into firing order, moves their sequence numbers
+// onto a block reserved from the lane's scheduler, and queues the list.
 //
 // The sort is a distribution sort, not a comparison sort: a fan-out's
 // latencies are spread evenly over the link's jitter range, so scattering
@@ -527,35 +655,23 @@ func (tx *transmission) add(at time.Duration, seq uint64, dst *Adapter) {
 // in send order within a slice, because the scatter is stable — and one
 // insertion pass finishes the job. That is a few linear passes over a list
 // that fits in L1, where pdqsort through a comparison callback was a
-// quarter of a cold start. Latencies bunched into a few slices (an outlier
-// stretching the range, say) only make the insertion pass do more of the
-// work; the result is the same.
+// quarter of a cold start. Latencies bunched into a few slices only make
+// the insertion pass do more of the work; the result is the same.
 func (tx *transmission) post() {
 	ln := tx.ln
 	as := tx.list.Arrivals
 	base := ln.sched.ReserveSeq(len(as))
-	lo, hi := as[0].At, as[0].At
-	for i := range as {
-		as[i].Seq += base
-		lo, hi = min(lo, as[i].At), max(hi, as[i].At)
-	}
-	if lo < hi {
-		// Slice width 2^shift: the power of two that cuts the range into
-		// between n/2 and n+1 slices.
-		shift := bits.Len64(uint64(hi-lo) / uint64(len(as)))
-		k := int((hi-lo)>>shift) + 2 // slices, plus one: count[s+1] tallies slice s
-		count := slices.Grow(ln.count[:0], k)[:k]
-		clear(count)
-		for i := range as {
-			count[(as[i].At-lo)>>shift+1]++
-		}
+	if len(as) == 1 {
+		as[0].Seq += base
+	} else {
+		count := ln.count
 		for i := 1; i < len(count); i++ {
 			count[i] += count[i-1]
 		}
 		out := slices.Grow(ln.scratch[:0], len(as))[:len(as)]
 		for i := range as {
-			c := &count[(as[i].At-lo)>>shift]
-			out[*c] = as[i]
+			c := &count[(as[i].At-tx.lo)>>tx.shift]
+			out[*c] = sim.Arrival{At: as[i].At, Seq: as[i].Seq + base, Dst: as[i].Dst}
 			*c++
 		}
 		for i := 1; i < len(out); i++ {
@@ -568,9 +684,82 @@ func (tx *transmission) post() {
 			}
 			out[j] = x
 		}
-		tx.list.Arrivals, ln.scratch, ln.count = out, as, count
+		tx.list.Arrivals, ln.scratch = out, as
 	}
 	ln.sched.PostArrivals(&tx.list)
+}
+
+// sendBuilder builds one send — a unicast, a unicast fan or a multicast —
+// in one pass over its receivers: each offer draws that receiver's loss
+// and latency and files its arrival, already tallied for the sort, on one
+// transmission with one payload copy; a receiver on another lane joins
+// that lane's bundle instead. It is the one send path of the package.
+// Each lane keeps one, filled field by field for every send: a send runs
+// no callback that could start another on its lane.
+type sendBuilder struct {
+	n       *Network
+	ln      *lane
+	src, to transport.Addr
+	mode    addressing
+	p       LinkProfile
+	jit     int63n // the jitter draw's bound, kept across sends
+	now     time.Duration
+	width   int // candidate receivers, for sizing the sort
+	payload []byte
+	tx      *transmission // nil until the first local arrival
+}
+
+// newSend starts a send from a on its segment seg to up to width
+// receivers. group selects multicast addressing; the segment's profile
+// decides whether it is filtered at arrival.
+func (a *Adapter) newSend(seg *segment, srcPort uint16, to transport.Addr, group bool, payload []byte, width int) *sendBuilder {
+	ln := a.ln
+	b := &ln.send
+	b.n, b.ln = a.net, ln
+	b.p = a.net.effectiveProfile(seg)
+	b.mode = toSelf
+	if group {
+		b.mode = toGroup
+		if b.p.RecvFilter {
+			b.mode = toGroupFiltered
+		}
+	}
+	b.src, b.to = transport.Addr{IP: a.ip, Port: srcPort}, to
+	b.now, b.width, b.payload = ln.sched.Now(), width, payload
+	return b
+}
+
+// offer decides one receiver's copy: loss first, then latency — the order
+// the scheduler's RNG has always been drawn in. It reports false if the
+// loss model dropped the copy. A receiver on another lane is bundled for
+// the barrier, which resolves its loss and latency from the same
+// stateless hashes; it counts as received.
+func (b *sendBuilder) offer(r receiver) bool {
+	ln := b.ln
+	if int(r.lane) != ln.id {
+		ln.bundleTo(int(r.lane), r.a, b.src, b.to, b.mode, b.payload, b.p)
+		return true
+	}
+	if b.n.lost(&b.p, b.src.IP, r.ip, b.now) {
+		return false
+	}
+	if b.tx == nil {
+		b.tx = ln.newTx(b.src, b.to, b.mode, b.payload)
+		b.tx.expect(b.now+b.p.Latency, b.p.Spread+b.p.Jitter, b.width)
+	}
+	b.tx.add(b.now+b.n.latency(&b.p, &b.jit, b.src.IP, r.ip, b.now), r.a)
+	return true
+}
+
+// post queues what the send built: the local transmission, if any
+// receiver got a copy, and the cross-lane bundles, which close.
+func (b *sendBuilder) post() {
+	if b.tx != nil {
+		b.tx.post()
+		b.tx = nil
+	}
+	b.payload = nil
+	b.ln.sealBundles()
 }
 
 // wellKnownPlanes counts the ports with dedicated handler slots: the five
@@ -590,7 +779,7 @@ func planeIndex(port uint16) int {
 }
 
 // Adapter is one simulated network interface; it implements
-// transport.Endpoint and transport.Liveness.
+// transport.Endpoint, transport.Liveness and transport.UnicastFanner.
 type Adapter struct {
 	net  *Network
 	ln   *lane // home lane: the shard whose windows run this adapter
@@ -605,8 +794,9 @@ type Adapter struct {
 }
 
 var (
-	_ transport.Endpoint = (*Adapter)(nil)
-	_ transport.Liveness = (*Adapter)(nil)
+	_ transport.Endpoint      = (*Adapter)(nil)
+	_ transport.Liveness      = (*Adapter)(nil)
+	_ transport.UnicastFanner = (*Adapter)(nil)
 )
 
 // LocalIP returns the adapter's address.
@@ -664,6 +854,7 @@ func (a *Adapter) JoinGroup(group transport.IP, port uint16) {
 	addr := transport.Addr{IP: group, Port: port}
 	if !a.inGroup(addr) {
 		a.groups = append(a.groups, addr)
+		a.subscriptionsChanged()
 	}
 }
 
@@ -673,8 +864,18 @@ func (a *Adapter) LeaveGroup(group transport.IP, port uint16) {
 	for i, g := range a.groups {
 		if g == addr {
 			a.groups = append(a.groups[:i], a.groups[i+1:]...)
+			a.subscriptionsChanged()
 			return
 		}
+	}
+}
+
+// subscriptionsChanged invalidates the receiver tables that list a's
+// subscriptions. A stale a.seg (cache dirty) is harmless: the rebuild
+// empties every segment's tables.
+func (a *Adapter) subscriptionsChanged() {
+	if a.seg != nil {
+		a.seg.invalidate()
 	}
 }
 
@@ -693,47 +894,55 @@ var ErrAdapterDown = fmt.Errorf("netsim: adapter cannot transmit")
 // ErrNoSegment is returned when the sending adapter has no connectivity.
 var ErrNoSegment = fmt.Errorf("netsim: adapter not attached to any segment")
 
+// attached returns the segment a sends on, or the local condition that
+// stops it sending.
+func (a *Adapter) attached() (*segment, error) {
+	if !a.canSend() {
+		return nil, ErrAdapterDown
+	}
+	a.net.ensure()
+	if a.seg == nil {
+		return nil, ErrNoSegment
+	}
+	return a.seg, nil
+}
+
 // Unicast sends payload to dst if dst shares the sender's segment.
 // Cross-segment sends vanish silently (there are no routers between
 // GulfStream segments, per the paper's network assumptions); only local
 // conditions produce an error. The payload is copied before the call
 // returns; the caller keeps ownership of its buffer.
 func (a *Adapter) Unicast(srcPort uint16, dst transport.Addr, payload []byte) error {
-	if !a.canSend() {
-		return ErrAdapterDown
+	return a.UnicastFan(srcPort, dst.Port, []transport.IP{dst.IP}, payload)
+}
+
+// UnicastFan implements transport.UnicastFanner: one Unicast to each of
+// dsts, in order — the same loss and latency draws, tap records and
+// sequence numbers — built as one transmission, so the receivers share
+// one payload copy and one arrival list.
+func (a *Adapter) UnicastFan(srcPort, dstPort uint16, dsts []transport.IP, payload []byte) error {
+	seg, err := a.attached()
+	if err != nil {
+		return err
 	}
-	n := a.net
-	n.ensure()
-	seg := a.seg
-	if seg == nil {
-		return ErrNoSegment
-	}
-	src := transport.Addr{IP: a.ip, Port: srcPort}
-	now := a.ln.sched.Now()
-	received, dropped := 0, 0
-	if target := seg.find(dst.IP); target != nil {
-		p := n.effectiveProfile(seg)
-		if target.ln == a.ln {
-			if n.lost(p, a.ip, dst.IP, now) {
-				dropped = 1
-			} else {
+	s := a.newSend(seg, srcPort, transport.Addr{Port: dstPort}, false, payload, len(dsts))
+	for _, ip := range dsts {
+		received, dropped := 0, 0
+		if target := seg.find(ip); target != nil {
+			if s.offer(receiverOf(target)) {
 				received = 1
-				tx := a.ln.newTx(src, dst, payload, false)
-				tx.add(now+n.latency(p, a.ip, dst.IP, now), 0, target)
-				tx.post()
+			} else {
+				dropped = 1
 			}
-		} else {
-			// Cross-shard: queue a bundle; loss and latency are resolved at
-			// the barrier from the same stateless hashes, so the verdict is
-			// identical. The trace reports the pre-loss candidate.
-			received = 1
-			a.ln.postCross(target, src, dst, payload, p, false)
+		}
+		if tap := a.net.tap; tap != nil {
+			// A cross-lane receiver counts as received: the barrier decides
+			// its loss.
+			tap(Trace{Time: s.now, Src: a.ip, Dst: transport.Addr{IP: ip, Port: dstPort}, Segment: seg.name,
+				Bytes: len(payload), Receivers: received, Dropped: dropped, Payload: payload})
 		}
 	}
-	if n.tap != nil {
-		n.tap(Trace{Time: now, Src: a.ip, Dst: dst, Segment: seg.name,
-			Bytes: len(payload), Receivers: received, Dropped: dropped, Payload: payload})
-	}
+	s.post()
 	return nil
 }
 
@@ -741,57 +950,35 @@ func (a *Adapter) Unicast(srcPort uint16, dst transport.Addr, payload []byte) er
 // segment, excluding the sender itself. The payload is copied exactly
 // once per transmission; all receivers share the (immutable) copy.
 func (a *Adapter) Multicast(srcPort uint16, group transport.Addr, payload []byte) error {
-	if !a.canSend() {
-		return ErrAdapterDown
+	seg, err := a.attached()
+	if err != nil {
+		return err
 	}
-	n := a.net
-	n.ensure()
-	seg := a.seg
-	if seg == nil {
-		return ErrNoSegment
-	}
-	src := transport.Addr{IP: a.ip, Port: srcPort}
-	p := n.effectiveProfile(seg)
-	now := a.ln.sched.Now()
+	flood := a.net.effectiveProfile(seg).RecvFilter
+	// A flooding segment delivers to every member and each checks its
+	// subscription at arrival, on its own shard. Cross-shard segments
+	// need that — reading a remote adapter's subscriptions mid-window
+	// would race — and local members get the same treatment, so the
+	// semantics do not depend on the shard layout.
+	rx := seg.receivers(group, flood)
+	s := a.newSend(seg, srcPort, group, true, payload, len(rx))
 	received, dropped := 0, 0
-	var tx *transmission
-	for _, m := range seg.members {
-		if m == a {
+	for _, r := range rx {
+		if r.ip == a.ip {
 			continue
 		}
-		if p.RecvFilter {
-			// Receiver-side filtering: the segment floods every member and
-			// the subscription check happens at arrival, on the receiver's
-			// own shard. Mandatory for cross-shard segments — reading a
-			// remote adapter's subscriptions mid-window would race — and
-			// applied identically to local members so the semantics do not
-			// depend on the shard layout.
-		} else if m.ln != a.ln {
+		if !flood && int(r.lane) != a.ln.id {
 			panic("netsim: cross-shard multicast on a segment without RecvFilter")
-		} else if !m.inGroup(group) {
-			continue
 		}
-		if m.ln != a.ln {
+		if s.offer(r) {
 			received++
-			a.ln.postMulticast(m, src, group, payload, p)
-			continue
-		}
-		if n.lost(p, a.ip, m.ip, now) {
+		} else {
 			dropped++
-			continue
 		}
-		received++
-		if tx == nil {
-			tx = a.ln.newTx(src, group, payload, p.RecvFilter)
-		}
-		tx.add(now+n.latency(p, a.ip, m.ip, now), uint64(len(tx.list.Arrivals)), m)
 	}
-	if tx != nil {
-		tx.post()
-	}
-	a.ln.sealMulticast()
-	if n.tap != nil {
-		n.tap(Trace{Time: now, Src: a.ip, Dst: group, Segment: seg.name,
+	s.post()
+	if tap := a.net.tap; tap != nil {
+		tap(Trace{Time: s.now, Src: a.ip, Dst: group, Segment: seg.name,
 			Bytes: len(payload), Multicast: true, Receivers: received, Dropped: dropped, Payload: payload})
 	}
 	return nil

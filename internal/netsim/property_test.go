@@ -3,8 +3,10 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/ordered"
 	"repro/internal/sim"
 	"repro/internal/switchsim"
 	"repro/internal/transport"
@@ -50,6 +52,26 @@ func (m *fabricModel) checkAll(t *testing.T, fab *switchsim.Fabric, n *Network, 
 			}
 		}
 	}
+	// Every segment's receiver tables must equal a fresh filter of its
+	// members, for each group and in both the subscribed and the flooding
+	// form. Reading them builds them, so a mutation that fails to
+	// invalidate a table shows at the next check.
+	for _, name := range ordered.Keys(n.segments) {
+		seg := n.segments[name]
+		for _, g := range propGroups {
+			for _, flood := range []bool{false, true} {
+				var want []receiver
+				for _, a := range seg.members {
+					if flood || a.inGroup(g) {
+						want = append(want, receiverOf(a))
+					}
+				}
+				if got := seg.receivers(g, flood); !slices.Equal(got, want) {
+					t.Fatalf("step %d (%s): %s receivers of %v (flood %v) = %v, want %v", step, op, name, g, flood, got, want)
+				}
+			}
+		}
+	}
 	// Loopback must agree with connectivity for every adapter.
 	for _, ip := range m.ips {
 		_, connected := fab.SegmentOf(ip)
@@ -57,6 +79,13 @@ func (m *fabricModel) checkAll(t *testing.T, fab *switchsim.Fabric, n *Network, 
 			t.Fatalf("step %d (%s): adapter %v loopback = %v, resolver says %v", step, op, ip, up, connected)
 		}
 	}
+}
+
+// propGroups are the multicast subscriptions the property test toggles.
+var propGroups = []transport.Addr{
+	{IP: transport.BeaconGroup, Port: transport.PortBeacon},
+	{IP: transport.BeaconGroup, Port: 9},
+	{IP: transport.MakeIP(224, 0, 0, 99), Port: transport.PortBeacon},
 }
 
 func TestIncrementalCacheMatchesRebuild(t *testing.T) {
@@ -84,7 +113,18 @@ func TestIncrementalCacheMatchesRebuild(t *testing.T) {
 	next := 0 // adapters wired so far; IP and port derive from it
 	for step := 0; step < steps; step++ {
 		op := "noop"
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(13); {
+		case k >= 10 && next > 0:
+			// Join or leave a multicast group.
+			a := n.adapters[model.ips[rng.Intn(len(model.ips))]]
+			g := propGroups[rng.Intn(len(propGroups))]
+			if k == 12 {
+				a.LeaveGroup(g.IP, g.Port)
+				op = "leave"
+			} else {
+				a.JoinGroup(g.IP, g.Port)
+				op = "join"
+			}
 		case k < 3 && next < numSwitches*numPorts:
 			// Wire a new adapter into the next free port.
 			sw := switches[next%numSwitches]

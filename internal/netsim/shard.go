@@ -50,7 +50,7 @@ func NewSharded(sh *sim.Shards, resolver SegmentResolver, home func(node string)
 			id:    i,
 			sched: sh.Shard(i),
 			out:   make([]bundleQueue, sh.N()),
-			mcb:   make([]*bundle, sh.N()),
+			open:  make([]*bundle, sh.N()),
 		})
 	}
 	sh.OnBarrier(n.flushCross)
@@ -68,7 +68,7 @@ type bundle struct {
 	payload []byte
 	recvs   []*Adapter
 	profile LinkProfile
-	filter  bool
+	mode    addressing
 	xtx     *transmission // destination-lane transmission, set during flush
 }
 
@@ -80,53 +80,35 @@ type bundleQueue struct {
 	free    []*bundle
 }
 
-// getBundle takes a bundle from the pair pool, fills its header and
-// payload copy, and appends it to the pending queue (queue position is the
-// bundle's merge sequence number).
-func (ln *lane) getBundle(dst int, src, to transport.Addr, payload []byte, p LinkProfile, filter bool) *bundle {
-	q := &ln.out[dst]
-	var b *bundle
-	if k := len(q.free); k > 0 {
-		b = q.free[k-1]
-		q.free[k-1] = nil
-		q.free = q.free[:k-1]
-	} else {
-		b = &bundle{}
-	}
-	b.src, b.to, b.at = src, to, ln.sched.Now()
-	b.payload = append(b.payload[:0], payload...)
-	b.profile, b.filter = p, filter
-	q.pending = append(q.pending, b)
-	return b
-}
-
-// postCross queues a cross-shard unicast for the barrier.
-func (ln *lane) postCross(target *Adapter, src, to transport.Addr, payload []byte, p LinkProfile, filter bool) {
-	b := ln.getBundle(target.ln.id, src, to, payload, p, filter)
-	b.recvs = append(b.recvs, target)
-}
-
-// postMulticast adds one remote receiver of the multicast currently being
-// sent. Receivers on the same destination lane share one bundle (one
-// payload copy per receiving shard); the per-destination scratch holds the
-// open bundle until sealMulticast.
-func (ln *lane) postMulticast(m *Adapter, src, group transport.Addr, payload []byte, p LinkProfile) {
-	dst := m.ln.id
-	b := ln.mcb[dst]
+// bundleTo adds receiver m, homed on lane dst, to the send being built.
+// The send's receivers on one destination lane share one bundle — one
+// payload copy per receiving shard — which stays open in ln.open until
+// sealBundles. The queue position of a bundle is its merge sequence
+// number; a send queues nothing else meanwhile, so one bundle per send
+// orders its receivers exactly as one bundle per receiver would.
+func (ln *lane) bundleTo(dst int, m *Adapter, src, to transport.Addr, mode addressing, payload []byte, p LinkProfile) {
+	b := ln.open[dst]
 	if b == nil {
-		b = ln.getBundle(dst, src, group, payload, p, true)
-		ln.mcb[dst] = b
+		q := &ln.out[dst]
+		if k := len(q.free); k > 0 {
+			b = q.free[k-1]
+			q.free[k-1] = nil
+			q.free = q.free[:k-1]
+		} else {
+			b = &bundle{}
+		}
+		b.src, b.to, b.mode, b.at = src, to, mode, ln.sched.Now()
+		b.payload = append(b.payload[:0], payload...)
+		b.profile = p
+		q.pending = append(q.pending, b)
+		ln.open[dst] = b
 	}
 	b.recvs = append(b.recvs, m)
 }
 
-// sealMulticast closes the per-destination scratch after a multicast.
-func (ln *lane) sealMulticast() {
-	for i, b := range ln.mcb {
-		if b != nil {
-			ln.mcb[i] = nil
-		}
-	}
+// sealBundles closes the open bundles after a send.
+func (ln *lane) sealBundles() {
+	clear(ln.open)
 }
 
 // xdelivery is one expanded cross-shard arrival in the barrier's merge
@@ -159,11 +141,11 @@ func (n *Network) flushCross() {
 			q := &n.lanes[srci].out[dsti]
 			for bi, b := range q.pending {
 				for ri, r := range b.recvs {
-					if n.lost(b.profile, b.src.IP, r.ip, b.at) {
+					if n.lost(&b.profile, b.src.IP, r.ip, b.at) {
 						continue
 					}
 					m = append(m, xdelivery{
-						at:  b.at + n.latency(b.profile, b.src.IP, r.ip, b.at),
+						at:  b.at + n.latency(&b.profile, nil, b.src.IP, r.ip, b.at),
 						src: srci, seq: bi, ri: ri, dst: r, b: b,
 					})
 				}
@@ -180,10 +162,12 @@ func (n *Network) flushCross() {
 			seq := dl.sched.ReserveSeq(len(m))
 			for i := range m {
 				e := &m[i]
-				if e.b.xtx == nil {
-					e.b.xtx = dl.newTx(e.b.src, e.b.to, e.b.payload, e.b.filter)
+				x := e.b.xtx
+				if x == nil {
+					x = dl.newTx(e.b.src, e.b.to, e.b.mode, e.b.payload)
+					e.b.xtx = x
 				}
-				e.b.xtx.add(e.at, seq+uint64(i), e.dst)
+				x.list.Arrivals = append(x.list.Arrivals, sim.Arrival{At: e.at, Seq: seq + uint64(i), Dst: e.dst})
 				e.dst, e.b = nil, nil
 			}
 		}

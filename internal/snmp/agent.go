@@ -3,6 +3,7 @@ package snmp
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/transport"
 )
@@ -130,8 +131,8 @@ func NewMapMIB() *MapMIB {
 func (m *MapMIB) Define(oid OID, v Value, writable bool) {
 	key := oid.String()
 	if _, exists := m.vals[key]; !exists {
-		m.oids = append(m.oids, oid.Append()) // copy
-		sortOIDs(m.oids)
+		i, _ := slices.BinarySearchFunc(m.oids, oid, OID.Compare)
+		m.oids = slices.Insert(m.oids, i, oid.Append()) // copy
 	}
 	m.vals[key] = v
 	m.writable[key] = writable
@@ -159,12 +160,15 @@ func (m *MapMIB) Get(oid OID) (Value, error) {
 
 // Next implements MIB.
 func (m *MapMIB) Next(oid OID) (OID, Value, error) {
-	for _, o := range m.oids {
-		if o.Compare(oid) > 0 {
-			return o, m.vals[o.String()], nil
-		}
+	i, found := slices.BinarySearchFunc(m.oids, oid, OID.Compare)
+	if found {
+		i++
 	}
-	return nil, Null, fmt.Errorf("%w: walked past end", ErrNoSuchName)
+	if i == len(m.oids) {
+		return nil, Null, fmt.Errorf("%w: walked past end", ErrNoSuchName)
+	}
+	o := m.oids[i]
+	return o, m.vals[o.String()], nil
 }
 
 // Set implements MIB.

@@ -2,6 +2,8 @@ package snmp
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -260,4 +262,73 @@ func (c *Client) Get(agent transport.Addr, oid OID, done func(Value, error)) {
 		}
 		done(m.Bindings[0].Value, nil)
 	})
+}
+
+// TestMapMIBOrderedInsert: Define keeps the OID list in walk order by
+// inserting in place, so defining the same objects in shuffled order gives
+// the same Next chain as defining them sorted, and Next's binary search
+// agrees with a linear scan from every defined OID and from probes that
+// fall between, before and after them.
+func TestMapMIBOrderedInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var oids []OID
+	for i := 0; i < 300; i++ {
+		o := MustOID("1.3.6.1.4.1")
+		for k := rng.Intn(4); k >= 0; k-- {
+			o = o.Append(uint32(rng.Intn(6)))
+		}
+		oids = append(oids, o)
+	}
+	sorted := slices.Clone(oids)
+	slices.SortFunc(sorted, OID.Compare)
+	sorted = slices.CompactFunc(sorted, func(a, b OID) bool { return a.Compare(b) == 0 })
+
+	inOrder, shuffled := NewMapMIB(), NewMapMIB()
+	for _, o := range sorted {
+		inOrder.Define(o, Integer(int64(len(o))), false)
+	}
+	for _, i := range rng.Perm(len(oids)) {
+		shuffled.Define(oids[i], Integer(int64(len(oids[i]))), false)
+	}
+	chain := func(m *MapMIB) []string {
+		var out []string
+		for o := MustOID("1.0"); ; {
+			next, _, err := m.Next(o)
+			if err != nil {
+				return out
+			}
+			out = append(out, next.String())
+			o = next
+		}
+	}
+	if a, b := chain(inOrder), chain(shuffled); !slices.Equal(a, b) || len(a) != len(sorted) {
+		t.Fatalf("Next chains differ: sorted define %d objects, shuffled %d (want %d)", len(a), len(b), len(sorted))
+	}
+
+	linear := func(probe OID) (OID, bool) {
+		for _, o := range sorted {
+			if o.Compare(probe) > 0 {
+				return o, true
+			}
+		}
+		return nil, false
+	}
+	probes := slices.Clone(sorted)
+	for _, o := range sorted {
+		probes = append(probes, o.Append(0), o[:len(o)-1], o.Append(9, 9))
+	}
+	probes = append(probes, MustOID("1.0"), MustOID("1.3.6.1.4.2"))
+	for _, p := range probes {
+		want, ok := linear(p)
+		got, _, err := shuffled.Next(p)
+		if !ok {
+			if !errors.Is(err, ErrNoSuchName) {
+				t.Fatalf("Next(%v) = %v, %v; want end of MIB", p, got, err)
+			}
+			continue
+		}
+		if err != nil || got.Compare(want) != 0 {
+			t.Fatalf("Next(%v) = %v, %v; linear scan gives %v", p, got, err, want)
+		}
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -531,9 +530,4 @@ func Unmarshal(data []byte) (*Message, error) {
 		m.Bindings = append(m.Bindings, VarBind{OID: oid, Value: val})
 	}
 	return m, nil
-}
-
-// sortOIDs orders a slice of OIDs in walk order (used by MapMIB).
-func sortOIDs(oids []OID) {
-	sort.Slice(oids, func(i, j int) bool { return oids[i].Compare(oids[j]) < 0 })
 }

@@ -131,3 +131,30 @@ type Liveness interface {
 type GroupLeaver interface {
 	LeaveGroup(group IP, port uint16)
 }
+
+// UnicastFanner is an optional interface of Endpoints that can send one
+// payload to many unicast destinations as a single transmission. The
+// outcome must be that of one Unicast per destination, in list order:
+// each receiver's handler sees dst = {its own IP, dstPort}. The simulated
+// adapter implements it with one shared payload copy; callers go through
+// UnicastFan.
+type UnicastFanner interface {
+	UnicastFan(srcPort, dstPort uint16, dsts []IP, payload []byte) error
+}
+
+// UnicastFan sends payload from srcPort to dstPort on every address in
+// dsts: as one transmission if ep is a UnicastFanner, else as one Unicast
+// per destination, in order. It returns the first error; a failed
+// destination does not stop the rest.
+func UnicastFan(ep Endpoint, srcPort, dstPort uint16, dsts []IP, payload []byte) error {
+	if f, ok := ep.(UnicastFanner); ok {
+		return f.UnicastFan(srcPort, dstPort, dsts, payload)
+	}
+	var first error
+	for _, ip := range dsts {
+		if err := ep.Unicast(srcPort, Addr{IP: ip, Port: dstPort}, payload); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}

@@ -641,14 +641,15 @@ func DecodeBeaconFixed(pkt []byte, b *Beacon) (node []byte, err error) {
 		return nil, ErrTrailing
 	}
 	p := 8 + n
-	*b = Beacon{
-		Sender:      transport.IP(binary.BigEndian.Uint32(pkt[2:])),
-		Incarnation: binary.BigEndian.Uint32(pkt[p:]),
-		Leader:      transport.IP(binary.BigEndian.Uint32(pkt[p+4:])),
-		Version:     binary.BigEndian.Uint64(pkt[p+8:]),
-		Members:     binary.BigEndian.Uint32(pkt[p+16:]),
-		Admin:       pkt[p+20] != 0,
-	}
+	// Field by field, not *b = Beacon{…}: the literal is built on the stack
+	// and copied out in 16-byte moves that stall on store forwarding.
+	b.Sender = transport.IP(binary.BigEndian.Uint32(pkt[2:]))
+	b.Node = ""
+	b.Incarnation = binary.BigEndian.Uint32(pkt[p:])
+	b.Leader = transport.IP(binary.BigEndian.Uint32(pkt[p+4:]))
+	b.Version = binary.BigEndian.Uint64(pkt[p+8:])
+	b.Members = binary.BigEndian.Uint32(pkt[p+16:])
+	b.Admin = pkt[p+20] != 0
 	return pkt[8:p], nil
 }
 

@@ -391,3 +391,25 @@ func BenchmarkEncodePrepare64(b *testing.B) {
 		Encode(m)
 	}
 }
+
+// TestDecodeBeaconFixedClearsNode: the fixed-part decoder fills every field
+// but Node and leaves Node empty even when the caller's Beacon held an
+// earlier beacon's name, so a reused scratch value never carries a stale
+// sender name into the next decode.
+func TestDecodeBeaconFixedClearsNode(t *testing.T) {
+	in := &Beacon{Sender: ip4(10, 0, 0, 1), Node: "web-01", Incarnation: 7, Leader: ip4(10, 0, 0, 9), Version: 12, Members: 5, Admin: true}
+	pkt := Encode(in)
+	b := Beacon{Sender: 1, Node: "stale", Incarnation: 2, Leader: 3, Version: 4, Members: 5}
+	node, err := DecodeBeaconFixed(pkt, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(node) != in.Node {
+		t.Errorf("name bytes %q, want %q", node, in.Node)
+	}
+	want := *in
+	want.Node = ""
+	if b != want {
+		t.Errorf("decoded %+v, want %+v", b, want)
+	}
+}
