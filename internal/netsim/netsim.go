@@ -133,13 +133,19 @@ type Trace struct {
 // ascending-IP order plus the resolved link profile, so a sender reaches
 // both through a single pointer.
 type segment struct {
-	name     string
-	members  []*Adapter // ascending IP
+	name string
+	// members are the attached adapters as the receivers a send reads; a
+	// flooding multicast (RecvFilter) goes to all of them.
+	members []receiver // ascending IP
+	// spans records that the members sit on more than one lane, where a
+	// multicast must flood.
+	spans    bool
 	profile  LinkProfile
 	override bool // profile explicitly set; otherwise the network default applies
-	// tables caches Multicast's receiver lists, one per group it was asked
-	// for; any change of members or subscriptions empties it (invalidate).
-	tables []groupTable
+	// groups caches Multicast's subscribed receivers, one list per group,
+	// for a segment that filters at the sender. A change of members or of
+	// a member's subscriptions empties it.
+	groups []groupTable
 }
 
 // receiver is one entry of a send's receiver list: the address and home
@@ -153,46 +159,61 @@ type receiver struct {
 
 func receiverOf(a *Adapter) receiver { return receiver{ip: a.ip, lane: int32(a.ln.id), a: a} }
 
-// groupTable is one group's receiver list on a segment: the members
-// subscribed to group, in ascending IP order, or every member when the
-// segment floods (RecvFilter, subscriptions checked at arrival).
+// groupTable is the members of a segment subscribed to group, in
+// ascending IP order.
 type groupTable struct {
 	group transport.Addr
-	flood bool
 	rx    []receiver
 }
 
-// invalidate drops the segment's receiver tables; the next Multicast to
-// each group rebuilds its own. The entries' lists are kept for reuse.
-func (s *segment) invalidate() { s.tables = s.tables[:0] }
-
-// receivers returns the segment's receiver list for group, building it
-// from the members on first use after an invalidation.
-func (s *segment) receivers(group transport.Addr, flood bool) []receiver {
-	for i := range s.tables {
-		if t := &s.tables[i]; t.group == group && t.flood == flood {
+// subscribed returns the members subscribed to group, building the list
+// on first use after a change. It reads every member's subscriptions, so
+// only a segment on one lane may be asked (Multicast checks spans first).
+func (s *segment) subscribed(group transport.Addr) []receiver {
+	for i := range s.groups {
+		if t := &s.groups[i]; t.group == group {
 			return t.rx
 		}
 	}
-	s.tables = slices.Grow(s.tables, 1)[:len(s.tables)+1]
-	t := &s.tables[len(s.tables)-1]
-	t.group, t.flood, t.rx = group, flood, t.rx[:0]
-	for _, m := range s.members {
-		if flood || m.inGroup(group) {
-			t.rx = append(t.rx, receiverOf(m))
+	s.groups = slices.Grow(s.groups, 1)[:len(s.groups)+1]
+	t := &s.groups[len(s.groups)-1]
+	t.group, t.rx = group, t.rx[:0]
+	for _, r := range s.members {
+		if r.a.inGroup(group) {
+			t.rx = append(t.rx, r)
 		}
 	}
 	return t.rx
 }
 
-// find locates the member with the given address, or nil.
-func (s *segment) find(ip transport.IP) *Adapter {
+// forgetGroups empties the group tables; the next Multicast to each group
+// rebuilds its own, reusing the lists. It writes only when there is a
+// table: a segment that spans lanes never builds one, so its members'
+// lanes may change subscriptions at once.
+func (s *segment) forgetGroups() {
+	if len(s.groups) > 0 {
+		s.groups = s.groups[:0]
+	}
+}
+
+// spansLanes reports whether ms sit on more than one lane.
+func spansLanes(ms []receiver) bool {
+	for _, r := range ms {
+		if r.lane != ms[0].lane {
+			return true
+		}
+	}
+	return false
+}
+
+// find locates the member with the given address.
+func (s *segment) find(ip transport.IP) (receiver, bool) {
 	ms := s.members
 	i := sort.Search(len(ms), func(i int) bool { return ms[i].ip >= ip })
 	if i < len(ms) && ms[i].ip == ip {
-		return ms[i]
+		return ms[i], true
 	}
-	return nil
+	return receiver{}, false
 }
 
 // Network is the simulated fabric. It is driven entirely by the
@@ -377,24 +398,22 @@ func (n *Network) adapterMoved(ip transport.IP) {
 // insertMember splices a into the segment's bucket, keeping ascending IP
 // order so iteration stays deterministic.
 func (n *Network) insertMember(seg *segment, a *Adapter) {
+	r := receiverOf(a)
 	ms := seg.members
 	i := sort.Search(len(ms), func(i int) bool { return ms[i].ip >= a.ip })
-	ms = append(ms, nil)
-	copy(ms[i+1:], ms[i:])
-	ms[i] = a
-	seg.members = ms
-	seg.invalidate()
+	seg.spans = seg.spans || (len(ms) > 0 && ms[0].lane != r.lane)
+	seg.members = slices.Insert(ms, i, r)
+	seg.forgetGroups()
 	a.seg = seg
 }
 
 func (n *Network) dropMember(seg *segment, a *Adapter) {
 	ms := seg.members
 	i := sort.Search(len(ms), func(i int) bool { return ms[i].ip >= a.ip })
-	if i < len(ms) && ms[i] == a {
-		copy(ms[i:], ms[i+1:])
-		ms[len(ms)-1] = nil
-		seg.members = ms[:len(ms)-1]
-		seg.invalidate()
+	if i < len(ms) && ms[i].a == a {
+		seg.members = slices.Delete(ms, i, i+1)
+		seg.spans = spansLanes(seg.members)
+		seg.forgetGroups()
 	}
 	a.seg = nil
 }
@@ -402,20 +421,21 @@ func (n *Network) dropMember(seg *segment, a *Adapter) {
 // rebuild reconstructs the whole cache from the resolver.
 func (n *Network) rebuild() {
 	for _, seg := range n.segments { // order-free: each segment clears its own lists
-		for i := range seg.members {
-			seg.members[i] = nil
-		}
+		clear(seg.members)
 		seg.members = seg.members[:0]
-		seg.invalidate()
+		seg.forgetGroups()
 	}
 	for _, ip := range n.order {
 		a := n.adapters[ip]
 		a.seg = nil
 		if name, ok := n.resolver.SegmentOf(ip); ok {
 			seg := n.getSegment(name)
-			seg.members = append(seg.members, a) // n.order is ascending
+			seg.members = append(seg.members, receiverOf(a)) // n.order is ascending
 			a.seg = seg
 		}
+	}
+	for _, seg := range n.segments { // order-free: each segment reads only its own list
+		seg.spans = spansLanes(seg.members)
 	}
 	n.cacheVersion = n.resolver.Version()
 	n.dirty = false
@@ -429,8 +449,8 @@ func (n *Network) SegmentMembers(name string) []transport.IP {
 		return nil
 	}
 	out := make([]transport.IP, len(seg.members))
-	for i, a := range seg.members {
-		out[i] = a.ip
+	for i, r := range seg.members {
+		out[i] = r.ip
 	}
 	return out
 }
@@ -870,12 +890,12 @@ func (a *Adapter) LeaveGroup(group transport.IP, port uint16) {
 	}
 }
 
-// subscriptionsChanged invalidates the receiver tables that list a's
+// subscriptionsChanged empties the group tables that list a's
 // subscriptions. A stale a.seg (cache dirty) is harmless: the rebuild
 // empties every segment's tables.
 func (a *Adapter) subscriptionsChanged() {
 	if a.seg != nil {
-		a.seg.invalidate()
+		a.seg.forgetGroups()
 	}
 }
 
@@ -928,8 +948,8 @@ func (a *Adapter) UnicastFan(srcPort, dstPort uint16, dsts []transport.IP, paylo
 	s := a.newSend(seg, srcPort, transport.Addr{Port: dstPort}, false, payload, len(dsts))
 	for _, ip := range dsts {
 		received, dropped := 0, 0
-		if target := seg.find(ip); target != nil {
-			if s.offer(receiverOf(target)) {
+		if target, ok := seg.find(ip); ok {
+			if s.offer(target) {
 				received = 1
 			} else {
 				dropped = 1
@@ -954,21 +974,24 @@ func (a *Adapter) Multicast(srcPort uint16, group transport.Addr, payload []byte
 	if err != nil {
 		return err
 	}
-	flood := a.net.effectiveProfile(seg).RecvFilter
-	// A flooding segment delivers to every member and each checks its
-	// subscription at arrival, on its own shard. Cross-shard segments
-	// need that — reading a remote adapter's subscriptions mid-window
-	// would race — and local members get the same treatment, so the
-	// semantics do not depend on the shard layout.
-	rx := seg.receivers(group, flood)
+	// A flooding segment (RecvFilter) delivers to every member and each
+	// checks its subscription at arrival, on its own shard. A segment
+	// whose members sit on several lanes must flood — reading another
+	// lane's subscriptions mid-window would race — so that is checked
+	// before any member is read. Local members get the same treatment,
+	// so the semantics do not depend on the shard layout.
+	rx := seg.members
+	if !a.net.effectiveProfile(seg).RecvFilter {
+		if seg.spans {
+			panic("netsim: cross-shard multicast on a segment without RecvFilter")
+		}
+		rx = seg.subscribed(group)
+	}
 	s := a.newSend(seg, srcPort, group, true, payload, len(rx))
 	received, dropped := 0, 0
 	for _, r := range rx {
 		if r.ip == a.ip {
 			continue
-		}
-		if !flood && int(r.lane) != a.ln.id {
-			panic("netsim: cross-shard multicast on a segment without RecvFilter")
 		}
 		if s.offer(r) {
 			received++

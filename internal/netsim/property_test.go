@@ -52,23 +52,28 @@ func (m *fabricModel) checkAll(t *testing.T, fab *switchsim.Fabric, n *Network, 
 			}
 		}
 	}
-	// Every segment's receiver tables must equal a fresh filter of its
-	// members, for each group and in both the subscribed and the flooding
-	// form. Reading them builds them, so a mutation that fails to
-	// invalidate a table shows at the next check.
+	// Every segment's receivers must equal a fresh reading of its
+	// members: all of them, and for each group the subscribed ones.
+	// Reading a group table builds it, so a mutation that fails to empty
+	// one shows at the next check.
 	for _, name := range ordered.Keys(n.segments) {
 		seg := n.segments[name]
+		var all []receiver
+		for _, ip := range n.SegmentMembers(name) {
+			all = append(all, receiverOf(n.adapters[ip]))
+		}
+		if !slices.Equal(seg.members, all) || seg.spans != spansLanes(all) {
+			t.Fatalf("step %d (%s): %s receivers = %v (spans %v), want %v", step, op, name, seg.members, seg.spans, all)
+		}
 		for _, g := range propGroups {
-			for _, flood := range []bool{false, true} {
-				var want []receiver
-				for _, a := range seg.members {
-					if flood || a.inGroup(g) {
-						want = append(want, receiverOf(a))
-					}
+			var want []receiver
+			for _, r := range all {
+				if r.a.inGroup(g) {
+					want = append(want, r)
 				}
-				if got := seg.receivers(g, flood); !slices.Equal(got, want) {
-					t.Fatalf("step %d (%s): %s receivers of %v (flood %v) = %v, want %v", step, op, name, g, flood, got, want)
-				}
+			}
+			if got := seg.subscribed(g); !slices.Equal(got, want) {
+				t.Fatalf("step %d (%s): %s receivers of %v = %v, want %v", step, op, name, g, got, want)
 			}
 		}
 	}

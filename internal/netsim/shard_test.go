@@ -104,21 +104,39 @@ func TestShardedMulticastRecvFilter(t *testing.T) {
 }
 
 // TestShardedCrossMulticastRequiresRecvFilter: flooding another shard's
-// subscription state is a race, so the send path must refuse it loudly.
+// adapters needs receiver-side filtering. The send panics whether or not
+// the remote member is subscribed — its subscriptions are never read —
+// and before it builds anything: the local subscriber gets no copy, and
+// the sender's next send goes out alone.
 func TestShardedCrossMulticastRequiresRecvFilter(t *testing.T) {
-	p := LinkProfile{Latency: 2 * time.Millisecond} // no RecvFilter
-	f := newShardFixture(1, 2, 2, time.Millisecond, p)
-	group := transport.Addr{IP: transport.BeaconGroup, Port: 200}
-	f.adapters[1].JoinGroup(group.IP, group.Port)
-	f.scheds[0].AfterFunc(time.Millisecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for cross-shard multicast without RecvFilter")
-			}
-		}()
-		f.adapters[0].Multicast(200, group, []byte("x"))
-	})
-	f.sh.RunUntil(10 * time.Millisecond)
+	for _, remoteJoined := range []bool{true, false} {
+		p := LinkProfile{Latency: 2 * time.Millisecond} // no RecvFilter
+		f := newShardFixture(1, 2, 3, time.Millisecond, p)
+		group := transport.Addr{IP: transport.BeaconGroup, Port: 200}
+		if remoteJoined {
+			f.adapters[1].JoinGroup(group.IP, group.Port) // h1: shard 1
+		}
+		local := f.adapters[2] // h2: shard 0, beside the sender
+		local.JoinGroup(group.IP, group.Port)
+		var mcasts, ucasts int
+		local.Bind(200, func(_, _ transport.Addr, _ []byte) { mcasts++ })
+		local.Bind(100, func(_, _ transport.Addr, _ []byte) { ucasts++ })
+		f.scheds[0].AfterFunc(time.Millisecond, func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("remote joined %v: expected panic for cross-shard multicast without RecvFilter", remoteJoined)
+				}
+				if err := f.adapters[0].Unicast(100, transport.Addr{IP: local.LocalIP(), Port: 100}, []byte("y")); err != nil {
+					t.Error(err)
+				}
+			}()
+			f.adapters[0].Multicast(200, group, []byte("x"))
+		})
+		f.sh.RunUntil(10 * time.Millisecond)
+		if mcasts != 0 || ucasts != 1 {
+			t.Errorf("remote joined %v: local member got %d multicasts and %d unicasts, want 0 and 1", remoteJoined, mcasts, ucasts)
+		}
+	}
 }
 
 // deliveryLog runs a draw-free mixed unicast/multicast workload over k
